@@ -49,7 +49,7 @@ from .zeromatrix import (MonotonyMatrix, is_convergent_to_zero,
 __all__ = ["main", "entry"]
 
 try:
-    __version__ = importlib.metadata.version("artifact")
+    __version__ = importlib.metadata.version("partialcrit")
 except importlib.metadata.PackageNotFoundError:  # running from a checkout
     __version__ = "0.1.0"
 

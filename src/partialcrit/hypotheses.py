@@ -17,7 +17,7 @@ from scipy.optimize import linprog
 
 from .errors import IntegrityError
 from .scheme import CoupledSystem, GrowthParams
-from .spaces import embedding_constant, norm_a
+from .spaces import embedding_constant, random_unit
 from .zeromatrix import ConvergenceCertificate, MonotonyMatrix, is_convergent_to_zero
 
 __all__ = [
@@ -272,18 +272,13 @@ def check_mountain_pass_ring(sys: CoupledSystem, tau: float,
     zero = space.zero()
     n_zero = float(sys.eval_N(zero, zero))
 
-    def unit() -> "HVector":
-        raw = space.wrap(rng.standard_normal(space.dim))
-        n = norm_a(raw, space)
-        return raw * (1.0 / n)
-
     violated = 0
     for _ in range(sampler.n_points):
         split = rng.random()
         nu = split * tau
         nv = (1.0 - split) * tau
-        u = nu * unit()
-        v = nv * unit()
+        u = nu * random_unit(space, rng)
+        v = nv * random_unit(space, rng)
         lhs = float(sys.eval_N(u, v)) - n_zero
         if not (lhs < 0.5 * tau * (nu - nv)):
             violated += 1

@@ -16,7 +16,7 @@ from scipy.sparse.linalg import LinearOperator, gmres
 
 from .errors import ConvergenceError
 from .scheme import CoupledSystem, SolutionPair, energies, residual_u, residual_v
-from .spaces import HVector, inner_a, norm_a
+from .spaces import HVector, inner_a, norm_a, random_unit
 
 __all__ = [
     "OracleResult",
@@ -157,14 +157,9 @@ def fd_gradient_check(sys: CoupledSystem, u: HVector, v: HVector,
     rv = residual_v(sys, u, v)
     worst = 0.0
 
-    def unit_direction() -> HVector:
-        raw = space.wrap(rng.standard_normal(space.dim))
-        scale = norm_a(raw, space)
-        return raw * (1.0 / scale)
-
     for _ in range(n_dirs):
-        du = unit_direction()
-        dv = unit_direction()
+        du = random_unit(space, rng)
+        dv = random_unit(space, rng)
 
         e1p = energies(sys, u + step * du, v)[0]
         e1m = energies(sys, u - step * du, v)[0]

@@ -29,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConvergenceError, HypothesisError, IntegrityError, SchemeStageError
-from .spaces import DiscreteSpace, HVector, norm_a
+from .spaces import DiscreteSpace, HVector, norm_a, random_unit
 from .zeromatrix import MonotonyMatrix, is_convergent_to_zero, verify_dominance
 
 __all__ = [
@@ -532,13 +532,6 @@ def nash_check(sys: CoupledSystem, pair: SolutionPair, n_samples: int = 200,
     rng = np.random.default_rng(seed)
     u, v = pair.u_star, pair.v_star
 
-    def unit() -> HVector:
-        raw = space.wrap(rng.standard_normal(space.dim))
-        n = norm_a(raw, space)
-        if n == 0.0:
-            return unit()
-        return raw * (1.0 / n)
-
     def e1_of(uu: HVector, vv: HVector) -> float:
         return 0.5 * norm_a(uu, space) ** 2 - float(sys.eval_N(uu, vv))
 
@@ -551,7 +544,7 @@ def nash_check(sys: CoupledSystem, pair: SolutionPair, n_samples: int = 200,
     e1_base = e1_of(u, v)
     e2_base = e2_of(u, v)
     for _ in range(8):
-        d = unit()
+        d = random_unit(space, rng)
         c1 = abs(e1_of(u + delta * d, v) - 2.0 * e1_base + e1_of(u - delta * d, v)) / delta**2
         c2 = abs(e2_of(u, v + delta * d) - 2.0 * e2_base + e2_of(u, v - delta * d)) / delta**2
         curvature = max(curvature, c1, c2)
@@ -564,8 +557,8 @@ def nash_check(sys: CoupledSystem, pair: SolutionPair, n_samples: int = 200,
     for _ in range(n_samples):
         s = radius * (1.0 - rng.random())
         bound = grad_level * s + curvature * s**2
-        d_u = unit()
-        d_v = unit()
+        d_u = random_unit(space, rng)
+        d_v = random_unit(space, rng)
         de1 = e1_of(u + s * d_u, v) - e1_base
         de2 = e2_of(u, v + s * d_v) - e2_base
         min_e1_delta = min(min_e1_delta, de1)

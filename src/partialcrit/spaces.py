@@ -22,6 +22,7 @@ from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from .errors import ConvergenceError, IntegrityError
 
@@ -35,6 +36,7 @@ __all__ = [
     "l2_mass_norm",
     "solve_a",
     "riesz_lift",
+    "random_unit",
     "embedding_constant",
     "validate_space",
 ]
@@ -55,11 +57,15 @@ class SpdOperator:
         Strong monotonicity constant relative to the mass product:
         ``<A x, x> >= theta * (x, x)_mass``. Builders fill this with the
         computed smallest generalized eigenvalue.
+
+    The sparse factorization behind `solve_a` is computed on the first
+    solve and kept with the operator.
     """
 
     dim: int
     matrix: sp.csr_matrix
     theta: float
+    _lu: object = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.matrix.shape != (self.dim, self.dim):
@@ -75,6 +81,40 @@ class SpdOperator:
 
     def as_dense(self) -> np.ndarray:
         return self.matrix.toarray()
+
+    def with_theta(self, theta: float) -> "SpdOperator":
+        """Copy with another theta, sharing the matrix and its factorization."""
+        op = SpdOperator(dim=self.dim, matrix=self.matrix, theta=theta)
+        object.__setattr__(op, "_lu", self._lu)
+        return op
+
+    def factor(self):
+        """Sparse LU factorization of the matrix, computed once.
+
+        Symmetric mode with diagonal pivots only, so for an SPD matrix the
+        row and column orderings coincide and every pivot is positive.
+
+        Raises
+        ------
+        IntegrityError
+            If the matrix is singular or a pivot is not positive, i.e. the
+            matrix is not positive definite.
+        """
+        if self._lu is None:
+            try:
+                lu = splu(self.matrix.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                          diag_pivot_thresh=0.0,
+                          options={"SymmetricMode": True})
+            except RuntimeError as exc:
+                raise IntegrityError(f"operator matrix is singular: {exc}") from None
+            if (not np.array_equal(lu.perm_r, lu.perm_c)
+                    or not np.all(lu.U.diagonal() > 0.0)):
+                raise IntegrityError(
+                    "factorization met a non-positive pivot; operator is not "
+                    "positive definite"
+                )
+            object.__setattr__(self, "_lu", lu)
+        return self._lu
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,24 +203,32 @@ def make_space(matrix, mass_weights, space_id: str | None = None,
     constant. The default `space_id` is derived from the matrix content so
     identical inputs give identical identifiers.
     """
-    m = sp.csr_matrix(matrix, dtype=float)
+    m = sp.csr_matrix(matrix, dtype=float, copy=True)
+    m.sum_duplicates()
+    m.eliminate_zeros()
+    m.sort_indices()
     w = np.asarray(mass_weights, dtype=float)
     dim = m.shape[0]
     if space_id is None:
+        # the canonical CSR arrays (no duplicates or stored zeros, sorted
+        # indices) identify the content without a dense copy
         digest = hashlib.sha256()
-        digest.update(m.toarray().tobytes())
+        digest.update(np.asarray(m.shape, dtype=np.int64).tobytes())
+        digest.update(m.data.tobytes())
+        digest.update(m.indices.astype(np.int64).tobytes())
+        digest.update(m.indptr.astype(np.int64).tobytes())
         digest.update(w.tobytes())
         space_id = f"space-{dim}-{digest.hexdigest()[:10]}"
     # bootstrap with a provisional theta, then tighten via the computed
-    # embedding constant (which does not depend on theta)
+    # embedding constant (which does not depend on theta); the final
+    # operator keeps the provisional one's factorization
+    op = SpdOperator(dim=dim, matrix=m, theta=1.0 if theta is None else float(theta))
     c = None
     if theta is None:
-        op = SpdOperator(dim=dim, matrix=m, theta=1.0)
         provisional = DiscreteSpace(dim=dim, operator=op, mass_weights=w,
                                     space_id=space_id)
         c = embedding_constant(provisional)
-        theta = (1.0 / c**2) * (1.0 - 1e-9)
-    op = SpdOperator(dim=dim, matrix=m, theta=float(theta))
+        op = op.with_theta((1.0 / c**2) * (1.0 - 1e-9))
     space = DiscreteSpace(dim=dim, operator=op, mass_weights=w, space_id=space_id)
     if c is not None:
         _EMBEDDING_CACHE[space] = c
@@ -213,23 +261,18 @@ def l2_mass_norm(u: HVector, space: DiscreteSpace) -> float:
     return float(np.sqrt(np.dot(space.mass_weights, uc * uc)))
 
 
-def solve_a(h, space: DiscreteSpace, tol: float = 1e-10,
-            max_iters: int | None = None) -> HVector:
-    """Solve ``A x = h`` by preconditioned conjugate gradients.
+def solve_a(h, space: DiscreteSpace) -> HVector:
+    """Solve ``A x = h`` with the operator's cached sparse factorization.
 
     Parameters
     ----------
     h : array_like or HVector
         Right-hand side (coefficients of a dual vector).
-    tol : float
-        Relative residual target, ``||A x - h||_2 <= tol * ||h||_2``.
-    max_iters : int, optional
-        Iteration budget; default ``10 * dim``.
 
     Raises
     ------
-    ConvergenceError
-        If the budget is exhausted; the error carries the final residual.
+    IntegrityError
+        If the operator is singular or not positive definite.
     """
     if isinstance(h, HVector):
         b = _require_member(h, space)
@@ -237,56 +280,31 @@ def solve_a(h, space: DiscreteSpace, tol: float = 1e-10,
         b = np.asarray(h, dtype=float)
         if b.shape != (space.dim,):
             raise ValueError("right-hand side length does not match space dimension")
-    bnorm = float(np.linalg.norm(b))
-    if bnorm == 0.0:
+    if not np.any(b):
         return space.zero()
-    target = tol * bnorm
-    if max_iters is None:
-        max_iters = 10 * space.dim
-
-    diag = space.operator.matrix.diagonal()
-    inv_diag = np.where(diag > 0.0, 1.0 / np.where(diag > 0.0, diag, 1.0), 1.0)
-
-    x = np.zeros(space.dim)
-    r = b.copy()
-    z = inv_diag * r
-    p = z.copy()
-    rz = float(np.dot(r, z))
-    rnorm = bnorm
-    for _ in range(max_iters):
-        if rnorm <= target:
-            return space.wrap(x)
-        ap = space.operator.apply(p)
-        pap = float(np.dot(p, ap))
-        if pap <= 0.0:
-            raise IntegrityError("conjugate gradients met a non-positive curvature direction")
-        alpha = rz / pap
-        x = x + alpha * p
-        r = r - alpha * ap
-        rnorm = float(np.linalg.norm(r))
-        z = inv_diag * r
-        rz_new = float(np.dot(r, z))
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    if rnorm <= target:
-        return space.wrap(x)
-    raise ConvergenceError(
-        f"conjugate gradients did not reach {tol:g} in {max_iters} iterations",
-        residual=rnorm / bnorm, iterations=max_iters,
-    )
+    return space.wrap(space.operator.factor().solve(b))
 
 
-def riesz_lift(f_pointwise, space: DiscreteSpace, tol: float = 1e-10) -> HVector:
+def riesz_lift(f_pointwise, space: DiscreteSpace) -> HVector:
     """Lift pointwise values into the space: solve ``A x = W f``.
 
     The result represents the functional ``v -> (f, v)_mass`` in the
-    A-product, so ``inner_a(riesz_lift(f), v) == (f, v)_mass`` up to the
-    solver tolerance.
+    A-product, so ``inner_a(riesz_lift(f), v) == (f, v)_mass`` up to
+    round-off.
     """
     f = np.asarray(f_pointwise, dtype=float)
     if f.shape != (space.dim,):
         raise ValueError("pointwise data length does not match space dimension")
-    return solve_a(space.mass_weights * f, space, tol=tol)
+    return solve_a(space.mass_weights * f, space)
+
+
+def random_unit(space: DiscreteSpace, rng: np.random.Generator) -> HVector:
+    """Standard normal direction scaled to unit A-norm (redrawn if zero)."""
+    while True:
+        raw = space.wrap(rng.standard_normal(space.dim))
+        n = norm_a(raw, space)
+        if n != 0.0:
+            return raw * (1.0 / n)
 
 
 _EMBEDDING_CACHE: "weakref.WeakKeyDictionary[DiscreteSpace, float]" = (
@@ -315,7 +333,7 @@ def dominant_inverse_eig(space: DiscreteSpace,
             if lam_old is not None and abs(lam - lam_old) <= tol * max(abs(lam), 1e-300):
                 return lam
             lam_old = lam
-            y = solve_a(mx, space, tol=1e-12).coeffs
+            y = solve_a(mx, space).coeffs
             ynorm = float(np.linalg.norm(y))
             if ynorm == 0.0:
                 return 0.0

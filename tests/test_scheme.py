@@ -1,5 +1,8 @@
 """The alternating scheme: closed forms, trace invariants, certificates."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -159,6 +162,25 @@ def test_nash_check_rejects_unconverged_pair(scalar_linear):
                            residuals=(1.0, 1.0), converged=False, stages=0)
     with pytest.raises(ValueError):
         pc.nash_check(scalar_linear, fake)
+
+
+def test_certified_run_leaves_no_reference_cycle():
+    # the space carries its factorization, so it must be freed as soon as
+    # the caller drops the system, without waiting for the cyclic collector
+    spec = pc.DirichletSpec(dims=1, n_per_dim=31, lengths=(1.0,),
+                            nonlinearity=pc.NonlinearitySpec.sincos(0.1))
+    gc.collect()
+    gc.disable()
+    try:
+        system = pc.build_dirichlet(spec)
+        pair, trace = pc.run_scheme(system)
+        pc.contraction_certificate(trace, system.monotony)
+        assert pc.nash_check(system, pair).ok
+        space_ref = weakref.ref(system.space)
+        del system, pair, trace
+        assert space_ref() is None
+    finally:
+        gc.enable()
 
 
 def test_growth_params_validation():

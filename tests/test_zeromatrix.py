@@ -58,6 +58,17 @@ def test_neumann_inverse_frozen_example():
     assert np.all(inv >= -1e-12)
 
 
+@pytest.mark.parametrize("rho", [0.999, 0.99999, 1.0 - 1e-7])
+def test_neumann_inverse_near_unit_radius(rho):
+    # the validation series must not raise on valid matrices close to the
+    # boundary, where a term-by-term sum would need ~1/(1 - rho) terms
+    rng = np.random.default_rng(17)
+    base = rng.uniform(0.1, 1.0, (3, 3))
+    m = base * (rho / np.max(np.abs(np.linalg.eigvals(base))))
+    inv = pc.neumann_inverse(m)
+    assert np.allclose(inv, np.linalg.inv(np.eye(3) - m), rtol=1e-8, atol=0.0)
+
+
 def test_neumann_inverse_rejects_divergent():
     with pytest.raises(ValueError):
         pc.neumann_inverse([[1.2, 0.0], [0.0, 0.3]])
