@@ -291,7 +291,6 @@ def scheme_config_from(cfg: dict, seed_override: int | None,
         coerced["seed"] = seed_override
     if override_flag:
         coerced["override_hypotheses"] = True
-    coerced.setdefault("store_iterates", True)
     try:
         return SchemeConfig(**coerced)
     except ValueError as exc:
@@ -418,6 +417,20 @@ def cmd_check(args) -> int:
     return 0 if report.ready else 1
 
 
+def _run_scheme(system: CoupledSystem, scfg: SchemeConfig):
+    """Run the scheme; return ``(pair, trace)``, or the exit code (1 when
+    the hypotheses refuse the system, 4 when an inner solve fails)."""
+    try:
+        return run_scheme(system, scfg)
+    except HypothesisError as exc:
+        print(f"refused: {exc}", file=_sys.stderr)
+        return 1
+    except SchemeStageError as exc:
+        print(f"inner solver failed at stage {exc.stage} on the {exc.side} "
+              f"side: {exc}", file=_sys.stderr)
+        return 4
+
+
 def _solve_payloads(system: CoupledSystem, pair, trace, scfg: SchemeConfig):
     e1, e2, e_total = energies(system, pair.u_star, pair.v_star)
     space = system.space
@@ -473,16 +486,10 @@ def cmd_solve(args) -> int:
     cfg, raw = load_config(args.config)
     system = build_problem(cfg)
     scfg = scheme_config_from(cfg, args.seed, args.override_hypotheses)
-    try:
-        pair, trace = run_scheme(system, scfg)
-    except HypothesisError as exc:
-        print(f"refused: {exc}", file=_sys.stderr)
-        return 1
-    except SchemeStageError as exc:
-        print(f"inner solver failed at stage {exc.stage} on the {exc.side} "
-              f"side: {exc}", file=_sys.stderr)
-        return 4
-
+    outcome = _run_scheme(system, scfg)
+    if isinstance(outcome, int):
+        return outcome
+    pair, trace = outcome
     solution, report = _solve_payloads(system, pair, trace, scfg)
     out = _prepare_out(args)
     _write_csv(out / "trace.csv", trace.csv_rows())
@@ -508,15 +515,10 @@ def cmd_compare(args) -> int:
     if jacobian_free is not None:
         jacobian_free = _as_bool(jacobian_free, "oracle.jacobian_free")
 
-    try:
-        pair, _ = run_scheme(system, scfg)
-    except HypothesisError as exc:
-        print(f"refused: {exc}", file=_sys.stderr)
-        return 1
-    except SchemeStageError as exc:
-        print(f"inner solver failed at stage {exc.stage} on the {exc.side} "
-              f"side: {exc}", file=_sys.stderr)
-        return 4
+    outcome = _run_scheme(system, scfg)
+    if isinstance(outcome, int):
+        return outcome
+    pair, _ = outcome
     try:
         orc = newton_full(system, tol=tol_newton, max_iters=max_iters,
                           jacobian_free=jacobian_free)

@@ -60,12 +60,7 @@ def _gmres_step(resid, x: np.ndarray, r0: np.ndarray) -> np.ndarray:
         return (resid(x + t * w) - r0) / t
 
     op = LinearOperator((x.size, x.size), matvec=matvec)
-    try:
-        delta, info = gmres(op, -r0, rtol=1e-4, atol=0.0,
-                            restart=60, maxiter=300)
-    except TypeError:  # older scipy spells the relative tolerance "tol"
-        delta, info = gmres(op, -r0, tol=1e-4, atol=0.0,
-                            restart=60, maxiter=300)
+    delta, info = gmres(op, -r0, rtol=1e-4, atol=0.0, restart=60, maxiter=300)
     if info != 0:
         raise ConvergenceError(
             f"inner linear solve did not converge (gmres info {info})",

@@ -372,20 +372,13 @@ def _stokes_space(spec: StokesSpec) -> tuple[DiscreteSpace, _StokesGrid]:
     lap = _pointwise_laplacian_2d(n, hx, hy)
     # clamped-plate closure: squaring the five-point stencil plus the
     # reflected-ghost diagonal correction at near-boundary nodes
-    corr = np.zeros(n * n)
-    for iy in range(n):
-        for ix in range(n):
-            idx = iy * n + ix
-            if ix == 0:
-                corr[idx] += 2.0 / hx**4
-            if ix == n - 1:
-                corr[idx] += 2.0 / hx**4
-            if iy == 0:
-                corr[idx] += 2.0 / hy**4
-            if iy == n - 1:
-                corr[idx] += 2.0 / hy**4
+    corr = np.zeros((n, n))  # corr[iy, ix]
+    corr[:, 0] += 2.0 / hx**4
+    corr[:, n - 1] += 2.0 / hx**4
+    corr[0, :] += 2.0 / hy**4
+    corr[n - 1, :] += 2.0 / hy**4
     vol = hx * hy
-    biharm = vol * ((lap @ lap) + sp.diags(corr))
+    biharm = vol * ((lap @ lap) + sp.diags(corr.reshape(-1)))
     stiff = (-vol) * lap
     matrix = (biharm + spec.mu_coeff * stiff).tocsr()
     weights = np.full(n * n, vol)

@@ -14,10 +14,11 @@ meaning both partial functionals
     E1(u, v) = 1/2 |u|_A^2 - N(u, v)     (minimized in u),
     E2(u, v) = -1/2 |v|_A^2 - N(u, v)    (maximized in v),
 
-are stationary in their own variable. The outer loop alternates inner
-solves whose residual tolerance tightens along a schedule t_k; under a
-convergent-to-zero coupling matrix the iterates form a Cauchy pair and the
-limit solves the system.
+are stationary in their own variable. Maximizing E2 is minimizing -E2, so
+both inner solves are one damped descent. The outer loop alternates them,
+stage k solving to ``min(1/k, final_tol)``; under a convergent-to-zero
+coupling matrix the iterates form a Cauchy pair and the limit solves the
+system.
 """
 
 from __future__ import annotations
@@ -76,22 +77,16 @@ class GrowthParams:
             raise ValueError("c_growth must be nonnegative")
 
 
-def _default_schedule(k: int) -> float:
-    return 1.0 / k
-
-
 @dataclass
 class SchemeConfig:
     """Knobs for `run_scheme`.
 
-    ``schedule`` maps the stage index k >= 1 to the stage tolerance t_k and
-    must be positive and strictly decreasing (checked on a prefix).
-    ``inner_step`` overrides the damping; by default it is resolved per
-    system as ``0.9 / (1 + m11)`` from the declared coupling matrix.
+    Stage k solves both sides to ``min(1/k, final_tol)``. ``inner_step``
+    overrides the damping; by default it is resolved per system as
+    ``0.9 / (1 + m11)`` from the declared coupling matrix.
     """
 
     max_outer: int = 200
-    schedule: Callable[[int], float] | None = None
     inner_max_iters: int = 500
     inner_step: float | None = None
     final_tol: float = 1e-8
@@ -109,18 +104,6 @@ class SchemeConfig:
             raise ValueError("final_tol must be positive")
         if self.inner_step is not None and not (0.0 < self.inner_step <= 1.0):
             raise ValueError("inner_step must lie in (0, 1]")
-        sched = self.schedule or _default_schedule
-        previous = None
-        for k in range(1, min(self.max_outer, 1000) + 1):
-            t = sched(k)
-            if not (t > 0.0):
-                raise ValueError("schedule values must be positive")
-            if previous is not None and t >= previous:
-                raise ValueError("schedule must be strictly decreasing")
-            previous = t
-
-    def stage_tolerance(self, k: int) -> float:
-        return (self.schedule or _default_schedule)(k)
 
 
 @dataclass(frozen=True)
@@ -210,6 +193,16 @@ def residual_v(sys: CoupledSystem, u: HVector, v: HVector) -> HVector:
     return -1.0 * v - sys.eval_Nv(u, v)
 
 
+def _e1(sys: CoupledSystem, u: HVector, v: HVector) -> float:
+    """First partial functional ``E1(u, v) = 1/2 |u|_A^2 - N(u, v)``."""
+    return 0.5 * norm_a(u, sys.space) ** 2 - float(sys.eval_N(u, v))
+
+
+def _e2(sys: CoupledSystem, u: HVector, v: HVector) -> float:
+    """Second partial functional ``E2(u, v) = -1/2 |v|_A^2 - N(u, v)``."""
+    return -0.5 * norm_a(v, sys.space) ** 2 - float(sys.eval_N(u, v))
+
+
 def energies(sys: CoupledSystem, u: HVector, v: HVector) -> tuple[float, float, float]:
     """Return (E1, E2, E) and cross-check the defining identities.
 
@@ -238,109 +231,79 @@ def _resolve_step(sys: CoupledSystem, cfg: SchemeConfig) -> float:
 
 
 def _inner_solve(sys: CoupledSystem, fixed: HVector, moving: HVector,
-                 tol: float, cfg: SchemeConfig, side: str,
-                 record: list | None = None) -> tuple[HVector, int, float]:
-    """Damped fixed-point descent/ascent with monotone energy acceptance.
+                 tol: float, cfg: SchemeConfig, side: str
+                 ) -> tuple[HVector, int, float]:
+    """Damped descent with monotone acceptance on one partial functional.
 
-    side "u": minimize E1(., fixed) via u <- (1-s) u + s Nu(u, fixed);
-    side "v": maximize E2(fixed, .) via v <- (1-s) v - s Nv(fixed, v).
-    Accepted steps never worsen the objective (a halving backtrack enforces
-    this), so the exit point also satisfies the energy admission condition.
+    side "u" minimizes E1(., fixed) along g = u - Nu(u, fixed);
+    side "v" minimizes -E2(fixed, .) along g = v + Nv(fixed, v).
+    A step x <- x - s g is accepted once it does not raise the objective
+    (s halves on rejection, at most 40 times), so the exit point also
+    satisfies the energy admission condition. Returns the iterate, the
+    number of accepted steps and the A-norm of g at exit.
     """
-    space = sys.space
-    base_step = _resolve_step(sys, cfg)
-
     if side == "u":
-        def resid(x: HVector) -> HVector:
-            return residual_u(sys, x, fixed)
-
-        def objective(x: HVector) -> float:
-            return 0.5 * norm_a(x, space) ** 2 - float(sys.eval_N(x, fixed))
-
-        improves = lambda new, old: new <= old + 1e-12 * (1.0 + abs(old))
-        direction = -1.0
-    elif side == "v":
-        def resid(x: HVector) -> HVector:
-            return residual_v(sys, fixed, x)
-
-        def objective(x: HVector) -> float:
-            return -0.5 * norm_a(x, space) ** 2 - float(sys.eval_N(fixed, x))
-
-        improves = lambda new, old: new >= old - 1e-12 * (1.0 + abs(old))
-        direction = 1.0
-    else:  # pragma: no cover - internal misuse
-        raise ValueError(side)
-
+        objective = lambda x: _e1(sys, x, fixed)
+        gradient = lambda x: residual_u(sys, x, fixed)
+    else:
+        objective = lambda x: -_e2(sys, fixed, x)
+        # -residual_v bit for bit, since rounding is sign-symmetric
+        gradient = lambda x: x + sys.eval_Nv(fixed, x)
+    base_step = _resolve_step(sys, cfg)
     x = moving
     obj = objective(x)
-    if record is not None:
-        record.append((float("nan"), obj))
-    for it in range(cfg.inner_max_iters):
-        r = resid(x)
-        rn = norm_a(r, space)
-        if record is not None and record:
-            last_obj = record[-1][1]
-            record[-1] = (rn, last_obj)
-        if rn <= tol:
-            return x, it, rn
+    for it in range(cfg.inner_max_iters + 1):
+        g = gradient(x)
+        gn = norm_a(g, sys.space)
+        if gn <= tol:
+            return x, it, gn
+        if it == cfg.inner_max_iters:
+            raise ConvergenceError(
+                f"inner {side}-solve did not reach tolerance {tol:g} "
+                f"in {cfg.inner_max_iters} iterations",
+                residual=gn, iterations=it,
+            )
         step = base_step
-        accepted = False
         for _ in range(40):
-            candidate = x + (direction * step) * r
+            candidate = x - step * g
             cand_obj = objective(candidate)
-            if improves(cand_obj, obj):
-                accepted = True
+            if cand_obj <= obj + 1e-12 * (1.0 + abs(obj)):
                 break
             step *= 0.5
-        if not accepted:
+        else:
             raise ConvergenceError(
                 f"inner {side}-solve stalled in the line search",
-                residual=rn, iterations=it,
+                residual=gn, iterations=it,
             )
-        x = candidate
-        obj = cand_obj
-        if record is not None:
-            record.append((float("nan"), obj))
-    r = resid(x)
-    rn = norm_a(r, space)
-    if rn <= tol:
-        return x, cfg.inner_max_iters, rn
-    raise ConvergenceError(
-        f"inner {side}-solve did not reach tolerance {tol:g} "
-        f"in {cfg.inner_max_iters} iterations",
-        residual=rn, iterations=cfg.inner_max_iters,
-    )
+        x, obj = candidate, cand_obj
 
 
 def inner_minimize(sys: CoupledSystem, v_fixed: HVector, u_init: HVector,
-                   tol: float, cfg: SchemeConfig | None = None,
-                   record: list | None = None) -> HVector:
+                   tol: float, cfg: SchemeConfig | None = None) -> HVector:
     """Drive ``|residual_u|_A`` below `tol` at fixed v without ever
     increasing E1 past its initial value."""
-    cfg = cfg or SchemeConfig()
-    u, _, _ = _inner_solve(sys, v_fixed, u_init, tol, cfg, "u", record)
+    u, _, _ = _inner_solve(sys, v_fixed, u_init, tol, cfg or SchemeConfig(), "u")
     return u
 
 
 def inner_maximize(sys: CoupledSystem, u_fixed: HVector, v_init: HVector,
-                   tol: float, cfg: SchemeConfig | None = None,
-                   record: list | None = None) -> HVector:
+                   tol: float, cfg: SchemeConfig | None = None) -> HVector:
     """Drive ``|residual_v|_A`` below `tol` at fixed u without ever
     decreasing E2 past its initial value."""
-    cfg = cfg or SchemeConfig()
-    v, _, _ = _inner_solve(sys, u_fixed, v_init, tol, cfg, "v", record)
+    v, _, _ = _inner_solve(sys, u_fixed, v_init, tol, cfg or SchemeConfig(), "v")
     return v
 
 
 def run_scheme(sys: CoupledSystem, cfg: SchemeConfig | None = None
                ) -> tuple[SolutionPair, SchemeTrace]:
-    """Alternate the two inner solves with a tightening tolerance.
+    """Alternate the two inner solves.
 
     Stage k solves the u-side against v_{k-1}, then the v-side against the
-    fresh u_k, both to ``min(t_k, final_tol)``; this keeps every recorded
-    residual within the schedule while letting the pair converge as soon as
-    the coupling allows. The loop stops once both residuals at the current
-    pair are below ``final_tol``.
+    fresh u_k, both to ``min(1/k, final_tol)``; this keeps every recorded
+    residual within the paper's 1/k schedule while letting the pair
+    converge as soon as the coupling allows. The loop stops once both
+    residuals at the current pair are below ``final_tol``. An inner failure
+    is raised as `SchemeStageError` naming the stage and side.
 
     The declared coupling matrix must be convergent to zero; set
     ``override_hypotheses`` to demote that failure to a warning.
@@ -378,17 +341,14 @@ def run_scheme(sys: CoupledSystem, cfg: SchemeConfig | None = None
     stages = 0
     for k in range(1, cfg.max_outer + 1):
         stages = k
-        tol_k = min(cfg.stage_tolerance(k), cfg.final_tol)
+        tol_k = min(1.0 / k, cfg.final_tol)
+        side = "u"
         try:
-            u, iters_u, r1 = _inner_solve(sys, v, u, tol_k, cfg, "u")
+            u, iters_u, r1 = _inner_solve(sys, v, u, tol_k, cfg, side)
+            side = "v"
+            v, iters_v, r2 = _inner_solve(sys, u, v, tol_k, cfg, side)
         except ConvergenceError as exc:
-            raise SchemeStageError(f"stage {k}: {exc}", stage=k, side="u",
-                                   residual=exc.residual,
-                                   iterations=exc.iterations) from exc
-        try:
-            v, iters_v, r2 = _inner_solve(sys, u, v, tol_k, cfg, "v")
-        except ConvergenceError as exc:
-            raise SchemeStageError(f"stage {k}: {exc}", stage=k, side="v",
+            raise SchemeStageError(f"stage {k}: {exc}", stage=k, side=side,
                                    residual=exc.residual,
                                    iterations=exc.iterations) from exc
         e1, e2, e_total = energies(sys, u, v)
@@ -443,12 +403,12 @@ class ContractionReport:
         return self.full_ok
 
 
-def contraction_certificate(trace: SchemeTrace, m: MonotonyMatrix, p: int = 1,
-                            slack_scale: float = 2.0) -> ContractionReport:
+def contraction_certificate(trace: SchemeTrace, m: MonotonyMatrix, p: int = 1
+                            ) -> ContractionReport:
     """Check the difference-vector recursion on a stored iterate history.
 
-    The slack term is ``slack_scale / k`` in both components, covering the
-    two admission residuals that enter the estimate. Requires the trace to
+    The slack term is ``2 / k`` in both components, covering the two
+    admission residuals that enter the estimate. Requires the trace to
     have been recorded with ``store_iterates``.
     """
     if trace.iterates_u is None or trace.iterates_v is None:
@@ -480,7 +440,7 @@ def contraction_certificate(trace: SchemeTrace, m: MonotonyMatrix, p: int = 1,
     def check(b_now: np.ndarray, b_delay: np.ndarray):
         ys = np.zeros_like(xs)
         for k in range(1, xs.shape[0]):
-            ys[k] = b_now @ xs[k] + slack_scale / k
+            ys[k] = b_now @ xs[k] + 2.0 / k
         report = verify_dominance(xs, ys, MonotonyMatrix(b_delay), slack=1e-12)
         return report.dominance_ok, report.max_violation
 
@@ -532,21 +492,17 @@ def nash_check(sys: CoupledSystem, pair: SolutionPair, n_samples: int = 200,
     rng = np.random.default_rng(seed)
     u, v = pair.u_star, pair.v_star
 
-    def e1_of(uu: HVector, vv: HVector) -> float:
-        return 0.5 * norm_a(uu, space) ** 2 - float(sys.eval_N(uu, vv))
-
-    def e2_of(uu: HVector, vv: HVector) -> float:
-        return -0.5 * norm_a(vv, space) ** 2 - float(sys.eval_N(uu, vv))
-
     # curvature probe: symmetric second differences at half the radius
     delta = 0.5 * radius
     curvature = 1e-6
-    e1_base = e1_of(u, v)
-    e2_base = e2_of(u, v)
+    e1_base = _e1(sys, u, v)
+    e2_base = _e2(sys, u, v)
     for _ in range(8):
         d = random_unit(space, rng)
-        c1 = abs(e1_of(u + delta * d, v) - 2.0 * e1_base + e1_of(u - delta * d, v)) / delta**2
-        c2 = abs(e2_of(u, v + delta * d) - 2.0 * e2_base + e2_of(u, v - delta * d)) / delta**2
+        c1 = abs(_e1(sys, u + delta * d, v) - 2.0 * e1_base
+                 + _e1(sys, u - delta * d, v)) / delta**2
+        c2 = abs(_e2(sys, u, v + delta * d) - 2.0 * e2_base
+                 + _e2(sys, u, v - delta * d)) / delta**2
         curvature = max(curvature, c1, c2)
 
     grad_level = max(pair.residuals)
@@ -559,8 +515,8 @@ def nash_check(sys: CoupledSystem, pair: SolutionPair, n_samples: int = 200,
         bound = grad_level * s + curvature * s**2
         d_u = random_unit(space, rng)
         d_v = random_unit(space, rng)
-        de1 = e1_of(u + s * d_u, v) - e1_base
-        de2 = e2_of(u, v + s * d_v) - e2_base
+        de1 = _e1(sys, u + s * d_u, v) - e1_base
+        de2 = _e2(sys, u, v + s * d_v) - e2_base
         min_e1_delta = min(min_e1_delta, de1)
         max_e2_delta = max(max_e2_delta, de2)
         min_e1_margin = min(min_e1_margin, de1 + bound)

@@ -16,7 +16,6 @@ norms.
 from __future__ import annotations
 
 import hashlib
-import weakref
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -119,12 +118,16 @@ class SpdOperator:
 
 @dataclass(frozen=True, eq=False)
 class DiscreteSpace:
-    """A coefficient space together with its operator and mass weights."""
+    """A coefficient space together with its operator and mass weights.
+
+    The embedding constant is computed on first use and kept with the space.
+    """
 
     dim: int
     operator: SpdOperator
     mass_weights: np.ndarray
     space_id: str
+    _embedding: float | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         w = np.asarray(self.mass_weights, dtype=float)
@@ -230,8 +233,7 @@ def make_space(matrix, mass_weights, space_id: str | None = None,
         c = embedding_constant(provisional)
         op = op.with_theta((1.0 / c**2) * (1.0 - 1e-9))
     space = DiscreteSpace(dim=dim, operator=op, mass_weights=w, space_id=space_id)
-    if c is not None:
-        _EMBEDDING_CACHE[space] = c
+    object.__setattr__(space, "_embedding", c)
     return space
 
 
@@ -307,11 +309,6 @@ def random_unit(space: DiscreteSpace, rng: np.random.Generator) -> HVector:
             return raw * (1.0 / n)
 
 
-_EMBEDDING_CACHE: "weakref.WeakKeyDictionary[DiscreteSpace, float]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
 def dominant_inverse_eig(space: DiscreteSpace,
                          apply_m: Callable[[np.ndarray], np.ndarray],
                          tol: float = 1e-7, max_iters: int = 5000) -> float:
@@ -357,18 +354,17 @@ def embedding_constant(space: DiscreteSpace) -> float:
 
     Computed as the square root of the largest eigenvalue of the
     generalized problem mass-versus-A, by power iteration on
-    ``A^{-1} W``. Relative accuracy about 1e-6. Results are cached per
-    space object.
+    ``A^{-1} W``. Relative accuracy about 1e-6. The result is kept with
+    the space.
     """
-    cached = _EMBEDDING_CACHE.get(space)
-    if cached is not None:
-        return cached
+    if space._embedding is not None:
+        return space._embedding
     w = space.mass_weights
     lam = dominant_inverse_eig(space, lambda x: w * x)
     if lam <= 0.0:
         raise IntegrityError("generalized eigenvalue came out non-positive")
     c = float(np.sqrt(lam))
-    _EMBEDDING_CACHE[space] = c
+    object.__setattr__(space, "_embedding", c)
     return c
 
 

@@ -1,5 +1,7 @@
 """Newton oracle, gradient validation, exhaustive scans."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,22 @@ def test_newton_agrees_with_scheme(bundled, solved):
         du = pc.norm_a(pair.u_star - orc.u_star, system.space)
         dv = pc.norm_a(pair.v_star - orc.v_star, system.space)
         assert np.hypot(du, dv) <= 10 * (1e-8 + 1e-8), name
+
+
+def test_newton_surfaces_residual_errors(scalar_linear):
+    # an error raised inside the residual reaches the caller unchanged,
+    # also from within the matrix-free GMRES step
+    calls = []
+
+    def eval_nu(u, v):
+        calls.append(None)
+        if len(calls) > 1:
+            raise TypeError("residual failed")
+        return scalar_linear.eval_Nu(u, v)
+
+    broken = dataclasses.replace(scalar_linear, eval_Nu=eval_nu)
+    with pytest.raises(TypeError, match="residual failed"):
+        pc.newton_full(broken, jacobian_free=True)
 
 
 def test_newton_dense_and_matrix_free_agree(sincos_1d):

@@ -25,9 +25,10 @@ def test_scalar_closed_form(scalar_linear):
 
 
 def test_trace_respects_schedule(solved):
+    # stage k solves both sides to min(1/k, final_tol), final_tol = 1e-8
     for name, (pair, trace) in solved.items():
         for row in trace.rows:
-            t_k = 1.0 / row.k
+            t_k = min(1.0 / row.k, 1e-8)
             assert row.r1 <= t_k + 1e-15, f"{name} stage {row.k}"
             assert row.r2 <= t_k + 1e-15, f"{name} stage {row.k}"
 
@@ -42,19 +43,20 @@ def test_trace_energy_identities(solved):
             assert abs(row.e_total - e_from_e2) <= 1e-9 * scale, name
 
 
-def test_inner_solvers_move_energy_monotonically(scalar_stiff, rng):
-    system = scalar_stiff
+@pytest.mark.parametrize("name", ["scalar_stiff", "dirichlet_stiff"])
+def test_inner_solvers_move_energy_monotonically(bundled, name, rng):
+    system = bundled[name]
     space = system.space
-    v_fixed = space.wrap(rng.standard_normal(1))
-    u0 = space.wrap(rng.standard_normal(1) + 2.0)
+    v_fixed = space.wrap(rng.standard_normal(space.dim))
+    u0 = space.wrap(rng.standard_normal(space.dim) + 2.0)
     cfg = pc.SchemeConfig()
     u1 = pc.inner_minimize(system, v_fixed, u0, 1e-8, cfg)
     e1_before = pc.energies(system, u0, v_fixed)[0]
     e1_after = pc.energies(system, u1, v_fixed)[0]
     assert e1_after <= e1_before + 1e-10
 
-    u_fixed = space.wrap(rng.standard_normal(1))
-    v0 = space.wrap(rng.standard_normal(1) + 2.0)
+    u_fixed = space.wrap(rng.standard_normal(space.dim))
+    v0 = space.wrap(rng.standard_normal(space.dim) + 2.0)
     v1 = pc.inner_maximize(system, u_fixed, v0, 1e-8, cfg)
     e2_before = pc.energies(system, u_fixed, v0)[1]
     e2_after = pc.energies(system, u_fixed, v1)[1]
@@ -113,18 +115,6 @@ def test_scheme_config_validation():
         pc.SchemeConfig(final_tol=0.0)
     with pytest.raises(ValueError):
         pc.SchemeConfig(inner_step=1.5)
-    with pytest.raises(ValueError):
-        pc.SchemeConfig(schedule=lambda k: float(k))  # increasing
-    with pytest.raises(ValueError):
-        pc.SchemeConfig(schedule=lambda k: -1.0 / k)
-
-
-def test_custom_schedule_is_respected(scalar_stiff):
-    cfg = pc.SchemeConfig(schedule=lambda k: 0.5 ** k, final_tol=1e-8)
-    pair, trace = pc.run_scheme(scalar_stiff, cfg)
-    assert pair.converged
-    for row in trace.rows:
-        assert row.r1 <= min(0.5 ** row.k, 1e-8) + 1e-15
 
 
 def test_contraction_certificate_passes_on_runs(solved, bundled):
