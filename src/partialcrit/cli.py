@@ -140,32 +140,161 @@ def _write_manifest(out: Path, command: str, config_raw: bytes,
 
 
 # ------------------------------------------------------------- config load
+#
+# Each section is read by `_fields` against a table of rows
+# ``key -> (coercion, required)``. Only the keys present are passed on, so
+# an absent key keeps the default of the library call that receives them.
 
-def _require_keys(d: dict, allowed, required, where: str) -> None:
-    unknown = sorted(set(d) - set(allowed))
-    if unknown:
-        raise ConfigError(f"{where}: unknown keys {unknown}")
-    missing = sorted(set(required) - set(d))
-    if missing:
-        raise ConfigError(f"{where}: missing keys {missing}")
-
-
-def _as_number(v, where: str) -> float:
+def _number(v, where: str) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(f"{where} must be a number")
     return float(v)
 
 
-def _as_int(v, where: str) -> int:
+def _int(v, where: str) -> int:
     if isinstance(v, bool) or not isinstance(v, int):
         raise ConfigError(f"{where} must be an integer")
     return v
 
 
-def _as_bool(v, where: str) -> bool:
+def _bool(v, where: str) -> bool:
     if not isinstance(v, bool):
         raise ConfigError(f"{where} must be a boolean")
     return v
+
+
+def _as_given(v, where: str):
+    """A kind, a section, or a key its reader checks against other keys."""
+    return v
+
+
+def _sides(v, count: int, where: str):
+    """One number for every side, or a list of `count` numbers."""
+    if isinstance(v, (int, float)) and not isinstance(v, bool):
+        return float(v)
+    if isinstance(v, list) and len(v) == count:
+        return tuple(_number(e, where) for e in v)
+    raise ConfigError(f"{where} must be a number or a list of {count} numbers")
+
+
+def _growth(v, where: str) -> tuple[float, float, float] | None:
+    if v is None:
+        return None
+    if not isinstance(v, list) or len(v) != 3:
+        raise ConfigError(f"{where} must be three numbers")
+    constants = tuple(_number(e, where) for e in v)
+    if any(not (c >= 0.0) for c in constants):
+        raise ConfigError(f"{where} must be nonnegative")
+    return constants
+
+
+def _taus(v, where: str) -> list[float]:
+    if v is None:
+        return []
+    if not isinstance(v, list) or not v:
+        raise ConfigError(f"{where} must be a nonempty list")
+    taus = [_number(t, where) for t in v]
+    if any(not (t > 0.0) for t in taus):
+        raise ConfigError(f"{where} must be positive")
+    return taus
+
+
+def _entries(v, where: str) -> list[list[float]]:
+    if not isinstance(v, list) or any(not isinstance(row, list) for row in v):
+        raise ConfigError(f"{where} must be a list of rows")
+    return [[_number(e, where) for e in row] for row in v]
+
+
+def _fields(obj, where: str, table: dict) -> dict:
+    """Check section `obj` against `table`; return its coerced keys.
+
+    ``null`` is an absent section. Unknown keys are reported before
+    missing ones.
+    """
+    if obj is None:
+        obj = {}
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where} must be an object")
+    unknown = sorted(set(obj) - set(table))
+    if unknown:
+        raise ConfigError(f"{where}: unknown keys {unknown}")
+    missing = sorted(key for key, (_, required) in table.items()
+                     if required and key not in obj)
+    if missing:
+        raise ConfigError(f"{where}: missing keys {missing}")
+    return {key: coerce(obj[key], f"{where}.{key}")
+            for key, (coerce, _) in table.items() if key in obj}
+
+
+def _call(where: str, fn, *args, **kwargs):
+    """Call `fn`; a ValueError it raises is a config error at `where`."""
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+_KIND = (_as_given, True)
+
+_NONLINEARITIES = {
+    "zero": {"kind": _KIND},
+    "quadratic": {"kind": _KIND, "a": (_number, False), "b": (_number, False),
+                  "c": (_number, False), "g": (_number, False)},
+    "sincos": {"kind": _KIND, "epsilon": (_number, True)},
+}
+
+
+def _nonlinearity(v, where: str) -> NonlinearitySpec:
+    if not isinstance(v, dict):
+        raise ConfigError(f"{where} must be an object")
+    kind = v.get("kind")
+    table = _NONLINEARITIES.get(kind) if isinstance(kind, str) else None
+    if table is None:
+        raise ConfigError(f"{where}: unknown nonlinearity kind {kind!r}")
+    return _call(where, NonlinearitySpec, **_fields(v, where, table))
+
+
+_NONLINEARITY = (_nonlinearity, True)
+_LENGTHS = (_as_given, True)  # checked against the number of dimensions
+
+# kind -> (table, builder); the builders look their names up at call time,
+# so a wrapper bound over a module name sees every build
+_PROBLEMS = {
+    "dirichlet": ({"kind": _KIND, "dims": (_int, True),
+                   "n_per_dim": (_int, True), "lengths": _LENGTHS,
+                   "potential_c": (_number, False),
+                   "nonlinearity": _NONLINEARITY},
+                  lambda **kw: build_dirichlet(DirichletSpec(**kw))),
+    "stokes": ({"kind": _KIND, "n_per_dim": (_int, True), "lengths": _LENGTHS,
+                "mu_coeff": (_number, True), "nonlinearity": _NONLINEARITY},
+               lambda **kw: build_stokes(StokesSpec(**kw))),
+    "scalar": ({"kind": _KIND, "a_value": (_number, True),
+                "nonlinearity": _NONLINEARITY},
+               lambda **kw: build_scalar(**kw)),
+}
+
+_MATRIX = {"kind": _KIND, "entries": (_entries, True)}
+
+_SCHEME = {"max_outer": (_int, False), "inner_max_iters": (_int, False),
+           "final_tol": (_number, False), "seed": (_int, False),
+           "random_init": (_bool, False),
+           "override_hypotheses": (_bool, False)}
+
+_SAMPLER = {"n_points": (_int, False), "box_radius": (_number, False),
+            "seed": (_int, False)}
+
+_CHECK = {"sampler": (lambda v, where: _fields(v, where, _SAMPLER), False),
+          "declared_growth": (_growth, False),
+          # read once the growth constants, which may be built in, are known
+          "ring_taus": (_as_given, False)}
+
+_ORACLE = {"tol": (_number, False), "max_iters": (_int, False),
+           "jacobian_free": (lambda v, where: None if v is None
+                             else _bool(v, where), False)}
+
+# each command reads the sections it uses
+_CONFIG = {"problem": (_as_given, True), "scheme": (_as_given, False),
+           "check": (_as_given, False), "oracle": (_as_given, False)}
 
 
 def load_config(path: str) -> tuple[dict, bytes]:
@@ -179,44 +308,8 @@ def load_config(path: str) -> tuple[dict, bytes]:
         raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("top level of the config must be an object")
-    _require_keys(cfg, {"problem", "scheme", "check", "oracle"},
-                  {"problem"}, "config")
+    _fields(cfg, "config", _CONFIG)
     return cfg, raw
-
-
-def _nonlinearity_from(d, where: str) -> NonlinearitySpec:
-    if not isinstance(d, dict):
-        raise ConfigError(f"{where} must be an object")
-    kind = d.get("kind")
-    try:
-        if kind == "zero":
-            _require_keys(d, {"kind"}, {"kind"}, where)
-            return NonlinearitySpec.zero()
-        if kind == "quadratic":
-            _require_keys(d, {"kind", "a", "b", "c", "g"}, {"kind"}, where)
-            return NonlinearitySpec.quadratic(
-                _as_number(d.get("a", 0.0), f"{where}.a"),
-                _as_number(d.get("b", 0.0), f"{where}.b"),
-                _as_number(d.get("c", 0.0), f"{where}.c"),
-                _as_number(d.get("g", 0.0), f"{where}.g"),
-            )
-        if kind == "sincos":
-            _require_keys(d, {"kind", "epsilon"}, {"kind", "epsilon"}, where)
-            return NonlinearitySpec.sincos(
-                _as_number(d["epsilon"], f"{where}.epsilon"))
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"{where}: {exc}") from exc
-    raise ConfigError(f"{where}: unknown nonlinearity kind {kind!r}")
-
-
-def _lengths_from(v, count: int, where: str) -> tuple:
-    if isinstance(v, (int, float)) and not isinstance(v, bool):
-        return tuple([float(v)] * count)
-    if isinstance(v, list) and len(v) == count:
-        return tuple(_as_number(e, where) for e in v)
-    raise ConfigError(f"{where} must be a number or a list of {count} numbers")
 
 
 def build_problem(cfg: dict) -> CoupledSystem:
@@ -224,97 +317,35 @@ def build_problem(cfg: dict) -> CoupledSystem:
     if not isinstance(p, dict):
         raise ConfigError("config.problem must be an object")
     kind = p.get("kind")
-    try:
-        if kind == "dirichlet":
-            _require_keys(p, {"kind", "dims", "n_per_dim", "lengths",
-                              "potential_c", "nonlinearity"},
-                          {"kind", "dims", "n_per_dim", "lengths",
-                           "nonlinearity"}, "problem")
-            dims = _as_int(p["dims"], "problem.dims")
-            spec = DirichletSpec(
-                dims=dims,
-                n_per_dim=_as_int(p["n_per_dim"], "problem.n_per_dim"),
-                lengths=_lengths_from(p["lengths"], dims, "problem.lengths"),
-                potential_c=_as_number(p.get("potential_c", 0.0),
-                                       "problem.potential_c"),
-                nonlinearity=_nonlinearity_from(p["nonlinearity"],
-                                                "problem.nonlinearity"),
-            )
-            return build_dirichlet(spec)
-        if kind == "stokes":
-            _require_keys(p, {"kind", "n_per_dim", "lengths", "mu_coeff",
-                              "nonlinearity"},
-                          {"kind", "n_per_dim", "lengths", "mu_coeff",
-                           "nonlinearity"}, "problem")
-            spec = StokesSpec(
-                n_per_dim=_as_int(p["n_per_dim"], "problem.n_per_dim"),
-                lengths=_lengths_from(p["lengths"], 2, "problem.lengths"),
-                mu_coeff=_as_number(p["mu_coeff"], "problem.mu_coeff"),
-                nonlinearity=_nonlinearity_from(p["nonlinearity"],
-                                                "problem.nonlinearity"),
-            )
-            return build_stokes(spec)
-        if kind == "scalar":
-            _require_keys(p, {"kind", "a_value", "nonlinearity"},
-                          {"kind", "a_value", "nonlinearity"}, "problem")
-            return build_scalar(
-                _as_number(p["a_value"], "problem.a_value"),
-                _nonlinearity_from(p["nonlinearity"], "problem.nonlinearity"),
-            )
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"problem: {exc}") from exc
+    entry = _PROBLEMS.get(kind) if isinstance(kind, str) else None
     if kind == "matrix":
         raise ConfigError("matrix configs only apply to the lemma command")
-    raise ConfigError(f"problem: unknown kind {kind!r}")
+    if entry is None:
+        raise ConfigError(f"problem: unknown kind {kind!r}")
+    table, build = entry
+    kw = _fields(p, "problem", table)
+    del kw["kind"]
+    if "lengths" in kw:  # a stokes grid is two-dimensional
+        kw["lengths"] = _sides(kw["lengths"], kw.get("dims", 2),
+                               "problem.lengths")
+    return _call("problem", build, **kw)
 
 
 def scheme_config_from(cfg: dict, seed_override: int | None,
                        override_flag: bool) -> SchemeConfig:
-    d = dict(cfg.get("scheme") or {})
-    allowed = {"max_outer", "inner_max_iters", "inner_step", "final_tol",
-               "seed", "random_init", "store_iterates", "override_hypotheses"}
-    _require_keys(d, allowed, (), "scheme")
-    coerced: dict = {}
-    for key, value in d.items():
-        where = f"scheme.{key}"
-        if key in ("max_outer", "inner_max_iters", "seed"):
-            coerced[key] = _as_int(value, where)
-        elif key == "final_tol":
-            coerced[key] = _as_number(value, where)
-        elif key == "inner_step":
-            coerced[key] = None if value is None else _as_number(value, where)
-        else:
-            coerced[key] = _as_bool(value, where)
+    kw = _fields(cfg.get("scheme"), "scheme", _SCHEME)
     if seed_override is not None:
-        coerced["seed"] = seed_override
+        kw["seed"] = seed_override
     if override_flag:
-        coerced["override_hypotheses"] = True
-    try:
-        return SchemeConfig(**coerced)
-    except ValueError as exc:
-        raise ConfigError(f"scheme: {exc}") from exc
+        kw["override_hypotheses"] = True
+    return _call("scheme", SchemeConfig, **kw)
 
 
 def sampler_from(cfg: dict, seed_override: int | None) -> SamplerSpec:
-    chk = dict(cfg.get("check") or {})
-    d = dict(chk.get("sampler") or {})
-    _require_keys(d, {"n_points", "box_radius", "seed"}, (), "check.sampler")
-    kwargs: dict = {}
-    if "n_points" in d:
-        kwargs["n_points"] = _as_int(d["n_points"], "check.sampler.n_points")
-    if "box_radius" in d:
-        kwargs["box_radius"] = _as_number(d["box_radius"],
-                                          "check.sampler.box_radius")
-    if "seed" in d:
-        kwargs["seed"] = _as_int(d["seed"], "check.sampler.seed")
+    kw = _fields(cfg.get("check"), "check", _CHECK).get("sampler", {})
     if seed_override is not None:
-        kwargs["seed"] = seed_override
-    try:
-        return SamplerSpec(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"check.sampler: {exc}") from exc
+        kw["seed"] = seed_override
+    return _call("check.sampler", SamplerSpec, **kw)
 
 
 # ------------------------------------------------------------ serializers
@@ -357,38 +388,26 @@ def _prepare_out(args) -> Path:
 def cmd_check(args) -> int:
     cfg, raw = load_config(args.config)
     system = build_problem(cfg)
-    chk = dict(cfg.get("check") or {})
-    _require_keys(chk, {"sampler", "declared_growth", "ring_taus"}, (),
-                  "check")
     sampler = sampler_from(cfg, args.seed)
-
+    chk = _fields(cfg.get("check"), "check", _CHECK)
     declared = chk.get("declared_growth")
-    if declared is not None:
-        if (not isinstance(declared, list) or len(declared) != 3):
-            raise ConfigError("check.declared_growth must be three numbers")
-        declared = tuple(_as_number(v, "check.declared_growth")
-                         for v in declared)
-    elif system.pointwise is not None and system.pointwise.growth is not None:
+    if declared is None:
+        if system.pointwise is None or system.pointwise.growth is None:
+            raise ConfigError("no growth constants declared and none built in")
         declared = system.pointwise.growth
-    else:
-        raise ConfigError("no growth constants declared and none built in")
+    taus = _taus(chk.get("ring_taus"), "check.ring_taus")
 
     report = full_report(system, declared, sampler)
 
     ring_payload = []
-    taus = chk.get("ring_taus")
-    if taus is not None:
-        if not isinstance(taus, list) or not taus:
-            raise ConfigError("check.ring_taus must be a nonempty list")
-        for tau in taus:
-            ring = check_mountain_pass_ring(
-                system, _as_number(tau, "check.ring_taus"), sampler)
-            ring_payload.append({
-                "tau": ring.tau,
-                "n_samples": ring.n_samples,
-                "n_violated": ring.n_violated,
-                "fraction_violated": ring.fraction_violated,
-            })
+    for tau in taus:
+        ring = check_mountain_pass_ring(system, tau, sampler)
+        ring_payload.append({
+            "tau": ring.tau,
+            "n_samples": ring.n_samples,
+            "n_violated": ring.n_violated,
+            "fraction_violated": ring.fraction_violated,
+        })
 
     margins = None
     if report.certificate.rho_ok:
@@ -458,7 +477,7 @@ def _solve_payloads(system: CoupledSystem, pair, trace, scfg: SchemeConfig):
             is_convergent_to_zero(system.monotony)),
         "mu": _system_mu(system),
     }
-    if trace.iterates_u is not None and len(trace.rows) >= 2:
+    if len(trace.rows) >= 2:
         con = contraction_certificate(trace, system.monotony, p=1)
         report["contraction"] = {
             "p": con.p,
@@ -507,21 +526,14 @@ def cmd_compare(args) -> int:
     cfg, raw = load_config(args.config)
     system = build_problem(cfg)
     scfg = scheme_config_from(cfg, args.seed, args.override_hypotheses)
-    od = dict(cfg.get("oracle") or {})
-    _require_keys(od, {"tol", "max_iters", "jacobian_free"}, (), "oracle")
-    tol_newton = _as_number(od.get("tol", 1e-8), "oracle.tol")
-    max_iters = _as_int(od.get("max_iters", 50), "oracle.max_iters")
-    jacobian_free = od.get("jacobian_free")
-    if jacobian_free is not None:
-        jacobian_free = _as_bool(jacobian_free, "oracle.jacobian_free")
+    oracle_kw = _fields(cfg.get("oracle"), "oracle", _ORACLE)
 
     outcome = _run_scheme(system, scfg)
     if isinstance(outcome, int):
         return outcome
     pair, _ = outcome
     try:
-        orc = newton_full(system, tol=tol_newton, max_iters=max_iters,
-                          jacobian_free=jacobian_free)
+        orc = _call("oracle", newton_full, system, **oracle_kw)
     except ConvergenceError as exc:
         print(f"oracle failed: {exc}", file=_sys.stderr)
         return 4
@@ -530,7 +542,7 @@ def cmd_compare(args) -> int:
     du = norm_a(pair.u_star - orc.u_star, space)
     dv = norm_a(pair.v_star - orc.v_star, space)
     diff = math.hypot(du, dv)
-    bound = 10.0 * (scfg.final_tol + tol_newton)
+    bound = 10.0 * (scfg.final_tol + orc.tol)
     agree = bool(diff <= bound and pair.converged and orc.converged)
 
     payload = {
@@ -548,7 +560,7 @@ def cmd_compare(args) -> int:
             "converged": orc.converged,
             "iterations": orc.iterations,
             "residual_norm": orc.residual_norm,
-            "tol": tol_newton,
+            "tol": orc.tol,
         },
     }
     out = _prepare_out(args)
@@ -565,19 +577,8 @@ def cmd_lemma(args) -> int:
     p = cfg.get("problem")
     if not isinstance(p, dict) or p.get("kind") != "matrix":
         raise ConfigError("lemma needs a problem of kind \"matrix\"")
-    _require_keys(p, {"kind", "entries"}, {"kind", "entries"}, "problem")
-    entries = p["entries"]
-    if (not isinstance(entries, list)
-            or any(not isinstance(row, list) for row in entries)):
-        raise ConfigError("problem.entries must be a list of rows")
-    try:
-        matrix = MonotonyMatrix(np.array(
-            [[_as_number(v, "problem.entries") for v in row]
-             for row in entries], dtype=float))
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"problem.entries: {exc}") from exc
+    entries = _fields(p, "problem", _MATRIX)["entries"]
+    matrix = _call("problem.entries", MonotonyMatrix, entries)
 
     cert = is_convergent_to_zero(matrix)
     payload = {
@@ -622,37 +623,34 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     specs = {
-        "check": "verify the structural hypotheses by sampling",
-        "solve": "run the alternating scheme",
-        "compare": "cross-check the scheme against the Newton oracle",
-        "lemma": "certify a coupling matrix and demo the dominance lemma",
+        "check": (cmd_check, "verify the structural hypotheses by sampling"),
+        "solve": (cmd_solve, "run the alternating scheme"),
+        "compare": (cmd_compare,
+                    "cross-check the scheme against the Newton oracle"),
+        "lemma": (cmd_lemma,
+                  "certify a coupling matrix and demo the dominance lemma"),
     }
-    for name, help_text in specs.items():
+    for name, (run, help_text) in specs.items():
         q = sub.add_parser(name, help=help_text)
+        q.set_defaults(run=run)
         q.add_argument("--config", required=True,
                        help="path to the JSON configuration")
         q.add_argument("--out", default=".",
                        help="output directory (created if missing)")
-        q.add_argument("--seed", type=int, default=None,
-                       help="override the configured seed")
-        q.add_argument("--override-hypotheses", action="store_true",
-                       help="demote failed solvability gates to warnings")
+        if name != "lemma":
+            q.add_argument("--seed", type=int, default=None,
+                           help="override the configured seed")
+        if name in ("solve", "compare"):
+            q.add_argument("--override-hypotheses", action="store_true",
+                           help="demote failed solvability gates to warnings")
     return parser
-
-
-_DISPATCH = {
-    "check": cmd_check,
-    "solve": cmd_solve,
-    "compare": cmd_compare,
-    "lemma": cmd_lemma,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _DISPATCH[args.command](args)
+        return args.run(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=_sys.stderr)
         return 2

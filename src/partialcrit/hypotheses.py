@@ -53,6 +53,8 @@ class SamplerSpec:
             raise ValueError("n_points must be positive")
         if not (self.box_radius > 0.0):
             raise ValueError("box_radius must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if self.n_points < 100:
             warnings.warn(
                 "fewer than 100 sample points gives a weak verdict",

@@ -34,6 +34,7 @@ class OracleResult:
     residual_norm: float
     iterations: int
     converged: bool
+    tol: float
 
 
 def _fd_jacobian(resid, x: np.ndarray, r0: np.ndarray) -> np.ndarray:
@@ -80,9 +81,14 @@ def newton_full(sys: CoupledSystem,
     unknowns (``jacobian_free`` overrides the switch). Convergence is
     declared on the same metric the scheme uses: both A-norm residuals at
     the pair below ``tol``. Line search halves the step until the squared
-    euclidean residual decreases; running out of halvings or iterations
-    raises `ConvergenceError`.
+    euclidean residual decreases; running out of halvings or iterations,
+    or a singular Jacobian, raises `ConvergenceError`. A nonpositive
+    ``tol`` or a ``max_iters`` below one raises `ValueError`.
     """
+    if not (tol > 0.0):
+        raise ValueError("tol must be positive")
+    if max_iters < 1:
+        raise ValueError("max_iters must be at least 1")
     space = sys.space
     n = space.dim
     if init is None:
@@ -110,11 +116,16 @@ def newton_full(sys: CoupledSystem,
             u, v = split(x)
             return OracleResult(u_star=u, v_star=v,
                                 residual_norm=max(ru, rv),
-                                iterations=it, converged=True)
+                                iterations=it, converged=True, tol=tol)
         if jacobian_free:
             delta = _gmres_step(resid, x, r)
         else:
-            delta = np.linalg.solve(_fd_jacobian(resid, x, r), -r)
+            try:
+                delta = np.linalg.solve(_fd_jacobian(resid, x, r), -r)
+            except np.linalg.LinAlgError as exc:
+                raise ConvergenceError(
+                    f"finite-difference Jacobian: {exc}",
+                    residual=max(ru, rv), iterations=it) from exc
         phi0 = float(r @ r)
         alpha = 1.0
         for _ in range(30):

@@ -87,6 +87,8 @@ class NonlinearitySpec:
             raise ValueError(f"unknown nonlinearity kind {self.kind!r}")
         if self.kind == "custom" and self.table is None:
             raise ValueError("custom nonlinearity needs a table")
+        if not (self.epsilon >= 0.0):
+            raise ValueError("epsilon must be nonnegative")
 
     @staticmethod
     def zero() -> "NonlinearitySpec":
@@ -98,8 +100,6 @@ class NonlinearitySpec:
 
     @staticmethod
     def sincos(epsilon: float) -> "NonlinearitySpec":
-        if not (epsilon >= 0.0):
-            raise ValueError("epsilon must be nonnegative")
         return NonlinearitySpec(kind="sincos", epsilon=epsilon)
 
     @staticmethod
@@ -158,7 +158,8 @@ def make_pointwise(spec: NonlinearitySpec, arg_dim: int) -> PointwiseNonlinearit
 
 @dataclass(frozen=True)
 class DirichletSpec:
-    """Reaction system on (0, L) or (0, Lx) x (0, Ly) with zero boundary."""
+    """Reaction system on (0, L) or (0, Lx) x (0, Ly) with zero boundary;
+    a single number for ``lengths`` is the side in every dimension."""
 
     dims: int
     n_per_dim: int
@@ -172,7 +173,8 @@ class DirichletSpec:
         if self.n_per_dim < 3:
             raise ValueError("need at least 3 interior nodes per dimension")
         lengths = tuple(float(v) for v in (
-            (self.lengths,) if np.isscalar(self.lengths) else self.lengths))
+            (self.lengths,) * self.dims if np.isscalar(self.lengths)
+            else self.lengths))
         if len(lengths) != self.dims:
             raise ValueError("lengths must list one side per dimension")
         if any(not (v > 0.0) for v in lengths):

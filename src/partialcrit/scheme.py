@@ -81,18 +81,15 @@ class GrowthParams:
 class SchemeConfig:
     """Knobs for `run_scheme`.
 
-    Stage k solves both sides to ``min(1/k, final_tol)``. ``inner_step``
-    overrides the damping; by default it is resolved per system as
-    ``0.9 / (1 + m11)`` from the declared coupling matrix.
+    Stage k solves both sides to ``min(1/k, final_tol)``; the inner step
+    is ``0.9 / (1 + m11)`` from the declared coupling matrix.
     """
 
     max_outer: int = 200
     inner_max_iters: int = 500
-    inner_step: float | None = None
     final_tol: float = 1e-8
     seed: int = 0
     random_init: bool = False
-    store_iterates: bool = True
     override_hypotheses: bool = False
 
     def __post_init__(self):
@@ -102,8 +99,8 @@ class SchemeConfig:
             raise ValueError("inner_max_iters must be at least 1")
         if not (self.final_tol > 0.0):
             raise ValueError("final_tol must be positive")
-        if self.inner_step is not None and not (0.0 < self.inner_step <= 1.0):
-            raise ValueError("inner_step must lie in (0, 1]")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -157,12 +154,12 @@ CSV_HEADER = ("k", "norm_u", "norm_v", "r1", "r2", "E1", "E2", "E",
 
 @dataclass
 class SchemeTrace:
-    """Per-stage diagnostics, plus the full iterate history when stored."""
+    """Per-stage diagnostics and the full iterate history."""
 
     space: DiscreteSpace
     rows: list[TraceRow] = field(default_factory=list)
-    iterates_u: list[HVector] | None = None
-    iterates_v: list[HVector] | None = None
+    iterates_u: list[HVector] = field(default_factory=list)
+    iterates_v: list[HVector] = field(default_factory=list)
 
     def csv_rows(self) -> list[tuple]:
         out = [CSV_HEADER]
@@ -223,13 +220,6 @@ def energies(sys: CoupledSystem, u: HVector, v: HVector) -> tuple[float, float, 
     return e1, e2, e_total
 
 
-def _resolve_step(sys: CoupledSystem, cfg: SchemeConfig) -> float:
-    if cfg.inner_step is not None:
-        return cfg.inner_step
-    m11 = float(sys.monotony.entries[0, 0])
-    return 0.9 / (1.0 + m11)
-
-
 def _inner_solve(sys: CoupledSystem, fixed: HVector, moving: HVector,
                  tol: float, cfg: SchemeConfig, side: str
                  ) -> tuple[HVector, int, float]:
@@ -249,7 +239,7 @@ def _inner_solve(sys: CoupledSystem, fixed: HVector, moving: HVector,
         objective = lambda x: -_e2(sys, fixed, x)
         # -residual_v bit for bit, since rounding is sign-symmetric
         gradient = lambda x: x + sys.eval_Nv(fixed, x)
-    base_step = _resolve_step(sys, cfg)
+    base_step = 0.9 / (1.0 + float(sys.monotony.entries[0, 0]))
     x = moving
     obj = objective(x)
     for it in range(cfg.inner_max_iters + 1):
@@ -330,10 +320,7 @@ def run_scheme(sys: CoupledSystem, cfg: SchemeConfig | None = None
     else:
         v = space.zero()
 
-    trace = SchemeTrace(space=space)
-    if cfg.store_iterates:
-        trace.iterates_u = [u]
-        trace.iterates_v = [v]
+    trace = SchemeTrace(space=space, iterates_u=[u], iterates_v=[v])
 
     converged = False
     ru_pair = float("nan")
@@ -357,9 +344,8 @@ def run_scheme(sys: CoupledSystem, cfg: SchemeConfig | None = None
             r1=r1, r2=r2, e1=e1, e2=e2, e_total=e_total,
             inner_iters_u=iters_u, inner_iters_v=iters_v,
         ))
-        if cfg.store_iterates:
-            trace.iterates_u.append(u)
-            trace.iterates_v.append(v)
+        trace.iterates_u.append(u)
+        trace.iterates_v.append(v)
         # the u-residual is re-measured at the updated pair; the v-residual
         # is already evaluated there
         ru_pair = norm_a(residual_u(sys, u, v), space)
@@ -405,14 +391,11 @@ class ContractionReport:
 
 def contraction_certificate(trace: SchemeTrace, m: MonotonyMatrix, p: int = 1
                             ) -> ContractionReport:
-    """Check the difference-vector recursion on a stored iterate history.
+    """Check the difference-vector recursion on the trace's iterate history.
 
     The slack term is ``2 / k`` in both components, covering the two
-    admission residuals that enter the estimate. Requires the trace to
-    have been recorded with ``store_iterates``.
+    admission residuals that enter the estimate.
     """
-    if trace.iterates_u is None or trace.iterates_v is None:
-        raise ValueError("trace does not carry the iterate history")
     if p < 1:
         raise ValueError("gap p must be at least 1")
     us, vs = trace.iterates_u, trace.iterates_v

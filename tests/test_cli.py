@@ -119,15 +119,6 @@ def test_lemma_certifies_matrix(tmp_path):
 
 
 def test_config_errors_exit_two(tmp_path):
-    bad_kind = dict(SCALAR_CONFIG, problem={"kind": "bogus"})
-    cfg = _write(tmp_path, "bad1.json", bad_kind)
-    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o1")]) == 2
-
-    unknown_key = json.loads(json.dumps(SCALAR_CONFIG))
-    unknown_key["scheme"]["max_outerr"] = 5
-    cfg = _write(tmp_path, "bad2.json", unknown_key)
-    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o2")]) == 2
-
     not_json = tmp_path / "bad3.json"
     not_json.write_text("{broken")
     assert main(["solve", "--config", str(not_json),
@@ -136,16 +127,197 @@ def test_config_errors_exit_two(tmp_path):
     assert main(["solve", "--config", str(tmp_path / "missing.json"),
                  "--out", str(tmp_path / "o4")]) == 2
 
-    # matrix configs are lemma-only; dirichlet configs are not lemma input
-    cfg = _write(tmp_path, "bad5.json", MATRIX_CONFIG)
-    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o5")]) == 2
-    cfg = _write(tmp_path, "bad6.json", SCALAR_CONFIG)
-    assert main(["lemma", "--config", cfg, "--out", str(tmp_path / "o6")]) == 2
 
-    bad_nl = json.loads(json.dumps(SCALAR_CONFIG))
-    bad_nl["problem"]["nonlinearity"] = {"kind": "unknown"}
-    cfg = _write(tmp_path, "bad7.json", bad_nl)
-    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o7")]) == 2
+STOKES_CONFIG = {
+    "problem": {"kind": "stokes", "n_per_dim": 5, "lengths": 1.0,
+                "mu_coeff": 1.0, "nonlinearity": {"kind": "zero"}},
+}
+
+DELETE = object()
+
+# (command, base config, path, value or DELETE, extra flags, exit code,
+#  config error message); the empty path replaces the whole config
+DEFECTS = [
+    # top level
+    ("solve", SCALAR_CONFIG, (), [1], (), 2,
+     "top level of the config must be an object"),
+    ("solve", SCALAR_CONFIG, ("bogus",), 1, (), 2,
+     "config: unknown keys ['bogus']"),
+    ("solve", SCALAR_CONFIG, ("problem",), DELETE, (), 2,
+     "config: missing keys ['problem']"),
+    # problem
+    ("solve", SCALAR_CONFIG, ("problem",), 5, (), 2,
+     "config.problem must be an object"),
+    ("solve", SCALAR_CONFIG, ("problem",), {"kind": "bogus"}, (), 2,
+     "problem: unknown kind 'bogus'"),
+    ("solve", SCALAR_CONFIG, ("problem", "kind"), [1], (), 2,
+     "problem: unknown kind [1]"),
+    ("solve", MATRIX_CONFIG, (), MATRIX_CONFIG, (), 2,
+     "matrix configs only apply to the lemma command"),
+    ("solve", SCALAR_CONFIG, ("problem", "bogus"), 1, (), 2,
+     "problem: unknown keys ['bogus']"),
+    ("solve", SCALAR_CONFIG, ("problem", "a_value"), DELETE, (), 2,
+     "problem: missing keys ['a_value']"),
+    ("solve", SCALAR_CONFIG, ("problem", "a_value"), "2", (), 2,
+     "problem.a_value must be a number"),
+    ("solve", SCALAR_CONFIG, ("problem", "a_value"), 0, (), 2,
+     "problem: a_value must be positive"),
+    ("solve", SINCOS_CONFIG, ("problem", "dims"), True, (), 2,
+     "problem.dims must be an integer"),
+    ("solve", SINCOS_CONFIG, ("problem", "lengths"), [1.0, 1.0], (), 2,
+     "problem.lengths must be a number or a list of 1 numbers"),
+    ("solve", SINCOS_CONFIG, ("problem", "lengths"), ["1"], (), 2,
+     "problem.lengths must be a number"),
+    ("solve", SINCOS_CONFIG, ("problem", "n_per_dim"), 2, (), 2,
+     "problem: need at least 3 interior nodes per dimension"),
+    ("solve", SINCOS_CONFIG, ("problem", "potential_c"), None, (), 2,
+     "problem.potential_c must be a number"),
+    ("solve", STOKES_CONFIG, ("problem", "mu_coeff"), DELETE, (), 2,
+     "problem: missing keys ['mu_coeff']"),
+    ("solve", STOKES_CONFIG, ("problem", "lengths"), [1.0], (), 2,
+     "problem.lengths must be a number or a list of 2 numbers"),
+    ("solve", STOKES_CONFIG, ("problem", "n_per_dim"), 4, (), 2,
+     "problem: need at least 5 interior nodes per dimension"),
+    # problem.nonlinearity
+    ("solve", SCALAR_CONFIG, ("problem", "nonlinearity"), 5, (), 2,
+     "problem.nonlinearity must be an object"),
+    ("solve", SCALAR_CONFIG, ("problem", "nonlinearity"), {"kind": "unknown"},
+     (), 2, "problem.nonlinearity: unknown nonlinearity kind 'unknown'"),
+    ("solve", SCALAR_CONFIG, ("problem", "nonlinearity"),
+     {"kind": "zero", "epsilon": 1.0}, (), 2,
+     "problem.nonlinearity: unknown keys ['epsilon']"),
+    ("solve", SCALAR_CONFIG, ("problem", "nonlinearity"), {"kind": "sincos"},
+     (), 2, "problem.nonlinearity: missing keys ['epsilon']"),
+    ("solve", SCALAR_CONFIG, ("problem", "nonlinearity", "b"), "x", (), 2,
+     "problem.nonlinearity.b must be a number"),
+    ("solve", SCALAR_CONFIG, ("problem", "nonlinearity"),
+     {"kind": "sincos", "epsilon": -0.1}, (), 2,
+     "problem.nonlinearity: epsilon must be nonnegative"),
+    # lemma's matrix problem
+    ("lemma", SCALAR_CONFIG, (), SCALAR_CONFIG, (), 2,
+     'lemma needs a problem of kind "matrix"'),
+    ("lemma", MATRIX_CONFIG, ("problem", "bogus"), 1, (), 2,
+     "problem: unknown keys ['bogus']"),
+    ("lemma", MATRIX_CONFIG, ("problem", "entries"), DELETE, (), 2,
+     "problem: missing keys ['entries']"),
+    ("lemma", MATRIX_CONFIG, ("problem", "entries"), "x", (), 2,
+     "problem.entries must be a list of rows"),
+    ("lemma", MATRIX_CONFIG, ("problem", "entries"), [[0.3, "x"], [0.1, 0.4]],
+     (), 2, "problem.entries must be a number"),
+    ("lemma", MATRIX_CONFIG, ("problem", "entries"), [[0.3, 0.2]], (), 2,
+     "problem.entries: entries must form a square matrix"),
+    # scheme
+    ("solve", SCALAR_CONFIG, ("scheme",), 5, (), 2,
+     "scheme must be an object"),
+    ("solve", SCALAR_CONFIG, ("scheme",), [1], (), 2,
+     "scheme must be an object"),
+    ("solve", SCALAR_CONFIG, ("scheme",), [], (), 2,
+     "scheme must be an object"),
+    ("compare", SCALAR_CONFIG, ("scheme",), "x", (), 2,
+     "scheme must be an object"),
+    ("solve", SCALAR_CONFIG, ("scheme", "max_outerr"), 5, (), 2,
+     "scheme: unknown keys ['max_outerr']"),
+    ("solve", SCALAR_CONFIG, ("scheme", "inner_step"), 0.5, (), 2,
+     "scheme: unknown keys ['inner_step']"),
+    ("solve", SCALAR_CONFIG, ("scheme", "seed"), 1.0, (), 2,
+     "scheme.seed must be an integer"),
+    ("solve", SCALAR_CONFIG, ("scheme", "random_init"), 1, (), 2,
+     "scheme.random_init must be a boolean"),
+    ("solve", SCALAR_CONFIG, ("scheme", "final_tol"), 0, (), 2,
+     "scheme: final_tol must be positive"),
+    ("solve", SCALAR_CONFIG, ("scheme", "seed"), -1, (), 2,
+     "scheme: seed must be nonnegative"),
+    ("solve", SCALAR_CONFIG, ("scheme", "seed"), 0, ("--seed", "-1"), 2,
+     "scheme: seed must be nonnegative"),
+    ("compare", SCALAR_CONFIG, ("scheme", "seed"), 0, ("--seed", "-1"), 2,
+     "scheme: seed must be nonnegative"),
+    # check
+    ("check", SINCOS_CONFIG, ("check",), "x", (), 2,
+     "check must be an object"),
+    ("check", SINCOS_CONFIG, ("check", "bogus"), 1, (), 2,
+     "check: unknown keys ['bogus']"),
+    ("check", SINCOS_CONFIG, ("check", "sampler"), 5, (), 2,
+     "check.sampler must be an object"),
+    ("check", SINCOS_CONFIG, ("check", "sampler", "bogus"), 1, (), 2,
+     "check.sampler: unknown keys ['bogus']"),
+    ("check", SINCOS_CONFIG, ("check", "sampler", "n_points"), "400", (), 2,
+     "check.sampler.n_points must be an integer"),
+    ("check", SINCOS_CONFIG, ("check", "sampler", "box_radius"), 0, (), 2,
+     "check.sampler: box_radius must be positive"),
+    ("check", SINCOS_CONFIG, ("check", "sampler", "seed"), -1, (), 2,
+     "check.sampler: seed must be nonnegative"),
+    ("check", SINCOS_CONFIG, ("check", "sampler", "seed"), 0, ("--seed", "-1"),
+     2, "check.sampler: seed must be nonnegative"),
+    ("check", SINCOS_CONFIG, ("check", "ring_taus"), "x", (), 2,
+     "check.ring_taus must be a nonempty list"),
+    ("check", SINCOS_CONFIG, ("check", "ring_taus"), [0.5, "1"], (), 2,
+     "check.ring_taus must be a number"),
+    ("check", SINCOS_CONFIG, ("check", "ring_taus"), [-1], (), 2,
+     "check.ring_taus must be positive"),
+    ("check", SINCOS_CONFIG, ("check", "declared_growth"), [0, 0], (), 2,
+     "check.declared_growth must be three numbers"),
+    ("check", SINCOS_CONFIG, ("check", "declared_growth"), [-1, 0, 0], (), 2,
+     "check.declared_growth must be nonnegative"),
+    # growth constants are resolved before the ring levels are read
+    ("check", SCALAR_CONFIG, ("check",), {"ring_taus": [-1]}, (), 2,
+     "no growth constants declared and none built in"),
+    # oracle
+    ("compare", SCALAR_CONFIG, ("oracle",), 0, (), 2,
+     "oracle must be an object"),
+    ("compare", SCALAR_CONFIG, ("oracle", "bogus"), 1, (), 2,
+     "oracle: unknown keys ['bogus']"),
+    ("compare", SCALAR_CONFIG, ("oracle", "tol"), "1e-8", (), 2,
+     "oracle.tol must be a number"),
+    ("compare", SCALAR_CONFIG, ("oracle", "jacobian_free"), 1, (), 2,
+     "oracle.jacobian_free must be a boolean"),
+    ("compare", SCALAR_CONFIG, ("oracle", "max_iters"), 0, (), 2,
+     "oracle: max_iters must be at least 1"),
+    ("compare", SCALAR_CONFIG, ("oracle", "tol"), 0, (), 2,
+     "oracle: tol must be positive"),
+    ("compare", SCALAR_CONFIG, ("oracle", "jacobian_free"), None, (), 0, None),
+]
+
+
+def _defect(base, path, value):
+    if not path:
+        return value
+    cfg = json.loads(json.dumps(base))
+    *parents, key = path
+    obj = cfg
+    for k in parents:
+        obj = obj[k]
+    if value is DELETE:
+        del obj[key]
+    else:
+        obj[key] = value
+    return cfg
+
+
+@pytest.mark.parametrize(
+    "command, base, path, value, flags, code, line", DEFECTS,
+    ids=[f"{row[0]}-{'.'.join(row[2]) or 'top'}-{i}"
+         for i, row in enumerate(DEFECTS)])
+def test_config_defect_table(tmp_path, capsys, command, base, path, value,
+                             flags, code, line):
+    cfg = _write(tmp_path, "cfg.json", _defect(base, path, value))
+    got = main([command, "--config", cfg, "--out", str(tmp_path / "o"),
+                *flags])
+    err = capsys.readouterr().err
+    assert got == code
+    assert err == ("" if line is None else f"config error: {line}\n")
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("lemma", "--seed=3"),
+    ("lemma", "--override-hypotheses"),
+    ("check", "--override-hypotheses"),
+])
+def test_flags_only_where_read(tmp_path, capsys, command, flag):
+    cfg = _write(tmp_path, "cfg.json", MATRIX_CONFIG)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", cfg, flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def test_refused_exit_one(tmp_path):

@@ -64,8 +64,21 @@ def test_newton_warm_start(scalar_linear, solved):
 def test_newton_budget_error():
     system = pc.build_scalar(2.0,
                              pc.NonlinearitySpec.quadratic(0.0, 0.2, 0.0, 1.0))
+    # one Newton step lands on this linear system's solution, but the
+    # budget ends before the convergence test sees it
     with pytest.raises(ConvergenceError):
-        pc.newton_full(system, max_iters=0)
+        pc.newton_full(system, max_iters=1)
+    for bad in ({"max_iters": 0}, {"tol": 0.0}, {"tol": -1e-8}):
+        with pytest.raises(ValueError):
+            pc.newton_full(system, **bad)
+
+
+def test_newton_singular_jacobian_is_a_solver_failure():
+    # c = -a_value / 2 zeroes the v-derivative of the v-residual
+    system = pc.build_scalar(2.0,
+                             pc.NonlinearitySpec.quadratic(0.0, 0.0, -1.0, 1.0))
+    with pytest.raises(ConvergenceError, match="Jacobian"):
+        pc.newton_full(system, jacobian_free=False)
 
 
 def test_fd_gradient_check_small_on_random_states(bundled, rng):

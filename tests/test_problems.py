@@ -63,6 +63,8 @@ def test_nonlinearity_spec_validation():
         pc.NonlinearitySpec(kind="custom")
     with pytest.raises(ValueError):
         pc.NonlinearitySpec.sincos(-0.1)
+    with pytest.raises(ValueError):
+        pc.NonlinearitySpec(kind="sincos", epsilon=-0.1)
 
 
 # ----------------------------------------------------------------- builders
@@ -84,6 +86,9 @@ def test_spec_invariants():
         pc.StokesSpec(n_per_dim=7, lengths=(1.0, 1.0), mu_coeff=0.0)
     with pytest.raises(ValueError):
         pc.build_scalar(0.0, nl)
+    # one number is the side in every dimension
+    assert pc.DirichletSpec(dims=2, n_per_dim=5, lengths=2).lengths == (2.0, 2.0)
+    assert pc.StokesSpec(n_per_dim=5, lengths=2, mu_coeff=1.0).lengths == (2.0, 2.0)
 
 
 def test_dirichlet_1d_stiffness_entries():

@@ -114,7 +114,7 @@ def test_scheme_config_validation():
     with pytest.raises(ValueError):
         pc.SchemeConfig(final_tol=0.0)
     with pytest.raises(ValueError):
-        pc.SchemeConfig(inner_step=1.5)
+        pc.SchemeConfig(seed=-1)
 
 
 def test_contraction_certificate_passes_on_runs(solved, bundled):
@@ -124,13 +124,6 @@ def test_contraction_certificate_passes_on_runs(solved, bundled):
             rep = pc.contraction_certificate(trace, bundled[name].monotony, p=p)
             assert rep.passed, f"{name} p={p}"
             assert rep.full_ok
-
-
-def test_contraction_certificate_needs_history(scalar_linear):
-    cfg = pc.SchemeConfig(store_iterates=False)
-    pair, trace = pc.run_scheme(scalar_linear, cfg)
-    with pytest.raises(ValueError):
-        pc.contraction_certificate(trace, scalar_linear.monotony)
 
 
 def test_contraction_certificate_rejects_bad_gap(solved, scalar_linear):
