@@ -29,6 +29,7 @@ import importlib.metadata
 import json
 import math
 import sys as _sys
+import warnings
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -227,11 +228,19 @@ def _fields(obj, where: str, table: dict) -> dict:
 
 
 def _call(where: str, fn, *args, **kwargs):
-    """Call `fn`; a ValueError it raises is a config error at `where`."""
-    try:
-        return fn(*args, **kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+    """Call `fn`; a ValueError it raises is a config error at `where`.
+
+    A warning it raises goes to stderr as one ``warning: <where>: <msg>``
+    line, naming the config section rather than a source line.
+    """
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            return fn(*args, **kwargs)
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {exc}") from exc
+        finally:
+            for w in caught:
+                print(f"warning: {where}: {w.message}", file=_sys.stderr)
 
 
 _KIND = (_as_given, True)

@@ -56,10 +56,12 @@ class MonotonyMatrix:
 class ConvergenceCertificate:
     """Three characterizations of convergence to zero, evaluated together.
 
-    ``powers_decay`` squares the matrix 64 times (with norm tracking), so it
-    probes an astronomically high power; outside a thin band around spectral
-    radius one the three booleans agree, and `is_convergent_to_zero`
-    enforces that agreement.
+    ``spectral_radius`` is one eigensolve checked against its
+    Collatz–Wielandt bracket; ``neumann_ok`` says that ``I - M`` has a
+    nonnegative inverse; ``powers_decay`` squares the matrix 64 times (with
+    norm tracking), so it probes an astronomically high power. Outside a
+    thin band around spectral radius one the three booleans agree, and
+    `is_convergent_to_zero` enforces that agreement.
     """
 
     spectral_radius: float
@@ -91,55 +93,31 @@ def _coerce(m) -> np.ndarray:
     return MonotonyMatrix(np.asarray(m, dtype=float)).entries
 
 
-def _radius_closed_form(a: np.ndarray) -> float:
-    if a.shape[0] == 1:
-        return float(a[0, 0])
-    if a.shape[0] == 2:
-        # nonnegative off-diagonal product keeps the discriminant nonnegative
-        tr = a[0, 0] + a[1, 1]
-        det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-        disc = max((a[0, 0] - a[1, 1]) ** 2 + 4.0 * a[0, 1] * a[1, 0], 0.0)
-        root = 0.5 * (tr + math.sqrt(disc))
-        return float(max(root, abs(det) / root if root > 0.0 else 0.0))
-    return float(np.max(np.abs(np.linalg.eigvals(a))))
+def spectral_radius(m) -> float:
+    """Spectral radius ``rho = max |lambda|`` of a small nonnegative matrix.
 
-
-def spectral_radius(m, tol: float = 1e-8, max_iters: int = 20000) -> float:
-    """Spectral radius of a small nonnegative matrix.
-
-    Power iteration on the shifted matrix ``M + sigma I`` (the shift keeps
-    the dominant eigenvalue simple and real), bracketing the radius by
-    min/max componentwise ratios until the bracket is tighter than `tol`
-    relative. Defective or reducible inputs can stall the bracket; those
-    fall back to the closed form (order two) or a dense eigenvalue solve.
-    Both routes are cross-checked against each other.
+    One dense eigensolve. The result is checked against the Collatz–Wielandt
+    bracket: with ``x = |v|`` for the eigenvector ``v`` of a dominant
+    eigenvalue, ``min (M x)_i / x_i <= rho <= max (M x)_i / x_i`` whenever
+    ``x > 0`` (irreducible M). A radius outside that bracket, widened by
+    ``1e-6 * max(1, rho)``, raises ``IntegrityError``. Reducible inputs whose
+    dominant eigenvector has a zero component skip the check.
     """
     a = _coerce(m)
-    n = a.shape[0]
-    amax = float(a.max())
-    if amax == 0.0:
-        return 0.0
-    sigma = 1.0 + amax
-    b = a + sigma * np.eye(n)
-    x = np.full(n, 1.0 / n)
-    estimate = None
-    for _ in range(max_iters):
-        y = b @ x
-        ratios = y / x
-        hi = float(ratios.max())
-        lo = float(ratios.min())
-        if hi - lo <= tol * hi:
-            estimate = 0.5 * (hi + lo) - sigma
-            break
-        x = y / float(y.sum())
-    reference = _radius_closed_form(a)
-    if estimate is None:
-        return max(reference, 0.0)
-    if abs(estimate - reference) > 1e-6 * max(1.0, reference):
-        raise IntegrityError(
-            f"power iteration ({estimate}) disagrees with eigenvalue route ({reference})"
-        )
-    return max(estimate, 0.0)
+    lam, vecs = np.linalg.eig(a)
+    k = int(np.argmax(np.abs(lam)))
+    rho = float(np.abs(lam[k]))
+    x = np.abs(vecs[:, k])
+    if np.all(x > 0.0):
+        ratios = (a @ x) / x
+        slack = 1e-6 * max(1.0, rho)
+        lo, hi = float(ratios.min()), float(ratios.max())
+        if not lo - slack <= rho <= hi + slack:
+            raise IntegrityError(
+                f"eigenvalue radius {rho} lies outside the Collatz-Wielandt "
+                f"bracket [{lo}, {hi}]"
+            )
+    return rho
 
 
 def _neumann_ok(a: np.ndarray) -> bool:
@@ -153,16 +131,15 @@ def _neumann_ok(a: np.ndarray) -> bool:
     return bool(np.all(inv >= -1e-12))
 
 
-def _powers_decay(a: np.ndarray, squarings: int = 64,
-                  threshold: float = 1e-6) -> bool:
-    # track log ||M^(2^k)||_inf through normalized squarings to dodge
-    # overflow/underflow
+def _powers_decay(a: np.ndarray) -> bool:
+    # track log ||M^(2^k)||_inf through 64 normalized squarings to dodge
+    # overflow/underflow; decayed means ||M^(2^64)||_inf < 1e-6
     norm = float(np.abs(a).sum(axis=1).max())
     if norm == 0.0:
         return True
     log_norm = math.log(norm)
     p = a / norm
-    for _ in range(squarings):
+    for _ in range(64):
         p = p @ p
         norm = float(np.abs(p).sum(axis=1).max())
         if norm == 0.0:
@@ -173,15 +150,16 @@ def _powers_decay(a: np.ndarray, squarings: int = 64,
             return True
         if log_norm > 1e6:
             return False
-    return log_norm < math.log(threshold)
+    return log_norm < math.log(1e-6)
 
 
 def is_convergent_to_zero(m) -> ConvergenceCertificate:
     """Evaluate all three convergence characterizations.
 
-    Raises ``IntegrityError`` if a radius strictly below one fails either of
-    the other two checks; that combination signals a numerical
-    inconsistency, not a borderline input.
+    ``rho_ok`` means ``rho < 1 - 1e-9`` for the radius of `spectral_radius`.
+    Raises ``IntegrityError`` if such a radius fails either of the other two
+    checks, or if the radius falls outside its Collatz–Wielandt bracket;
+    either signals a numerical inconsistency, not a borderline input.
     """
     a = _coerce(m)
     rho = spectral_radius(a)
@@ -199,12 +177,13 @@ def is_convergent_to_zero(m) -> ConvergenceCertificate:
     )
 
 
-def neumann_inverse(m, validate_tol: float = 1e-8) -> np.ndarray:
+def neumann_inverse(m) -> np.ndarray:
     """Inverse of ``I - M`` for a convergent matrix, validated by the series.
 
     The partial sums ``S_m = I + M + ... + M^(m-1)`` are doubled,
     ``S_2m = S_m + S_m M^m``, until ``M^m`` is negligible (at most 64
-    doublings, i.e. 2^64 terms), and compared with the direct inverse.
+    doublings, i.e. 2^64 terms), and compared with the direct inverse to
+    1e-8 relative to its largest entry.
     """
     a = _coerce(m)
     rho = spectral_radius(a)
@@ -220,14 +199,13 @@ def neumann_inverse(m, validate_tol: float = 1e-8) -> np.ndarray:
         if float(np.abs(power).max()) <= 1e-15 * max(float(np.abs(total).max()), 1.0):
             break
     scale = max(float(np.abs(inv).max()), 1.0)
-    if float(np.abs(inv - total).max()) > validate_tol * scale:
+    if float(np.abs(inv - total).max()) > 1e-8 * scale:
         raise IntegrityError("direct inverse disagrees with the partial series")
     return inv
 
 
 def verify_dominance(x_seq, y_seq, m, slack: float = 0.0,
-                     tail_threshold: float | None = None,
-                     tail_fraction: float = 0.25) -> DominanceReport:
+                     tail_threshold: float | None = None) -> DominanceReport:
     """Check ``x_k <= M x_{k-1} + y_k + slack`` componentwise for k >= 1.
 
     Parameters
@@ -238,7 +216,7 @@ def verify_dominance(x_seq, y_seq, m, slack: float = 0.0,
         Uniform additive tolerance applied to every component.
     tail_threshold : float, optional
         When given, also report whether ``max ||x_k||_inf`` over the final
-        `tail_fraction` of the trajectory dropped below it.
+        quarter of the trajectory dropped below it.
     """
     xs = np.asarray(x_seq, dtype=float)
     ys = np.asarray(y_seq, dtype=float)
@@ -257,7 +235,7 @@ def verify_dominance(x_seq, y_seq, m, slack: float = 0.0,
     margins = np.max(xs[1:] - (xs[:-1] @ a.T + ys[1:] + slack), axis=1)
     violating = np.flatnonzero(margins > 0.0)
     norms = np.max(np.abs(xs), axis=1)
-    tail_len = max(1, int(math.ceil(len(norms) * tail_fraction)))
+    tail_len = max(1, int(math.ceil(len(norms) * 0.25)))
     tail_sup = float(np.max(norms[-tail_len:]))
     return DominanceReport(
         dominance_ok=violating.size == 0,

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,6 +40,8 @@ SINCOS_CONFIG = {
     "oracle": {"tol": 1e-8},
 }
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
 MATRIX_CONFIG = {
     "problem": {"kind": "matrix", "entries": [[0.3, 0.2], [0.1, 0.4]]},
 }
@@ -65,8 +68,13 @@ def test_solve_writes_all_outputs(tmp_path):
                                           "report.json"}
 
 
-def test_solve_reruns_are_byte_identical(tmp_path):
-    cfg = _write(tmp_path, "cfg.json", SINCOS_CONFIG)
+@pytest.mark.parametrize("config", [
+    SINCOS_CONFIG,
+    # cross-coupled quadratic, about 38 stages with a live v-side
+    json.loads((CONFIGS / "cross_coupled_1d.json").read_text()),
+], ids=["sincos_1d", "cross_coupled_1d"])
+def test_solve_reruns_are_byte_identical(tmp_path, config):
+    cfg = _write(tmp_path, "cfg.json", config)
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["solve", "--config", cfg, "--out", str(out1)]) == 0
     assert main(["solve", "--config", cfg, "--out", str(out2)]) == 0
@@ -96,6 +104,16 @@ def test_check_ready_exit_zero(tmp_path):
     assert len(report["ring"]) == 2
     for entry in report["ring"]:
         assert 0 < entry["n_violated"] < entry["n_samples"]
+
+
+def test_sampler_warning_names_config_key(tmp_path, capsys):
+    few = json.loads(json.dumps(SINCOS_CONFIG))
+    few["check"]["sampler"]["n_points"] = 50
+    cfg = _write(tmp_path, "cfg.json", few)
+    assert main(["check", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: check.sampler: fewer than 100 sample points gives a weak "
+        "verdict"]
 
 
 def test_compare_agrees_exit_zero(tmp_path):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import partialcrit as pc
 from partialcrit.errors import IntegrityError
@@ -26,6 +27,35 @@ def test_spectral_radius_larger_matrix():
     rho = float(np.max(np.abs(np.linalg.eigvals(raw))))
     scaled = 0.7 * raw / rho
     assert pc.spectral_radius(scaled) == pytest.approx(0.7, abs=1e-6)
+
+
+_CROSS = np.array([[0.3, 0.2], [0.1, 0.4]])
+
+
+@pytest.mark.parametrize("m", [
+    # a monotony matrix the sampler fitted on the Stokes system
+    np.array([[0.00088, 0.00142], [0.00106, 0.00096]]),
+    # cross coupling [[0, B], [B, 0]]: two peripheral eigenvalues +-rho
+    np.block([[np.zeros((2, 2)), _CROSS], [_CROSS, np.zeros((2, 2))]]),
+], ids=["fitted_stokes", "cross_coupled"])
+def test_spectral_radius_is_the_eigenvalue_modulus(m):
+    # the radius is max |lambda| itself, not a shifted approximation
+    ref = float(np.max(np.abs(np.linalg.eigvals(m))))
+    assert pc.spectral_radius(m) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+def test_spectral_radius_rejects_eigensolve_outside_bracket(monkeypatch):
+    eig = np.linalg.eig
+
+    def shifted(a):
+        lam, vecs = eig(a)
+        return lam + 1e-3, vecs
+
+    monkeypatch.setattr(np.linalg, "eig", shifted)
+    with pytest.raises(IntegrityError, match="Collatz-Wielandt"):
+        pc.spectral_radius([[0.3, 0.2], [0.1, 0.4]])
+    with pytest.raises(IntegrityError):
+        pc.is_convergent_to_zero([[0.3, 0.2], [0.1, 0.4]])
 
 
 def test_spectral_radius_monotone_in_entries(rng):
@@ -152,3 +182,39 @@ def test_integrity_guard_is_exercised_via_consistency():
 
 def test_spectral_radius_integrity_error_type_exists():
     assert issubclass(IntegrityError, RuntimeError)
+
+
+@st.composite
+def _nonnegative_matrices(draw):
+    n = draw(st.integers(1, 8))
+    entry = st.floats(0.0, 2.0, allow_nan=False, allow_infinity=False)
+    pattern = draw(st.sampled_from(
+        ["dense", "diagonal", "upper", "lower", "rank_one", "zero_row"]))
+    if pattern == "rank_one":
+        u = np.array(draw(st.lists(entry, min_size=n, max_size=n)))
+        w = np.array(draw(st.lists(entry, min_size=n, max_size=n)))
+        return np.outer(u, w)
+    m = np.array(draw(st.lists(entry, min_size=n * n, max_size=n * n)))
+    m = m.reshape(n, n)
+    if pattern == "diagonal":
+        return np.diag(np.diag(m))
+    if pattern == "upper":
+        return np.triu(m)
+    if pattern == "lower":
+        return np.tril(m)
+    if pattern == "zero_row":
+        m[draw(st.integers(0, n - 1))] = 0.0
+    return m
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_nonnegative_matrices())
+def test_certificates_agree_off_the_unit_band(m):
+    ref = float(np.max(np.abs(np.linalg.eigvals(m))))
+    assume(abs(ref - 1.0) > 1e-3)
+    rho = pc.spectral_radius(m)
+    assert abs(rho - ref) <= 1e-12 * ref + 1e-15
+    cert = pc.is_convergent_to_zero(m)
+    assert cert.rho_ok == (ref < 1.0)
+    assert cert.neumann_ok == cert.rho_ok
+    assert cert.powers_decay == cert.rho_ok
