@@ -16,6 +16,8 @@ The public surface:
 * `cli`: the `partialcrit` command line front end.
 """
 
+import importlib.metadata
+
 from .errors import (ConvergenceError, HypothesisError, IntegrityError,
                      SchemeStageError)
 from .hypotheses import (GrowthReport, HypothesisReport, PsBeta, RingReport,
@@ -31,30 +33,32 @@ from .problems import (DirichletSpec, NonlinearitySpec, PointwiseNonlinearity,
 from .scheme import (ContractionReport, CoupledSystem, GrowthParams,
                      NashReport, SchemeConfig, SchemeTrace, SolutionPair,
                      TraceRow, contraction_certificate, energies,
-                     inner_maximize, inner_minimize, nash_check, residual_u,
-                     residual_v, run_scheme)
+                     nash_check, residual_u, residual_v, run_scheme)
 from .spaces import (DiscreteSpace, HVector, SpdOperator, embedding_constant,
-                     inner_a, l2_mass_norm, make_space, norm_a, riesz_lift,
-                     solve_a, validate_space)
+                     inner_a, make_space, norm_a, riesz_lift, solve_a,
+                     validate_space)
 from .zeromatrix import (ConvergenceCertificate, DominanceReport,
                          MonotonyMatrix, is_convergent_to_zero,
                          neumann_inverse, spectral_radius, verify_dominance)
 
-__version__ = "0.1.0"
+try:
+    __version__ = importlib.metadata.version("partialcrit")
+except importlib.metadata.PackageNotFoundError:  # running from a checkout
+    __version__ = "0.1.0"
 
 __all__ = [
     "ConvergenceError", "HypothesisError", "IntegrityError",
     "SchemeStageError",
     "DiscreteSpace", "HVector", "SpdOperator", "make_space", "solve_a",
-    "riesz_lift", "inner_a", "norm_a", "l2_mass_norm", "embedding_constant",
+    "riesz_lift", "inner_a", "norm_a", "embedding_constant",
     "validate_space",
     "MonotonyMatrix", "ConvergenceCertificate", "DominanceReport",
     "spectral_radius", "is_convergent_to_zero", "neumann_inverse",
     "verify_dominance",
     "GrowthParams", "SchemeConfig", "CoupledSystem", "SchemeTrace",
     "TraceRow", "SolutionPair", "ContractionReport", "NashReport",
-    "run_scheme", "inner_minimize", "inner_maximize", "residual_u",
-    "residual_v", "energies", "contraction_certificate", "nash_check",
+    "run_scheme", "residual_u", "residual_v", "energies",
+    "contraction_certificate", "nash_check",
     "SamplerSpec", "GrowthReport", "RingReport", "PsBeta",
     "HypothesisReport", "check_growth", "estimate_monotony", "mu_of",
     "check_mountain_pass_ring", "ps_beta", "full_report",

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import importlib.metadata
 import json
 import math
 import sys as _sys
@@ -35,6 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .errors import ConvergenceError, HypothesisError, SchemeStageError
 from .hypotheses import (SamplerSpec, check_mountain_pass_ring, full_report,
                          mu_of, ps_beta)
@@ -48,11 +48,6 @@ from .zeromatrix import (MonotonyMatrix, is_convergent_to_zero,
                          neumann_inverse, verify_dominance)
 
 __all__ = ["main", "entry"]
-
-try:
-    __version__ = importlib.metadata.version("partialcrit")
-except importlib.metadata.PackageNotFoundError:  # running from a checkout
-    __version__ = "0.1.0"
 
 
 class ConfigError(ValueError):

@@ -221,13 +221,31 @@ def _pointwise_laplacian_2d(n: int, hx: float, hy: float) -> sp.csr_matrix:
 
 
 def _system_from_parts(space: DiscreteSpace, pw: PointwiseNonlinearity,
-                       eval_n, eval_nu, eval_nv, embedding_sq: float,
-                       volume: float, label: str) -> CoupledSystem:
+                       sample: Callable[[np.ndarray], np.ndarray],
+                       weights: np.ndarray,
+                       lift: Callable[[np.ndarray], HVector],
+                       embedding_sq: float, label: str) -> CoupledSystem:
+    """Coupling N(u, v) = sum_i w_i F(S u, S v)_i and its lifted gradients.
+
+    ``sample`` maps coefficients to the (m, arg_dim) pointwise arguments S,
+    ``weights`` are the m quadrature weights, and ``lift`` turns an
+    (m, arg_dim) pointwise gradient into the space element representing
+    it in the A-product.
+    """
+    def eval_n(u: HVector, v: HVector) -> float:
+        return float(np.dot(weights, pw.F(sample(u.coeffs), sample(v.coeffs))))
+
+    def eval_nu(u: HVector, v: HVector) -> HVector:
+        return lift(pw.f1(sample(u.coeffs), sample(v.coeffs)))
+
+    def eval_nv(u: HVector, v: HVector) -> HVector:
+        return lift(pw.f2(sample(u.coeffs), sample(v.coeffs)))
+
     if pw.growth is not None:
         au, al, c_pt = pw.growth
         growth = GrowthParams(alpha_upper=au * embedding_sq,
                               alpha_lower=al * embedding_sq,
-                              c_growth=c_pt * volume)
+                              c_growth=c_pt * float(weights.sum()))
     else:
         growth = None
     if pw.monotony is not None:
@@ -241,6 +259,10 @@ def _system_from_parts(space: DiscreteSpace, pw: PointwiseNonlinearity,
         monotony=monotony, growth=growth, pointwise=pw,
         embedding_sq=embedding_sq, label=label,
     )
+
+
+def _nodal(coeffs: np.ndarray) -> np.ndarray:
+    return coeffs.reshape(-1, 1)
 
 
 def build_dirichlet(spec: DirichletSpec) -> CoupledSystem:
@@ -272,24 +294,10 @@ def build_dirichlet(spec: DirichletSpec) -> CoupledSystem:
     space = make_space(matrix, weights, space_id=space_id)
     validate_space(space)
 
-    pw = make_pointwise(spec.nonlinearity, arg_dim=1)
-    emb_sq = embedding_constant(space) ** 2
-
-    def eval_n(u: HVector, v: HVector) -> float:
-        vals = pw.F(u.coeffs.reshape(-1, 1), v.coeffs.reshape(-1, 1))
-        return float(np.dot(weights, vals))
-
-    def eval_nu(u: HVector, v: HVector) -> HVector:
-        g = pw.f1(u.coeffs.reshape(-1, 1), v.coeffs.reshape(-1, 1)).reshape(-1)
-        return riesz_lift(g, space)
-
-    def eval_nv(u: HVector, v: HVector) -> HVector:
-        g = pw.f2(u.coeffs.reshape(-1, 1), v.coeffs.reshape(-1, 1)).reshape(-1)
-        return riesz_lift(g, space)
-
     return _system_from_parts(
-        space, pw, eval_n, eval_nu, eval_nv, emb_sq,
-        volume=float(weights.sum()),
+        space, make_pointwise(spec.nonlinearity, arg_dim=1), _nodal, weights,
+        lambda g: riesz_lift(g.reshape(-1), space),
+        embedding_constant(space) ** 2,
         label=f"{space_id}-{spec.nonlinearity.describe()}",
     )
 
@@ -303,24 +311,11 @@ def build_scalar(a_value: float, nonlinearity: NonlinearitySpec) -> CoupledSyste
     if not (a_value > 0.0):
         raise ValueError("a_value must be positive")
     matrix = sp.csr_matrix(np.array([[a_value]]))
-    space = make_space(matrix, np.array([1.0]),
-                       space_id=f"scalar-a{a_value:g}", theta=a_value)
-    pw = make_pointwise(nonlinearity, arg_dim=1)
-    emb_sq = 1.0 / a_value
-
-    def eval_n(u: HVector, v: HVector) -> float:
-        return float(pw.F(u.coeffs.reshape(1, 1), v.coeffs.reshape(1, 1))[0])
-
-    def eval_nu(u: HVector, v: HVector) -> HVector:
-        g = pw.f1(u.coeffs.reshape(1, 1), v.coeffs.reshape(1, 1)).reshape(-1)
-        return space.wrap(g / a_value)
-
-    def eval_nv(u: HVector, v: HVector) -> HVector:
-        g = pw.f2(u.coeffs.reshape(1, 1), v.coeffs.reshape(1, 1)).reshape(-1)
-        return space.wrap(g / a_value)
-
+    space = make_space(matrix, np.array([1.0]), space_id=f"scalar-a{a_value:g}")
     return _system_from_parts(
-        space, pw, eval_n, eval_nu, eval_nv, emb_sq, volume=1.0,
+        space, make_pointwise(nonlinearity, arg_dim=1), _nodal,
+        space.mass_weights, lambda g: space.wrap(g.reshape(-1) / a_value),
+        1.0 / a_value,
         label=f"scalar-a{a_value:g}-{nonlinearity.describe()}",
     )
 
@@ -408,17 +403,11 @@ def build_stokes(spec: StokesSpec) -> CoupledSystem:
     against the operator norm), computed by power iteration.
     """
     space, grid = _stokes_space(spec)
-    pw = make_pointwise(spec.nonlinearity, arg_dim=2)
-    emb_sq = _velocity_embedding_sq(space, grid)
     wf_flat = grid.wf.reshape(-1)
 
-    def stacked_velocity(z: HVector) -> np.ndarray:
-        vx, vy = grid.curl(z.coeffs)
+    def stacked_velocity(psi: np.ndarray) -> np.ndarray:
+        vx, vy = grid.curl(psi)
         return np.column_stack([vx.reshape(-1), vy.reshape(-1)])
-
-    def eval_n(u: HVector, v: HVector) -> float:
-        vals = pw.F(stacked_velocity(u), stacked_velocity(v))
-        return float(np.dot(wf_flat, vals))
 
     def lift(g: np.ndarray) -> HVector:
         shape = (grid.n + 2, grid.n + 2)
@@ -426,15 +415,9 @@ def build_stokes(spec: StokesSpec) -> CoupledSystem:
         gy = (wf_flat * g[:, 1]).reshape(shape)
         return solve_a(grid.curl_adjoint(gx, gy), space)
 
-    def eval_nu(u: HVector, v: HVector) -> HVector:
-        return lift(pw.f1(stacked_velocity(u), stacked_velocity(v)))
-
-    def eval_nv(u: HVector, v: HVector) -> HVector:
-        return lift(pw.f2(stacked_velocity(u), stacked_velocity(v)))
-
     return _system_from_parts(
-        space, pw, eval_n, eval_nu, eval_nv, emb_sq,
-        volume=float(wf_flat.sum()),
+        space, make_pointwise(spec.nonlinearity, arg_dim=2), stacked_velocity,
+        wf_flat, lift, _velocity_embedding_sq(space, grid),
         label=f"{space.space_id}-{spec.nonlinearity.describe()}",
     )
 

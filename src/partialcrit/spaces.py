@@ -32,7 +32,6 @@ __all__ = [
     "make_space",
     "inner_a",
     "norm_a",
-    "l2_mass_norm",
     "solve_a",
     "riesz_lift",
     "random_unit",
@@ -52,10 +51,6 @@ class SpdOperator:
     matrix : scipy.sparse.csr_matrix
         The operator matrix. Must be symmetric and positive definite;
         `validate_space` probes both properties.
-    theta : float
-        Strong monotonicity constant relative to the mass product:
-        ``<A x, x> >= theta * (x, x)_mass``. Builders fill this with the
-        computed smallest generalized eigenvalue.
 
     The sparse factorization behind `solve_a` is computed on the first
     solve and kept with the operator.
@@ -63,7 +58,6 @@ class SpdOperator:
 
     dim: int
     matrix: sp.csr_matrix
-    theta: float
     _lu: object = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
@@ -71,27 +65,22 @@ class SpdOperator:
             raise ValueError(
                 f"operator matrix shape {self.matrix.shape} does not match dim {self.dim}"
             )
-        if not (self.theta > 0.0):
-            raise ValueError("theta must be positive")
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Return ``A @ x`` as a dense vector."""
         return self.matrix @ x
-
-    def as_dense(self) -> np.ndarray:
-        return self.matrix.toarray()
-
-    def with_theta(self, theta: float) -> "SpdOperator":
-        """Copy with another theta, sharing the matrix and its factorization."""
-        op = SpdOperator(dim=self.dim, matrix=self.matrix, theta=theta)
-        object.__setattr__(op, "_lu", self._lu)
-        return op
 
     def factor(self):
         """Sparse LU factorization of the matrix, computed once.
 
         Symmetric mode with diagonal pivots only, so for an SPD matrix the
         row and column orderings coincide and every pivot is positive.
+        Both are checked. Reading ``lu.U`` for the pivots makes scipy cache
+        CSC copies of L and U on the factor (about 2.5 MB at Stokes n=49
+        with scipy 1.17), but `SuperLU` offers no other view of them: its
+        only attributes are ``L``, ``U``, ``nnz``, ``perm_c``, ``perm_r``,
+        ``shape`` and ``solve``. The check stays, because it is what turns
+        an indefinite operator into an error instead of a wrong solve.
 
         Raises
         ------
@@ -197,14 +186,13 @@ def _require_member(u: HVector, space: DiscreteSpace) -> np.ndarray:
     return u.coeffs
 
 
-def make_space(matrix, mass_weights, space_id: str | None = None,
-               theta: float | None = None) -> DiscreteSpace:
+def make_space(matrix, mass_weights, space_id: str | None = None
+               ) -> DiscreteSpace:
     """Assemble a `DiscreteSpace` from a matrix and mass weights.
 
-    When `theta` is omitted it is computed as the smallest generalized
-    eigenvalue of (A, mass), i.e. the reciprocal of the squared embedding
-    constant. The default `space_id` is derived from the matrix content so
-    identical inputs give identical identifiers.
+    Canonicalises the sparse matrix and wraps it; nothing is solved or
+    factored here. The default `space_id` is derived from the matrix
+    content so identical inputs give identical identifiers.
     """
     m = sp.csr_matrix(matrix, dtype=float, copy=True)
     m.sum_duplicates()
@@ -222,19 +210,8 @@ def make_space(matrix, mass_weights, space_id: str | None = None,
         digest.update(m.indptr.astype(np.int64).tobytes())
         digest.update(w.tobytes())
         space_id = f"space-{dim}-{digest.hexdigest()[:10]}"
-    # bootstrap with a provisional theta, then tighten via the computed
-    # embedding constant (which does not depend on theta); the final
-    # operator keeps the provisional one's factorization
-    op = SpdOperator(dim=dim, matrix=m, theta=1.0 if theta is None else float(theta))
-    c = None
-    if theta is None:
-        provisional = DiscreteSpace(dim=dim, operator=op, mass_weights=w,
-                                    space_id=space_id)
-        c = embedding_constant(provisional)
-        op = op.with_theta((1.0 / c**2) * (1.0 - 1e-9))
-    space = DiscreteSpace(dim=dim, operator=op, mass_weights=w, space_id=space_id)
-    object.__setattr__(space, "_embedding", c)
-    return space
+    return DiscreteSpace(dim=dim, operator=SpdOperator(dim=dim, matrix=m),
+                         mass_weights=w, space_id=space_id)
 
 
 def inner_a(u: HVector, v: HVector, space: DiscreteSpace) -> float:
@@ -255,12 +232,6 @@ def norm_a(u: HVector, space: DiscreteSpace) -> float:
         q = 0.0
     # the + 0.0 folds a possible negative zero from sqrt(-0.0)
     return float(np.sqrt(q) + 0.0)
-
-
-def l2_mass_norm(u: HVector, space: DiscreteSpace) -> float:
-    """Weighted l2 norm ``sqrt(sum_i w_i u_i^2)``."""
-    uc = _require_member(u, space)
-    return float(np.sqrt(np.dot(space.mass_weights, uc * uc)))
 
 
 def solve_a(h, space: DiscreteSpace) -> HVector:
@@ -352,7 +323,7 @@ def dominant_inverse_eig(space: DiscreteSpace,
 
 
 def embedding_constant(space: DiscreteSpace) -> float:
-    """Smallest ``c`` with ``l2_mass_norm(u) <= c * norm_a(u)`` for all u.
+    """Smallest ``c`` with ``sqrt(sum_i w_i u_i^2) <= c * norm_a(u)`` for all u.
 
     Computed as the square root of the largest eigenvalue of the
     generalized problem mass-versus-A, by power iteration on
@@ -373,11 +344,15 @@ def embedding_constant(space: DiscreteSpace) -> float:
 def validate_space(space: DiscreteSpace) -> None:
     """Probe operator symmetry and strong monotonicity on 8 random vectors.
 
-    The probes are seeded (seed 0), so a build is reproducible. Raises
-    ``IntegrityError`` on failure. Cheap enough to run after every assembly.
+    Strong monotonicity ``<A x, x> >= theta (x, x)_mass`` is probed with
+    ``theta = (1 / c^2)(1 - 1e-9)``, derived from the space's embedding
+    constant c (computed here on first use, after the symmetry probes
+    pass). The probes are seeded (seed 0), so a build is reproducible.
+    Raises ``IntegrityError`` on failure.
     """
     rng = np.random.default_rng(0)
     a = space.operator
+    probes = []
     for _ in range(8):
         x = rng.standard_normal(space.dim)
         y = rng.standard_normal(space.dim)
@@ -390,9 +365,12 @@ def validate_space(space: DiscreteSpace) -> None:
             raise IntegrityError(
                 f"operator symmetry violated: {lhs} vs {rhs}"
             )
+        probes.append((x, ax))
+    theta = (1.0 / embedding_constant(space) ** 2) * (1.0 - 1e-9)
+    for x, ax in probes:
         quad = float(np.dot(ax, x))
         mass = float(np.dot(space.mass_weights, x * x))
-        if quad < a.theta * mass * (1.0 - 1e-10) - 1e-14:
+        if quad < theta * mass * (1.0 - 1e-10) - 1e-14:
             raise IntegrityError(
                 f"strong monotonicity violated: {quad} < theta * {mass}"
             )

@@ -81,8 +81,6 @@ class DominanceReport:
     dominance_ok: bool
     first_violation: int | None
     max_violation: float
-    step_margins: tuple[float, ...]
-    norms: tuple[float, ...]
     tail_sup: float
     tail_ok: bool | None
 
@@ -241,8 +239,6 @@ def verify_dominance(x_seq, y_seq, m, slack: float = 0.0,
         dominance_ok=violating.size == 0,
         first_violation=int(violating[0]) + 1 if violating.size else None,
         max_violation=float(np.max(margins)),
-        step_margins=tuple(margins.tolist()),
-        norms=tuple(norms.tolist()),
         tail_sup=tail_sup,
         tail_ok=None if tail_threshold is None else bool(tail_sup <= tail_threshold),
     )

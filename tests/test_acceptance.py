@@ -245,7 +245,7 @@ def test_criterion_10_stokes_structure(stokes_17, stokes_spec, solved):
               pc.norm_a(mpair.v_star - v_star, msys.space))
     ok &= mpair.converged and err <= 1e-6
 
-    dense = stokes_17.space.operator.as_dense()
+    dense = stokes_17.space.operator.matrix.toarray()
     ok &= bool(np.allclose(dense, dense.T, atol=1e-12))
     rng = np.random.default_rng(3)
     for _ in range(8):

@@ -72,7 +72,9 @@ def test_solve_writes_all_outputs(tmp_path):
     SINCOS_CONFIG,
     # cross-coupled quadratic, about 38 stages with a live v-side
     json.loads((CONFIGS / "cross_coupled_1d.json").read_text()),
-], ids=["sincos_1d", "cross_coupled_1d"])
+    # Stokes quadratic cross coupling, 29 stages with a live v-side
+    json.loads((CONFIGS / "stokes_cross_17.json").read_text()),
+], ids=["sincos_1d", "cross_coupled_1d", "stokes_cross_17"])
 def test_solve_reruns_are_byte_identical(tmp_path, config):
     cfg = _write(tmp_path, "cfg.json", config)
     out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -97,7 +97,7 @@ def test_dirichlet_1d_stiffness_entries():
                             nonlinearity=pc.NonlinearitySpec.zero())
     system = pc.build_dirichlet(spec)
     h = 0.25
-    dense = system.space.operator.as_dense()
+    dense = system.space.operator.matrix.toarray()
     expect = (1.0 / h) * (np.diag([2.0, 2.0, 2.0])
                           + np.diag([-1.0, -1.0], 1)
                           + np.diag([-1.0, -1.0], -1)) + 2.0 * h * np.eye(3)
@@ -115,7 +115,7 @@ def test_dirichlet_2d_matches_kron_assembly():
     dyy = (1.0 / hy**2) * (np.diag([-2.0] * 3) + np.diag([1.0, 1.0], 1)
                            + np.diag([1.0, 1.0], -1))
     lap = np.kron(np.eye(3), d) + np.kron(dyy, np.eye(3))
-    assert np.allclose(system.space.operator.as_dense(), -hx * hy * lap,
+    assert np.allclose(system.space.operator.matrix.toarray(), -hx * hy * lap,
                        atol=1e-13)
 
 
@@ -172,7 +172,7 @@ def test_stokes_operator_spd_across_viscosities(rng):
     for mu in (0.1, 1.0, 10.0):
         spec = pc.StokesSpec(n_per_dim=7, lengths=(1.0, 1.0), mu_coeff=mu)
         system, _ = pc.build_stokes_manufactured(spec)
-        dense = system.space.operator.as_dense()
+        dense = system.space.operator.matrix.toarray()
         assert np.allclose(dense, dense.T, atol=1e-12)
         for _ in range(8):
             x = rng.standard_normal(dense.shape[0])
@@ -180,12 +180,13 @@ def test_stokes_operator_spd_across_viscosities(rng):
 
 
 def test_stokes_theta_increases_with_viscosity():
-    thetas = []
+    # theta = 1/c^2, so it grows with mu iff the embedding constant c shrinks
+    consts = []
     for mu in (0.1, 1.0, 10.0):
         spec = pc.StokesSpec(n_per_dim=7, lengths=(1.0, 1.0), mu_coeff=mu)
         system, _ = pc.build_stokes_manufactured(spec)
-        thetas.append(system.space.operator.theta)
-    assert thetas[0] < thetas[1] < thetas[2]
+        consts.append(pc.embedding_constant(system.space))
+    assert consts[0] > consts[1] > consts[2]
 
 
 def test_velocity_field_is_discretely_divergence_free(stokes_17, stokes_spec,

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import partialcrit as pc
+from partialcrit import scheme
 from partialcrit.errors import HypothesisError, SchemeStageError
 
 
@@ -50,14 +51,14 @@ def test_inner_solvers_move_energy_monotonically(bundled, name, rng):
     v_fixed = space.wrap(rng.standard_normal(space.dim))
     u0 = space.wrap(rng.standard_normal(space.dim) + 2.0)
     cfg = pc.SchemeConfig()
-    u1 = pc.inner_minimize(system, v_fixed, u0, 1e-8, cfg)
+    u1 = scheme._inner_solve(system, v_fixed, u0, 1e-8, cfg, "u")[0]
     e1_before = pc.energies(system, u0, v_fixed)[0]
     e1_after = pc.energies(system, u1, v_fixed)[0]
     assert e1_after <= e1_before + 1e-10
 
     u_fixed = space.wrap(rng.standard_normal(space.dim))
     v0 = space.wrap(rng.standard_normal(space.dim) + 2.0)
-    v1 = pc.inner_maximize(system, u_fixed, v0, 1e-8, cfg)
+    v1 = scheme._inner_solve(system, u_fixed, v0, 1e-8, cfg, "v")[0]
     e2_before = pc.energies(system, u_fixed, v0)[1]
     e2_after = pc.energies(system, u_fixed, v1)[1]
     assert e2_after >= e2_before - 1e-10

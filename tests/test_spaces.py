@@ -19,7 +19,7 @@ def _random_spd_space(n, seed, space_id):
 
 def test_solve_a_matches_dense_lu():
     space = _random_spd_space(12, 3, "lu-oracle")
-    dense = space.operator.as_dense()
+    dense = space.operator.matrix.toarray()
     rng = np.random.default_rng(7)
     for _ in range(20):
         h = rng.standard_normal(12)
@@ -34,11 +34,11 @@ def test_solve_a_zero_rhs_is_zero():
 
 
 def test_solve_a_rejects_non_spd_operator():
-    # indefinite, then singular; explicit theta skips the embedding solve,
-    # so the first solve is the one that factors
+    # indefinite, then singular; make_space does not factor, so the first
+    # solve is the one that factors
     for diag in ([2.0, -1.0, 3.0], [2.0, 0.0, 3.0]):
         space = pc.make_space(sp.diags(diag).tocsr(), np.ones(3),
-                              space_id="non-spd", theta=1.0)
+                              space_id="non-spd")
         with pytest.raises(IntegrityError):
             pc.solve_a(np.ones(3), space)
 
@@ -53,8 +53,10 @@ def test_make_space_factors_once(monkeypatch):
 
     monkeypatch.setattr(spaces, "splu", counting_splu)
     space = _random_spd_space(15, 4, "factor-once")
-    assert len(calls) == 1  # the embedding constant's power iteration
+    assert len(calls) == 0  # assembly only wraps the matrix
     rng = np.random.default_rng(3)
+    pc.solve_a(rng.standard_normal(15), space)
+    assert len(calls) == 1
     for _ in range(5):
         pc.solve_a(rng.standard_normal(15), space)
         pc.riesz_lift(rng.standard_normal(15), space)
@@ -71,19 +73,19 @@ def test_default_space_id_hashes_sparse_content(monkeypatch):
     lap = sp.diags([-np.ones(n - 1), 2.0 * np.ones(n), -np.ones(n - 1)],
                    [-1, 0, 1]).tocsr()
     w = np.ones(n)
-    first = pc.make_space(lap, w, theta=1.0)
+    first = pc.make_space(lap, w)
     # same content, different storage: coo with split duplicates, unsorted
     coo = lap.tocoo()
     rows = np.concatenate([coo.row, coo.row])[::-1]
     cols = np.concatenate([coo.col, coo.col])[::-1]
     vals = np.concatenate([0.5 * coo.data, 0.5 * coo.data])[::-1]
     again = pc.make_space(sp.coo_matrix((vals, (rows, cols)), shape=(n, n)),
-                          w, theta=1.0)
+                          w)
     assert again.space_id == first.space_id
     bumped = lap.copy()
     bumped[0, 0] = 2.5
-    assert pc.make_space(bumped, w, theta=1.0).space_id != first.space_id
-    assert pc.make_space(lap, 2.0 * w, theta=1.0).space_id != first.space_id
+    assert pc.make_space(bumped, w).space_id != first.space_id
+    assert pc.make_space(lap, 2.0 * w).space_id != first.space_id
 
 
 def test_riesz_lift_pairing():
@@ -142,9 +144,21 @@ def test_stokes_velocity_embedding_bounded(stokes_17, stokes_spec):
 
 def test_validate_space_rejects_asymmetric():
     bad = sp.csr_matrix(np.array([[2.0, 1.0], [0.0, 2.0]]))
-    # explicit theta defers every solve, so assembly itself succeeds
-    space = pc.make_space(bad, np.ones(2), space_id="asym", theta=1.0)
+    # assembly does no solve, so it succeeds; the symmetry probe fails
+    space = pc.make_space(bad, np.ones(2), space_id="asym")
     with pytest.raises(IntegrityError):
+        pc.validate_space(space)
+
+
+def test_validate_space_rejects_weak_monotonicity(monkeypatch):
+    # A = 2 W: every probe's Rayleigh quotient is theta itself, so half the
+    # true embedding constant (a theta four times too large) fails them all
+    w = np.array([0.4, 1.1, 2.0, 0.7])
+    space = pc.make_space(sp.diags(2.0 * w).tocsr(), w, space_id="weak-mono")
+    pc.validate_space(space)
+    true_c = pc.embedding_constant(space)
+    monkeypatch.setattr(spaces, "embedding_constant", lambda s: 0.5 * true_c)
+    with pytest.raises(IntegrityError, match="strong monotonicity violated"):
         pc.validate_space(space)
 
 
