@@ -24,6 +24,7 @@ byte-identical on the data files.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -354,25 +355,13 @@ def sampler_from(cfg: dict, seed_override: int | None) -> SamplerSpec:
 
 # ------------------------------------------------------------ serializers
 
-def _certificate_payload(cert) -> dict:
-    return {
-        "spectral_radius": cert.spectral_radius,
-        "rho_ok": cert.rho_ok,
-        "neumann_ok": cert.neumann_ok,
-        "powers_decay": cert.powers_decay,
-        "convergent": cert.convergent,
-    }
-
-
-def _growth_payload(rep) -> dict:
-    return {
-        "ok": rep.ok,
-        "alpha_upper_hat": rep.alpha_upper_hat,
-        "alpha_lower_hat": rep.alpha_lower_hat,
-        "c_hat": rep.c_hat,
-        "witness": None if rep.witness is None else list(rep.witness),
-        "n_points": rep.n_points,
-    }
+def _payload(report, verdict: str | None = None) -> dict:
+    """A report's JSON section: its fields in declaration order, then the
+    `verdict` property when one is named."""
+    out = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
+    if verdict is not None:
+        out[verdict] = getattr(report, verdict)
+    return out
 
 
 def _system_mu(system: CoupledSystem) -> float | None:
@@ -381,13 +370,22 @@ def _system_mu(system: CoupledSystem) -> float | None:
     return mu_of(system.growth)
 
 
-# -------------------------------------------------------------- commands
+def _emit(args, raw: bytes, seed, files: dict) -> None:
+    """Write each ``name -> payload`` of `files` into ``args.out`` (CSV rows
+    for a ``.csv`` name, JSON otherwise), then the manifest naming them.
 
-def _prepare_out(args) -> Path:
+    The writers are looked up at call time, so a wrapper bound over a module
+    name sees every write.
+    """
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    return out
+    for name, payload in files.items():
+        write = _write_csv if name.endswith(".csv") else _write_json
+        write(out / name, payload)
+    _write_manifest(out, args.command, raw, args.config, seed, list(files))
 
+
+# -------------------------------------------------------------- commands
 
 def cmd_check(args) -> int:
     cfg, raw = load_config(args.config)
@@ -403,37 +401,24 @@ def cmd_check(args) -> int:
 
     report = full_report(system, declared, sampler)
 
-    ring_payload = []
-    for tau in taus:
-        ring = check_mountain_pass_ring(system, tau, sampler)
-        ring_payload.append({
-            "tau": ring.tau,
-            "n_samples": ring.n_samples,
-            "n_violated": ring.n_violated,
-            "fraction_violated": ring.fraction_violated,
-        })
-
     margins = None
     if report.certificate.rho_ok:
-        margin = ps_beta(report.monotony_estimate)
-        margins = {"m11_only": margin.m11_only, "full": margin.full}
+        margins = _payload(ps_beta(report.monotony_estimate))
 
     payload = {
         "label": system.label,
         "ready": report.ready,
-        "growth": _growth_payload(report.growth),
+        "growth": _payload(report.growth),
         "monotony_estimate": report.monotony_estimate.entries,
         "monotony_declared": system.monotony.entries,
-        "certificate": _certificate_payload(report.certificate),
+        "certificate": _payload(report.certificate, "convergent"),
         "mu": report.mu,
         "ps_beta": margins,
-        "ring": ring_payload,
+        "ring": [_payload(check_mountain_pass_ring(system, tau, sampler),
+                          "fraction_violated") for tau in taus],
         "notes": list(report.notes),
     }
-    out = _prepare_out(args)
-    _write_json(out / "report.json", payload)
-    _write_manifest(out, "check", raw, args.config, sampler.seed,
-                    ["report.json"])
+    _emit(args, raw, sampler.seed, {"report.json": payload})
     status = "ready" if report.ready else "not ready"
     print(f"check: {status} (mu={report.mu}, "
           f"radius={report.certificate.spectral_radius:.6g})")
@@ -477,31 +462,16 @@ def _solve_payloads(system: CoupledSystem, pair, trace, scfg: SchemeConfig):
         "stages": pair.stages,
         "residuals": list(pair.residuals),
         "monotony": system.monotony.entries,
-        "certificate": _certificate_payload(
-            is_convergent_to_zero(system.monotony)),
+        "certificate": _payload(is_convergent_to_zero(system.monotony),
+                                "convergent"),
         "mu": _system_mu(system),
     }
     if len(trace.rows) >= 2:
-        con = contraction_certificate(trace, system.monotony, p=1)
-        report["contraction"] = {
-            "p": con.p,
-            "n_checks": con.n_checks,
-            "full_ok": con.full_ok,
-            "m11_only_ok": con.m11_only_ok,
-            "max_margin_full": con.max_margin_full,
-            "max_margin_m11_only": con.max_margin_m11_only,
-            "passed": con.passed,
-        }
+        report["contraction"] = _payload(
+            contraction_certificate(trace, system.monotony, p=1), "passed")
     if pair.converged:
-        nash = nash_check(system, pair, seed=scfg.seed)
-        report["nash"] = {
-            "n_samples": nash.n_samples,
-            "radius": nash.radius,
-            "curvature": nash.curvature,
-            "min_e1_margin": nash.min_e1_margin,
-            "max_e2_margin": nash.max_e2_margin,
-            "ok": nash.ok,
-        }
+        report["nash"] = _payload(nash_check(system, pair, seed=scfg.seed),
+                                  "ok")
     return solution, report
 
 
@@ -514,12 +484,9 @@ def cmd_solve(args) -> int:
         return outcome
     pair, trace = outcome
     solution, report = _solve_payloads(system, pair, trace, scfg)
-    out = _prepare_out(args)
-    _write_csv(out / "trace.csv", trace.csv_rows())
-    _write_json(out / "solution.json", solution)
-    _write_json(out / "report.json", report)
-    _write_manifest(out, "solve", raw, args.config, scfg.seed,
-                    ["trace.csv", "solution.json", "report.json"])
+    _emit(args, raw, scfg.seed, {"trace.csv": trace.csv_rows(),
+                                 "solution.json": solution,
+                                 "report.json": report})
     state = "converged" if pair.converged else "exhausted"
     print(f"solve: {state} after {pair.stages} stages "
           f"(residuals {pair.residuals[0]:.3e}, {pair.residuals[1]:.3e})")
@@ -567,10 +534,7 @@ def cmd_compare(args) -> int:
             "tol": orc.tol,
         },
     }
-    out = _prepare_out(args)
-    _write_json(out / "compare.json", payload)
-    _write_manifest(out, "compare", raw, args.config, scfg.seed,
-                    ["compare.json"])
+    _emit(args, raw, scfg.seed, {"compare.json": payload})
     verdict = "agree" if agree else "disagree"
     print(f"compare: {verdict} (difference {diff:.3e}, bound {bound:.3e})")
     return 0 if agree else 1
@@ -587,7 +551,7 @@ def cmd_lemma(args) -> int:
     cert = is_convergent_to_zero(matrix)
     payload = {
         "entries": matrix.entries,
-        "certificate": _certificate_payload(cert),
+        "certificate": _payload(cert, "convergent"),
     }
     if cert.convergent:
         payload["neumann_inverse"] = neumann_inverse(matrix)
@@ -609,9 +573,7 @@ def cmd_lemma(args) -> int:
             "tail_sup": demo.tail_sup,
             "tail_ok": demo.tail_ok,
         }
-    out = _prepare_out(args)
-    _write_json(out / "lemma.json", payload)
-    _write_manifest(out, "lemma", raw, args.config, None, ["lemma.json"])
+    _emit(args, raw, None, {"lemma.json": payload})
     verdict = "convergent" if cert.convergent else "not convergent"
     print(f"lemma: {verdict} (radius {cert.spectral_radius:.6g})")
     return 0

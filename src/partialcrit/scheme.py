@@ -24,7 +24,7 @@ system.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -160,11 +160,7 @@ class SchemeTrace:
     iterates_v: list[HVector] = field(default_factory=list)
 
     def csv_rows(self) -> list[tuple]:
-        out = [CSV_HEADER]
-        for r in self.rows:
-            out.append((r.k, r.norm_u, r.norm_v, r.r1, r.r2,
-                        r.e1, r.e2, r.e_total, r.inner_iters_u, r.inner_iters_v))
-        return out
+        return [CSV_HEADER] + [astuple(r) for r in self.rows]
 
 
 @dataclass(frozen=True)
@@ -421,8 +417,6 @@ class NashReport:
     n_samples: int
     radius: float
     curvature: float
-    min_e1_delta: float
-    max_e2_delta: float
     min_e1_margin: float
     max_e2_margin: float
 
@@ -460,8 +454,6 @@ def nash_check(sys: CoupledSystem, pair: SolutionPair, n_samples: int = 200,
         curvature = max(curvature, c1, c2)
 
     grad_level = max(pair.residuals)
-    min_e1_delta = np.inf
-    max_e2_delta = -np.inf
     min_e1_margin = np.inf
     max_e2_margin = -np.inf
     for _ in range(n_samples):
@@ -471,13 +463,10 @@ def nash_check(sys: CoupledSystem, pair: SolutionPair, n_samples: int = 200,
         d_v = random_unit(space, rng)
         de1 = _e1(sys, u + s * d_u, v) - e1_base
         de2 = _e2(sys, u, v + s * d_v) - e2_base
-        min_e1_delta = min(min_e1_delta, de1)
-        max_e2_delta = max(max_e2_delta, de2)
         min_e1_margin = min(min_e1_margin, de1 + bound)
         max_e2_margin = max(max_e2_margin, de2 - bound)
 
     return NashReport(
         n_samples=n_samples, radius=radius, curvature=float(curvature),
-        min_e1_delta=float(min_e1_delta), max_e2_delta=float(max_e2_delta),
         min_e1_margin=float(min_e1_margin), max_e2_margin=float(max_e2_margin),
     )

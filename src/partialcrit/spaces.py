@@ -239,7 +239,7 @@ def solve_a(h, space: DiscreteSpace) -> HVector:
 
     Parameters
     ----------
-    h : array_like or HVector
+    h : array_like
         Right-hand side (coefficients of a dual vector).
 
     Raises
@@ -247,12 +247,9 @@ def solve_a(h, space: DiscreteSpace) -> HVector:
     IntegrityError
         If the operator is singular or not positive definite.
     """
-    if isinstance(h, HVector):
-        b = _require_member(h, space)
-    else:
-        b = np.asarray(h, dtype=float)
-        if b.shape != (space.dim,):
-            raise ValueError("right-hand side length does not match space dimension")
+    b = np.asarray(h, dtype=float)
+    if b.shape != (space.dim,):
+        raise ValueError("right-hand side length does not match space dimension")
     if not np.any(b):
         return space.zero()
     return space.wrap(space.operator.factor().solve(b))

@@ -45,7 +45,8 @@ def test_criterion_02_oracle_agreement(bundled, solved):
     ok = True
     details = []
     bound = 10.0 * (1e-8 + 1e-8)
-    for name in ("scalar_linear", "sincos_1d", "sincos_2d", "stokes_17"):
+    for name in ("scalar_linear", "sincos_1d", "sincos_2d", "stokes_17",
+                 "cross_coupled_1d", "stokes_cross_17"):
         system = bundled[name]
         pair, _ = solved[name]
         orc = pc.newton_full(system, tol=1e-8)
@@ -233,10 +234,13 @@ def test_criterion_10_stokes_structure(stokes_17, stokes_spec, solved):
         vx, vy = pc.reconstruct_velocity(space.wrap(z), stokes_spec)
         d = pc.discrete_divergence(vx, vy, stokes_spec)
         div = max(div, float(np.max(np.abs(d))))
-    pair, _ = solved["stokes_17"]
-    vx, vy = pc.reconstruct_velocity(pair.u_star, stokes_spec)
-    div = max(div, float(np.max(np.abs(
-        pc.discrete_divergence(vx, vy, stokes_spec)))))
+    # solved stream functions, the cross-coupled one on the same grid
+    for name in ("stokes_17", "stokes_cross_17"):
+        pair, _ = solved[name]
+        for psi in (pair.u_star, pair.v_star):
+            vx, vy = pc.reconstruct_velocity(psi, stokes_spec)
+            div = max(div, float(np.max(np.abs(
+                pc.discrete_divergence(vx, vy, stokes_spec)))))
     ok = div <= 1e-13
 
     msys, (u_star, v_star) = pc.build_stokes_manufactured(stokes_spec)

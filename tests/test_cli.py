@@ -1,5 +1,6 @@
 """Command line front end: exit codes, outputs, reproducibility."""
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -106,6 +107,53 @@ def test_check_ready_exit_zero(tmp_path):
     assert len(report["ring"]) == 2
     for entry in report["ring"]:
         assert 0 < entry["n_violated"] < entry["n_samples"]
+
+
+def test_check_fitted_growth_leaves_mu_null(tmp_path):
+    # a quadratic coupling has no built-in growth constants, so mu comes
+    # from the fitted ones, which the cross coupling pushes past 1/2
+    config = json.loads((CONFIGS / "cross_coupled_1d.json").read_text())
+    config["check"] = {"declared_growth": [0.25, 0.25, 1.0]}
+    cfg = _write(tmp_path, "cfg.json", config)
+    out = tmp_path / "chk"
+    assert main(["check", "--config", cfg, "--out", str(out)]) == 1
+    report = json.loads((out / "report.json").read_text())
+    assert report["mu"] is None
+    assert report["notes"][-1] == "fitted growth constants leave mu undefined"
+
+
+def _section_keys(cls, verdict=None):
+    return [f.name for f in dataclasses.fields(cls)] + (
+        [verdict] if verdict else [])
+
+
+def test_report_sections_are_their_dataclasses(tmp_path):
+    # each certificate section lists its report's fields in declaration
+    # order, then the verdict property
+    outputs = {}
+    for command, config, name in (
+            ("solve", SCALAR_CONFIG, "report.json"),
+            ("check", SINCOS_CONFIG, "report.json"),
+            ("lemma", MATRIX_CONFIG, "lemma.json")):
+        cfg = _write(tmp_path, f"{command}.json", config)
+        out = tmp_path / command
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+        outputs[command] = json.loads((out / name).read_text())
+    solve, check = outputs["solve"], outputs["check"]
+    sections = [
+        (solve["certificate"], pc.ConvergenceCertificate, "convergent"),
+        (solve["contraction"], pc.ContractionReport, "passed"),
+        (solve["nash"], pc.NashReport, "ok"),
+        (check["growth"], pc.GrowthReport, None),
+        (check["certificate"], pc.ConvergenceCertificate, "convergent"),
+        (check["ps_beta"], pc.PsBeta, None),
+        *[(ring, pc.RingReport, "fraction_violated") for ring in check["ring"]],
+        (outputs["lemma"]["certificate"], pc.ConvergenceCertificate,
+         "convergent"),
+    ]
+    assert len(check["ring"]) == 2
+    for section, cls, verdict in sections:
+        assert list(section) == _section_keys(cls, verdict), cls.__name__
 
 
 def test_sampler_warning_names_config_key(tmp_path, capsys):
@@ -365,6 +413,24 @@ def test_exhausted_exit_three(tmp_path):
     assert main(["solve", "--config", cfg, "--out", str(out)]) == 3
     solution = json.loads((out / "solution.json").read_text())
     assert solution["converged"] is False
+
+
+@pytest.mark.parametrize("command", ["solve", "compare"])
+def test_inner_failure_exit_four(tmp_path, capsys, command):
+    # rho = 3 under override: the pair grows until the u-objective overflows
+    stall = json.loads(json.dumps(SCALAR_CONFIG))
+    stall["problem"] = {"kind": "scalar", "a_value": 1.0,
+                        "nonlinearity": {"kind": "quadratic", "b": 3.0,
+                                         "g": 1.0}}
+    stall["scheme"] = {"max_outer": 1000, "override_hypotheses": True}
+    cfg = _write(tmp_path, "cfg.json", stall)
+    out = tmp_path / "o"
+    with pytest.warns(RuntimeWarning):
+        assert main([command, "--config", cfg, "--out", str(out)]) == 4
+    assert ("inner solver failed at stage 163 on the u side: stage 163: "
+            "inner u-solve stalled in the line search"
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_seed_override_lands_in_manifest(tmp_path):

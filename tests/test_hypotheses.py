@@ -1,5 +1,7 @@
 """Sampling-based hypothesis checks and scalar diagnostics."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -128,6 +130,27 @@ def test_full_report_ready_for_bundled_sincos(sincos_1d):
     assert rep.certificate.rho_ok
     assert rep.growth.ok
     assert any("falsification" in n for n in rep.notes)
+
+
+def test_full_report_fits_mu_without_built_in_growth():
+    # the sincos table stripped of its constants: the fitted ones are zero
+    sincos = pc.make_pointwise(pc.NonlinearitySpec.sincos(0.1), arg_dim=1)
+    table = dataclasses.replace(sincos, growth=None)
+    system = pc.build_scalar(2.0, pc.NonlinearitySpec.custom(table))
+    assert system.growth is None
+    rep = pc.full_report(system, (0.0, 0.0, 0.1), pc.SamplerSpec())
+    assert rep.notes[-1] == "mu derived from fitted growth constants"
+    assert rep.mu == 0.0
+    assert rep.ready
+
+
+def test_full_report_fitted_growth_can_leave_mu_undefined(scalar_linear):
+    # the cross term b u v needs fitted constants far above 1/2
+    assert scalar_linear.growth is None
+    rep = pc.full_report(scalar_linear, (0.25, 0.25, 1.0), pc.SamplerSpec())
+    assert rep.notes[-1] == "fitted growth constants leave mu undefined"
+    assert rep.mu is None
+    assert not rep.ready
 
 
 def test_full_report_needs_pointwise_data(scalar_linear):

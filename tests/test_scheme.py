@@ -1,5 +1,6 @@
 """The alternating scheme: closed forms, trace invariants, certificates."""
 
+import dataclasses
 import gc
 import weakref
 
@@ -107,6 +108,29 @@ def test_inner_budget_failure_carries_stage_and_side(scalar_linear):
         pc.run_scheme(scalar_linear, cfg)
     assert err.value.stage == 1
     assert err.value.side == "u"
+
+
+def test_line_search_stall_carries_stage_and_side():
+    # rho = 3 under override: the pair grows until the u-objective overflows
+    # and the line search accepts no step
+    system = pc.build_scalar(
+        1.0, pc.NonlinearitySpec.quadratic(0.0, 3.0, 0.0, 1.0))
+    cfg = pc.SchemeConfig(max_outer=1000, override_hypotheses=True)
+    with pytest.warns(RuntimeWarning):
+        with pytest.raises(SchemeStageError) as err:
+            pc.run_scheme(system, cfg)
+    assert (err.value.stage, err.value.side) == (163, "u")
+    assert str(err.value) == ("stage 163: inner u-solve stalled in the "
+                              "line search")
+
+
+def test_nonfinite_coupling_gradient_rejected():
+    sincos = pc.make_pointwise(pc.NonlinearitySpec.sincos(0.1), arg_dim=1)
+    table = dataclasses.replace(sincos,
+                                f1=lambda x, y: np.full_like(x, np.nan))
+    system = pc.build_scalar(2.0, pc.NonlinearitySpec.custom(table))
+    with pytest.raises(ValueError, match="^coefficients must be finite$"):
+        pc.run_scheme(system)
 
 
 def test_scheme_config_validation():
