@@ -24,6 +24,7 @@ byte-identical on the data files.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -223,20 +224,25 @@ def _fields(obj, where: str, table: dict) -> dict:
             for key, (coerce, _) in table.items() if key in obj}
 
 
-def _call(where: str, fn, *args, **kwargs):
-    """Call `fn`; a ValueError it raises is a config error at `where`.
-
-    A warning it raises goes to stderr as one ``warning: <where>: <msg>``
-    line, naming the config section rather than a source line.
-    """
+@contextlib.contextmanager
+def _warnings_to_stderr(where: str):
+    """Report warnings raised inside as ``warning: <where>: <msg>`` lines."""
     with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")  # record them under -W error too
+        try:
+            yield
+        finally:
+            for message in dict.fromkeys(str(w.message) for w in caught):
+                print(f"warning: {where}: {message}", file=_sys.stderr)
+
+
+def _call(where: str, fn, *args, **kwargs):
+    """Call `fn`; a ValueError it raises is a config error at `where`."""
+    with _warnings_to_stderr(where):
         try:
             return fn(*args, **kwargs)
         except ValueError as exc:
             raise ConfigError(f"{where}: {exc}") from exc
-        finally:
-            for w in caught:
-                print(f"warning: {where}: {w.message}", file=_sys.stderr)
 
 
 _KIND = (_as_given, True)
@@ -429,7 +435,8 @@ def _run_scheme(system: CoupledSystem, scfg: SchemeConfig):
     """Run the scheme; return ``(pair, trace)``, or the exit code (1 when
     the hypotheses refuse the system, 4 when an inner solve fails)."""
     try:
-        return run_scheme(system, scfg)
+        with _warnings_to_stderr("scheme"):
+            return run_scheme(system, scfg)
     except HypothesisError as exc:
         print(f"refused: {exc}", file=_sys.stderr)
         return 1

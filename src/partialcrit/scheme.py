@@ -23,6 +23,7 @@ system.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import astuple, dataclass, field
 from typing import Callable
@@ -216,7 +217,10 @@ def _inner_solve(sys: CoupledSystem, fixed: HVector, moving: HVector,
     A step x <- x - s g is accepted once it does not raise the objective
     (s halves on rejection, at most 40 times), so the exit point also
     satisfies the energy admission condition. Returns the iterate, the
-    number of accepted steps and the A-norm of g at exit.
+    number of accepted steps and the A-norm of g at exit. Vectors are
+    checked at `DiscreteSpace.wrap`, so only overflow can arise here: a
+    non-finite objective or norm of g raises, and a NaN or +inf candidate
+    objective is a rejected step.
     """
     if side == "u":
         objective = lambda x: _e1(sys, x, fixed)
@@ -231,6 +235,9 @@ def _inner_solve(sys: CoupledSystem, fixed: HVector, moving: HVector,
     for it in range(cfg.inner_max_iters + 1):
         g = gradient(x)
         gn = norm_a(g, sys.space)
+        if not (math.isfinite(obj) and math.isfinite(gn)):
+            raise ConvergenceError(f"inner {side}-solve overflowed",
+                                   residual=gn, iterations=it)
         if gn <= tol:
             return x, it, gn
         if it == cfg.inner_max_iters:
@@ -282,13 +289,8 @@ def run_scheme(sys: CoupledSystem, cfg: SchemeConfig | None = None
 
     space = sys.space
     u = space.zero()
-    if cfg.random_init:
-        rng = np.random.default_rng(cfg.seed)
-        raw = space.wrap(rng.standard_normal(space.dim))
-        scale = norm_a(raw, space)
-        v = raw * (1.0 / scale) if scale > 0.0 else space.zero()
-    else:
-        v = space.zero()
+    v = (random_unit(space, np.random.default_rng(cfg.seed))
+         if cfg.random_init else space.zero())
 
     trace = SchemeTrace(space=space, iterates_u=[u], iterates_v=[v])
 

@@ -130,28 +130,26 @@ class DiscreteSpace:
         return HVector(np.zeros(self.dim), self.space_id)
 
     def wrap(self, coeffs: np.ndarray) -> "HVector":
-        return HVector(np.asarray(coeffs, dtype=float), self.space_id)
+        """The one vector check: a float array of shape ``(dim,)``, finite."""
+        c = np.asarray(coeffs, dtype=float)
+        if c.shape != (self.dim,):
+            raise ValueError("vector length does not match space dimension")
+        if not np.all(np.isfinite(c)):
+            raise ValueError("coefficients must be finite")
+        return HVector(c, self.space_id)
 
 
 @dataclass(frozen=True)
 class HVector:
     """Coefficient vector tied to a space by its identifier.
 
-    Supports the little arithmetic the iteration needs (addition,
-    subtraction, scalar multiples); mixing vectors from different spaces
-    raises ``ValueError``.
+    A plain record, checked once by `DiscreteSpace.wrap`, which every
+    A-solve result passes. Its arithmetic checks only that the operands
+    share a space (``ValueError``); the scheme's inner solve sees overflow.
     """
 
     coeffs: np.ndarray
     space_id: str
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=float)
-        if c.ndim != 1:
-            raise ValueError("coefficients must be one-dimensional")
-        if not np.all(np.isfinite(c)):
-            raise ValueError("coefficients must be finite")
-        object.__setattr__(self, "coeffs", c)
 
     def _check(self, other: "HVector") -> None:
         if self.space_id != other.space_id:
@@ -174,16 +172,6 @@ class HVector:
 
     def __neg__(self) -> "HVector":
         return HVector(-self.coeffs, self.space_id)
-
-
-def _require_member(u: HVector, space: DiscreteSpace) -> np.ndarray:
-    if u.space_id != space.space_id:
-        raise ValueError(
-            f"vector belongs to {u.space_id!r}, not {space.space_id!r}"
-        )
-    if u.coeffs.shape != (space.dim,):
-        raise ValueError("vector length does not match space dimension")
-    return u.coeffs
 
 
 def make_space(matrix, mass_weights, space_id: str | None = None
@@ -215,10 +203,12 @@ def make_space(matrix, mass_weights, space_id: str | None = None
 
 
 def inner_a(u: HVector, v: HVector, space: DiscreteSpace) -> float:
-    """A-weighted inner product ``<A u, v>``."""
-    uc = _require_member(u, space)
-    vc = _require_member(v, space)
-    return float(np.dot(space.operator.apply(uc), vc))
+    """A-weighted inner product ``<A u, v>`` of two elements of `space`."""
+    for w in (u, v):
+        if w.space_id != space.space_id:
+            raise ValueError(
+                f"vector belongs to {w.space_id!r}, not {space.space_id!r}")
+    return float(np.dot(space.operator.apply(u.coeffs), v.coeffs))
 
 
 def norm_a(u: HVector, space: DiscreteSpace) -> float:

@@ -395,14 +395,21 @@ def test_refused_exit_one(tmp_path):
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
 
 
-def test_override_flag_demotes_refusal(tmp_path):
+def _rho_warning(rho: str) -> str:
+    return (f"warning: scheme: coupling matrix has spectral radius {rho} "
+            "(needs < 1); continuing on request")
+
+
+def test_override_flag_demotes_refusal(tmp_path, capsys):
     refused = json.loads(json.dumps(SCALAR_CONFIG))
     refused["problem"]["nonlinearity"] = {"kind": "quadratic", "b": 3.0}
     cfg = _write(tmp_path, "cfg.json", refused)
-    with pytest.warns(RuntimeWarning):
-        code = main(["solve", "--config", cfg, "--out", str(tmp_path / "o"),
-                     "--override-hypotheses"])
+    code = main(["solve", "--config", cfg, "--out", str(tmp_path / "o"),
+                 "--override-hypotheses"])
     assert code == 0
+    err = capsys.readouterr().err
+    assert _rho_warning("1.5") in err.splitlines()
+    assert ".py:" not in err
 
 
 def test_exhausted_exit_three(tmp_path):
@@ -425,11 +432,12 @@ def test_inner_failure_exit_four(tmp_path, capsys, command):
     stall["scheme"] = {"max_outer": 1000, "override_hypotheses": True}
     cfg = _write(tmp_path, "cfg.json", stall)
     out = tmp_path / "o"
-    with pytest.warns(RuntimeWarning):
-        assert main([command, "--config", cfg, "--out", str(out)]) == 4
+    assert main([command, "--config", cfg, "--out", str(out)]) == 4
+    err = capsys.readouterr().err
     assert ("inner solver failed at stage 163 on the u side: stage 163: "
-            "inner u-solve stalled in the line search"
-            in capsys.readouterr().err)
+            "inner u-solve overflowed" in err)
+    assert _rho_warning("3") in err.splitlines()
+    assert ".py:" not in err
     assert not out.exists()
 
 

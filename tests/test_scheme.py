@@ -111,8 +111,8 @@ def test_inner_budget_failure_carries_stage_and_side(scalar_linear):
 
 
 def test_line_search_stall_carries_stage_and_side():
-    # rho = 3 under override: the pair grows until the u-objective overflows
-    # and the line search accepts no step
+    # rho = 3 under override: the pair grows until the u-objective overflows,
+    # which the inner solve reports as an overflow
     system = pc.build_scalar(
         1.0, pc.NonlinearitySpec.quadratic(0.0, 3.0, 0.0, 1.0))
     cfg = pc.SchemeConfig(max_outer=1000, override_hypotheses=True)
@@ -120,7 +120,21 @@ def test_line_search_stall_carries_stage_and_side():
         with pytest.raises(SchemeStageError) as err:
             pc.run_scheme(system, cfg)
     assert (err.value.stage, err.value.side) == (163, "u")
-    assert str(err.value) == ("stage 163: inner u-solve stalled in the "
+    assert str(err.value) == "stage 163: inner u-solve overflowed"
+
+
+def test_uphill_gradient_stalls_the_line_search():
+    # f1 is minus the true u-derivative of F, less 5: the gradient g then
+    # points uphill, and no step along -g lowers E1
+    quad = pc.make_pointwise(pc.NonlinearitySpec.quadratic(0.2, 0.0, 0.0, 1.0),
+                             arg_dim=1)
+    table = dataclasses.replace(quad,
+                                f1=lambda x, y: -(0.4 * x + 1.0) - 5.0)
+    system = pc.build_scalar(2.0, pc.NonlinearitySpec.custom(table))
+    with pytest.raises(SchemeStageError) as err:
+        pc.run_scheme(system)
+    assert (err.value.stage, err.value.side) == (1, "u")
+    assert str(err.value) == ("stage 1: inner u-solve stalled in the "
                               "line search")
 
 

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import partialcrit as pc
 from partialcrit import spaces
@@ -183,3 +185,59 @@ def test_make_space_rejects_bad_weights():
     m = sp.identity(3, format="csr")
     with pytest.raises(ValueError):
         pc.make_space(m, np.array([1.0, -1.0, 1.0]), space_id="neg-w")
+
+
+# ------------------------------------------------ HVector arithmetic, wrap
+
+PROP_DIM = 5
+PROP_SPACE = _random_spd_space(PROP_DIM, 31, "prop-a")
+OTHER_SPACE = _random_spd_space(PROP_DIM, 32, "prop-b")
+EPS = np.finfo(float).eps
+TINY = np.finfo(float).tiny  # covers rounding among subnormals
+
+_finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+_coeffs = arrays(float, PROP_DIM, elements=_finite)
+_property = settings(max_examples=100, derandomize=True, deadline=None)
+
+
+@_property
+@given(_coeffs, _coeffs, st.floats(-1e3, 1e3))
+def test_hvector_arithmetic_is_linear(xc, yc, a):
+    x, y = PROP_SPACE.wrap(xc), PROP_SPACE.wrap(yc)
+    size = np.abs(xc) + np.abs(yc)
+    assert np.all(np.abs(((x + y) - y).coeffs - xc) <= 4 * EPS * size + TINY)
+    lin = (a * (x + y)).coeffs - (a * x + y * a).coeffs
+    assert np.all(np.abs(lin) <= 4 * EPS * abs(a) * size + TINY)
+    for result in (x + y, x - y, a * x, x * a, -x):
+        assert result.space_id == PROP_SPACE.space_id
+
+
+@_property
+@given(_coeffs, st.integers(0, PROP_DIM - 1),
+       st.sampled_from([np.nan, np.inf, -np.inf]))
+def test_wrap_rejects_nonfinite_entries(xc, index, bad):
+    xc[index] = bad
+    with pytest.raises(ValueError, match="^coefficients must be finite$"):
+        PROP_SPACE.wrap(xc)
+
+
+@_property
+@given(st.integers(0, 3 * PROP_DIM).filter(lambda n: n != PROP_DIM)
+       .flatmap(lambda n: arrays(float, n, elements=_finite)))
+def test_wrap_rejects_wrong_length(xc):
+    with pytest.raises(ValueError, match="length does not match"):
+        PROP_SPACE.wrap(xc)
+
+
+@_property
+@given(_coeffs, _coeffs)
+def test_cross_space_operations_rejected(xc, yc):
+    x, y = PROP_SPACE.wrap(xc), OTHER_SPACE.wrap(yc)
+    with pytest.raises(ValueError, match="space mismatch"):
+        _ = x + y
+    with pytest.raises(ValueError, match="space mismatch"):
+        _ = x - y
+    with pytest.raises(ValueError, match="belongs to"):
+        pc.inner_a(x, y, PROP_SPACE)
+    with pytest.raises(ValueError, match="belongs to"):
+        pc.inner_a(x, x, OTHER_SPACE)
