@@ -13,7 +13,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import IntegrityError
 from .scheme import CoupledSystem, GrowthParams
@@ -165,25 +164,90 @@ def check_growth(F, declared, sampler: SamplerSpec, arg_dim: int = 1
     )
 
 
+# relative slack within which a sampled row counts as passing through the
+# optimal vertex, and by which the finished vertex may miss a row: the
+# difference quotients of close pairs carry cancellation error up to about
+# 6e-10 relative on the quadratic samplers
+_VERTEX_TOL = 1e-9
+_INF_BITS = 0x7FF0000000000000  # the bit pattern of +inf as an int64
+
+
 def _fit_pair(a_coeff: np.ndarray, b_coeff: np.ndarray, rhs: np.ndarray
               ) -> tuple[float, float]:
-    # smallest (p, q) >= 0 minimizing p + q with p*a_i + q*b_i >= rhs_i
-    active = rhs > 0.0
+    """Minimize ``p + q`` over ``p, q >= 0`` with ``p a_i + q b_i >= rhs_i``.
+
+    An exact solve of this two-variable linear program in numpy; linear
+    programs in fixed dimension take linear time (Megiddo, SIAM J. Comput.
+    12(4), 1983), and the few passes below over all rows do as well. The
+    coefficients are nonnegative. Rows with ``rhs_i <= 0`` hold for every
+    ``p, q >= 0``; the others are scaled to ``A_i p + B_i q >= 1``, since
+    close-pair rows are many decades smaller than far-pair ones.
+
+    The optimum is a vertex: an axis intercept or the crossing of two
+    rows. On the ray ``p = t q``, ``0 <= t <= inf``, the least feasible
+    point has ``1 / (p + q) = min_i (A_i t + B_i) / (1 + t)``; that rises
+    while its minimal row has ``A_i > B_i`` and falls after, so bisection
+    on the sign of ``A_i - B_i`` at the minimal row locates the optimal
+    ray without a loop over rows. The vertex is then finished in closed form from the
+    two best-conditioned constraints tight there: the tight rows with the
+    largest and the smallest ``A_i / B_i``, an axis standing in for a row
+    when the vertex lies on it. Sampled rows are degenerate (on a
+    quadratic coupling every row passes through one vertex, up to
+    rounding), so crossing two adjacent rows of the envelope would magnify
+    their rounding; the extreme pair does not, and a vertex on an axis
+    comes out with an exact zero. Should the finished vertex miss a row by
+    more than the rounding slack, the located point is returned instead.
+
+    A row with ``a_i = b_i = 0 < rhs_i`` cannot hold: `IntegrityError`.
+    """
+    # a row whose right-hand side is below the float range relative to its
+    # coefficients holds up to underflow, and scaling it would overflow
+    active = rhs > np.finfo(float).tiny * np.maximum(a_coeff, b_coeff)
     if not np.any(active):
         return 0.0, 0.0
-    # close-pair rows are many decades smaller than far-pair rows; scale
-    # each to unit right-hand side or the solver returns junk vertices
     r = rhs[active]
-    res = linprog(
-        c=[1.0, 1.0],
-        A_ub=np.column_stack([-a_coeff[active] / r, -b_coeff[active] / r]),
-        b_ub=-np.ones(r.size),
-        bounds=[(0.0, None), (0.0, None)],
-        method="highs",
-    )
-    if not res.success:
-        raise IntegrityError(f"coefficient fit failed: {res.message}")
-    return float(res.x[0]), float(res.x[1])
+    a, b = a_coeff[active] / r, b_coeff[active] / r
+    if not np.all((a > 0.0) | (b > 0.0)):
+        raise IntegrityError("coefficient fit failed: a row with a positive "
+                             "right-hand side has no positive coefficient")
+    slope = a - b
+
+    def ray(t):
+        # the rows on the ray p = t q, divided by the larger of p and q
+        return a * t + b if t <= 1.0 else a + b / t
+
+    # bisect t over its bit patterns, which order as the floats do: 63
+    # halvings reach adjacent floats at every magnitude
+    lo, hi = 0, _INF_BITS
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if slope[np.argmin(ray(np.int64(mid).view(np.float64)))] > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    t = np.int64(lo).view(np.float64)
+    g = ray(t)
+    top = 1.0 / g.min()
+    p0, q0 = (t * top, top) if t <= 1.0 else (top, top / t)
+    tight = g * top <= 1.0 + _VERTEX_TOL
+    at, bt = a[tight], b[tight]
+    # along rows through one point, A - B orders them as A / B does
+    i, j = np.argmax(slope[tight]), np.argmin(slope[tight])
+    # products of scaled rows overflow only far from the vertex, where the
+    # rows hold anyway, or when p q is below the float range
+    with np.errstate(over="ignore", invalid="ignore"):
+        det = at[i] * bt[j] - at[j] * bt[i]
+        if p0 * at.max() <= _VERTEX_TOL:
+            p, q = 0.0, 1.0 / bt[j]
+        elif q0 * bt.max() <= _VERTEX_TOL:
+            p, q = 1.0 / at[i], 0.0
+        elif 0.0 < det < np.inf:
+            p, q = (bt[j] - bt[i]) / det, (at[i] - at[j]) / det
+        else:
+            p, q = p0, q0
+        if not (min(p, q) >= 0.0 and np.min(a * p + b * q) >= 1.0 - _VERTEX_TOL):
+            p, q = p0, q0
+    return float(p), float(q)
 
 
 def estimate_monotony(f1, f2, sampler: SamplerSpec, arg_dim: int = 1,
@@ -197,9 +261,10 @@ def estimate_monotony(f1, f2, sampler: SamplerSpec, arg_dim: int = 1,
         (f1(x,y) - f1(x',y')) . (x - x') <= m11 |dx|^2 + m12 |dx| |dy|
         (f2(x,y) - f2(x',y')) . (y - y') >= -m22 |dy|^2 - m21 |dx| |dy|
 
-    and each pair of coefficients is minimized (in the sum sense) by a
-    linear program. The returned matrix is scaled by ``embedding_sq``,
-    converting pointwise coefficients into A-norm ones.
+    and each pair of coefficients is minimized (in the sum sense) by an
+    exact two-variable linear program (`_fit_pair`). The returned matrix
+    is scaled by ``embedding_sq``, converting pointwise coefficients into
+    A-norm ones.
     """
     if not (embedding_sq > 0.0):
         raise ValueError("embedding_sq must be positive")

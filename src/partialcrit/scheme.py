@@ -201,8 +201,14 @@ def energies(sys: CoupledSystem, u: HVector, v: HVector) -> tuple[float, float, 
     E differs from E1 by the v-quadratic and from E2 by the u-quadratic,
     so the three share the two squared norms and ``N(u, v)``.
     """
-    nu2 = norm_a(u, sys.space) ** 2
-    nv2 = norm_a(v, sys.space) ** 2
+    return _energies(sys, u, v, norm_a(u, sys.space), norm_a(v, sys.space))
+
+
+def _energies(sys: CoupledSystem, u: HVector, v: HVector, norm_u: float,
+              norm_v: float) -> tuple[float, float, float]:
+    """`energies` from the A-norms of u and v, already taken."""
+    nu2 = norm_u ** 2
+    nv2 = norm_v ** 2
     n_val = float(sys.eval_N(u, v))
     return 0.5 * nu2 - n_val, -0.5 * nv2 - n_val, 0.5 * nu2 - 0.5 * nv2 - n_val
 
@@ -310,9 +316,10 @@ def run_scheme(sys: CoupledSystem, cfg: SchemeConfig | None = None
             raise SchemeStageError(f"stage {k}: {exc}", stage=k, side=side,
                                    residual=exc.residual,
                                    iterations=exc.iterations) from exc
-        e1, e2, e_total = energies(sys, u, v)
+        norm_u, norm_v = norm_a(u, space), norm_a(v, space)
+        e1, e2, e_total = _energies(sys, u, v, norm_u, norm_v)
         trace.rows.append(TraceRow(
-            k=k, norm_u=norm_a(u, space), norm_v=norm_a(v, space),
+            k=k, norm_u=norm_u, norm_v=norm_v,
             r1=r1, r2=r2, e1=e1, e2=e2, e_total=e_total,
             inner_iters_u=iters_u, inner_iters_v=iters_v,
         ))

@@ -1,12 +1,17 @@
 """Sampling-based hypothesis checks and scalar diagnostics."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import partialcrit as pc
 from partialcrit.errors import IntegrityError
+from partialcrit.hypotheses import _fit_pair
+
+TINY = np.finfo(float).tiny
 
 
 def test_growth_holds_for_bounded_nonlinearity():
@@ -61,6 +66,83 @@ def test_estimate_monotony_scales_with_embedding():
     est2 = pc.estimate_monotony(pw.f1, pw.f2, pc.SamplerSpec(),
                                 embedding_sq=0.25)
     assert np.allclose(0.25 * est1.entries, est2.entries, rtol=1e-12)
+
+
+def test_pure_cross_coupling_fits_zero_diagonal():
+    # every sampled row passes through (0, |b|): the vertex is on an axis
+    pw = pc.make_pointwise(
+        pc.NonlinearitySpec.quadratic(0.0, 1.0, 0.0, 1.0), arg_dim=1)
+    e = pc.estimate_monotony(pw.f1, pw.f2, pc.SamplerSpec()).entries
+    assert e[0, 0] == 0.0
+    assert e[1, 1] == 0.0
+    assert e[0, 1] == pytest.approx(1.0, rel=1e-12)
+    assert e[1, 0] == pytest.approx(1.0, rel=1e-12)
+
+
+def test_fit_pair_rejects_row_with_no_coefficient():
+    a = np.array([1.0, 0.0])
+    b = np.array([0.5, 0.0])
+    with pytest.raises(IntegrityError, match="coefficient fit failed"):
+        _fit_pair(a, b, np.array([1.0, 2.0]))
+    # the same row with a nonpositive right-hand side always holds
+    assert _fit_pair(a, b, np.array([1.0, 0.0])) == _fit_pair(
+        a[:1], b[:1], np.array([1.0]))
+
+
+def _vertex_optimum(a, b, r):
+    """Least p + q over every vertex of {p, q >= 0, p a_i + q b_i >= r_i}."""
+    lines = [*zip(a, b, r), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)]
+    best = np.inf
+    for (a1, b1, r1), (a2, b2, r2) in itertools.combinations(lines, 2):
+        det = a1 * b2 - a2 * b1
+        if det == 0.0:
+            continue
+        p = (r1 * b2 - r2 * b1) / det
+        q = (a1 * r2 - a2 * r1) / det
+        if p < -1e-12 or q < -1e-12:
+            continue
+        p, q = max(p, 0.0), max(q, 0.0)
+        slack = 1e-9 * (a * p + b * q + np.abs(r)) + TINY * np.maximum(a, b)
+        if np.all(a * p + b * q >= r - slack):
+            best = min(best, p + q)
+    return best
+
+
+def _assert_fit_optimal(a, b, r):
+    p, q = _fit_pair(a, b, r)
+    assert p >= 0.0 and q >= 0.0
+    # rows may be missed by the rounding slack, and by underflow
+    slack = 2e-9 * np.abs(r) + TINY * np.maximum(a, b)
+    assert np.all(a * p + b * q >= r - slack)
+    assert p + q == pytest.approx(_vertex_optimum(a, b, r), rel=1e-8, abs=1e-300)
+
+
+# a coefficient is zero or positive; a right-hand side of either sign
+_coef = st.one_of(st.just(0.0), st.floats(0.01, 100.0))
+_rhs = st.one_of(st.floats(-10.0, 0.0), st.floats(0.01, 10.0))
+# a row with a = b = 0 only ever holds with r <= 0
+_row = st.tuples(_coef, _coef, _rhs).map(
+    lambda t: (t[0], t[1], -abs(t[2])) if t[0] == t[1] == 0.0 else t)
+_fit_property = settings(max_examples=60, derandomize=True, deadline=None)
+
+
+@_fit_property
+@given(st.lists(_row, min_size=2, max_size=8))
+def test_fit_pair_matches_vertex_enumeration(rows):
+    a, b, r = (np.array(col) for col in zip(*rows))
+    _assert_fit_optimal(a, b, r)
+
+
+@_fit_property
+@given(st.floats(0.0, 10.0), st.floats(0.0, 10.0),
+       st.lists(st.tuples(_coef, _coef).filter(lambda t: t != (0.0, 0.0)),
+                min_size=2, max_size=8))
+# a vertex far off the diagonal, and one below the float range
+@example(1.5, 1e-14, [(0.0, 1.0), (1.0, 0.0)])
+@example(5e-324, 1.0, [(1.0, 0.0), (0.0, 1.0)])
+def test_fit_pair_on_rows_through_one_vertex(p_star, q_star, coeffs):
+    a, b = (np.array(col) for col in zip(*coeffs))
+    _assert_fit_optimal(a, b, a * p_star + b * q_star)
 
 
 def test_mu_frozen_value_and_boundary():

@@ -1,7 +1,12 @@
-"""Package surface: every exported name resolves, one version string."""
+"""Package surface: every exported name resolves, one version string, and
+the CLI imports without `scipy.optimize`."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -26,3 +31,16 @@ def test_version_is_stated_once():
     from partialcrit import cli
 
     assert cli.__version__ is pc.__version__
+
+
+def test_cli_import_leaves_out_scipy_optimize():
+    # a fresh interpreter, so no other test's imports count
+    src = Path(pc.__file__).resolve().parents[1]
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(
+               p for p in (str(src), os.environ.get("PYTHONPATH")) if p)}
+    probe = ("import sys, partialcrit.cli; "
+             "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
