@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IntegrityError
-from .scheme import CoupledSystem, GrowthParams
+from .scheme import CoupledSystem
 from .spaces import embedding_constant, random_unit
 from .zeromatrix import ConvergenceCertificate, MonotonyMatrix, is_convergent_to_zero
 
@@ -108,15 +108,6 @@ class HypothesisReport:
     notes: tuple[str, ...]
 
 
-def _unpack_growth(declared) -> tuple[float, float, float]:
-    if isinstance(declared, GrowthParams):
-        return declared.alpha_upper, declared.alpha_lower, declared.c_growth
-    au, al, c = (float(x) for x in declared)
-    if au < 0.0 or al < 0.0 or c < 0.0:
-        raise ValueError("growth constants must be nonnegative")
-    return au, al, c
-
-
 def _draw_box(sampler: SamplerSpec, arg_dim: int, rng: np.random.Generator
               ) -> tuple[np.ndarray, np.ndarray]:
     shape = (sampler.n_points, arg_dim)
@@ -124,16 +115,18 @@ def _draw_box(sampler: SamplerSpec, arg_dim: int, rng: np.random.Generator
     return rng.uniform(-r, r, shape), rng.uniform(-r, r, shape)
 
 
-def check_growth(F, declared, sampler: SamplerSpec, arg_dim: int = 1
-                 ) -> GrowthReport:
+def check_growth(F, declared: tuple[float, float, float],
+                 sampler: SamplerSpec, arg_dim: int = 1) -> GrowthReport:
     """Test ``-al |y|^2 - c <= F(x, y) <= au |x|^2 + c`` on random points.
 
-    `declared` is a `GrowthParams` or a plain (alpha_upper, alpha_lower, c)
-    triple; the constants are interpreted pointwise. The report also
-    carries the tightest constants fitting the sample: each alpha with the
-    declared c held fixed, and c with the declared alphas held fixed.
+    `declared` is the pointwise (alpha_upper, alpha_lower, c) triple; a
+    negative constant raises `ValueError`. The report also carries the
+    tightest constants fitting the sample: each alpha with the declared c
+    held fixed, and c with the declared alphas held fixed.
     """
-    au, al, c = _unpack_growth(declared)
+    au, al, c = (float(x) for x in declared)
+    if au < 0.0 or al < 0.0 or c < 0.0:
+        raise ValueError("growth constants must be nonnegative")
     rng = np.random.default_rng(sampler.seed)
     x, y = _draw_box(sampler, arg_dim, rng)
     f = np.asarray(F(x, y), dtype=float).reshape(-1)
@@ -292,23 +285,15 @@ def estimate_monotony(f1, f2, sampler: SamplerSpec, arg_dim: int = 1,
     return MonotonyMatrix(embedding_sq * raw)
 
 
-def mu_of(growth, alpha_lower: float | None = None) -> float:
+def mu_of(alpha_upper: float, alpha_lower: float) -> float:
     """Contraction factor of the norm recursion driven by the growth bounds.
 
-    Accepts a `GrowthParams` or the two alpha coefficients directly (the
-    direct form permits evaluating boundary pairs that the dataclass
-    rejects). Raises ``ValueError`` outside [0, 1/2) per coefficient and
-    cross-checks that ``mu < 1`` holds exactly when the coefficient sum is
-    below one half.
+    Takes the two A-norm alpha coefficients, which may sum to one half or
+    more (a `GrowthParams` rejects such pairs). Raises ``ValueError``
+    outside [0, 1/2) per coefficient and cross-checks that ``mu < 1``
+    holds exactly when the coefficient sum is below one half.
     """
-    if isinstance(growth, GrowthParams):
-        if alpha_lower is not None:
-            raise ValueError("pass either a GrowthParams or two floats")
-        au, al = growth.alpha_upper, growth.alpha_lower
-    else:
-        if alpha_lower is None:
-            raise ValueError("alpha_lower is required with the float form")
-        au, al = float(growth), float(alpha_lower)
+    au, al = float(alpha_upper), float(alpha_lower)
     for val in (au, al):
         if not (0.0 <= val < 0.5):
             raise ValueError("growth coefficients must lie in [0, 1/2)")
@@ -374,15 +359,16 @@ def ps_beta(m) -> PsBeta:
     return PsBeta(m11_only=float(lit), full=float(full))
 
 
-def full_report(sys: CoupledSystem, declared, sampler: SamplerSpec
-                ) -> HypothesisReport:
+def full_report(sys: CoupledSystem, declared: tuple[float, float, float],
+                sampler: SamplerSpec) -> HypothesisReport:
     """Aggregate growth, coupling, convergence, and mu into one verdict.
 
-    `declared` carries the pointwise growth constants to test. The fitted
-    coupling matrix is scaled by the system's recorded squared embedding
-    constant (falling back to the space's own), then certified. ``ready``
-    means: growth holds on the sample, the fitted matrix is convergent to
-    zero, and the contraction factor is defined and below one.
+    `declared` is the pointwise (alpha_upper, alpha_lower, c) triple to
+    test, as `check_growth` takes it. The fitted coupling matrix is scaled
+    by the system's recorded squared embedding constant (falling back to
+    the space's own), then certified. ``ready`` means: growth holds on the
+    sample, the fitted matrix is convergent to zero, and the contraction
+    factor is defined and below one.
     """
     pw = sys.pointwise
     if pw is None:
@@ -398,7 +384,7 @@ def full_report(sys: CoupledSystem, declared, sampler: SamplerSpec
 
     notes = [SAMPLING_NOTE, ORIENTATION_NOTE]
     if sys.growth is not None:
-        mu = mu_of(sys.growth)
+        mu = mu_of(sys.growth.alpha_upper, sys.growth.alpha_lower)
     else:
         au = growth_rep.alpha_upper_hat * emb_sq
         al = growth_rep.alpha_lower_hat * emb_sq

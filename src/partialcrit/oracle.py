@@ -70,20 +70,20 @@ def _gmres_step(resid, x: np.ndarray, r0: np.ndarray) -> np.ndarray:
     return delta
 
 
-def newton_full(sys: CoupledSystem,
-                init: tuple[HVector, HVector] | None = None,
-                tol: float = 1e-8, max_iters: int = 50,
+def newton_full(sys: CoupledSystem, tol: float = 1e-8, max_iters: int = 50,
                 jacobian_free: bool | None = None) -> OracleResult:
     """Damped Newton on the stacked residual (u - Nu, -v - Nv).
 
-    The Jacobian is taken by finite differences, columnwise for small
-    stacked dimension and matrix-free through restarted GMRES above 400
-    unknowns (``jacobian_free`` overrides the switch). Convergence is
-    declared on the same metric the scheme uses: both A-norm residuals at
-    the pair below ``tol``. Line search halves the step until the squared
-    euclidean residual decreases; running out of halvings or iterations,
-    or a singular Jacobian, raises `ConvergenceError`. A nonpositive
-    ``tol`` or a ``max_iters`` below one raises `ValueError`.
+    The iteration starts from the zero pair, so its answer owes nothing
+    to the scheme's iterates. The Jacobian is taken by finite differences,
+    columnwise for small stacked dimension and matrix-free through
+    restarted GMRES above 400 unknowns (``jacobian_free`` overrides the
+    switch). Convergence is declared on the same metric the scheme uses:
+    both A-norm residuals at the pair below ``tol``. Line search halves
+    the step until the squared euclidean residual decreases; running out
+    of halvings or iterations, or a singular Jacobian, raises
+    `ConvergenceError`. A nonpositive ``tol`` or a ``max_iters`` below one
+    raises `ValueError`.
     """
     if not (tol > 0.0):
         raise ValueError("tol must be positive")
@@ -91,12 +91,7 @@ def newton_full(sys: CoupledSystem,
         raise ValueError("max_iters must be at least 1")
     space = sys.space
     n = space.dim
-    if init is None:
-        x = np.zeros(2 * n)
-    else:
-        u0, v0 = init
-        x = np.concatenate([np.asarray(u0.coeffs, float),
-                            np.asarray(v0.coeffs, float)])
+    x = np.zeros(2 * n)
     if jacobian_free is None:
         jacobian_free = 2 * n > 400
 

@@ -24,7 +24,6 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 
-from .hypotheses import SamplerSpec, estimate_monotony
 from .scheme import CoupledSystem, GrowthParams
 from .spaces import (DiscreteSpace, HVector, dominant_inverse_eig,
                      embedding_constant, make_space, riesz_lift, solve_a,
@@ -53,7 +52,8 @@ class PointwiseNonlinearity:
     All callables take two arrays of shape (m, arg_dim); ``F`` returns
     (m,), the gradients return (m, arg_dim). ``growth`` holds pointwise
     (alpha_upper, alpha_lower, c) constants when known, ``monotony`` the
-    pointwise 2x2 coupling coefficients.
+    pointwise 2x2 coupling coefficients (every built-in kind sets them,
+    and a custom table must).
     """
 
     arg_dim: int
@@ -71,7 +71,8 @@ class NonlinearitySpec:
     kind "zero": F = 0.
     kind "quadratic": F = a |x|^2 + b <x, y> + c |y|^2 + g sum(x).
     kind "sincos": F = eps * sum_d sin(x_d) cos(y_d).
-    kind "custom": a user-supplied `PointwiseNonlinearity`.
+    kind "custom": a user-supplied `PointwiseNonlinearity`, which must
+    declare its ``monotony`` matrix.
     """
 
     kind: str
@@ -87,6 +88,9 @@ class NonlinearitySpec:
             raise ValueError(f"unknown nonlinearity kind {self.kind!r}")
         if self.kind == "custom" and self.table is None:
             raise ValueError("custom nonlinearity needs a table")
+        if self.kind == "custom" and self.table.monotony is None:
+            raise ValueError("custom nonlinearity must declare its monotony "
+                             "matrix")
         if not (self.epsilon >= 0.0):
             raise ValueError("epsilon must be nonnegative")
 
@@ -248,12 +252,7 @@ def _system_from_parts(space: DiscreteSpace, pw: PointwiseNonlinearity,
                               c_growth=c_pt * float(weights.sum()))
     else:
         growth = None
-    if pw.monotony is not None:
-        monotony = MonotonyMatrix(embedding_sq * np.asarray(pw.monotony, float))
-    else:
-        monotony = estimate_monotony(pw.f1, pw.f2, SamplerSpec(),
-                                     arg_dim=pw.arg_dim,
-                                     embedding_sq=embedding_sq)
+    monotony = MonotonyMatrix(embedding_sq * np.asarray(pw.monotony, float))
     return CoupledSystem(
         space=space, eval_N=eval_n, eval_Nu=eval_nu, eval_Nv=eval_nv,
         monotony=monotony, growth=growth, pointwise=pw,

@@ -51,6 +51,12 @@ __all__ = [
     "nash_check",
 ]
 
+# accepted steps per inner solve before it is reported as failed
+INNER_MAX_ITERS = 500
+# perturbations probed by `nash_check`, and the largest offset it tries
+NASH_SAMPLES = 200
+NASH_RADIUS = 0.1
+
 
 @dataclass(frozen=True)
 class GrowthParams:
@@ -81,11 +87,11 @@ class SchemeConfig:
     """Knobs for `run_scheme`.
 
     Stage k solves both sides to ``min(1/k, final_tol)``; the inner step
-    is ``0.9 / (1 + m11)`` from the declared coupling matrix.
+    is ``0.9 / (1 + m11)`` from the declared coupling matrix, and each
+    inner solve has a fixed budget of `INNER_MAX_ITERS` steps.
     """
 
     max_outer: int = 200
-    inner_max_iters: int = 500
     final_tol: float = 1e-8
     seed: int = 0
     random_init: bool = False
@@ -94,8 +100,6 @@ class SchemeConfig:
     def __post_init__(self):
         if self.max_outer < 1:
             raise ValueError("max_outer must be at least 1")
-        if self.inner_max_iters < 1:
-            raise ValueError("inner_max_iters must be at least 1")
         if not (self.final_tol > 0.0):
             raise ValueError("final_tol must be positive")
         if self.seed < 0:
@@ -214,8 +218,7 @@ def _energies(sys: CoupledSystem, u: HVector, v: HVector, norm_u: float,
 
 
 def _inner_solve(sys: CoupledSystem, fixed: HVector, moving: HVector,
-                 tol: float, cfg: SchemeConfig, side: str
-                 ) -> tuple[HVector, int, float]:
+                 tol: float, side: str) -> tuple[HVector, int, float]:
     """Damped descent with monotone acceptance on one partial functional.
 
     side "u" minimizes E1(., fixed) along g = u - Nu(u, fixed);
@@ -223,7 +226,8 @@ def _inner_solve(sys: CoupledSystem, fixed: HVector, moving: HVector,
     A step x <- x - s g is accepted once it does not raise the objective
     (s halves on rejection, at most 40 times), so the exit point also
     satisfies the energy admission condition. Returns the iterate, the
-    number of accepted steps and the A-norm of g at exit. Vectors are
+    number of accepted steps and the A-norm of g at exit; more than
+    `INNER_MAX_ITERS` steps raise `ConvergenceError`. Vectors are
     checked at `DiscreteSpace.wrap`, so only overflow can arise here: a
     non-finite objective or norm of g raises, and a NaN or +inf candidate
     objective is a rejected step.
@@ -238,7 +242,7 @@ def _inner_solve(sys: CoupledSystem, fixed: HVector, moving: HVector,
     base_step = 0.9 / (1.0 + float(sys.monotony.entries[0, 0]))
     x = moving
     obj = objective(x)
-    for it in range(cfg.inner_max_iters + 1):
+    for it in range(INNER_MAX_ITERS + 1):
         g = gradient(x)
         gn = norm_a(g, sys.space)
         if not (math.isfinite(obj) and math.isfinite(gn)):
@@ -246,10 +250,10 @@ def _inner_solve(sys: CoupledSystem, fixed: HVector, moving: HVector,
                                    residual=gn, iterations=it)
         if gn <= tol:
             return x, it, gn
-        if it == cfg.inner_max_iters:
+        if it == INNER_MAX_ITERS:
             raise ConvergenceError(
                 f"inner {side}-solve did not reach tolerance {tol:g} "
-                f"in {cfg.inner_max_iters} iterations",
+                f"in {INNER_MAX_ITERS} iterations",
                 residual=gn, iterations=it,
             )
         step = base_step
@@ -309,9 +313,9 @@ def run_scheme(sys: CoupledSystem, cfg: SchemeConfig | None = None
         tol_k = min(1.0 / k, cfg.final_tol)
         side = "u"
         try:
-            u, iters_u, r1 = _inner_solve(sys, v, u, tol_k, cfg, side)
+            u, iters_u, r1 = _inner_solve(sys, v, u, tol_k, side)
             side = "v"
-            v, iters_v, r2 = _inner_solve(sys, u, v, tol_k, cfg, side)
+            v, iters_v, r2 = _inner_solve(sys, u, v, tol_k, side)
         except ConvergenceError as exc:
             raise SchemeStageError(f"stage {k}: {exc}", stage=k, side=side,
                                    residual=exc.residual,
@@ -434,14 +438,14 @@ class NashReport:
         return self.min_e1_margin >= 0.0 and self.max_e2_margin <= 0.0
 
 
-def nash_check(sys: CoupledSystem, pair: SolutionPair, n_samples: int = 200,
-               radius: float = 0.1, seed: int = 0) -> NashReport:
+def nash_check(sys: CoupledSystem, pair: SolutionPair, seed: int = 0
+               ) -> NashReport:
     """Probe that E1 cannot drop and E2 cannot rise beyond residual effects.
 
-    Samples random unit-A directions and offsets s in (0, radius], then
-    compares the observed energy changes with the first-order bound from
-    the pair's residual norms plus a curvature term estimated by second
-    differences.
+    Samples `NASH_SAMPLES` random unit-A directions and offsets s in
+    (0, `NASH_RADIUS`], then compares the observed energy changes with the
+    first-order bound from the pair's residual norms plus a curvature term
+    estimated by second differences.
     """
     if not pair.converged:
         raise ValueError("nash_check expects a converged pair")
@@ -450,7 +454,7 @@ def nash_check(sys: CoupledSystem, pair: SolutionPair, n_samples: int = 200,
     u, v = pair.u_star, pair.v_star
 
     # curvature probe: symmetric second differences at half the radius
-    delta = 0.5 * radius
+    delta = 0.5 * NASH_RADIUS
     curvature = 1e-6
     e1_base = _e1(sys, u, v)
     e2_base = _e2(sys, u, v)
@@ -465,8 +469,8 @@ def nash_check(sys: CoupledSystem, pair: SolutionPair, n_samples: int = 200,
     grad_level = max(pair.residuals)
     min_e1_margin = np.inf
     max_e2_margin = -np.inf
-    for _ in range(n_samples):
-        s = radius * (1.0 - rng.random())
+    for _ in range(NASH_SAMPLES):
+        s = NASH_RADIUS * (1.0 - rng.random())
         bound = grad_level * s + curvature * s**2
         d_u = random_unit(space, rng)
         d_v = random_unit(space, rng)
@@ -476,6 +480,7 @@ def nash_check(sys: CoupledSystem, pair: SolutionPair, n_samples: int = 200,
         max_e2_margin = max(max_e2_margin, de2 - bound)
 
     return NashReport(
-        n_samples=n_samples, radius=radius, curvature=float(curvature),
-        min_e1_margin=float(min_e1_margin), max_e2_margin=float(max_e2_margin),
+        n_samples=NASH_SAMPLES, radius=NASH_RADIUS,
+        curvature=float(curvature), min_e1_margin=float(min_e1_margin),
+        max_e2_margin=float(max_e2_margin),
     )

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,9 @@ import numpy as np
 import pytest
 
 import partialcrit as pc
+from partialcrit import cli
 from partialcrit.cli import main
+from partialcrit.errors import ConvergenceError
 
 
 SCALAR_CONFIG = {
@@ -175,6 +178,19 @@ def test_compare_agrees_exit_zero(tmp_path):
     assert payload["difference"] <= payload["bound"]
 
 
+def test_compare_oracle_failure_exit_four(tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise ConvergenceError("no convergence in 50 iterations")
+
+    monkeypatch.setattr(cli, "newton_full", fail)
+    cfg = _write(tmp_path, "cfg.json", SCALAR_CONFIG)
+    out = tmp_path / "cmp"
+    assert main(["compare", "--config", cfg, "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err == "oracle failed: no convergence in 50 iterations\n"
+    assert not (out / "compare.json").exists()
+
+
 def test_lemma_certifies_matrix(tmp_path):
     cfg = _write(tmp_path, "cfg.json", MATRIX_CONFIG)
     out = tmp_path / "lem"
@@ -184,6 +200,36 @@ def test_lemma_certifies_matrix(tmp_path):
     assert np.allclose(payload["neumann_inverse"],
                        [[1.5, 0.5], [0.25, 1.75]], atol=1e-9)
     assert payload["dominance_demo"]["dominance_ok"] is True
+
+
+def _readme_keys() -> dict[str, set[str]]:
+    # section cell -> the keys its rows of the README config table name; an
+    # empty section cell continues the row above
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    keys, section = {}, None
+    for line in readme.splitlines():
+        cells = [c.strip() for c in line.split("|")[1:-1]]
+        if len(cells) != 5 or cells[0] in ("section", "---"):
+            continue
+        section = cells[0] or section
+        keys.setdefault(section, set()).update(re.findall(r"`([^`]+)`",
+                                                          cells[1]))
+    return keys
+
+
+def test_readme_key_table_matches_config_schema():
+    expected = {"top level": cli._CONFIG, "`scheme`": cli._SCHEME,
+                "`check`": cli._CHECK, "`check.sampler`": cli._SAMPLER,
+                "`oracle`": cli._ORACLE, "`problem` (`matrix`)": cli._MATRIX}
+    for kind, (table, _) in cli._PROBLEMS.items():
+        expected[f"`problem` (`{kind}`)"] = table
+    for kind, table in cli._NONLINEARITIES.items():
+        expected[f"`nonlinearity` (`{kind}`)"] = table
+    readme = _readme_keys()
+    assert set(readme) <= set(expected)
+    for section, table in expected.items():
+        # the kind is named in the section cell, not in a row
+        assert readme.get(section, set()) == set(table) - {"kind"}, section
 
 
 def test_config_errors_exit_two(tmp_path):

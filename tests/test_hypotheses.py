@@ -41,13 +41,6 @@ def test_growth_violation_produces_witness():
     assert rep.alpha_upper_hat > 0.4
 
 
-def test_growth_declared_via_params_object():
-    pw = pc.make_pointwise(pc.NonlinearitySpec.sincos(0.1), arg_dim=1)
-    params = pc.GrowthParams(alpha_upper=0.1, alpha_lower=0.1, c_growth=0.1)
-    rep = pc.check_growth(pw.F, params, pc.SamplerSpec())
-    assert rep.ok
-
-
 def test_estimate_monotony_recovers_decoupled_quadratic():
     pw = pc.make_pointwise(
         pc.NonlinearitySpec.quadratic(0.8, 0.0, -0.6, 0.0), arg_dim=1)
@@ -148,8 +141,6 @@ def test_fit_pair_on_rows_through_one_vertex(p_star, q_star, coeffs):
 def test_mu_frozen_value_and_boundary():
     assert pc.mu_of(0.2, 0.2) == pytest.approx(0.04 / 0.09, rel=1e-12)
     assert pc.mu_of(0.25, 0.25) == pytest.approx(1.0, rel=1e-12)
-    params = pc.GrowthParams(alpha_upper=0.2, alpha_lower=0.2, c_growth=1.0)
-    assert pc.mu_of(params) == pytest.approx(0.04 / 0.09, rel=1e-12)
 
 
 def test_mu_threshold_characterization(rng):

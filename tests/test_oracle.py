@@ -53,12 +53,15 @@ def test_newton_dense_and_matrix_free_agree(sincos_1d):
     assert diff <= 1e-7
 
 
-def test_newton_warm_start(scalar_linear, solved):
-    pair, _ = solved["scalar_linear"]
-    result = pc.newton_full(scalar_linear,
-                            init=(pair.u_star, pair.v_star))
-    assert result.converged
-    assert result.iterations == 0  # already at the solution
+def test_newton_line_search_failure():
+    # a strong sincos coupling on a soft scalar operator: at iteration 9
+    # no halving of the Newton step lowers the stacked residual
+    system = pc.build_scalar(0.5, pc.NonlinearitySpec.sincos(3.0))
+    with pytest.raises(ConvergenceError) as err:
+        pc.newton_full(system)
+    assert str(err.value) == ("line search could not reduce the stacked "
+                              "residual")
+    assert err.value.iterations == 9
 
 
 def test_newton_budget_error():

@@ -1,5 +1,7 @@
 """Problem builders: assembly correctness, refinement, Stokes structure."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,13 @@ def test_pointwise_custom_dimension_checked():
     with pytest.raises(ValueError):
         pc.make_pointwise(spec, arg_dim=2)
     assert pc.make_pointwise(spec, arg_dim=1) is pw
+
+
+def test_custom_table_must_declare_monotony():
+    pw = pc.make_pointwise(pc.NonlinearitySpec.sincos(0.1), arg_dim=1)
+    table = dataclasses.replace(pw, monotony=None)
+    with pytest.raises(ValueError, match="must declare its monotony"):
+        pc.NonlinearitySpec.custom(table)
 
 
 def test_nonlinearity_spec_validation():

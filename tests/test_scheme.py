@@ -51,15 +51,14 @@ def test_inner_solvers_move_energy_monotonically(bundled, name, rng):
     space = system.space
     v_fixed = space.wrap(rng.standard_normal(space.dim))
     u0 = space.wrap(rng.standard_normal(space.dim) + 2.0)
-    cfg = pc.SchemeConfig()
-    u1 = scheme._inner_solve(system, v_fixed, u0, 1e-8, cfg, "u")[0]
+    u1 = scheme._inner_solve(system, v_fixed, u0, 1e-8, "u")[0]
     e1_before = pc.energies(system, u0, v_fixed)[0]
     e1_after = pc.energies(system, u1, v_fixed)[0]
     assert e1_after <= e1_before + 1e-10
 
     u_fixed = space.wrap(rng.standard_normal(space.dim))
     v0 = space.wrap(rng.standard_normal(space.dim) + 2.0)
-    v1 = scheme._inner_solve(system, u_fixed, v0, 1e-8, cfg, "v")[0]
+    v1 = scheme._inner_solve(system, u_fixed, v0, 1e-8, "v")[0]
     e2_before = pc.energies(system, u_fixed, v0)[1]
     e2_after = pc.energies(system, u_fixed, v1)[1]
     assert e2_after >= e2_before - 1e-10
@@ -102,12 +101,17 @@ def test_divergent_matrix_refused():
     assert pair.converged  # fixed point is the origin
 
 
-def test_inner_budget_failure_carries_stage_and_side(scalar_linear):
-    cfg = pc.SchemeConfig(inner_max_iters=1)
+def test_inner_budget_failure_carries_stage_and_side():
+    # a = 0.49 leaves E1 a curvature of 0.02 against a step of 0.9 / 1.98:
+    # the u-residual shrinks by under 1% a step and misses 1e-8 in 500
+    system = pc.build_scalar(
+        1.0, pc.NonlinearitySpec.quadratic(0.49, 0.0, 0.0, 1.0))
     with pytest.raises(SchemeStageError) as err:
-        pc.run_scheme(scalar_linear, cfg)
-    assert err.value.stage == 1
-    assert err.value.side == "u"
+        pc.run_scheme(system)
+    assert (err.value.stage, err.value.side) == (1, "u")
+    assert err.value.iterations == 500
+    assert str(err.value) == ("stage 1: inner u-solve did not reach "
+                              "tolerance 1e-08 in 500 iterations")
 
 
 def test_line_search_stall_carries_stage_and_side():

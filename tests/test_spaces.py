@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 import partialcrit as pc
 from partialcrit import spaces
-from partialcrit.errors import IntegrityError
+from partialcrit.errors import ConvergenceError, IntegrityError
 
 
 def _random_spd_space(n, seed, space_id):
@@ -142,6 +142,16 @@ def test_stokes_velocity_embedding_bounded(stokes_17, stokes_spec):
     # first Dirichlet eigenvalue of the unit square
     bound = 1.0 / np.sqrt(2.0 * np.pi**2 + stokes_spec.mu_coeff)
     assert np.sqrt(stokes_17.embedding_sq) <= bound
+
+
+def test_power_iteration_stagnation_raises():
+    # eigenvalues +-i: the Rayleigh quotient cycles and never settles
+    space = pc.make_space(sp.identity(2, format="csr"), np.ones(2))
+    m = np.array([[2.0, 5.0], [-1.0, -2.0]])
+    with pytest.raises(ConvergenceError) as err:
+        spaces.dominant_inverse_eig(space, lambda x: m @ x)
+    assert str(err.value) == "power iteration stagnated after 5000 iterations"
+    assert err.value.iterations == 5000
 
 
 def test_validate_space_rejects_asymmetric():
