@@ -403,11 +403,11 @@ def cmd_check(args) -> int:
         declared = system.pointwise.growth
     taus = _taus(chk.get("ring_taus"), "check.ring_taus")
 
-    report = full_report(system, declared, sampler)
+    report = _call("check", full_report, system, declared, sampler)
 
     margins = None
     if report.certificate.rho_ok:
-        margins = _payload(ps_beta(report.monotony_estimate))
+        margins = _payload(_call("check", ps_beta, report.monotony_estimate))
 
     payload = {
         "label": system.label,
@@ -418,8 +418,9 @@ def cmd_check(args) -> int:
         "certificate": _payload(report.certificate, "convergent"),
         "mu": report.mu,
         "ps_beta": margins,
-        "ring": [_payload(check_mountain_pass_ring(system, tau, sampler),
-                          "fraction_violated") for tau in taus],
+        "ring": [_payload(_call("check", check_mountain_pass_ring, system,
+                                tau, sampler), "fraction_violated")
+                 for tau in taus],
         "notes": list(report.notes),
     }
     _emit(args, raw, sampler.seed, {"report.json": payload})

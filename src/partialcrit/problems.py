@@ -18,6 +18,7 @@ Two families are built here:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -160,6 +161,20 @@ def make_pointwise(spec: NonlinearitySpec, arg_dim: int) -> PointwiseNonlinearit
     )
 
 
+def _check_grid_steps(lengths: tuple[float, ...], n: int, power: int
+                      ) -> None:
+    """Refuse sides whose grid step h = L / (n + 1) leaves ``h**power`` or
+    its reciprocal, which the stencils scale by, outside the float range."""
+    for length in lengths:
+        h = length / (n + 1)
+        scale = h * h  # ``h ** 2`` raises on overflow; products go to inf
+        if power == 4:
+            scale *= scale
+        if not (0.0 < scale < math.inf and 1.0 / scale < math.inf):
+            raise ValueError(f"lengths give a grid step h with h**{power} "
+                             f"or 1/h**{power} outside the float range")
+
+
 @dataclass(frozen=True)
 class DirichletSpec:
     """Reaction system on (0, L) or (0, Lx) x (0, Ly) with zero boundary;
@@ -183,6 +198,7 @@ class DirichletSpec:
             raise ValueError("lengths must list one side per dimension")
         if any(not (v > 0.0) for v in lengths):
             raise ValueError("lengths must be positive")
+        _check_grid_steps(lengths, self.n_per_dim, 2)
         if self.potential_c < 0.0:
             raise ValueError("potential_c must be nonnegative")
         object.__setattr__(self, "lengths", lengths)
@@ -205,6 +221,7 @@ class StokesSpec:
             else self.lengths))
         if len(lengths) != 2 or any(not (v > 0.0) for v in lengths):
             raise ValueError("lengths must be two positive sides")
+        _check_grid_steps(lengths, self.n_per_dim, 4)
         if not (self.mu_coeff > 0.0):
             raise ValueError("mu_coeff must be positive")
         object.__setattr__(self, "lengths", lengths)

@@ -82,7 +82,7 @@ def cross_coupled_1d():
 
 @pytest.fixture(scope="session")
 def stokes_cross_17():
-    # Stokes on the grid of stokes_spec, quadratic b=46: 29 stages, live v side
+    # Stokes on the grid of stokes_spec, quadratic b=46: 14 stages, live v side
     return _from_config("stokes_cross_17")
 
 

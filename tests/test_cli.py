@@ -74,9 +74,9 @@ def test_solve_writes_all_outputs(tmp_path):
 
 @pytest.mark.parametrize("config", [
     SINCOS_CONFIG,
-    # cross-coupled quadratic, about 38 stages with a live v-side
+    # cross-coupled quadratic, 19 stages with a live v-side
     json.loads((CONFIGS / "cross_coupled_1d.json").read_text()),
-    # Stokes quadratic cross coupling, 29 stages with a live v-side
+    # Stokes quadratic cross coupling, 14 stages with a live v-side
     json.loads((CONFIGS / "stokes_cross_17.json").read_text()),
 ], ids=["sincos_1d", "cross_coupled_1d", "stokes_cross_17"])
 def test_solve_reruns_are_byte_identical(tmp_path, config):
@@ -389,6 +389,24 @@ DEFECTS = [
     ("compare", SCALAR_CONFIG, ("oracle", "tol"), 0, (), 2,
      "oracle: tol must be positive"),
     ("compare", SCALAR_CONFIG, ("oracle", "jacobian_free"), None, (), 0, None),
+    # grid steps whose stencil scale leaves the float range
+    ("solve", SINCOS_CONFIG, ("problem", "lengths"), [1e-200], (), 2,
+     "problem: lengths give a grid step h with h**2 or 1/h**2 outside the "
+     "float range"),
+    ("solve", SINCOS_CONFIG, ("problem", "lengths"), [1e200], (), 2,
+     "problem: lengths give a grid step h with h**2 or 1/h**2 outside the "
+     "float range"),
+    ("solve", STOKES_CONFIG, ("problem", "lengths"), [1e-200, 1e-200], (), 2,
+     "problem: lengths give a grid step h with h**4 or 1/h**4 outside the "
+     "float range"),
+    ("solve", STOKES_CONFIG, ("problem", "lengths"), [1e200, 1e200], (), 2,
+     "problem: lengths give a grid step h with h**4 or 1/h**4 outside the "
+     "float range"),
+    # physics the hypothesis checks cannot scale
+    ("check", STOKES_CONFIG, ("problem",),
+     {"kind": "stokes", "n_per_dim": 5, "lengths": [1e30, 1e30],
+      "mu_coeff": 1e200, "nonlinearity": {"kind": "sincos", "epsilon": 0.1}},
+     (), 2, "check: embedding_sq must be positive"),
 ]
 
 

@@ -6,6 +6,7 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import partialcrit as pc
 from partialcrit import scheme
@@ -26,13 +27,61 @@ def test_scalar_closed_form(scalar_linear):
     assert CLOSED_FORM[1] == pytest.approx(-1.0 / 20.2, abs=1e-15)
 
 
-def test_trace_respects_schedule(solved):
-    # stage k solves both sides to min(1/k, final_tol), final_tol = 1e-8
-    for name, (pair, trace) in solved.items():
-        for row in trace.rows:
-            t_k = min(1.0 / row.k, 1e-8)
-            assert row.r1 <= t_k + 1e-15, f"{name} stage {row.k}"
-            assert row.r2 <= t_k + 1e-15, f"{name} stage {row.k}"
+def _check_schedule(system, trace, final_tol, name=""):
+    """Assert the gated stage schedule of `run_scheme` on a trace, with the
+    gate and the pair residuals recomputed from the iterates; return
+    whether the run took the forcing path."""
+    def ru(j):
+        return pc.norm_a(pc.residual_u(system, trace.iterates_u[j],
+                                       trace.iterates_v[j]), system.space)
+
+    forcing = len(trace.rows) > 1 and ru(1) > scheme.FORCING * ru(0)
+    for row in trace.rows:
+        k, r = row.k, max(row.r1, row.r2)
+        where = f"{name} stage {k}"
+        assert r <= 1.0 / k, where
+        if k == 1 or not forcing:
+            assert r <= final_tol, where
+        else:
+            r_prev = max(ru(k - 1), trace.rows[k - 2].r2)
+            assert r <= max(final_tol,
+                            min(1.0 / k, scheme.FORCING * r_prev)), where
+    return forcing
+
+
+def test_trace_respects_schedule(solved, bundled):
+    # every stage within the paper's 1/k; final_tol = 1e-8 at stage 1 and on
+    # the exact path, the forcing tolerance after a slow first stage
+    forced = {name: pair.stages for name, (pair, trace) in solved.items()
+              if _check_schedule(bundled[name], trace, 1e-8, name)}
+    # solving every stage to final_tol takes 17, 10, 38 and 29 stages
+    assert forced == {"scalar_stiff": 11, "dirichlet_stiff": 8,
+                      "cross_coupled_1d": 19, "stokes_cross_17": 14}
+
+
+def test_pair_residual_starts_the_next_u_solve(stokes_17):
+    # the u-residual at the pair after a stage is the first gradient of the
+    # next u-solve: one eval_Nu a run plus one a stage besides the inner
+    # iterations, and eval_N stays 3 a stage plus one an inner iteration
+    counts = {"eval_N": 0, "eval_Nu": 0, "eval_Nv": 0}
+
+    def counting(name):
+        fn = getattr(stokes_17, name)
+
+        def wrapped(u, v):
+            counts[name] += 1
+            return fn(u, v)
+        return wrapped
+
+    system = dataclasses.replace(
+        stokes_17, **{name: counting(name) for name in counts})
+    pair, trace = pc.run_scheme(system, pc.SchemeConfig(random_init=True))
+    iters_u = sum(row.inner_iters_u for row in trace.rows)
+    iters_v = sum(row.inner_iters_v for row in trace.rows)
+    assert (pair.stages, iters_u, iters_v) == (2, 7, 9)
+    assert counts == {"eval_N": 22, "eval_Nu": 10, "eval_Nv": 11}
+    assert counts["eval_Nu"] == 1 + pair.stages + iters_u
+    assert counts["eval_N"] == 3 * pair.stages + iters_u + iters_v
 
 
 def test_trace_energy_identities(solved):
@@ -43,6 +92,52 @@ def test_trace_energy_identities(solved):
             scale = max(1.0, abs(row.e_total))
             assert abs(row.e_total - e_from_e1) <= 1e-9 * scale, name
             assert abs(row.e_total - e_from_e2) <= 1e-9 * scale, name
+
+
+# squared embedding constant of the 31-node unit interval, so that a cross
+# coupling b has spectral radius DIRICHLET_31_EMB_SQ * b
+DIRICHLET_31_EMB_SQ = 0.10140260305694186
+
+
+def _dirichlet_31(nonlinearity):
+    return pc.build_dirichlet(pc.DirichletSpec(
+        dims=1, n_per_dim=31, lengths=(1.0,), nonlinearity=nonlinearity))
+
+
+# family -> builder from one parameter: the spectral radius of a cross
+# coupling, or the sincos amplitude
+_FAMILIES = {
+    "dirichlet": lambda rho: _dirichlet_31(pc.NonlinearitySpec.quadratic(
+        0.0, rho / DIRICHLET_31_EMB_SQ, 0.0, 1.0)),
+    "sincos": lambda eps: _dirichlet_31(pc.NonlinearitySpec.sincos(eps)),
+    "scalar": lambda rho: pc.build_scalar(
+        2.0, pc.NonlinearitySpec.quadratic(0.0, 2.0 * rho, 0.0, 1.0)),
+}
+
+_cases = st.one_of(
+    st.tuples(st.just("dirichlet"), st.floats(0.3, 0.97)),
+    st.tuples(st.just("sincos"), st.floats(0.01, 5.0)),
+    st.tuples(st.just("scalar"), st.floats(0.05, 0.95)),
+)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(_cases, st.integers(0, 1000))
+@example(("dirichlet", 0.97), 3)
+@example(("scalar", 0.95), 0)
+def test_gated_schedule_lands_on_the_solution(case, seed):
+    family, param = case
+    system = _FAMILIES[family](param)
+    cfg = pc.SchemeConfig(max_outer=1000, random_init=True, seed=seed)
+    pair, trace = pc.run_scheme(system, cfg)
+    assert pair.converged
+    _check_schedule(system, trace, cfg.final_tol)
+    assert pc.contraction_certificate(trace, system.monotony, p=1).passed
+    assert pc.nash_check(system, pair).ok
+    orc = pc.newton_full(system, tol=1e-8)
+    du = pc.norm_a(pair.u_star - orc.u_star, system.space)
+    dv = pc.norm_a(pair.v_star - orc.v_star, system.space)
+    assert np.hypot(du, dv) <= 10.0 * (cfg.final_tol + 1e-8)
 
 
 @pytest.mark.parametrize("name", ["scalar_stiff", "dirichlet_stiff"])
