@@ -298,7 +298,7 @@ _CHECK = {"sampler": (lambda v, where: _fields(v, where, _SAMPLER), False),
           # read once the growth constants, which may be built in, are known
           "ring_taus": (_as_given, False)}
 
-_ORACLE = {"tol": (_number, False), "max_iters": (_int, False),
+_ORACLE = {"tol": (_number, False),
            "jacobian_free": (lambda v, where: None if v is None
                              else _bool(v, where), False)}
 
@@ -341,13 +341,10 @@ def build_problem(cfg: dict) -> CoupledSystem:
     return _call("problem", build, **kw)
 
 
-def scheme_config_from(cfg: dict, seed_override: int | None,
-                       override_flag: bool) -> SchemeConfig:
+def scheme_config_from(cfg: dict, seed_override: int | None) -> SchemeConfig:
     kw = _fields(cfg.get("scheme"), "scheme", _SCHEME)
     if seed_override is not None:
         kw["seed"] = seed_override
-    if override_flag:
-        kw["override_hypotheses"] = True
     return _call("scheme", SchemeConfig, **kw)
 
 
@@ -484,7 +481,7 @@ def _solve_payloads(system: CoupledSystem, pair, trace, scfg: SchemeConfig):
 def cmd_solve(args) -> int:
     cfg, raw = load_config(args.config)
     system = build_problem(cfg)
-    scfg = scheme_config_from(cfg, args.seed, args.override_hypotheses)
+    scfg = scheme_config_from(cfg, args.seed)
     outcome = _run_scheme(system, scfg)
     if isinstance(outcome, int):
         return outcome
@@ -502,7 +499,7 @@ def cmd_solve(args) -> int:
 def cmd_compare(args) -> int:
     cfg, raw = load_config(args.config)
     system = build_problem(cfg)
-    scfg = scheme_config_from(cfg, args.seed, args.override_hypotheses)
+    scfg = scheme_config_from(cfg, args.seed)
     oracle_kw = _fields(cfg.get("oracle"), "oracle", _ORACLE)
 
     outcome = _run_scheme(system, scfg)
@@ -613,9 +610,6 @@ def build_parser() -> argparse.ArgumentParser:
         if name != "lemma":
             q.add_argument("--seed", type=int, default=None,
                            help="override the configured seed")
-        if name in ("solve", "compare"):
-            q.add_argument("--override-hypotheses", action="store_true",
-                           help="demote failed solvability gates to warnings")
     return parser
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import IntegrityError
 from .scheme import CoupledSystem
-from .spaces import embedding_constant, random_unit
+from .spaces import random_unit
 from .zeromatrix import ConvergenceCertificate, MonotonyMatrix, is_convergent_to_zero
 
 __all__ = [
@@ -136,17 +136,17 @@ def check_growth(F, declared: tuple[float, float, float],
     y2 = np.sum(y * y, axis=1)
 
     slack = 1e-12 * np.maximum(1.0, np.abs(f))
-    upper_gap = f - (au * x2 + c)          # > 0 means violated
-    lower_gap = (-al * y2 - c) - f
+    # a gap or fit that overflows keeps its sign, which is all that is read
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        upper_gap = f - (au * x2 + c)          # > 0 means violated
+        lower_gap = (-al * y2 - c) - f
+        au_hat = np.where(x2 > 1e-300, (f - c) / x2, 0.0)
+        al_hat = np.where(y2 > 1e-300, (-f - c) / y2, 0.0)
     violated = np.maximum(upper_gap, lower_gap) > slack
     witness = None
     if np.any(violated):
         worst = int(np.argmax(np.maximum(upper_gap, lower_gap)))
         witness = tuple(float(t) for t in (*x[worst], *y[worst], f[worst]))
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        au_hat = np.where(x2 > 1e-300, (f - c) / x2, 0.0)
-        al_hat = np.where(y2 > 1e-300, (-f - c) / y2, 0.0)
     return GrowthReport(
         ok=not bool(np.any(violated)),
         alpha_upper_hat=float(max(0.0, np.max(au_hat))),
@@ -257,7 +257,8 @@ def estimate_monotony(f1, f2, sampler: SamplerSpec, arg_dim: int = 1,
     and each pair of coefficients is minimized (in the sum sense) by an
     exact two-variable linear program (`_fit_pair`). The returned matrix
     is scaled by ``embedding_sq``, converting pointwise coefficients into
-    A-norm ones.
+    A-norm ones. A sampled row that leaves the float range is bad input:
+    `ValueError`.
     """
     if not (embedding_sq > 0.0):
         raise ValueError("embedding_sq must be positive")
@@ -274,8 +275,12 @@ def estimate_monotony(f1, f2, sampler: SamplerSpec, arg_dim: int = 1,
 
     dx = np.linalg.norm(x - xb, axis=1)
     dy = np.linalg.norm(y - yb, axis=1)
-    s1 = np.sum((np.asarray(f1(x, y)) - np.asarray(f1(xb, yb))) * (x - xb), axis=1)
-    s2 = np.sum((np.asarray(f2(x, y)) - np.asarray(f2(xb, yb))) * (y - yb), axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        s1 = np.sum((np.asarray(f1(x, y)) - np.asarray(f1(xb, yb))) * (x - xb), axis=1)
+        s2 = np.sum((np.asarray(f2(x, y)) - np.asarray(f2(xb, yb))) * (y - yb), axis=1)
+        rows = np.stack([dx ** 2, dy ** 2, dx * dy, s1, s2])
+    if not np.all(np.isfinite(rows)):
+        raise ValueError("sampled difference quotients leave the float range")
 
     keep1 = dx > 1e-12
     m11, m12 = _fit_pair(dx[keep1] ** 2, (dx * dy)[keep1], s1[keep1])
@@ -338,9 +343,8 @@ def check_mountain_pass_ring(sys: CoupledSystem, tau: float,
                       n_violated=violated)
 
 
-def ps_beta(m) -> PsBeta:
+def ps_beta(mm: MonotonyMatrix) -> PsBeta:
     """Both readings of the compactness margin for a convergent matrix."""
-    mm = m if isinstance(m, MonotonyMatrix) else MonotonyMatrix(np.asarray(m, float))
     if mm.n != 2:
         raise ValueError("the margin is defined for 2 by 2 matrices")
     cert = is_convergent_to_zero(mm)
@@ -365,17 +369,14 @@ def full_report(sys: CoupledSystem, declared: tuple[float, float, float],
 
     `declared` is the pointwise (alpha_upper, alpha_lower, c) triple to
     test, as `check_growth` takes it. The fitted coupling matrix is scaled
-    by the system's recorded squared embedding constant (falling back to
-    the space's own), then certified. ``ready`` means: growth holds on the
-    sample, the fitted matrix is convergent to zero, and the contraction
-    factor is defined and below one.
+    by the system's recorded squared embedding constant, then certified.
+    ``ready`` means: growth holds on the sample, the fitted matrix is
+    convergent to zero, and the contraction factor is defined and below one.
     """
     pw = sys.pointwise
-    if pw is None:
-        raise ValueError("system carries no pointwise nonlinearity to check")
     emb_sq = sys.embedding_sq
-    if emb_sq is None:
-        emb_sq = embedding_constant(sys.space) ** 2
+    if pw is None or emb_sq is None:
+        raise ValueError("system carries no pointwise nonlinearity to check")
 
     growth_rep = check_growth(pw.F, declared, sampler, arg_dim=pw.arg_dim)
     est = estimate_monotony(pw.f1, pw.f2, sampler, arg_dim=pw.arg_dim,

@@ -26,6 +26,9 @@ __all__ = [
     "brute_nash",
 ]
 
+# Newton iterations before `newton_full` gives up
+NEWTON_MAX_ITERS = 50
+
 
 @dataclass(frozen=True)
 class OracleResult:
@@ -70,7 +73,7 @@ def _gmres_step(resid, x: np.ndarray, r0: np.ndarray) -> np.ndarray:
     return delta
 
 
-def newton_full(sys: CoupledSystem, tol: float = 1e-8, max_iters: int = 50,
+def newton_full(sys: CoupledSystem, tol: float = 1e-8,
                 jacobian_free: bool | None = None) -> OracleResult:
     """Damped Newton on the stacked residual (u - Nu, -v - Nv).
 
@@ -81,14 +84,12 @@ def newton_full(sys: CoupledSystem, tol: float = 1e-8, max_iters: int = 50,
     switch). Convergence is declared on the same metric the scheme uses:
     both A-norm residuals at the pair below ``tol``. Line search halves
     the step until the squared euclidean residual decreases; running out
-    of halvings or iterations, or a singular Jacobian, raises
-    `ConvergenceError`. A nonpositive ``tol`` or a ``max_iters`` below one
-    raises `ValueError`.
+    of halvings or of the `NEWTON_MAX_ITERS` iterations, or a singular
+    Jacobian, raises `ConvergenceError`. A nonpositive ``tol`` raises
+    `ValueError`.
     """
     if not (tol > 0.0):
         raise ValueError("tol must be positive")
-    if max_iters < 1:
-        raise ValueError("max_iters must be at least 1")
     space = sys.space
     n = space.dim
     x = np.zeros(2 * n)
@@ -104,7 +105,7 @@ def newton_full(sys: CoupledSystem, tol: float = 1e-8, max_iters: int = 50,
                                residual_v(sys, u, v).coeffs])
 
     r = resid(x)
-    for it in range(max_iters):
+    for it in range(NEWTON_MAX_ITERS):
         ru = norm_a(space.wrap(r[:n].copy()), space)
         rv = norm_a(space.wrap(r[n:].copy()), space)
         if max(ru, rv) <= tol:
@@ -136,24 +137,25 @@ def newton_full(sys: CoupledSystem, tol: float = 1e-8, max_iters: int = 50,
             )
         x, r = x_new, r_new
     raise ConvergenceError(
-        f"no convergence in {max_iters} iterations",
-        residual=float(np.linalg.norm(r)), iterations=max_iters,
+        f"no convergence in {NEWTON_MAX_ITERS} iterations",
+        residual=float(np.linalg.norm(r)), iterations=NEWTON_MAX_ITERS,
     )
 
 
 def fd_gradient_check(sys: CoupledSystem, u: HVector, v: HVector,
-                      step: float = 1e-4, n_dirs: int = 10,
-                      seed: int = 0) -> float:
+                      n_dirs: int = 10) -> float:
     """Largest relative mismatch between analytic and central-difference
     directional derivatives of the three energies at (u, v).
 
-    Directions are unit vectors in the operator norm; the relative error
+    Directions are seeded (seed 0) unit vectors in the operator norm, and
+    the central differences take a step of 1e-4; the relative error
     uses max(1, |analytic|) as denominator so near-critical points do not
     inflate it. Checks the first energy against the u-residual, the second
     against the v-residual, and the total against their sum.
     """
     space = sys.space
-    rng = np.random.default_rng(seed)
+    step = 1e-4
+    rng = np.random.default_rng(0)
     ru = residual_u(sys, u, v)
     rv = residual_v(sys, u, v)
     worst = 0.0
@@ -205,11 +207,10 @@ class BruteScanReport:
 
 
 def brute_nash(sys: CoupledSystem, pair: SolutionPair,
-               grid_radius: float = 0.5, grid_n: int = 401,
-               slack: float | None = None) -> BruteScanReport:
+               grid_radius: float = 0.5, grid_n: int = 401) -> BruteScanReport:
     """Scan a coefficient box exhaustively; spaces of dimension 1 or 2 only.
 
-    The slack defaults to a first-order allowance for the pair's residual,
+    The slack is a first-order allowance for the pair's residual,
     2 * radius * max residual, plus roundoff.
     """
     space = sys.space
@@ -219,8 +220,7 @@ def brute_nash(sys: CoupledSystem, pair: SolutionPair,
         raise ValueError("the candidate pair did not converge")
     if grid_n < 3:
         raise ValueError("grid_n must be at least 3")
-    if slack is None:
-        slack = 2.0 * grid_radius * max(pair.residuals) + 1e-12
+    slack = 2.0 * grid_radius * max(pair.residuals) + 1e-12
 
     line = np.linspace(-grid_radius, grid_radius, grid_n)
     if space.dim == 1:

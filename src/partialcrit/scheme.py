@@ -459,8 +459,6 @@ class NashReport:
     level g with the probed curvature bound L.
     """
 
-    n_samples: int
-    radius: float
     curvature: float
     min_e1_margin: float
     max_e2_margin: float
@@ -512,7 +510,6 @@ def nash_check(sys: CoupledSystem, pair: SolutionPair, seed: int = 0
         max_e2_margin = max(max_e2_margin, de2 - bound)
 
     return NashReport(
-        n_samples=NASH_SAMPLES, radius=NASH_RADIUS,
         curvature=float(curvature), min_e1_margin=float(min_e1_margin),
         max_e2_margin=float(max_e2_margin),
     )

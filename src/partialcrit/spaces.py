@@ -291,7 +291,12 @@ def dominant_inverse_eig(space: DiscreteSpace,
         y = solve_a(mx, space).coeffs
         ynorm = float(np.linalg.norm(y))
         if ynorm == 0.0:
-            return 0.0
+            # the squares underflow once every entry is below about 1e-154
+            peak = float(np.max(np.abs(y)))
+            if peak == 0.0:
+                return 0.0
+            y = y / peak
+            ynorm = float(np.linalg.norm(y))
         x = y / ynorm
     raise ConvergenceError(
         f"power iteration stagnated after {max_iters} iterations",

@@ -21,7 +21,7 @@ def _from_config(name):
     """A bundled config's system and scheme settings, read as the CLI reads
     them."""
     cfg = json.loads((CONFIGS / f"{name}.json").read_text())
-    return build_problem(cfg), scheme_config_from(cfg, None, False)
+    return build_problem(cfg), scheme_config_from(cfg, None)
 
 
 @pytest.fixture(scope="session")

@@ -249,6 +249,14 @@ STOKES_CONFIG = {
 
 DELETE = object()
 
+_SINCOS = {"kind": "sincos", "epsilon": 0.1}
+DIRICHLET_2D_STIFF = {"kind": "dirichlet", "dims": 2, "n_per_dim": 5,
+                      "lengths": [1.0, 1.0], "potential_c": 1e200,
+                      "nonlinearity": _SINCOS}
+STOKES_STIFF = {"kind": "stokes", "n_per_dim": 5, "lengths": [1.0, 1.0],
+                "mu_coeff": 1e200, "nonlinearity": _SINCOS}
+STOKES_HUGE = {**STOKES_STIFF, "lengths": [1e30, 1e30]}
+
 # (command, base config, path, value or DELETE, extra flags, exit code,
 #  config error message); the empty path replaces the whole config
 DEFECTS = [
@@ -384,8 +392,9 @@ DEFECTS = [
      "oracle.tol must be a number"),
     ("compare", SCALAR_CONFIG, ("oracle", "jacobian_free"), 1, (), 2,
      "oracle.jacobian_free must be a boolean"),
-    ("compare", SCALAR_CONFIG, ("oracle", "max_iters"), 0, (), 2,
-     "oracle: max_iters must be at least 1"),
+    # the Newton budget is a module constant, not a key
+    ("compare", SCALAR_CONFIG, ("oracle", "max_iters"), 50, (), 2,
+     "oracle: unknown keys ['max_iters']"),
     ("compare", SCALAR_CONFIG, ("oracle", "tol"), 0, (), 2,
      "oracle: tol must be positive"),
     ("compare", SCALAR_CONFIG, ("oracle", "jacobian_free"), None, (), 0, None),
@@ -402,11 +411,24 @@ DEFECTS = [
     ("solve", STOKES_CONFIG, ("problem", "lengths"), [1e200, 1e200], (), 2,
      "problem: lengths give a grid step h with h**4 or 1/h**4 outside the "
      "float range"),
-    # physics the hypothesis checks cannot scale
-    ("check", STOKES_CONFIG, ("problem",),
-     {"kind": "stokes", "n_per_dim": 5, "lengths": [1e30, 1e30],
-      "mu_coeff": 1e200, "nonlinearity": {"kind": "sincos", "epsilon": 0.1}},
-     (), 2, "check: embedding_sq must be positive"),
+    # operators scaled by 1e200 put the embedding eigenvalue's power
+    # iterates below 1e-154, where their euclidean norm underflows; the
+    # check row on STOKES_HUGE comes first, in the place of the row that
+    # pinned the underflow's symptom (exit 2, embedding_sq not positive)
+    ("check", STOKES_CONFIG, ("problem",), STOKES_HUGE, (), 0, None),
+    *[(command, base, path, value, (), 0, None)
+      for base, path, value in (
+          (SINCOS_CONFIG, ("problem", "potential_c"), 1e200),
+          (SINCOS_CONFIG, ("problem",), DIRICHLET_2D_STIFF),
+          (STOKES_CONFIG, ("problem",), STOKES_STIFF),
+          (STOKES_CONFIG, ("problem",), STOKES_HUGE))
+      for command in ("solve", "check", "compare")
+      if (command, value) != ("check", STOKES_HUGE)],
+    # gradients whose differences overflow cannot be fitted
+    ("check", SCALAR_CONFIG, ("problem",),
+     {"kind": "scalar", "a_value": 1e308,
+      "nonlinearity": {"kind": "sincos", "epsilon": 1e308}},
+     (), 2, "check: sampled difference quotients leave the float range"),
 ]
 
 
@@ -443,6 +465,9 @@ def test_config_defect_table(tmp_path, capsys, command, base, path, value,
     ("lemma", "--seed=3"),
     ("lemma", "--override-hypotheses"),
     ("check", "--override-hypotheses"),
+    # the config key scheme.override_hypotheses is the one switch
+    ("solve", "--override-hypotheses"),
+    ("compare", "--override-hypotheses"),
 ])
 def test_flags_only_where_read(tmp_path, capsys, command, flag):
     cfg = _write(tmp_path, "cfg.json", MATRIX_CONFIG)
@@ -464,12 +489,12 @@ def _rho_warning(rho: str) -> str:
             "(needs < 1); continuing on request")
 
 
-def test_override_flag_demotes_refusal(tmp_path, capsys):
+def test_override_key_demotes_refusal(tmp_path, capsys):
     refused = json.loads(json.dumps(SCALAR_CONFIG))
     refused["problem"]["nonlinearity"] = {"kind": "quadratic", "b": 3.0}
+    refused["scheme"]["override_hypotheses"] = True
     cfg = _write(tmp_path, "cfg.json", refused)
-    code = main(["solve", "--config", cfg, "--out", str(tmp_path / "o"),
-                 "--override-hypotheses"])
+    code = main(["solve", "--config", cfg, "--out", str(tmp_path / "o")])
     assert code == 0
     err = capsys.readouterr().err
     assert _rho_warning("1.5") in err.splitlines()

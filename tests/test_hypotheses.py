@@ -164,7 +164,7 @@ def test_mu_domain_errors():
 
 
 def test_ps_beta_frozen_values():
-    rep = pc.ps_beta([[0.3, 0.2], [0.1, 0.4]])
+    rep = pc.ps_beta(pc.MonotonyMatrix([[0.3, 0.2], [0.1, 0.4]]))
     assert rep.full == pytest.approx(1.0 - 0.3 - 0.02 / 0.6, rel=1e-12)
     assert rep.m11_only == pytest.approx(1.0 - 0.3 - 0.09 / 0.7, rel=1e-12)
     assert rep.full > 0.0
@@ -172,7 +172,7 @@ def test_ps_beta_frozen_values():
 
 def test_ps_beta_rejects_divergent_matrix():
     with pytest.raises(ValueError):
-        pc.ps_beta([[1.2, 0.0], [0.0, 0.2]])
+        pc.ps_beta(pc.MonotonyMatrix([[1.2, 0.0], [0.0, 0.2]]))
 
 
 def test_ps_beta_full_positive_for_random_convergent(rng):
@@ -181,7 +181,7 @@ def test_ps_beta_full_positive_for_random_convergent(rng):
         m = rng.uniform(0.0, 0.9, (2, 2))
         if np.max(np.abs(np.linalg.eigvals(m))) >= 0.999:
             continue
-        rep = pc.ps_beta(m)
+        rep = pc.ps_beta(pc.MonotonyMatrix(m))
         assert rep.full > 0.0
         count += 1
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import partialcrit as pc
+from partialcrit import oracle
 from partialcrit.errors import ConvergenceError
 
 
@@ -64,16 +65,19 @@ def test_newton_line_search_failure():
     assert err.value.iterations == 9
 
 
-def test_newton_budget_error():
+def test_newton_budget_error(monkeypatch):
     system = pc.build_scalar(2.0,
                              pc.NonlinearitySpec.quadratic(0.0, 0.2, 0.0, 1.0))
-    # one Newton step lands on this linear system's solution, but the
-    # budget ends before the convergence test sees it
-    with pytest.raises(ConvergenceError):
-        pc.newton_full(system, max_iters=1)
-    for bad in ({"max_iters": 0}, {"tol": 0.0}, {"tol": -1e-8}):
+    # one Newton step lands on this linear system's solution, but a
+    # one-step budget ends before the convergence test sees it
+    monkeypatch.setattr(oracle, "NEWTON_MAX_ITERS", 1)
+    with pytest.raises(ConvergenceError) as err:
+        pc.newton_full(system)
+    assert str(err.value) == "no convergence in 1 iterations"
+    assert err.value.iterations == 1
+    for bad in (0.0, -1e-8):
         with pytest.raises(ValueError):
-            pc.newton_full(system, **bad)
+            pc.newton_full(system, tol=bad)
 
 
 def test_newton_singular_jacobian_is_a_solver_failure():
@@ -89,7 +93,7 @@ def test_fd_gradient_check_small_on_random_states(bundled, rng):
         space = system.space
         u = space.wrap(0.5 * rng.standard_normal(space.dim))
         v = space.wrap(0.5 * rng.standard_normal(space.dim))
-        err = pc.fd_gradient_check(system, u, v, step=1e-4, n_dirs=5)
+        err = pc.fd_gradient_check(system, u, v, n_dirs=5)
         assert err <= 1e-5, f"{name}: {err}"
 
 

@@ -209,7 +209,7 @@ def test_inner_budget_failure_carries_stage_and_side():
                               "tolerance 1e-08 in 500 iterations")
 
 
-def test_line_search_stall_carries_stage_and_side():
+def test_inner_overflow_carries_stage_and_side():
     # rho = 3 under override: the pair grows until the u-objective overflows,
     # which the inner solve reports as an overflow
     system = pc.build_scalar(
@@ -274,7 +274,9 @@ def test_nash_check_accepts_converged_pair(solved, bundled):
     pair, _ = solved["scalar_stiff"]
     rep = pc.nash_check(bundled["scalar_stiff"], pair)
     assert rep.ok
-    assert rep.n_samples == 200
+    # the sample count and radius are module constants, not report fields
+    assert [f.name for f in dataclasses.fields(rep)] == [
+        "curvature", "min_e1_margin", "max_e2_margin"]
 
 
 def test_nash_check_rejects_unconverged_pair(scalar_linear):

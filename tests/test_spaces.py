@@ -144,6 +144,18 @@ def test_stokes_velocity_embedding_bounded(stokes_17, stokes_spec):
     assert np.sqrt(stokes_17.embedding_sq) <= bound
 
 
+def test_power_iteration_survives_underflowing_iterates():
+    # scaling A by 1e280 scales the eigenvalue of A^{-1} W by 1e-280; the
+    # iterates then sit below 1e-154, where their euclidean norm underflows
+    base = _random_spd_space(6, 4, "unscaled")
+    w = base.mass_weights
+    scaled = pc.make_space(1e280 * base.operator.matrix, w, space_id="scaled")
+    lam = spaces.dominant_inverse_eig(base, lambda x: w * x)
+    lam_scaled = spaces.dominant_inverse_eig(scaled, lambda x: w * x)
+    assert lam > 0.0
+    assert lam_scaled == pytest.approx(1e-280 * lam, rel=1e-6, abs=0.0)
+
+
 def test_power_iteration_stagnation_raises():
     # eigenvalues +-i: the Rayleigh quotient cycles and never settles
     space = pc.make_space(sp.identity(2, format="csr"), np.ones(2))
