@@ -13,8 +13,10 @@ Four subcommands, all driven by a JSON config file:
               dominance trajectory through the componentwise check.
 
 Exit codes: 0 success, 1 negative verdict (not ready, refused, or
-disagreement), 2 bad input, 3 outer iteration budget exhausted,
-4 inner solver failure.
+disagreement), 2 bad input, including values whose operator or
+certificate leaves the float range, 3 outer iteration budget exhausted,
+4 inner solver or oracle failure. A failed internal cross-check
+(``IntegrityError``) means a bug: it ends in a traceback and exit 1.
 
 All floats are written with repr-faithful precision and the manifest is
 the only file carrying timestamps, so reruns with the same config are
@@ -24,7 +26,6 @@ byte-identical on the data files.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import hashlib
 import json
@@ -224,25 +225,21 @@ def _fields(obj, where: str, table: dict) -> dict:
             for key, (coerce, _) in table.items() if key in obj}
 
 
-@contextlib.contextmanager
-def _warnings_to_stderr(where: str):
-    """Report warnings raised inside as ``warning: <where>: <msg>`` lines."""
+def _call(where: str, fn, *args, **kwargs):
+    """Call `fn`, the one way a command calls the library.
+
+    A ValueError it raises is a config error at `where`; each distinct
+    warning it raises prints once as a ``warning: <where>: <msg>`` line.
+    """
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")  # record them under -W error too
-        try:
-            yield
-        finally:
-            for message in dict.fromkeys(str(w.message) for w in caught):
-                print(f"warning: {where}: {message}", file=_sys.stderr)
-
-
-def _call(where: str, fn, *args, **kwargs):
-    """Call `fn`; a ValueError it raises is a config error at `where`."""
-    with _warnings_to_stderr(where):
         try:
             return fn(*args, **kwargs)
         except ValueError as exc:
             raise ConfigError(f"{where}: {exc}") from exc
+        finally:
+            for message in dict.fromkeys(str(w.message) for w in caught):
+                print(f"warning: {where}: {message}", file=_sys.stderr)
 
 
 _KIND = (_as_given, True)
@@ -348,13 +345,6 @@ def scheme_config_from(cfg: dict, seed_override: int | None) -> SchemeConfig:
     return _call("scheme", SchemeConfig, **kw)
 
 
-def sampler_from(cfg: dict, seed_override: int | None) -> SamplerSpec:
-    kw = _fields(cfg.get("check"), "check", _CHECK).get("sampler", {})
-    if seed_override is not None:
-        kw["seed"] = seed_override
-    return _call("check.sampler", SamplerSpec, **kw)
-
-
 # ------------------------------------------------------------ serializers
 
 def _payload(report, verdict: str | None = None) -> dict:
@@ -391,8 +381,11 @@ def _emit(args, raw: bytes, seed, files: dict) -> None:
 def cmd_check(args) -> int:
     cfg, raw = load_config(args.config)
     system = build_problem(cfg)
-    sampler = sampler_from(cfg, args.seed)
     chk = _fields(cfg.get("check"), "check", _CHECK)
+    sampler_kw = chk.get("sampler", {})
+    if args.seed is not None:
+        sampler_kw["seed"] = args.seed
+    sampler = _call("check.sampler", SamplerSpec, **sampler_kw)
     declared = chk.get("declared_growth")
     if declared is None:
         if system.pointwise is None or system.pointwise.growth is None:
@@ -425,21 +418,6 @@ def cmd_check(args) -> int:
     print(f"check: {status} (mu={report.mu}, "
           f"radius={report.certificate.spectral_radius:.6g})")
     return 0 if report.ready else 1
-
-
-def _run_scheme(system: CoupledSystem, scfg: SchemeConfig):
-    """Run the scheme; return ``(pair, trace)``, or the exit code (1 when
-    the hypotheses refuse the system, 4 when an inner solve fails)."""
-    try:
-        with _warnings_to_stderr("scheme"):
-            return run_scheme(system, scfg)
-    except HypothesisError as exc:
-        print(f"refused: {exc}", file=_sys.stderr)
-        return 1
-    except SchemeStageError as exc:
-        print(f"inner solver failed at stage {exc.stage} on the {exc.side} "
-              f"side: {exc}", file=_sys.stderr)
-        return 4
 
 
 def _solve_payloads(system: CoupledSystem, pair, trace, scfg: SchemeConfig):
@@ -482,11 +460,9 @@ def cmd_solve(args) -> int:
     cfg, raw = load_config(args.config)
     system = build_problem(cfg)
     scfg = scheme_config_from(cfg, args.seed)
-    outcome = _run_scheme(system, scfg)
-    if isinstance(outcome, int):
-        return outcome
-    pair, trace = outcome
-    solution, report = _solve_payloads(system, pair, trace, scfg)
+    pair, trace = _call("scheme", run_scheme, system, scfg)
+    solution, report = _call("scheme", _solve_payloads, system, pair, trace,
+                             scfg)
     _emit(args, raw, scfg.seed, {"trace.csv": trace.csv_rows(),
                                  "solution.json": solution,
                                  "report.json": report})
@@ -502,10 +478,7 @@ def cmd_compare(args) -> int:
     scfg = scheme_config_from(cfg, args.seed)
     oracle_kw = _fields(cfg.get("oracle"), "oracle", _ORACLE)
 
-    outcome = _run_scheme(system, scfg)
-    if isinstance(outcome, int):
-        return outcome
-    pair, _ = outcome
+    pair, _ = _call("scheme", run_scheme, system, scfg)
     try:
         orc = _call("oracle", newton_full, system, **oracle_kw)
     except ConvergenceError as exc:
@@ -513,9 +486,9 @@ def cmd_compare(args) -> int:
         return 4
 
     space = system.space
-    du = norm_a(pair.u_star - orc.u_star, space)
-    dv = norm_a(pair.v_star - orc.v_star, space)
-    diff = math.hypot(du, dv)
+    diff = _call("oracle", lambda: math.hypot(
+        norm_a(pair.u_star - orc.u_star, space),
+        norm_a(pair.v_star - orc.v_star, space)))
     bound = 10.0 * (scfg.final_tol + orc.tol)
     # newton_full either converges or raises, which returned 4 above
     agree = bool(diff <= bound and pair.converged)
@@ -544,6 +517,27 @@ def cmd_compare(args) -> int:
     return 0 if agree else 1
 
 
+def _dominance_demo(matrix: MonotonyMatrix) -> dict:
+    """Run a synthetic trajectory ``x_k = M x_{k-1} + y_k`` with summable
+    forcing through the componentwise dominance check."""
+    n = matrix.n
+    steps = 60
+    xs = np.empty((steps + 1, n))
+    ys = np.zeros((steps + 1, n))
+    xs[0] = 1.0
+    for k in range(1, steps + 1):
+        ys[k] = 1.0 / (k + 1) ** 2
+        xs[k] = matrix.entries @ xs[k - 1] + ys[k]
+    demo = verify_dominance(xs, ys, matrix, slack=1e-15, tail_threshold=1e-2)
+    return {
+        "steps": steps,
+        "dominance_ok": demo.dominance_ok,
+        "max_violation": demo.max_violation,
+        "tail_sup": demo.tail_sup,
+        "tail_ok": demo.tail_ok,
+    }
+
+
 def cmd_lemma(args) -> int:
     cfg, raw = load_config(args.config)
     p = cfg.get("problem")
@@ -552,31 +546,16 @@ def cmd_lemma(args) -> int:
     entries = _fields(p, "problem", _MATRIX)["entries"]
     matrix = _call("problem.entries", MonotonyMatrix, entries)
 
-    cert = is_convergent_to_zero(matrix)
+    cert = _call("problem.entries", is_convergent_to_zero, matrix)
     payload = {
         "entries": matrix.entries,
         "certificate": _payload(cert, "convergent"),
     }
     if cert.convergent:
-        payload["neumann_inverse"] = neumann_inverse(matrix)
-        # synthetic trajectory x_k = M x_{k-1} + y_k with summable forcing
-        n = matrix.n
-        steps = 60
-        xs = np.empty((steps + 1, n))
-        ys = np.zeros((steps + 1, n))
-        xs[0] = 1.0
-        for k in range(1, steps + 1):
-            ys[k] = 1.0 / (k + 1) ** 2
-            xs[k] = matrix.entries @ xs[k - 1] + ys[k]
-        demo = verify_dominance(xs, ys, matrix, slack=1e-15,
-                                tail_threshold=1e-2)
-        payload["dominance_demo"] = {
-            "steps": steps,
-            "dominance_ok": demo.dominance_ok,
-            "max_violation": demo.max_violation,
-            "tail_sup": demo.tail_sup,
-            "tail_ok": demo.tail_ok,
-        }
+        payload["neumann_inverse"] = _call("problem.entries", neumann_inverse,
+                                           matrix)
+        payload["dominance_demo"] = _call("problem.entries", _dominance_demo,
+                                          matrix)
     _emit(args, raw, None, {"lemma.json": payload})
     verdict = "convergent" if cert.convergent else "not convergent"
     print(f"lemma: {verdict} (radius {cert.spectral_radius:.6g})")
@@ -621,6 +600,13 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=_sys.stderr)
         return 2
+    except HypothesisError as exc:
+        print(f"refused: {exc}", file=_sys.stderr)
+        return 1
+    except SchemeStageError as exc:
+        print(f"inner solver failed at stage {exc.stage} on the {exc.side} "
+              f"side: {exc}", file=_sys.stderr)
+        return 4
 
 
 def entry() -> None:

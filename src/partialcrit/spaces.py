@@ -15,7 +15,6 @@ norms.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -174,32 +173,23 @@ class HVector:
         return HVector(-self.coeffs, self.space_id)
 
 
-def make_space(matrix, mass_weights, space_id: str | None = None
-               ) -> DiscreteSpace:
+def make_space(matrix, mass_weights, space_id: str) -> DiscreteSpace:
     """Assemble a `DiscreteSpace` from a matrix and mass weights.
 
     Canonicalises the sparse matrix and wraps it; nothing is solved or
-    factored here. The default `space_id` is derived from the matrix
-    content so identical inputs give identical identifiers.
+    factored here. Raises ``ValueError`` when an entry is not finite, as
+    when a builder's scales overflow.
     """
     m = sp.csr_matrix(matrix, dtype=float, copy=True)
     m.sum_duplicates()
     m.eliminate_zeros()
     m.sort_indices()
-    w = np.asarray(mass_weights, dtype=float)
+    if not np.all(np.isfinite(m.data)):
+        raise ValueError("operator entries must be finite")
     dim = m.shape[0]
-    if space_id is None:
-        # the canonical CSR arrays (no duplicates or stored zeros, sorted
-        # indices) identify the content without a dense copy
-        digest = hashlib.sha256()
-        digest.update(np.asarray(m.shape, dtype=np.int64).tobytes())
-        digest.update(m.data.tobytes())
-        digest.update(m.indices.astype(np.int64).tobytes())
-        digest.update(m.indptr.astype(np.int64).tobytes())
-        digest.update(w.tobytes())
-        space_id = f"space-{dim}-{digest.hexdigest()[:10]}"
     return DiscreteSpace(dim=dim, operator=SpdOperator(dim=dim, matrix=m),
-                         mass_weights=w, space_id=space_id)
+                         mass_weights=np.asarray(mass_weights, dtype=float),
+                         space_id=space_id)
 
 
 def inner_a(u: HVector, v: HVector, space: DiscreteSpace) -> float:

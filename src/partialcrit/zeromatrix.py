@@ -99,12 +99,15 @@ def spectral_radius(m) -> float:
     eigenvalue, ``min (M x)_i / x_i <= rho <= max (M x)_i / x_i`` whenever
     ``x > 0`` (irreducible M). A radius outside that bracket, widened by
     ``1e-6 * max(1, rho)``, raises ``IntegrityError``. Reducible inputs whose
-    dominant eigenvector has a zero component skip the check.
+    dominant eigenvector has a zero component skip the check. A radius
+    outside the float range raises ``ValueError``.
     """
     a = _coerce(m)
     lam, vecs = np.linalg.eig(a)
     k = int(np.argmax(np.abs(lam)))
     rho = float(np.abs(lam[k]))
+    if not math.isfinite(rho):
+        raise ValueError("spectral radius leaves the float range")
     x = np.abs(vecs[:, k])
     if np.all(x > 0.0):
         ratios = (a @ x) / x
@@ -118,13 +121,15 @@ def spectral_radius(m) -> float:
     return rho
 
 
-def _neumann_ok(a: np.ndarray) -> bool:
+def _neumann_ok(a: np.ndarray, rho_ok: bool) -> bool:
     n = a.shape[0]
     try:
         inv = np.linalg.inv(np.eye(n) - a)
     except np.linalg.LinAlgError:
         return False
     if not np.all(np.isfinite(inv)):
+        if rho_ok:
+            raise ValueError("(I - M)^-1 leaves the float range")
         return False
     return bool(np.all(inv >= -1e-12))
 
@@ -158,11 +163,13 @@ def is_convergent_to_zero(m) -> ConvergenceCertificate:
     Raises ``IntegrityError`` if such a radius fails either of the other two
     checks, or if the radius falls outside its Collatz–Wielandt bracket;
     either signals a numerical inconsistency, not a borderline input.
+    Raises ``ValueError`` when the radius, or ``(I - M)^-1`` under a radius
+    below one, leaves the float range.
     """
     a = _coerce(m)
     rho = spectral_radius(a)
     rho_ok = rho < 1.0 - 1e-9
-    neumann = _neumann_ok(a)
+    neumann = _neumann_ok(a, rho_ok)
     powers = _powers_decay(a)
     if rho_ok and not (neumann and powers):
         raise IntegrityError(

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import partialcrit as pc
 from partialcrit import cli
@@ -432,6 +433,38 @@ DEFECTS = [
 ]
 
 
+_C_HUGE = {"kind": "quadratic", "c": 1e308}
+_ENTRIES_WARNING = "warning: problem: overflow encountered in multiply"
+_ENTRIES_ERROR = "config error: problem: operator entries must be finite"
+
+# values whose operator or certificate leaves the float range are bad input:
+# (command, base config, path, value, stderr lines), each exiting 2
+FLOAT_RANGE_DEFECTS = [
+    *[(command, SINCOS_CONFIG, ("problem",),
+       {**SINCOS_CONFIG["problem"], "n_per_dim": 9, "nonlinearity": _C_HUGE},
+       ["warning: scheme: invalid value encountered in multiply",
+        "config error: scheme: coefficients must be finite"])
+      for command in ("solve", "compare")],
+    ("lemma", MATRIX_CONFIG, ("problem", "entries"),
+     [[1e308, 1e308], [1e308, 1e308]],
+     ["config error: problem.entries: spectral radius leaves the float "
+      "range"]),
+    *[("lemma", MATRIX_CONFIG, ("problem", "entries"), entries,
+       ["config error: problem.entries: (I - M)^-1 leaves the float range"])
+      for entries in ([[0.5, 1e308], [0, 0.5]], [[1e-320, 1e308], [0, 0.9]])],
+    *[(command, base, ("problem",), problem,
+       [_ENTRIES_WARNING, _ENTRIES_ERROR])
+      for base, problem in (
+          (SINCOS_CONFIG, {**SINCOS_CONFIG["problem"], "n_per_dim": 9,
+                           "lengths": 1e8, "potential_c": 1e308}),
+          (STOKES_CONFIG, {**STOKES_STIFF, "n_per_dim": 7,
+                           "lengths": [1e-8, 1e-8], "mu_coeff": 1e308}),
+          (STOKES_CONFIG, {**STOKES_STIFF, "n_per_dim": 7,
+                           "lengths": [1e30, 3], "mu_coeff": 1e308}))
+      for command in ("check", "solve", "compare")],
+]
+
+
 def _defect(base, path, value):
     if not path:
         return value
@@ -459,6 +492,16 @@ def test_config_defect_table(tmp_path, capsys, command, base, path, value,
     err = capsys.readouterr().err
     assert got == code
     assert err == ("" if line is None else f"config error: {line}\n")
+
+
+@pytest.mark.parametrize(
+    "command, base, path, value, lines", FLOAT_RANGE_DEFECTS,
+    ids=[f"{row[0]}-{i}" for i, row in enumerate(FLOAT_RANGE_DEFECTS)])
+def test_float_range_defect_table(tmp_path, capsys, command, base, path,
+                                  value, lines):
+    cfg = _write(tmp_path, "cfg.json", _defect(base, path, value))
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.splitlines() == lines
 
 
 @pytest.mark.parametrize("command, flag", [
@@ -547,3 +590,50 @@ def test_console_entry_point_runs(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "convergent" in proc.stdout
+
+
+# ------------------------------------------- every schema-valid config ends
+
+# every number a drawn config holds, ordinary ones first (hypothesis draws
+# early and shrinks towards the head of the list), then tiny and huge ones,
+# a subnormal and zero
+_NUMBER = st.sampled_from([1.0, 0.3, 3.0, 47.0, 1e-8, 1e8, 1e-30, 1e30,
+                           1e-200, 1e200, 1e-320, 1e308, 0.0])
+_COUPLING = st.builds(lambda x, sign: sign * x, _NUMBER,
+                      st.sampled_from([1.0, -1.0]))
+_NONLINEARITY = st.one_of(
+    st.just({"kind": "zero"}),
+    st.fixed_dictionaries({"kind": st.just("quadratic"), "a": _COUPLING,
+                           "b": _COUPLING, "c": _COUPLING, "g": _COUPLING}),
+    st.fixed_dictionaries({"kind": st.just("sincos"), "epsilon": _NUMBER}),
+)
+
+
+def _drawn_problem(kind, sides, n_per_dim, **keys):
+    return st.fixed_dictionaries({
+        "kind": st.just(kind), "n_per_dim": st.sampled_from(n_per_dim),
+        "lengths": st.lists(_NUMBER, min_size=sides, max_size=sides),
+        "nonlinearity": _NONLINEARITY, **keys})
+
+
+_PROBLEM = st.one_of(
+    _drawn_problem("dirichlet", 1, [3, 5, 9], dims=st.just(1),
+                   potential_c=_NUMBER),
+    _drawn_problem("dirichlet", 2, [3, 5], dims=st.just(2),
+                   potential_c=_NUMBER),
+    _drawn_problem("stokes", 2, [5, 7], mu_coeff=_NUMBER),
+    st.fixed_dictionaries({"kind": st.just("scalar"), "a_value": _NUMBER,
+                           "nonlinearity": _NONLINEARITY}),
+)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(["check", "solve", "compare"]), _PROBLEM)
+def test_schema_valid_configs_end_in_an_exit_code(tmp_path, command, problem):
+    # whatever the values, main maps the outcome to an exit code: nothing
+    # raises, and no warning escapes (the suite turns warnings into errors)
+    cfg = _write(tmp_path, "cfg.json", {"problem": problem,
+                                        "scheme": {"max_outer": 50}})
+    code = main([command, "--config", cfg, "--out", str(tmp_path / "o")])
+    assert code in {0, 1, 2, 3, 4}

@@ -65,7 +65,7 @@ def test_make_space_factors_once(monkeypatch):
     assert len(calls) == 1
 
 
-def test_default_space_id_hashes_sparse_content(monkeypatch):
+def test_make_space_does_not_densify(monkeypatch):
     def no_dense(self, *args, **kwargs):
         raise AssertionError("make_space must not densify the matrix")
 
@@ -74,20 +74,15 @@ def test_default_space_id_hashes_sparse_content(monkeypatch):
     n = 30
     lap = sp.diags([-np.ones(n - 1), 2.0 * np.ones(n), -np.ones(n - 1)],
                    [-1, 0, 1]).tocsr()
-    w = np.ones(n)
-    first = pc.make_space(lap, w)
-    # same content, different storage: coo with split duplicates, unsorted
-    coo = lap.tocoo()
-    rows = np.concatenate([coo.row, coo.row])[::-1]
-    cols = np.concatenate([coo.col, coo.col])[::-1]
-    vals = np.concatenate([0.5 * coo.data, 0.5 * coo.data])[::-1]
-    again = pc.make_space(sp.coo_matrix((vals, (rows, cols)), shape=(n, n)),
-                          w)
-    assert again.space_id == first.space_id
-    bumped = lap.copy()
-    bumped[0, 0] = 2.5
-    assert pc.make_space(bumped, w).space_id != first.space_id
-    assert pc.make_space(lap, 2.0 * w).space_id != first.space_id
+    space = pc.make_space(lap, np.ones(n), space_id="sparse-lap")
+    assert space.operator.matrix.nnz == 3 * n - 2
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_make_space_rejects_nonfinite_entries(bad):
+    m = sp.diags([1.0, bad, 1.0]).tocsr()
+    with pytest.raises(ValueError, match="^operator entries must be finite$"):
+        pc.make_space(m, np.ones(3), space_id="nonfinite")
 
 
 def test_riesz_lift_pairing():
@@ -158,7 +153,8 @@ def test_power_iteration_survives_underflowing_iterates():
 
 def test_power_iteration_stagnation_raises():
     # eigenvalues +-i: the Rayleigh quotient cycles and never settles
-    space = pc.make_space(sp.identity(2, format="csr"), np.ones(2))
+    space = pc.make_space(sp.identity(2, format="csr"), np.ones(2),
+                          space_id="identity")
     m = np.array([[2.0, 5.0], [-1.0, -2.0]])
     with pytest.raises(ConvergenceError) as err:
         spaces.dominant_inverse_eig(space, lambda x: m @ x)

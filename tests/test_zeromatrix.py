@@ -180,6 +180,32 @@ def test_integrity_guard_is_exercised_via_consistency():
         assert isinstance(cert, pc.ConvergenceCertificate)
 
 
+def test_spectral_radius_outside_the_float_range_is_bad_input():
+    with pytest.raises(ValueError, match="^spectral radius leaves the float "
+                                         "range$"):
+        pc.spectral_radius([[1e308, 1e308], [1e308, 1e308]])
+
+
+@pytest.mark.parametrize("m", [
+    [[0.5, 1e308], [0.0, 0.5]],
+    [[1e-320, 1e308], [0.0, 0.9]],
+], ids=["rho_0.5", "rho_0.9"])
+def test_certificate_with_overflowing_inverse_is_bad_input(m):
+    # rho < 1, but (I - M)^-1 holds 4e308 and 1e309
+    assert pc.spectral_radius(m) < 1.0
+    with pytest.raises(ValueError, match=r"^\(I - M\)\^-1 leaves the float "
+                                         "range$"):
+        pc.is_convergent_to_zero(m)
+
+
+def test_finite_certificate_inconsistency_is_a_bug(monkeypatch):
+    # a finite inverse with a negative entry under rho < 1 is not bad input
+    inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda a: -inv(a))
+    with pytest.raises(IntegrityError, match="certificate inconsistency"):
+        pc.is_convergent_to_zero([[0.3, 0.2], [0.1, 0.4]])
+
+
 def test_spectral_radius_integrity_error_type_exists():
     assert issubclass(IntegrityError, RuntimeError)
 
