@@ -12,8 +12,8 @@ Four subcommands, all driven by a JSON config file:
 * ``lemma``   certify a bare coupling matrix and run a synthetic
               dominance trajectory through the componentwise check.
 
-Exit codes: 0 success, 1 negative verdict (not ready, refused, or
-disagreement), 2 bad input, including values whose operator or
+Exit codes: 0 success, 1 negative verdict (not ready, not convergent,
+refused, or disagreement), 2 bad input, including values whose operator or
 certificate leaves the float range, 3 outer iteration budget exhausted,
 4 inner solver or oracle failure. A failed internal cross-check
 (``IntegrityError``) means a bug: it ends in a traceback and exit 1.
@@ -559,7 +559,7 @@ def cmd_lemma(args) -> int:
     _emit(args, raw, None, {"lemma.json": payload})
     verdict = "convergent" if cert.convergent else "not convergent"
     print(f"lemma: {verdict} (radius {cert.spectral_radius:.6g})")
-    return 0
+    return 0 if cert.convergent else 1
 
 
 # ---------------------------------------------------------------- parser

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import IntegrityError
 from .scheme import CoupledSystem
-from .spaces import random_unit
+from .spaces import random_unit_rows
 from .zeromatrix import ConvergenceCertificate, MonotonyMatrix, is_convergent_to_zero
 
 __all__ = [
@@ -320,7 +320,8 @@ def check_mountain_pass_ring(sys: CoupledSystem, tau: float,
         N(u, v) - N(0, 0) < (tau / 2) (|u|_A - |v|_A)
 
     at every ring point; the report counts how often the sampled points
-    violate it. A nonzero violated fraction rules the geometry out.
+    violate it. A nonzero violated fraction rules the geometry out. The
+    points are drawn and evaluated in blocks of ``sys.probe_rows`` rows.
     """
     if not (tau > 0.0):
         raise ValueError("tau must be positive")
@@ -330,15 +331,15 @@ def check_mountain_pass_ring(sys: CoupledSystem, tau: float,
     n_zero = float(sys.eval_N(zero, zero))
 
     violated = 0
-    for _ in range(sampler.n_points):
-        split = rng.random()
+    rows = sys.probe_rows
+    for start in range(0, sampler.n_points, rows):
+        split, (d_u, d_v) = random_unit_rows(
+            space, rng, min(rows, sampler.n_points - start), units=2,
+            uniform=True)
         nu = split * tau
         nv = (1.0 - split) * tau
-        u = nu * random_unit(space, rng)
-        v = nv * random_unit(space, rng)
-        lhs = float(sys.eval_N(u, v)) - n_zero
-        if not (lhs < 0.5 * tau * (nu - nv)):
-            violated += 1
+        lhs = sys.eval_N_rows(d_u * nu[:, None], d_v * nv[:, None]) - n_zero
+        violated += int(np.count_nonzero(~(lhs < 0.5 * tau * (nu - nv))))
     return RingReport(tau=float(tau), n_samples=sampler.n_points,
                       n_violated=violated)
 

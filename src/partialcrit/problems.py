@@ -241,6 +241,21 @@ def _pointwise_laplacian_2d(n: int, hx: float, hy: float) -> sp.csr_matrix:
             + sp.kron(_laplacian_1d(n, hy), eye, format="csr"))
 
 
+# byte budget for each array of a probe block: `nash_check` and
+# `check_mountain_pass_ring` evaluate their samples in blocks of rows. With
+# 256 KB of pointwise values a block, the peak resident memory of a run of
+# Stokes sessions rose by 3.6 MB (4.5%); with 128 KB for every array it
+# stays level. Half that leaves Stokes n=49 one row a block, which costs
+# more in block handling than it saves
+PROBE_BYTES = 128 * 1024
+
+
+def _probe_rows(space: DiscreteSpace, points: int) -> int:
+    """Rows of a probe block within the budget: per row, the `points`
+    pointwise values and the two directions drawn."""
+    return max(1, PROBE_BYTES // (8 * max(points, 2 * space.dim)))
+
+
 def _system_from_parts(space: DiscreteSpace, pw: PointwiseNonlinearity,
                        sample: Callable[[np.ndarray], np.ndarray],
                        weights: np.ndarray,
@@ -249,12 +264,19 @@ def _system_from_parts(space: DiscreteSpace, pw: PointwiseNonlinearity,
     """Coupling N(u, v) = sum_i w_i F(S u, S v)_i and its lifted gradients.
 
     ``sample`` maps coefficients to the (m, arg_dim) pointwise arguments S,
-    ``weights`` are the m quadrature weights, and ``lift`` turns an
-    (m, arg_dim) pointwise gradient into the space element representing
-    it in the A-product.
+    and a ``(k, dim)`` block of them to the ``(k * m, arg_dim)`` stack of
+    its rows' arguments; ``weights`` are the m quadrature weights, and
+    ``lift`` turns an (m, arg_dim) pointwise gradient into the space
+    element representing it in the A-product.
     """
     def eval_n(u: HVector, v: HVector) -> float:
         return float(np.dot(weights, pw.F(sample(u.coeffs), sample(v.coeffs))))
+
+    def eval_n_rows(us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+        # the density is pointwise, so the block's points go through F at
+        # once; each row then reduces with the np.dot of `eval_n`
+        f = pw.F(sample(us), sample(vs)).reshape(len(us), -1)
+        return np.array([np.dot(weights, row) for row in f])
 
     def eval_nu(u: HVector, v: HVector) -> HVector:
         return lift(pw.f1(sample(u.coeffs), sample(v.coeffs)))
@@ -272,6 +294,8 @@ def _system_from_parts(space: DiscreteSpace, pw: PointwiseNonlinearity,
     monotony = MonotonyMatrix(embedding_sq * np.asarray(pw.monotony, float))
     return CoupledSystem(
         space=space, eval_N=eval_n, eval_Nu=eval_nu, eval_Nv=eval_nv,
+        eval_N_rows=eval_n_rows,
+        probe_rows=_probe_rows(space, sample(space.zero().coeffs).size),
         monotony=monotony, growth=growth, pointwise=pw,
         embedding_sq=embedding_sq, label=label,
     )
@@ -351,8 +375,10 @@ class _StokesGrid:
         self.wf = np.outer(wy, wx)  # trapezoid weights on the full grid
 
     def pad(self, psi: np.ndarray) -> np.ndarray:
-        full = np.zeros((self.n + 2, self.n + 2))
-        full[1:-1, 1:-1] = psi.reshape(self.n, self.n)
+        # a leading batch axis, if any, carries through
+        batch = psi.shape[:-1]
+        full = np.zeros(batch + (self.n + 2, self.n + 2))
+        full[..., 1:-1, 1:-1] = psi.reshape(batch + (self.n, self.n))
         return full
 
     def curl(self, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -361,8 +387,9 @@ class _StokesGrid:
         full = self.pad(psi)
         vx = np.zeros_like(full)
         vy = np.zeros_like(full)
-        vx[1:-1, :] = (full[2:, :] - full[:-2, :]) / (2.0 * self.hy)
-        vy[:, 1:-1] = -(full[:, 2:] - full[:, :-2]) / (2.0 * self.hx)
+        vx[..., 1:-1, :] = ((full[..., 2:, :] - full[..., :-2, :])
+                            / (2.0 * self.hy))
+        vy[..., 1:-1] = -(full[..., 2:] - full[..., :-2]) / (2.0 * self.hx)
         return vx, vy
 
     def curl_adjoint(self, ax: np.ndarray, ay: np.ndarray) -> np.ndarray:
@@ -463,6 +490,10 @@ def build_stokes_manufactured(spec: StokesSpec
     def eval_n(u: HVector, v: HVector) -> float:
         return float(np.dot(ell1, u.coeffs) + np.dot(ell2, v.coeffs))
 
+    def eval_n_rows(us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+        return np.array([np.dot(ell1, a) + np.dot(ell2, b)
+                         for a, b in zip(us, vs)])
+
     def eval_nu(u: HVector, v: HVector) -> HVector:
         return solve_a(ell1, space)
 
@@ -471,6 +502,7 @@ def build_stokes_manufactured(spec: StokesSpec
 
     system = CoupledSystem(
         space=space, eval_N=eval_n, eval_Nu=eval_nu, eval_Nv=eval_nv,
+        eval_N_rows=eval_n_rows, probe_rows=_probe_rows(space, space.dim),
         monotony=MonotonyMatrix(np.zeros((2, 2))), growth=None,
         pointwise=None, embedding_sq=None,
         label=f"{space.space_id}-manufactured",

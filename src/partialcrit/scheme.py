@@ -33,7 +33,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConvergenceError, HypothesisError, SchemeStageError
-from .spaces import DiscreteSpace, HVector, norm_a, random_unit
+from .spaces import (DiscreteSpace, HVector, norm_a, norms_a, random_unit,
+                     random_unit_rows)
 from .zeromatrix import MonotonyMatrix, is_convergent_to_zero, verify_dominance
 
 __all__ = [
@@ -119,7 +120,11 @@ class CoupledSystem:
 
     ``eval_N`` is the scalar coupling term; ``eval_Nu`` and ``eval_Nv`` are
     its partial A-gradients (already lifted into the space, so the fixed
-    point equations read u = Nu(u, v) and -v = Nv(u, v)).
+    point equations read u = Nu(u, v) and -v = Nv(u, v)). ``eval_N_rows``
+    takes two ``(k, dim)`` coefficient blocks and returns the ``(k,)``
+    values of N at their rows, equal to ``eval_N`` row by row; the probes
+    evaluate their samples through it in blocks of ``probe_rows`` rows,
+    the most whose arrays fit `problems.PROBE_BYTES`.
 
     ``monotony`` bounds the couplings of the gradient differences and is
     consumed by the convergence gate and the contraction certificate;
@@ -133,6 +138,8 @@ class CoupledSystem:
     eval_N: Callable[[HVector, HVector], float]
     eval_Nu: Callable[[HVector, HVector], HVector]
     eval_Nv: Callable[[HVector, HVector], HVector]
+    eval_N_rows: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    probe_rows: int
     monotony: MonotonyMatrix
     growth: GrowthParams | None = None
     pointwise: object | None = None
@@ -204,6 +211,24 @@ def _e1(sys: CoupledSystem, u: HVector, v: HVector) -> float:
 def _e2(sys: CoupledSystem, u: HVector, v: HVector) -> float:
     """Second partial functional ``E2(u, v) = -1/2 |v|_A^2 - N(u, v)``."""
     return -0.5 * norm_a(v, sys.space) ** 2 - float(sys.eval_N(u, v))
+
+
+def _half_squares(sign: float, norms: np.ndarray) -> np.ndarray:
+    # Python's float power, as `_e1` and `_e2` take it; numpy squares by
+    # multiplying, which rounds differently
+    return np.array([sign * 0.5 * n ** 2 for n in norms.tolist()])
+
+
+def _e1_rows(sys: CoupledSystem, us: np.ndarray, v: HVector) -> np.ndarray:
+    """`_e1` at each row of the ``(k, dim)`` block `us`."""
+    n_vals = sys.eval_N_rows(us, np.broadcast_to(v.coeffs, us.shape))
+    return _half_squares(1.0, norms_a(us, sys.space)) - n_vals
+
+
+def _e2_rows(sys: CoupledSystem, u: HVector, vs: np.ndarray) -> np.ndarray:
+    """`_e2` at each row of the ``(k, dim)`` block `vs`."""
+    n_vals = sys.eval_N_rows(np.broadcast_to(u.coeffs, vs.shape), vs)
+    return _half_squares(-1.0, norms_a(vs, sys.space)) - n_vals
 
 
 def energies(sys: CoupledSystem, u: HVector, v: HVector) -> tuple[float, float, float]:
@@ -475,41 +500,48 @@ def nash_check(sys: CoupledSystem, pair: SolutionPair, seed: int = 0
     Samples `NASH_SAMPLES` random unit-A directions and offsets s in
     (0, `NASH_RADIUS`], then compares the observed energy changes with the
     first-order bound from the pair's residual norms plus a curvature term
-    estimated by second differences.
+    estimated by second differences. Both probes draw and evaluate their
+    samples in blocks of ``sys.probe_rows`` rows.
     """
     if not pair.converged:
         raise ValueError("nash_check expects a converged pair")
     space = sys.space
+    rows = sys.probe_rows
     rng = np.random.default_rng(seed)
     u, v = pair.u_star, pair.v_star
 
     # curvature probe: symmetric second differences at half the radius
     delta = 0.5 * NASH_RADIUS
-    curvature = 1e-6
     e1_base = _e1(sys, u, v)
     e2_base = _e2(sys, u, v)
-    for _ in range(8):
-        d = random_unit(space, rng)
-        c1 = abs(_e1(sys, u + delta * d, v) - 2.0 * e1_base
-                 + _e1(sys, u - delta * d, v)) / delta**2
-        c2 = abs(_e2(sys, u, v + delta * d) - 2.0 * e2_base
-                 + _e2(sys, u, v - delta * d)) / delta**2
-        curvature = max(curvature, c1, c2)
+    curvatures = [1e-6]
+    for start in range(0, 8, rows):
+        _, (d,) = random_unit_rows(space, rng, min(rows, 8 - start))
+        c1 = np.abs(_e1_rows(sys, u.coeffs + delta * d, v) - 2.0 * e1_base
+                    + _e1_rows(sys, u.coeffs - delta * d, v)) / delta**2
+        c2 = np.abs(_e2_rows(sys, u, v.coeffs + delta * d) - 2.0 * e2_base
+                    + _e2_rows(sys, u, v.coeffs - delta * d)) / delta**2
+        curvatures += np.column_stack([c1, c2]).reshape(-1).tolist()
+    # the builtin max and min pass over a NaN after the first entry, where
+    # numpy's would return it
+    curvature = max(curvatures)
 
     grad_level = max(pair.residuals)
-    min_e1_margin = np.inf
-    max_e2_margin = -np.inf
-    for _ in range(NASH_SAMPLES):
-        s = NASH_RADIUS * (1.0 - rng.random())
-        bound = grad_level * s + curvature * s**2
-        d_u = random_unit(space, rng)
-        d_v = random_unit(space, rng)
-        de1 = _e1(sys, u + s * d_u, v) - e1_base
-        de2 = _e2(sys, u, v + s * d_v) - e2_base
-        min_e1_margin = min(min_e1_margin, de1 + bound)
-        max_e2_margin = max(max_e2_margin, de2 - bound)
+    e1_margins = [np.inf]
+    e2_margins = [-np.inf]
+    for start in range(0, NASH_SAMPLES, rows):
+        draws, (d_u, d_v) = random_unit_rows(
+            space, rng, min(rows, NASH_SAMPLES - start), units=2, uniform=True)
+        s = NASH_RADIUS * (1.0 - draws)
+        # Python's float power again, as in `_half_squares`
+        bound = np.array([grad_level * x + curvature * x ** 2
+                          for x in s.tolist()])
+        de1 = _e1_rows(sys, u.coeffs + d_u * s[:, None], v) - e1_base
+        de2 = _e2_rows(sys, u, v.coeffs + d_v * s[:, None]) - e2_base
+        e1_margins += (de1 + bound).tolist()
+        e2_margins += (de2 - bound).tolist()
 
     return NashReport(
-        curvature=float(curvature), min_e1_margin=float(min_e1_margin),
-        max_e2_margin=float(max_e2_margin),
+        curvature=float(curvature), min_e1_margin=float(min(e1_margins)),
+        max_e2_margin=float(max(e2_margins)),
     )

@@ -31,9 +31,11 @@ __all__ = [
     "make_space",
     "inner_a",
     "norm_a",
+    "norms_a",
     "solve_a",
     "riesz_lift",
     "random_unit",
+    "random_unit_rows",
     "embedding_constant",
     "validate_space",
 ]
@@ -201,17 +203,39 @@ def inner_a(u: HVector, v: HVector, space: DiscreteSpace) -> float:
     return float(np.dot(space.operator.apply(u.coeffs), v.coeffs))
 
 
-def norm_a(u: HVector, space: DiscreteSpace) -> float:
-    """A-norm, guarding against roundoff-negative quadratic forms."""
-    q = inner_a(u, u, space)
+def _root(q: float, x: np.ndarray) -> float:
+    """Square root of the quadratic form ``q = <A x, x>``, guarding against
+    roundoff-negative values."""
     if q < 0.0:
-        if q < -1e-10 * float(np.dot(u.coeffs, u.coeffs) + 1.0):
+        if q < -1e-10 * float(np.dot(x, x) + 1.0):
             raise IntegrityError(
                 f"quadratic form returned {q}; operator is not positive definite"
             )
         q = 0.0
     # the + 0.0 folds a possible negative zero from sqrt(-0.0)
     return float(np.sqrt(q) + 0.0)
+
+
+def norm_a(u: HVector, space: DiscreteSpace) -> float:
+    """A-norm, guarding against roundoff-negative quadratic forms."""
+    return _root(inner_a(u, u, space), u.coeffs)
+
+
+def _forms(rows: np.ndarray, space: DiscreteSpace) -> np.ndarray:
+    # one operator application on the block; each row's form is the same
+    # np.dot as in `inner_a`, on contiguous rows, so it rounds the same way
+    products = np.ascontiguousarray(space.operator.apply(rows.T).T)
+    return np.array([np.dot(p, x) for p, x in zip(products, rows)])
+
+
+def norms_a(rows: np.ndarray, space: DiscreteSpace) -> np.ndarray:
+    """A-norms of the rows of a ``(k, dim)`` block, equal to `norm_a` row
+    by row."""
+    q = _forms(rows, space)
+    low = q < 0.0
+    for form, x in zip(q[low].tolist(), rows[low]):
+        _root(form, x)  # raises unless the form is roundoff
+    return np.sqrt(np.where(low, 0.0, q)) + 0.0
 
 
 def solve_a(h, space: DiscreteSpace) -> HVector:
@@ -250,11 +274,46 @@ def riesz_lift(f_pointwise, space: DiscreteSpace) -> HVector:
 
 def random_unit(space: DiscreteSpace, rng: np.random.Generator) -> HVector:
     """Standard normal direction scaled to unit A-norm (redrawn if zero)."""
-    while True:
-        raw = space.wrap(rng.standard_normal(space.dim))
-        n = norm_a(raw, space)
-        if n != 0.0:
-            return raw * (1.0 / n)
+    return HVector(random_unit_rows(space, rng, 1)[1][0, 0], space.space_id)
+
+
+def random_unit_rows(space: DiscreteSpace, rng: np.random.Generator, k: int,
+                     units: int = 1, uniform: bool = False
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """`k` rounds of draws, each an optional ``rng.random()`` and then
+    `units` calls of `random_unit`, as a block.
+
+    Returns the ``(k,)`` uniforms (unset when `uniform` is false) and the
+    ``(units, k, dim)`` unit directions, equal bit for bit to the
+    sequential calls, which leave `rng` in the same state. The norms come
+    from one operator application on the block, as in `norms_a`. A
+    standard normal draw whose A-norm is zero is redrawn before the next
+    draw, so a block that holds a nonpositive form is drawn again from the
+    same start, checking every draw as it is made.
+    """
+    dim = space.dim
+    uniforms = np.empty(k)
+    raw = np.empty((units, k, dim))
+    rows = raw.reshape(-1, dim)
+
+    def draw(check: bool) -> None:
+        for i in range(k):
+            if uniform:
+                uniforms[i] = rng.random()
+            for x in raw[:, i]:
+                rng.standard_normal(out=x)
+                while check and norms_a(x[None], space)[0] == 0.0:
+                    rng.standard_normal(out=x)
+
+    start = rng.bit_generator.state
+    draw(False)
+    q = _forms(rows, space)
+    if not np.all(q > 0.0):
+        rng.bit_generator.state = start
+        draw(True)
+        q = _forms(rows, space)
+    # each form is now positive or NaN, where `norm_a` is its square root
+    return uniforms, raw * (1.0 / np.sqrt(q)).reshape(units, k, 1)
 
 
 def dominant_inverse_eig(space: DiscreteSpace,

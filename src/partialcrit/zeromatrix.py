@@ -91,18 +91,44 @@ def _coerce(m) -> np.ndarray:
     return MonotonyMatrix(np.asarray(m, dtype=float)).entries
 
 
+def _balance(a: np.ndarray) -> np.ndarray:
+    """``D^-1 A D`` for a diagonal ``D`` of powers of two, an exact
+    similarity.
+
+    The eigensolver scales a matrix whose largest entry is near the float
+    limit down into range, which flushes entries many decades smaller to
+    zero. Each exponent of ``D`` is a quarter of the log2 ratio of the
+    row's to the column's off-diagonal sum, rounded: that evens out a
+    2 by 2 matrix, and leaves a matrix whose row and column sums agree
+    within a factor of 4, a symmetric one for instance, as it is. A
+    similarity that would leave the float range is not applied.
+    """
+    # in Python floats, which for these small matrices beats numpy's per
+    # call overhead; eighths of the entries, so that the sums stay finite
+    off = [[0.125 * x if i != j else 0.0 for j, x in enumerate(row)]
+           for i, row in enumerate(a.tolist())]
+    t = [round(0.25 * (math.log2(r) - math.log2(c))) if r > 0.0 and c > 0.0
+         else 0 for r, c in zip(map(sum, off), map(sum, zip(*off)))]
+    if not any(t):
+        return a
+    b = np.ldexp(a, np.subtract.outer(t, t).T)
+    return b if np.all(np.isfinite(b)) else a
+
+
 def spectral_radius(m) -> float:
     """Spectral radius ``rho = max |lambda|`` of a small nonnegative matrix.
 
-    One dense eigensolve. The result is checked against the Collatz–Wielandt
-    bracket: with ``x = |v|`` for the eigenvector ``v`` of a dominant
-    eigenvalue, ``min (M x)_i / x_i <= rho <= max (M x)_i / x_i`` whenever
-    ``x > 0`` (irreducible M). A radius outside that bracket, widened by
+    One dense eigensolve of the balanced matrix (`_balance`), a similarity
+    with the same eigenvalues. The result is checked against the
+    Collatz–Wielandt bracket of that matrix: with ``x = |v|`` for the
+    eigenvector ``v`` of a dominant eigenvalue,
+    ``min (M x)_i / x_i <= rho <= max (M x)_i / x_i`` whenever ``x > 0``
+    (irreducible M). A radius outside that bracket, widened by
     ``1e-6 * max(1, rho)``, raises ``IntegrityError``. Reducible inputs whose
     dominant eigenvector has a zero component skip the check. A radius
     outside the float range raises ``ValueError``.
     """
-    a = _coerce(m)
+    a = _balance(_coerce(m))
     lam, vecs = np.linalg.eig(a)
     k = int(np.argmax(np.abs(lam)))
     rho = float(np.abs(lam[k]))

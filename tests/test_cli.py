@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import re
 import subprocess
 import sys
@@ -201,6 +202,22 @@ def test_lemma_certifies_matrix(tmp_path):
     assert np.allclose(payload["neumann_inverse"],
                        [[1.5, 0.5], [0.25, 1.75]], atol=1e-9)
     assert payload["dominance_demo"]["dominance_ok"] is True
+
+
+def test_lemma_on_badly_scaled_matrix_is_a_verdict(tmp_path, capsys):
+    # radius about 1.0e4; unbalanced, the eigensolver flushes the 1e-300
+    # entries to zero, reads [0, 0.9] and the Neumann cross-check raised
+    cfg = _write(tmp_path, "cfg.json", {"problem": {
+        "kind": "matrix", "entries": [[1e-300, 1e308], [1e-300, 0.9]]}})
+    out = tmp_path / "lem"
+    assert main(["lemma", "--config", cfg, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "lemma: not convergent (radius 10000.5)\n"
+    assert captured.err == ""
+    payload = json.loads((out / "lemma.json").read_text())
+    assert payload["certificate"]["spectral_radius"] == pytest.approx(
+        0.45 + math.sqrt(0.2025 + 1e8), rel=1e-12)
+    assert "neumann_inverse" not in payload
 
 
 def _readme_keys() -> dict[str, set[str]]:

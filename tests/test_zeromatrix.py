@@ -1,11 +1,14 @@
 """Spectral radius, convergence certificates, Neumann series, dominance."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import partialcrit as pc
 from partialcrit.errors import IntegrityError
+from partialcrit.zeromatrix import _balance
 
 
 def test_spectral_radius_frozen_example():
@@ -196,6 +199,27 @@ def test_certificate_with_overflowing_inverse_is_bad_input(m):
     with pytest.raises(ValueError, match=r"^\(I - M\)\^-1 leaves the float "
                                          "range$"):
         pc.is_convergent_to_zero(m)
+
+
+def test_spectral_radius_of_badly_scaled_matrices():
+    # eigenvalues 0.45 +- sqrt(0.2025 + 1e8); the power-of-two balancing
+    # evens out the off-diagonal pair before the eigensolve
+    assert pc.spectral_radius([[1e-300, 1e308], [1e-300, 0.9]]) == (
+        pytest.approx(0.45 + math.sqrt(0.2025 + 1e8), rel=1e-12))
+    assert pc.spectral_radius([[0.0, 1e-300], [1e300, 0.0]]) == (
+        pytest.approx(1.0, rel=1e-12))
+    # eigenvalues 0.7 and 0: the off-diagonal product is 0.1
+    cert = pc.is_convergent_to_zero([[0.5, 1e-300], [1e299, 0.2]])
+    assert cert.spectral_radius == pytest.approx(0.7, rel=1e-12)
+    assert cert.rho_ok and cert.neumann_ok and cert.powers_decay
+
+
+def test_balancing_leaves_even_matrices_alone(rng):
+    # symmetric, or rows and columns within a factor of 2: the eigensolve
+    # sees the input itself
+    for m in (_CROSS, rng.random((5, 5))):
+        assert np.array_equal(_balance(m + m.T), m + m.T)
+    assert np.array_equal(_balance(_CROSS), _CROSS)
 
 
 def test_finite_certificate_inconsistency_is_a_bug(monkeypatch):
