@@ -28,7 +28,7 @@ import scipy.sparse as sp
 from .scheme import CoupledSystem, GrowthParams
 from .spaces import (DiscreteSpace, HVector, dominant_inverse_eig,
                      embedding_constant, make_space, riesz_lift, solve_a,
-                     validate_space)
+                     solve_a_rows, validate_space)
 from .zeromatrix import MonotonyMatrix
 
 __all__ = [
@@ -50,11 +50,13 @@ __all__ = [
 class PointwiseNonlinearity:
     """Vectorized pointwise density with its gradients and declared bounds.
 
-    All callables take two arrays of shape (m, arg_dim); ``F`` returns
-    (m,), the gradients return (m, arg_dim). ``growth`` holds pointwise
-    (alpha_upper, alpha_lower, c) constants when known, ``monotony`` the
-    pointwise 2x2 coupling coefficients (every built-in kind sets them,
-    and a custom table must).
+    All callables take two arrays of shape (m, arg_dim), one point a row,
+    for any number m of stacked points: the probes and the oracle's
+    Jacobian pass the points of many states at once, so each must act row
+    by row. ``F`` returns (m,), the gradients return (m, arg_dim).
+    ``growth`` holds pointwise (alpha_upper, alpha_lower, c) constants
+    when known, ``monotony`` the pointwise 2x2 coupling coefficients
+    (every built-in kind sets them, and a custom table must).
     """
 
     arg_dim: int
@@ -260,6 +262,7 @@ def _system_from_parts(space: DiscreteSpace, pw: PointwiseNonlinearity,
                        sample: Callable[[np.ndarray], np.ndarray],
                        weights: np.ndarray,
                        lift: Callable[[np.ndarray], HVector],
+                       lift_rows: Callable[[np.ndarray], np.ndarray],
                        embedding_sq: float, label: str) -> CoupledSystem:
     """Coupling N(u, v) = sum_i w_i F(S u, S v)_i and its lifted gradients.
 
@@ -267,7 +270,9 @@ def _system_from_parts(space: DiscreteSpace, pw: PointwiseNonlinearity,
     and a ``(k, dim)`` block of them to the ``(k * m, arg_dim)`` stack of
     its rows' arguments; ``weights`` are the m quadrature weights, and
     ``lift`` turns an (m, arg_dim) pointwise gradient into the space
-    element representing it in the A-product.
+    element representing it in the A-product. ``lift_rows`` does the same
+    for a ``(k, m, arg_dim)`` block of them, returning the ``(k, dim)``
+    coefficients, equal to ``lift`` row by row.
     """
     def eval_n(u: HVector, v: HVector) -> float:
         return float(np.dot(weights, pw.F(sample(u.coeffs), sample(v.coeffs))))
@@ -284,6 +289,13 @@ def _system_from_parts(space: DiscreteSpace, pw: PointwiseNonlinearity,
     def eval_nv(u: HVector, v: HVector) -> HVector:
         return lift(pw.f2(sample(u.coeffs), sample(v.coeffs)))
 
+    def eval_grads_rows(us: np.ndarray, vs: np.ndarray
+                        ) -> tuple[np.ndarray, np.ndarray]:
+        su, sv = sample(us), sample(vs)
+        shape = (len(us), -1, pw.arg_dim)
+        return (lift_rows(pw.f1(su, sv).reshape(shape)),
+                lift_rows(pw.f2(su, sv).reshape(shape)))
+
     if pw.growth is not None:
         au, al, c_pt = pw.growth
         growth = GrowthParams(alpha_upper=au * embedding_sq,
@@ -294,7 +306,7 @@ def _system_from_parts(space: DiscreteSpace, pw: PointwiseNonlinearity,
     monotony = MonotonyMatrix(embedding_sq * np.asarray(pw.monotony, float))
     return CoupledSystem(
         space=space, eval_N=eval_n, eval_Nu=eval_nu, eval_Nv=eval_nv,
-        eval_N_rows=eval_n_rows,
+        eval_N_rows=eval_n_rows, eval_grads_rows=eval_grads_rows,
         probe_rows=_probe_rows(space, sample(space.zero().coeffs).size),
         monotony=monotony, growth=growth, pointwise=pw,
         embedding_sq=embedding_sq, label=label,
@@ -337,6 +349,8 @@ def build_dirichlet(spec: DirichletSpec) -> CoupledSystem:
     return _system_from_parts(
         space, make_pointwise(spec.nonlinearity, arg_dim=1), _nodal, weights,
         lambda g: riesz_lift(g.reshape(-1), space),
+        lambda g: solve_a_rows(space.mass_weights * g.reshape(len(g), -1),
+                               space),
         embedding_constant(space) ** 2,
         label=f"{space_id}-{spec.nonlinearity.describe()}",
     )
@@ -355,6 +369,7 @@ def build_scalar(a_value: float, nonlinearity: NonlinearitySpec) -> CoupledSyste
     return _system_from_parts(
         space, make_pointwise(nonlinearity, arg_dim=1), _nodal,
         space.mass_weights, lambda g: space.wrap(g.reshape(-1) / a_value),
+        lambda g: space.wrap_rows(g.reshape(len(g), -1) / a_value),
         1.0 / a_value,
         label=f"scalar-a{a_value:g}-{nonlinearity.describe()}",
     )
@@ -393,17 +408,19 @@ class _StokesGrid:
         return vx, vy
 
     def curl_adjoint(self, ax: np.ndarray, ay: np.ndarray) -> np.ndarray:
-        # exact transpose of `curl` restricted to interior unknowns
+        # exact transpose of `curl` restricted to interior unknowns; a
+        # leading batch axis, if any, carries through
         a = ax.copy()
-        a[0, :] = 0.0
-        a[-1, :] = 0.0
+        a[..., 0, :] = 0.0
+        a[..., -1, :] = 0.0
         b = ay.copy()
-        b[:, 0] = 0.0
-        b[:, -1] = 0.0
+        b[..., 0] = 0.0
+        b[..., -1] = 0.0
         n = self.n
-        out = (a[0:n, 1:n + 1] - a[2:n + 2, 1:n + 1]) / (2.0 * self.hy)
-        out = out + (b[1:n + 1, 2:n + 2] - b[1:n + 1, 0:n]) / (2.0 * self.hx)
-        return out.reshape(-1)
+        out = (a[..., 0:n, 1:n + 1] - a[..., 2:n + 2, 1:n + 1]) / (2.0 * self.hy)
+        out = out + ((b[..., 1:n + 1, 2:n + 2] - b[..., 1:n + 1, 0:n])
+                     / (2.0 * self.hx))
+        return out.reshape(ax.shape[:-2] + (-1,))
 
 
 def _stokes_space(spec: StokesSpec) -> tuple[DiscreteSpace, _StokesGrid]:
@@ -458,9 +475,15 @@ def build_stokes(spec: StokesSpec) -> CoupledSystem:
         gy = (wf_flat * g[:, 1]).reshape(shape)
         return solve_a(grid.curl_adjoint(gx, gy), space)
 
+    def lift_rows(g: np.ndarray) -> np.ndarray:
+        shape = (len(g), grid.n + 2, grid.n + 2)
+        gx = (wf_flat * g[..., 0]).reshape(shape)
+        gy = (wf_flat * g[..., 1]).reshape(shape)
+        return solve_a_rows(grid.curl_adjoint(gx, gy), space)
+
     return _system_from_parts(
         space, make_pointwise(spec.nonlinearity, arg_dim=2), stacked_velocity,
-        wf_flat, lift, _velocity_embedding_sq(space, grid),
+        wf_flat, lift, lift_rows, _velocity_embedding_sq(space, grid),
         label=f"{space.space_id}-{spec.nonlinearity.describe()}",
     )
 
@@ -500,9 +523,15 @@ def build_stokes_manufactured(spec: StokesSpec
     def eval_nv(u: HVector, v: HVector) -> HVector:
         return solve_a(ell2, space)
 
+    def eval_grads_rows(us: np.ndarray, vs: np.ndarray
+                        ) -> tuple[np.ndarray, np.ndarray]:
+        return (np.broadcast_to(solve_a(ell1, space).coeffs, us.shape),
+                np.broadcast_to(solve_a(ell2, space).coeffs, vs.shape))
+
     system = CoupledSystem(
         space=space, eval_N=eval_n, eval_Nu=eval_nu, eval_Nv=eval_nv,
-        eval_N_rows=eval_n_rows, probe_rows=_probe_rows(space, space.dim),
+        eval_N_rows=eval_n_rows, eval_grads_rows=eval_grads_rows,
+        probe_rows=_probe_rows(space, space.dim),
         monotony=MonotonyMatrix(np.zeros((2, 2))), growth=None,
         pointwise=None, embedding_sq=None,
         label=f"{space.space_id}-manufactured",

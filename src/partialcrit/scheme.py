@@ -124,7 +124,10 @@ class CoupledSystem:
     takes two ``(k, dim)`` coefficient blocks and returns the ``(k,)``
     values of N at their rows, equal to ``eval_N`` row by row; the probes
     evaluate their samples through it in blocks of ``probe_rows`` rows,
-    the most whose arrays fit `problems.PROBE_BYTES`.
+    the most whose arrays fit `problems.PROBE_BYTES`. ``eval_grads_rows``
+    takes the same two blocks and returns the ``(k, dim)`` blocks of Nu
+    and Nv at their rows, equal to ``eval_Nu`` and ``eval_Nv`` row by row;
+    the oracle's dense Jacobian evaluates its perturbed states through it.
 
     ``monotony`` bounds the couplings of the gradient differences and is
     consumed by the convergence gate and the contraction certificate;
@@ -139,6 +142,8 @@ class CoupledSystem:
     eval_Nu: Callable[[HVector, HVector], HVector]
     eval_Nv: Callable[[HVector, HVector], HVector]
     eval_N_rows: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    eval_grads_rows: Callable[[np.ndarray, np.ndarray],
+                              tuple[np.ndarray, np.ndarray]]
     probe_rows: int
     monotony: MonotonyMatrix
     growth: GrowthParams | None = None

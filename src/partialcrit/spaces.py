@@ -33,6 +33,7 @@ __all__ = [
     "norm_a",
     "norms_a",
     "solve_a",
+    "solve_a_rows",
     "riesz_lift",
     "random_unit",
     "random_unit_rows",
@@ -138,6 +139,15 @@ class DiscreteSpace:
         if not np.all(np.isfinite(c)):
             raise ValueError("coefficients must be finite")
         return HVector(c, self.space_id)
+
+    def wrap_rows(self, rows: np.ndarray) -> np.ndarray:
+        """`wrap`'s check on each row of a ``(k, dim)`` block, returned as
+        it is."""
+        if rows.ndim != 2 or rows.shape[1] != self.dim:
+            raise ValueError("vector length does not match space dimension")
+        if not np.all(np.isfinite(rows)):
+            raise ValueError("coefficients must be finite")
+        return rows
 
 
 @dataclass(frozen=True)
@@ -257,6 +267,24 @@ def solve_a(h, space: DiscreteSpace) -> HVector:
     if not np.any(b):
         return space.zero()
     return space.wrap(space.operator.factor().solve(b))
+
+
+def solve_a_rows(h, space: DiscreteSpace) -> np.ndarray:
+    """`solve_a` on each row of a ``(k, dim)`` block, in one solve call.
+
+    The factorization solves the block's nonzero rows as the columns of
+    one right-hand side, which equals the single solves bit for bit; zero
+    rows stay exact zeros, and a non-finite solution raises the
+    ``ValueError`` of `DiscreteSpace.wrap`.
+    """
+    b = np.asarray(h, dtype=float)
+    if b.ndim != 2 or b.shape[1] != space.dim:
+        raise ValueError("right-hand side length does not match space dimension")
+    out = np.zeros(b.shape)
+    live = np.any(b, axis=1)
+    if live.any():
+        out[live] = space.operator.factor().solve(b[live].T).T
+    return space.wrap_rows(out)
 
 
 def riesz_lift(f_pointwise, space: DiscreteSpace) -> HVector:

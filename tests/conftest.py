@@ -87,6 +87,27 @@ def stokes_cross_17():
 
 
 @pytest.fixture(scope="session")
+def custom_1d():
+    # a user-supplied pointwise table on Dirichlet 1D n=15
+    table = pc.PointwiseNonlinearity(
+        arg_dim=1,
+        F=lambda x, y: np.sum(np.tanh(x) * y + 0.1 * x ** 3, axis=1),
+        f1=lambda x, y: (1.0 - np.tanh(x) ** 2) * y + 0.3 * x ** 2,
+        f2=lambda x, y: np.tanh(x),
+        monotony=np.array([[0.1, 0.1], [0.1, 0.0]]))
+    return pc.build_dirichlet(pc.DirichletSpec(
+        dims=1, n_per_dim=15, lengths=(1.0,),
+        nonlinearity=pc.NonlinearitySpec.custom(table)))
+
+
+@pytest.fixture(scope="session")
+def manufactured_9():
+    # the manufactured Stokes system on n=9 (its exact pair is dropped)
+    return pc.build_stokes_manufactured(
+        pc.StokesSpec(n_per_dim=9, lengths=(1.0, 1.0), mu_coeff=1.0))[0]
+
+
+@pytest.fixture(scope="session")
 def bundled(scalar_linear, scalar_sincos, scalar_stiff, sincos_1d,
             dirichlet_stiff, sincos_2d, stokes_17, cross_coupled_1d,
             stokes_cross_17):

@@ -90,18 +90,6 @@ def _stokes(n):
         nonlinearity=pc.NonlinearitySpec.sincos(0.3)))
 
 
-def _custom_scalar():
-    table = pc.PointwiseNonlinearity(
-        arg_dim=1,
-        F=lambda x, y: np.sum(np.tanh(x) * y + 0.1 * x ** 3, axis=1),
-        f1=lambda x, y: (1.0 - np.tanh(x) ** 2) * y + 0.3 * x ** 2,
-        f2=lambda x, y: np.tanh(x),
-        monotony=np.array([[0.1, 0.1], [0.1, 0.0]]))
-    return pc.build_dirichlet(pc.DirichletSpec(
-        dims=1, n_per_dim=15, lengths=(1.0,),
-        nonlinearity=pc.NonlinearitySpec.custom(table)))
-
-
 # a space whose forms underflow to zero for about half the draws, so
 # `random_unit` redraws often
 _TINY = pc.make_space(sp.diags([5e-324, 5e-324]), np.ones(2), "tiny")
@@ -149,23 +137,22 @@ def test_random_unit_keeps_its_contract():
         assert pc.norm_a(d, _TINY) != 0.0
 
 
-def _rows_systems(bundled):
-    manufactured, _ = pc.build_stokes_manufactured(
-        pc.StokesSpec(n_per_dim=9, lengths=(1.0, 1.0), mu_coeff=1.0))
+def _rows_systems(bundled, custom_1d, manufactured_9):
     return {
         "dirichlet_1d": bundled["cross_coupled_1d"],
         "dirichlet_2d": bundled["sincos_2d"],
         "stokes": bundled["stokes_17"],
         "stokes_quadratic": bundled["stokes_cross_17"],
         "scalar": bundled["scalar_sincos"],
-        "custom": _custom_scalar(),
-        "manufactured": manufactured,
+        "custom": custom_1d,
+        "manufactured": manufactured_9,
     }
 
 
-def test_eval_n_rows_equals_eval_n(bundled):
+def test_eval_n_rows_equals_eval_n(bundled, custom_1d, manufactured_9):
     rng = np.random.default_rng(2)
-    for name, system in _rows_systems(bundled).items():
+    for name, system in _rows_systems(bundled, custom_1d,
+                                      manufactured_9).items():
         space = system.space
         us = rng.standard_normal((6, space.dim))
         vs = rng.standard_normal((6, space.dim))

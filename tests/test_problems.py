@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import partialcrit as pc
+from partialcrit import problems
 
 
 # ------------------------------------------------------------ nonlinearity
@@ -217,6 +218,21 @@ def test_manufactured_stokes_recovers_exact_pair(stokes_spec):
     err_u = pc.norm_a(pair.u_star - u_star, system.space)
     err_v = pc.norm_a(pair.v_star - v_star, system.space)
     assert max(err_u, err_v) <= 1e-6
+
+
+def test_curl_adjoint_on_a_batch_equals_the_row_calls(stokes_spec):
+    grid = problems._StokesGrid(stokes_spec)
+    rng = np.random.default_rng(6)
+    ax, ay = rng.standard_normal((2, 4, grid.n + 2, grid.n + 2))
+    block = grid.curl_adjoint(ax, ay)
+    assert block.shape == (4, grid.n * grid.n)
+    for row, a, b in zip(block, ax, ay):
+        assert row.tolist() == grid.curl_adjoint(a, b).tolist()
+        # the adjoint identity <curl psi, (a, b)> = <psi, curl_adjoint(a, b)>
+        psi = rng.standard_normal(grid.n * grid.n)
+        vx, vy = grid.curl(psi)
+        lhs = np.sum(vx * a) + np.sum(vy * b)
+        assert lhs == pytest.approx(np.dot(psi, row), rel=1e-12, abs=1e-9)
 
 
 def test_velocity_reconstruction_shape_checks(stokes_spec):

@@ -35,6 +35,35 @@ def test_solve_a_zero_rhs_is_zero():
     assert np.all(pc.solve_a(np.zeros(6), space).coeffs == 0.0)
 
 
+def test_solve_a_rows_equals_solve_a_row_by_row(bundled):
+    rng = np.random.default_rng(4)
+    for space in (_random_spd_space(12, 3, "rows"), bundled["sincos_1d"].space,
+                  bundled["stokes_17"].space):
+        h = rng.standard_normal((5, space.dim))
+        h[2] = -0.0  # a zero row is solved to +0.0, as `solve_a` returns it
+        got = spaces.solve_a_rows(h, space)
+        assert got.shape == h.shape
+        assert np.all(got[2] == 0.0) and not np.any(np.signbit(got[2]))
+        for row, b in zip(got, h):
+            assert row.tolist() == pc.solve_a(b, space).coeffs.tolist()
+
+
+def test_solve_a_rows_keeps_the_checks_of_solve_a():
+    space = pc.make_space(sp.diags(np.full(4, 1e-3)), np.ones(4), "soft")
+    h = np.ones((3, 4))
+    h[1] = 1e307  # the solution overflows
+    with pytest.raises(ValueError) as single:
+        pc.solve_a(h[1], space)
+    with pytest.raises(ValueError) as block:
+        spaces.solve_a_rows(h, space)
+    assert str(block.value) == str(single.value) == (
+        "coefficients must be finite")
+    for bad in (np.ones((3, 5)), np.ones(4), np.ones((2, 2, 4))):
+        with pytest.raises(ValueError, match="^right-hand side length does "
+                                             "not match space dimension$"):
+            spaces.solve_a_rows(bad, space)
+
+
 def test_solve_a_rejects_non_spd_operator():
     # indefinite, then singular; make_space does not factor, so the first
     # solve is the one that factors
