@@ -147,6 +147,9 @@ def _write_manifest(out: Path, command: str, config_raw: bytes,
 def _number(v, where: str) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(f"{where} must be a number")
+    # json reads NaN and +-Infinity as floats, and integers of any size
+    if not abs(v) <= _sys.float_info.max:
+        raise ConfigError(f"{where} must be a finite number")
     return float(v)
 
 
@@ -170,7 +173,7 @@ def _as_given(v, where: str):
 def _sides(v, count: int, where: str):
     """One number for every side, or a list of `count` numbers."""
     if isinstance(v, (int, float)) and not isinstance(v, bool):
-        return float(v)
+        return _number(v, where)
     if isinstance(v, list) and len(v) == count:
         return tuple(_number(e, where) for e in v)
     raise ConfigError(f"{where} must be a number or a list of {count} numbers")

@@ -327,8 +327,8 @@ def check_mountain_pass_ring(sys: CoupledSystem, tau: float,
         raise ValueError("tau must be positive")
     space = sys.space
     rng = np.random.default_rng(sampler.seed)
-    zero = space.zero()
-    n_zero = float(sys.eval_N(zero, zero))
+    zero = space.zero().coeffs
+    n_zero = sys.eval_N(zero, zero)
 
     violated = 0
     rows = sys.probe_rows
@@ -338,7 +338,7 @@ def check_mountain_pass_ring(sys: CoupledSystem, tau: float,
             uniform=True)
         nu = split * tau
         nv = (1.0 - split) * tau
-        lhs = sys.eval_N_rows(d_u * nu[:, None], d_v * nv[:, None]) - n_zero
+        lhs = sys.eval_N(d_u * nu[:, None], d_v * nv[:, None]) - n_zero
         violated += int(np.count_nonzero(~(lhs < 0.5 * tau * (nu - nv))))
     return RingReport(tau=float(tau), n_samples=sampler.n_points,
                       n_violated=violated)

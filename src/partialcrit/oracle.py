@@ -45,7 +45,7 @@ def _fd_jacobian(sys: CoupledSystem, x: np.ndarray, r0: np.ndarray
     """Forward-difference Jacobian of the stacked residual at `x`.
 
     Row j of one ``(m, m)`` block of states is `x` with its j-th entry
-    stepped, and one `CoupledSystem.eval_grads_rows` call evaluates every
+    stepped, and one `eval_Nu` and one `eval_Nv` call evaluate every
     row. Each entry goes through the operations of the residual at its
     own stepped state, so the grouping does not change a bit. The dense
     path runs on at most 400 stacked unknowns, which bounds each block at
@@ -58,8 +58,8 @@ def _fd_jacobian(sys: CoupledSystem, x: np.ndarray, r0: np.ndarray
     states = np.tile(x, (m, 1))
     states[np.diag_indices(m)] += steps
     us, vs = states[:, :n], states[:, n:]
-    nu, nv = sys.eval_grads_rows(us, vs)
-    rows = np.hstack([us - nu, -1.0 * vs - nv])
+    rows = np.hstack([us - sys.eval_Nu(us, vs),
+                      -1.0 * vs - sys.eval_Nv(us, vs)])
     return ((rows - r0) / steps[:, None]).T
 
 

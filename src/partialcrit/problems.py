@@ -261,40 +261,41 @@ def _probe_rows(space: DiscreteSpace, points: int) -> int:
 def _system_from_parts(space: DiscreteSpace, pw: PointwiseNonlinearity,
                        sample: Callable[[np.ndarray], np.ndarray],
                        weights: np.ndarray,
-                       lift: Callable[[np.ndarray], HVector],
-                       lift_rows: Callable[[np.ndarray], np.ndarray],
+                       lift: Callable[[np.ndarray], np.ndarray],
                        embedding_sq: float, label: str) -> CoupledSystem:
     """Coupling N(u, v) = sum_i w_i F(S u, S v)_i and its lifted gradients.
 
     ``sample`` maps coefficients to the (m, arg_dim) pointwise arguments S,
     and a ``(k, dim)`` block of them to the ``(k * m, arg_dim)`` stack of
     its rows' arguments; ``weights`` are the m quadrature weights, and
-    ``lift`` turns an (m, arg_dim) pointwise gradient into the space
-    element representing it in the A-product. ``lift_rows`` does the same
-    for a ``(k, m, arg_dim)`` block of them, returning the ``(k, dim)``
-    coefficients, equal to ``lift`` row by row.
+    ``lift`` turns an (m, arg_dim) pointwise gradient into the ``(dim,)``
+    coefficients representing it in the A-product, and a ``(k, m,
+    arg_dim)`` block into ``(k, dim)``, equal row by row. A vector facing
+    a block is sampled once, its points repeated for each row.
     """
-    def eval_n(u: HVector, v: HVector) -> float:
-        return float(np.dot(weights, pw.F(sample(u.coeffs), sample(v.coeffs))))
+    def at_points(fn, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        sa, sb = sample(a), sample(b)
+        if a.ndim == b.ndim == 1:
+            return fn(sa, sb)
+        if a.ndim == 1:
+            sa = np.tile(sa, (len(b), 1))
+        if b.ndim == 1:
+            sb = np.tile(sb, (len(a), 1))
+        out = fn(sa, sb)
+        return out.reshape((-1, weights.size) + out.shape[1:])
 
-    def eval_n_rows(us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-        # the density is pointwise, so the block's points go through F at
-        # once; each row then reduces with the np.dot of `eval_n`
-        f = pw.F(sample(us), sample(vs)).reshape(len(us), -1)
+    def eval_n(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
+        f = at_points(pw.F, a, b)
+        if f.ndim == 1:
+            return float(np.dot(weights, f))
+        # each row reduces with the np.dot of a single pair
         return np.array([np.dot(weights, row) for row in f])
 
-    def eval_nu(u: HVector, v: HVector) -> HVector:
-        return lift(pw.f1(sample(u.coeffs), sample(v.coeffs)))
+    def eval_nu(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return lift(at_points(pw.f1, a, b))
 
-    def eval_nv(u: HVector, v: HVector) -> HVector:
-        return lift(pw.f2(sample(u.coeffs), sample(v.coeffs)))
-
-    def eval_grads_rows(us: np.ndarray, vs: np.ndarray
-                        ) -> tuple[np.ndarray, np.ndarray]:
-        su, sv = sample(us), sample(vs)
-        shape = (len(us), -1, pw.arg_dim)
-        return (lift_rows(pw.f1(su, sv).reshape(shape)),
-                lift_rows(pw.f2(su, sv).reshape(shape)))
+    def eval_nv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return lift(at_points(pw.f2, a, b))
 
     if pw.growth is not None:
         au, al, c_pt = pw.growth
@@ -306,7 +307,6 @@ def _system_from_parts(space: DiscreteSpace, pw: PointwiseNonlinearity,
     monotony = MonotonyMatrix(embedding_sq * np.asarray(pw.monotony, float))
     return CoupledSystem(
         space=space, eval_N=eval_n, eval_Nu=eval_nu, eval_Nv=eval_nv,
-        eval_N_rows=eval_n_rows, eval_grads_rows=eval_grads_rows,
         probe_rows=_probe_rows(space, sample(space.zero().coeffs).size),
         monotony=monotony, growth=growth, pointwise=pw,
         embedding_sq=embedding_sq, label=label,
@@ -346,12 +346,14 @@ def build_dirichlet(spec: DirichletSpec) -> CoupledSystem:
     space = make_space(matrix, weights, space_id=space_id)
     validate_space(space)
 
+    def lift(g: np.ndarray) -> np.ndarray:
+        f = g.reshape(g.shape[:-2] + (-1,))
+        return (riesz_lift(f, space).coeffs if f.ndim == 1
+                else solve_a_rows(space.mass_weights * f, space))
+
     return _system_from_parts(
         space, make_pointwise(spec.nonlinearity, arg_dim=1), _nodal, weights,
-        lambda g: riesz_lift(g.reshape(-1), space),
-        lambda g: solve_a_rows(space.mass_weights * g.reshape(len(g), -1),
-                               space),
-        embedding_constant(space) ** 2,
+        lift, embedding_constant(space) ** 2,
         label=f"{space_id}-{spec.nonlinearity.describe()}",
     )
 
@@ -366,11 +368,14 @@ def build_scalar(a_value: float, nonlinearity: NonlinearitySpec) -> CoupledSyste
         raise ValueError("a_value must be positive")
     matrix = sp.csr_matrix(np.array([[a_value]]))
     space = make_space(matrix, np.array([1.0]), space_id=f"scalar-a{a_value:g}")
+
+    def lift(g: np.ndarray) -> np.ndarray:
+        x = g.reshape(g.shape[:-2] + (-1,)) / a_value
+        return space.wrap(x).coeffs if x.ndim == 1 else space.wrap_rows(x)
+
     return _system_from_parts(
         space, make_pointwise(nonlinearity, arg_dim=1), _nodal,
-        space.mass_weights, lambda g: space.wrap(g.reshape(-1) / a_value),
-        lambda g: space.wrap_rows(g.reshape(len(g), -1) / a_value),
-        1.0 / a_value,
+        space.mass_weights, lift, 1.0 / a_value,
         label=f"scalar-a{a_value:g}-{nonlinearity.describe()}",
     )
 
@@ -469,21 +474,17 @@ def build_stokes(spec: StokesSpec) -> CoupledSystem:
         vx, vy = grid.curl(psi)
         return np.column_stack([vx.reshape(-1), vy.reshape(-1)])
 
-    def lift(g: np.ndarray) -> HVector:
-        shape = (grid.n + 2, grid.n + 2)
-        gx = (wf_flat * g[:, 0]).reshape(shape)
-        gy = (wf_flat * g[:, 1]).reshape(shape)
-        return solve_a(grid.curl_adjoint(gx, gy), space)
-
-    def lift_rows(g: np.ndarray) -> np.ndarray:
-        shape = (len(g), grid.n + 2, grid.n + 2)
+    def lift(g: np.ndarray) -> np.ndarray:
+        shape = g.shape[:-2] + (grid.n + 2, grid.n + 2)
         gx = (wf_flat * g[..., 0]).reshape(shape)
         gy = (wf_flat * g[..., 1]).reshape(shape)
-        return solve_a_rows(grid.curl_adjoint(gx, gy), space)
+        h = grid.curl_adjoint(gx, gy)
+        return (solve_a(h, space).coeffs if h.ndim == 1
+                else solve_a_rows(h, space))
 
     return _system_from_parts(
         space, make_pointwise(spec.nonlinearity, arg_dim=2), stacked_velocity,
-        wf_flat, lift, lift_rows, _velocity_embedding_sq(space, grid),
+        wf_flat, lift, _velocity_embedding_sq(space, grid),
         label=f"{space.space_id}-{spec.nonlinearity.describe()}",
     )
 
@@ -510,27 +511,23 @@ def build_stokes_manufactured(spec: StokesSpec
     ell1 = space.operator.apply(bump1)
     ell2 = -space.operator.apply(bump2)
 
-    def eval_n(u: HVector, v: HVector) -> float:
-        return float(np.dot(ell1, u.coeffs) + np.dot(ell2, v.coeffs))
+    def eval_n(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
+        if a.ndim == b.ndim == 1:
+            return float(np.dot(ell1, a) + np.dot(ell2, b))
+        return np.array([np.dot(ell1, x) + np.dot(ell2, y)
+                         for x, y in zip(*np.broadcast_arrays(a, b))])
 
-    def eval_n_rows(us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-        return np.array([np.dot(ell1, a) + np.dot(ell2, b)
-                         for a, b in zip(us, vs)])
+    # the gradients of a linear coupling are the same at every pair
+    def eval_nu(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return np.broadcast_to(solve_a(ell1, space).coeffs,
+                               np.broadcast_shapes(a.shape, b.shape))
 
-    def eval_nu(u: HVector, v: HVector) -> HVector:
-        return solve_a(ell1, space)
-
-    def eval_nv(u: HVector, v: HVector) -> HVector:
-        return solve_a(ell2, space)
-
-    def eval_grads_rows(us: np.ndarray, vs: np.ndarray
-                        ) -> tuple[np.ndarray, np.ndarray]:
-        return (np.broadcast_to(solve_a(ell1, space).coeffs, us.shape),
-                np.broadcast_to(solve_a(ell2, space).coeffs, vs.shape))
+    def eval_nv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return np.broadcast_to(solve_a(ell2, space).coeffs,
+                               np.broadcast_shapes(a.shape, b.shape))
 
     system = CoupledSystem(
         space=space, eval_N=eval_n, eval_Nu=eval_nu, eval_Nv=eval_nv,
-        eval_N_rows=eval_n_rows, eval_grads_rows=eval_grads_rows,
         probe_rows=_probe_rows(space, space.dim),
         monotony=MonotonyMatrix(np.zeros((2, 2))), growth=None,
         pointwise=None, embedding_sq=None,

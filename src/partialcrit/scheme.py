@@ -120,14 +120,13 @@ class CoupledSystem:
 
     ``eval_N`` is the scalar coupling term; ``eval_Nu`` and ``eval_Nv`` are
     its partial A-gradients (already lifted into the space, so the fixed
-    point equations read u = Nu(u, v) and -v = Nv(u, v)). ``eval_N_rows``
-    takes two ``(k, dim)`` coefficient blocks and returns the ``(k,)``
-    values of N at their rows, equal to ``eval_N`` row by row; the probes
-    evaluate their samples through it in blocks of ``probe_rows`` rows,
-    the most whose arrays fit `problems.PROBE_BYTES`. ``eval_grads_rows``
-    takes the same two blocks and returns the ``(k, dim)`` blocks of Nu
-    and Nv at their rows, equal to ``eval_Nu`` and ``eval_Nv`` row by row;
-    the oracle's dense Jacobian evaluates its perturbed states through it.
+    point equations read u = Nu(u, v) and -v = Nv(u, v)). Each takes two
+    coefficient arrays; a side is a ``(dim,)`` vector or a ``(k, dim)``
+    block, and a vector facing a block holds for every row. ``eval_N``
+    returns a float for two vectors and ``(k,)`` values otherwise, the
+    gradients ``(dim,)`` or ``(k, dim)`` coefficients; a block equals the
+    single calls row by row. The probes evaluate in blocks of
+    ``probe_rows`` rows, the most whose arrays fit `problems.PROBE_BYTES`.
 
     ``monotony`` bounds the couplings of the gradient differences and is
     consumed by the convergence gate and the contraction certificate;
@@ -138,12 +137,9 @@ class CoupledSystem:
     """
 
     space: DiscreteSpace
-    eval_N: Callable[[HVector, HVector], float]
-    eval_Nu: Callable[[HVector, HVector], HVector]
-    eval_Nv: Callable[[HVector, HVector], HVector]
-    eval_N_rows: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    eval_grads_rows: Callable[[np.ndarray, np.ndarray],
-                              tuple[np.ndarray, np.ndarray]]
+    eval_N: Callable[[np.ndarray, np.ndarray], float | np.ndarray]
+    eval_Nu: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    eval_Nv: Callable[[np.ndarray, np.ndarray], np.ndarray]
     probe_rows: int
     monotony: MonotonyMatrix
     growth: GrowthParams | None = None
@@ -200,22 +196,23 @@ class SolutionPair:
 
 def residual_u(sys: CoupledSystem, u: HVector, v: HVector) -> HVector:
     """First partial derivative of the energy: ``u - Nu(u, v)``."""
-    return u - sys.eval_Nu(u, v)
+    return u - HVector(sys.eval_Nu(u.coeffs, v.coeffs), sys.space.space_id)
 
 
 def residual_v(sys: CoupledSystem, u: HVector, v: HVector) -> HVector:
     """Second partial derivative of the energy: ``-v - Nv(u, v)``."""
-    return -1.0 * v - sys.eval_Nv(u, v)
+    return -1.0 * v - HVector(sys.eval_Nv(u.coeffs, v.coeffs),
+                              sys.space.space_id)
 
 
 def _e1(sys: CoupledSystem, u: HVector, v: HVector) -> float:
     """First partial functional ``E1(u, v) = 1/2 |u|_A^2 - N(u, v)``."""
-    return 0.5 * norm_a(u, sys.space) ** 2 - float(sys.eval_N(u, v))
+    return 0.5 * norm_a(u, sys.space) ** 2 - sys.eval_N(u.coeffs, v.coeffs)
 
 
 def _e2(sys: CoupledSystem, u: HVector, v: HVector) -> float:
     """Second partial functional ``E2(u, v) = -1/2 |v|_A^2 - N(u, v)``."""
-    return -0.5 * norm_a(v, sys.space) ** 2 - float(sys.eval_N(u, v))
+    return -0.5 * norm_a(v, sys.space) ** 2 - sys.eval_N(u.coeffs, v.coeffs)
 
 
 def _half_squares(sign: float, norms: np.ndarray) -> np.ndarray:
@@ -226,13 +223,13 @@ def _half_squares(sign: float, norms: np.ndarray) -> np.ndarray:
 
 def _e1_rows(sys: CoupledSystem, us: np.ndarray, v: HVector) -> np.ndarray:
     """`_e1` at each row of the ``(k, dim)`` block `us`."""
-    n_vals = sys.eval_N_rows(us, np.broadcast_to(v.coeffs, us.shape))
+    n_vals = sys.eval_N(us, v.coeffs)
     return _half_squares(1.0, norms_a(us, sys.space)) - n_vals
 
 
 def _e2_rows(sys: CoupledSystem, u: HVector, vs: np.ndarray) -> np.ndarray:
     """`_e2` at each row of the ``(k, dim)`` block `vs`."""
-    n_vals = sys.eval_N_rows(np.broadcast_to(u.coeffs, vs.shape), vs)
+    n_vals = sys.eval_N(u.coeffs, vs)
     return _half_squares(-1.0, norms_a(vs, sys.space)) - n_vals
 
 
@@ -250,7 +247,7 @@ def _energies(sys: CoupledSystem, u: HVector, v: HVector, norm_u: float,
     """`energies` from the A-norms of u and v, already taken."""
     nu2 = norm_u ** 2
     nv2 = norm_v ** 2
-    n_val = float(sys.eval_N(u, v))
+    n_val = sys.eval_N(u.coeffs, v.coeffs)
     return 0.5 * nu2 - n_val, -0.5 * nv2 - n_val, 0.5 * nu2 - 0.5 * nv2 - n_val
 
 
@@ -278,7 +275,8 @@ def _inner_solve(sys: CoupledSystem, fixed: HVector, moving: HVector,
     else:
         objective = lambda x: -_e2(sys, fixed, x)
         # -residual_v bit for bit, since rounding is sign-symmetric
-        gradient = lambda x: x + sys.eval_Nv(fixed, x)
+        gradient = lambda x: x + HVector(sys.eval_Nv(fixed.coeffs, x.coeffs),
+                                         sys.space.space_id)
     base_step = 0.9 / (1.0 + float(sys.monotony.entries[0, 0]))
     x = moving
     obj = objective(x)

@@ -521,6 +521,36 @@ def test_float_range_defect_table(tmp_path, capsys, command, base, path,
     assert capsys.readouterr().err.splitlines() == lines
 
 
+# (command, path, value) of number keys; each value replaces the number
+# it stands for, and a list holds it in its first place
+NUMBER_KEYS = [
+    ("check", ("check", "sampler", "box_radius"), None),
+    ("solve", ("scheme", "final_tol"), None),
+    ("compare", ("oracle", "tol"), None),
+    ("check", ("check", "ring_taus"), [None]),
+    ("solve", ("problem", "nonlinearity", "epsilon"), None),
+    ("solve", ("problem", "lengths"), None),
+    ("solve", ("problem", "lengths"), [None]),
+]
+
+
+@pytest.mark.parametrize("number", [math.nan, math.inf, -math.inf, 10**400],
+                         ids=["NaN", "Infinity", "-Infinity", "1e400"])
+@pytest.mark.parametrize(
+    "command, path, shape", NUMBER_KEYS,
+    ids=[f"{row[0]}-{'.'.join(row[1])}-{i}"
+         for i, row in enumerate(NUMBER_KEYS)])
+def test_non_finite_numbers_are_refused(tmp_path, capsys, command, path,
+                                        shape, number):
+    # json writes the floats as NaN, Infinity and -Infinity
+    value = number if shape is None else [number]
+    cfg = _write(tmp_path, "cfg.json", _defect(SINCOS_CONFIG, path, value))
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: {'.'.join(path)} must be a finite number\n")
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("command, flag", [
     ("lemma", "--seed=3"),
     ("lemma", "--override-hypotheses"),

@@ -1,7 +1,9 @@
-"""Package surface: every exported name resolves, one version string, and
-the CLI imports without `scipy.optimize`."""
+"""Package surface: every exported name resolves, one version string, the
+CLI imports without `scipy.optimize`, and the benchmark's tracer still
+fits the package."""
 
 import importlib
+import importlib.util
 import os
 import pkgutil
 import subprocess
@@ -44,3 +46,34 @@ def test_cli_import_leaves_out_scipy_optimize():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def _benchmark_tracing():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_tracer_fits_the_package():
+    # perfbench/tracing.py binds package functions by name, swaps the
+    # coupling callables into a built system with dataclasses.replace and
+    # calls newton_full with jacobian_free; a change that breaks any of
+    # these breaks the benchmark
+    tracing = _benchmark_tracing()
+    for module, name, *_ in tracing.TARGETS:
+        assert callable(getattr(module, name, None)), name
+    tracer = tracing.Tracer()
+    with tracing.instrument(tracer):
+        system = pc.build_dirichlet(pc.DirichletSpec(
+            dims=1, n_per_dim=15, lengths=(1.0,),
+            nonlinearity=pc.NonlinearitySpec.quadratic(0.0, 0.5, 0.0, 1.0)))
+        pair, _ = pc.run_scheme(system)
+        orc = pc.newton_full(system, jacobian_free=True)
+    assert pair.converged and orc.converged
+    metrics = tracing.layer_metrics(tracer)
+    assert metrics["scheme.stages"] == pair.stages
+    for side in ("eval_N", "eval_Nu", "eval_Nv"):
+        assert metrics[f"problems.{side}.calls"] > 0, side
+    assert metrics["oracle.resid_evals"] > 0

@@ -13,7 +13,7 @@ import pytest
 import scipy.sparse as sp
 
 import partialcrit as pc
-from partialcrit import scheme
+from partialcrit import problems, scheme
 from partialcrit.spaces import norms_a, random_unit_rows
 
 
@@ -26,11 +26,13 @@ def _ref_unit(space, rng):
 
 
 def _ref_e1(sys, u, v):
-    return 0.5 * pc.norm_a(u, sys.space) ** 2 - float(sys.eval_N(u, v))
+    return (0.5 * pc.norm_a(u, sys.space) ** 2
+            - float(sys.eval_N(u.coeffs, v.coeffs)))
 
 
 def _ref_e2(sys, u, v):
-    return -0.5 * pc.norm_a(v, sys.space) ** 2 - float(sys.eval_N(u, v))
+    return (-0.5 * pc.norm_a(v, sys.space) ** 2
+            - float(sys.eval_N(u.coeffs, v.coeffs)))
 
 
 def _ref_nash(sys, pair, seed=0):
@@ -69,7 +71,7 @@ def _ref_ring(sys, tau, sampler):
     space = sys.space
     rng = np.random.default_rng(sampler.seed)
     zero = space.zero()
-    n_zero = float(sys.eval_N(zero, zero))
+    n_zero = float(sys.eval_N(zero.coeffs, zero.coeffs))
     violated = 0
     for _ in range(sampler.n_points):
         split = rng.random()
@@ -77,7 +79,7 @@ def _ref_ring(sys, tau, sampler):
         nv = (1.0 - split) * tau
         u = nu * _ref_unit(space, rng)
         v = nv * _ref_unit(space, rng)
-        lhs = float(sys.eval_N(u, v)) - n_zero
+        lhs = float(sys.eval_N(u.coeffs, v.coeffs)) - n_zero
         if not (lhs < 0.5 * tau * (nu - nv)):
             violated += 1
     return pc.RingReport(tau=float(tau), n_samples=sampler.n_points,
@@ -149,21 +151,47 @@ def _rows_systems(bundled, custom_1d, manufactured_9):
     }
 
 
-def test_eval_n_rows_equals_eval_n(bundled, custom_1d, manufactured_9):
+@pytest.mark.parametrize("name", ["eval_N", "eval_Nu", "eval_Nv"])
+def test_blocks_equal_the_single_calls(bundled, custom_1d, manufactured_9,
+                                       name):
+    # block/block, block/vector and vector/block against one call a row
     rng = np.random.default_rng(2)
-    for name, system in _rows_systems(bundled, custom_1d,
-                                      manufactured_9).items():
-        space = system.space
-        us = rng.standard_normal((6, space.dim))
-        vs = rng.standard_normal((6, space.dim))
-        ref = [float(system.eval_N(space.wrap(a), space.wrap(b)))
-               for a, b in zip(us, vs)]
-        assert system.eval_N_rows(us, vs).tolist() == ref, name
-        # a fixed side passed as a broadcast view, as the probes pass it
-        fixed = np.broadcast_to(vs[0], us.shape)
-        ref = [float(system.eval_N(space.wrap(a), space.wrap(vs[0])))
-               for a in us]
-        assert system.eval_N_rows(us, fixed).tolist() == ref, name
+    for label, system in _rows_systems(bundled, custom_1d,
+                                       manufactured_9).items():
+        fn = getattr(system, name)
+        us = rng.standard_normal((6, system.space.dim))
+        vs = rng.standard_normal((6, system.space.dim))
+        for a, b in ((us, vs), (us, vs[0]), (us[0], vs)):
+            ref = [fn(x, y) for x, y in zip(*np.broadcast_arrays(a, b))]
+            if name == "eval_N":
+                assert all(type(x) is float for x in ref), label
+                assert fn(a, b).tolist() == ref, label
+            else:
+                assert all(x.shape == (system.space.dim,) for x in ref)
+                assert np.array_equal(fn(a, b), ref), label
+
+
+def test_fixed_side_is_sampled_once_a_block(stokes_17, solved, monkeypatch):
+    # the curl runs on each block's rows and once on the side it holds
+    # fixed, not on that side repeated for every row
+    rows = []
+    curl = problems._StokesGrid.curl
+
+    def counting(self, psi):
+        rows.append(1 if psi.ndim == 1 else len(psi))
+        return curl(self, psi)
+
+    monkeypatch.setattr(problems._StokesGrid, "curl", counting)
+    pc.nash_check(stokes_17, solved["stokes_17"][0])
+    # E1 and E2 at the pair sample two vectors each; then each block of
+    # the curvature probe (8 directions) evaluates four energies and each
+    # block of the samples two, each on the block and the fixed vector
+    k = stokes_17.probe_rows
+    expected = [1] * 4
+    for n, energies in ((8, 4), (scheme.NASH_SAMPLES, 2)):
+        for start in range(0, n, k):
+            expected += [min(k, n - start), 1] * energies
+    assert sorted(rows) == sorted(expected)
 
 
 def test_row_energies_equal_e1_and_e2(bundled):

@@ -170,9 +170,9 @@ def test_scalar_builder_closed_form_residual(scalar_linear):
     space = scalar_linear.space
     u = space.wrap(np.array([0.3]))
     v = space.wrap(np.array([-0.2]))
-    nu = scalar_linear.eval_Nu(u, v)
+    nu = space.wrap(scalar_linear.eval_Nu(u.coeffs, v.coeffs))
     assert nu.coeffs[0] == pytest.approx((0.2 * -0.2 + 1.0) / 2.0, rel=1e-12)
-    nv = scalar_linear.eval_Nv(u, v)
+    nv = space.wrap(scalar_linear.eval_Nv(u.coeffs, v.coeffs))
     assert nv.coeffs[0] == pytest.approx((0.2 * 0.3) / 2.0, rel=1e-12)
 
 
@@ -249,3 +249,16 @@ def test_stokes_curl_matches_analytic_gradient(stokes_17, rng):
     v = space.wrap(0.1 * rng.standard_normal(space.dim))
     err = pc.fd_gradient_check(stokes_17, u, v, n_dirs=4)
     assert err <= 1e-6
+
+
+def test_single_pairs_never_solve_a_block(cross_coupled_1d, stokes_cross_17,
+                                          stokes_17, monkeypatch):
+    # the scheme and the matrix-free oracle evaluate one pair at a time,
+    # on `solve_a` alone
+    def refuse(h, space):
+        raise AssertionError("a single pair reached solve_a_rows")
+
+    monkeypatch.setattr(problems, "solve_a_rows", refuse)
+    for system, scfg in (cross_coupled_1d, stokes_cross_17):
+        assert pc.run_scheme(system, scfg)[0].converged
+    assert pc.newton_full(stokes_17, jacobian_free=True).converged
