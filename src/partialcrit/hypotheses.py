@@ -120,12 +120,12 @@ def check_growth(F, declared: tuple[float, float, float],
     """Test ``-al |y|^2 - c <= F(x, y) <= au |x|^2 + c`` on random points.
 
     `declared` is the pointwise (alpha_upper, alpha_lower, c) triple; a
-    negative constant raises `ValueError`. The report also carries the
+    negative or NaN constant raises `ValueError`. The report also carries the
     tightest constants fitting the sample: each alpha with the declared c
     held fixed, and c with the declared alphas held fixed.
     """
     au, al, c = (float(x) for x in declared)
-    if au < 0.0 or al < 0.0 or c < 0.0:
+    if not (au >= 0.0) or not (al >= 0.0) or not (c >= 0.0):
         raise ValueError("growth constants must be nonnegative")
     rng = np.random.default_rng(sampler.seed)
     x, y = _draw_box(sampler, arg_dim, rng)

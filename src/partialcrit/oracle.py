@@ -40,26 +40,31 @@ class OracleResult:
     tol: float
 
 
+def _stacked_residual(sys: CoupledSystem, us: np.ndarray, vs: np.ndarray
+                      ) -> np.ndarray:
+    """(u - Nu, -v - Nv) at a pair, or at each row pair of two blocks."""
+    return np.concatenate([us - sys.eval_Nu(us, vs),
+                           -1.0 * vs - sys.eval_Nv(us, vs)], axis=-1)
+
+
 def _fd_jacobian(sys: CoupledSystem, x: np.ndarray, r0: np.ndarray
                  ) -> np.ndarray:
     """Forward-difference Jacobian of the stacked residual at `x`.
 
     Row j of one ``(m, m)`` block of states is `x` with its j-th entry
     stepped, and one `eval_Nu` and one `eval_Nv` call evaluate every
-    row. Each entry goes through the operations of the residual at its
-    own stepped state, so the grouping does not change a bit. The dense
-    path runs on at most 400 stacked unknowns, which bounds each block at
-    1.28 MB (127 KB at dimension 63); a Stokes block's pointwise arrays,
-    on the full grid with two velocity components, reach 1.6 MB at n=14.
+    row, through the `_stacked_residual` of a single state, so the
+    grouping does not change a bit. The dense path runs on at most 400
+    stacked unknowns, which bounds each block at 1.28 MB (127 KB at
+    dimension 63); a Stokes block's pointwise arrays, on the full grid
+    with two velocity components, reach 1.6 MB at n=14.
     """
     m = x.size
     n = m // 2
     steps = np.sqrt(np.finfo(float).eps) * (1.0 + np.abs(x))
     states = np.tile(x, (m, 1))
     states[np.diag_indices(m)] += steps
-    us, vs = states[:, :n], states[:, n:]
-    rows = np.hstack([us - sys.eval_Nu(us, vs),
-                      -1.0 * vs - sys.eval_Nv(us, vs)])
+    rows = _stacked_residual(sys, states[:, :n], states[:, n:])
     return ((rows - r0) / steps[:, None]).T
 
 
@@ -109,20 +114,16 @@ def newton_full(sys: CoupledSystem, tol: float = 1e-8,
     if jacobian_free is None:
         jacobian_free = 2 * n > 400
 
-    def split(vec: np.ndarray) -> tuple[HVector, HVector]:
-        return space.wrap(vec[:n].copy()), space.wrap(vec[n:].copy())
-
     def resid(vec: np.ndarray) -> np.ndarray:
-        u, v = split(vec)
-        return np.concatenate([residual_u(sys, u, v).coeffs,
-                               residual_v(sys, u, v).coeffs])
+        u, v = space.check(vec.reshape(2, n))
+        return _stacked_residual(sys, u, v)
 
     r = resid(x)
     for it in range(NEWTON_MAX_ITERS):
         ru = norm_a(space.wrap(r[:n].copy()), space)
         rv = norm_a(space.wrap(r[n:].copy()), space)
         if max(ru, rv) <= tol:
-            u, v = split(x)
+            u, v = map(space.wrap, x.reshape(2, n).copy())
             return OracleResult(u_star=u, v_star=v,
                                 residual_norm=max(ru, rv),
                                 iterations=it, converged=True, tol=tol)

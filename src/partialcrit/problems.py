@@ -28,7 +28,7 @@ import scipy.sparse as sp
 from .scheme import CoupledSystem, GrowthParams
 from .spaces import (DiscreteSpace, HVector, dominant_inverse_eig,
                      embedding_constant, make_space, riesz_lift, solve_a,
-                     solve_a_rows, validate_space)
+                     validate_space)
 from .zeromatrix import MonotonyMatrix
 
 __all__ = [
@@ -270,8 +270,9 @@ def _system_from_parts(space: DiscreteSpace, pw: PointwiseNonlinearity,
     its rows' arguments; ``weights`` are the m quadrature weights, and
     ``lift`` turns an (m, arg_dim) pointwise gradient into the ``(dim,)``
     coefficients representing it in the A-product, and a ``(k, m,
-    arg_dim)`` block into ``(k, dim)``, equal row by row. A vector facing
-    a block is sampled once, its points repeated for each row.
+    arg_dim)`` block into ``(k, dim)``, equal row by row: `solve_a`,
+    `riesz_lift` and `DiscreteSpace.check` take either shape. A vector
+    facing a block is sampled once, its points repeated for each row.
     """
     def at_points(fn, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         sa, sb = sample(a), sample(b)
@@ -347,9 +348,7 @@ def build_dirichlet(spec: DirichletSpec) -> CoupledSystem:
     validate_space(space)
 
     def lift(g: np.ndarray) -> np.ndarray:
-        f = g.reshape(g.shape[:-2] + (-1,))
-        return (riesz_lift(f, space).coeffs if f.ndim == 1
-                else solve_a_rows(space.mass_weights * f, space))
+        return riesz_lift(g.reshape(g.shape[:-2] + (-1,)), space)
 
     return _system_from_parts(
         space, make_pointwise(spec.nonlinearity, arg_dim=1), _nodal, weights,
@@ -370,8 +369,7 @@ def build_scalar(a_value: float, nonlinearity: NonlinearitySpec) -> CoupledSyste
     space = make_space(matrix, np.array([1.0]), space_id=f"scalar-a{a_value:g}")
 
     def lift(g: np.ndarray) -> np.ndarray:
-        x = g.reshape(g.shape[:-2] + (-1,)) / a_value
-        return space.wrap(x).coeffs if x.ndim == 1 else space.wrap_rows(x)
+        return space.check(g.reshape(g.shape[:-2] + (-1,)) / a_value)
 
     return _system_from_parts(
         space, make_pointwise(nonlinearity, arg_dim=1), _nodal,
@@ -478,9 +476,7 @@ def build_stokes(spec: StokesSpec) -> CoupledSystem:
         shape = g.shape[:-2] + (grid.n + 2, grid.n + 2)
         gx = (wf_flat * g[..., 0]).reshape(shape)
         gy = (wf_flat * g[..., 1]).reshape(shape)
-        h = grid.curl_adjoint(gx, gy)
-        return (solve_a(h, space).coeffs if h.ndim == 1
-                else solve_a_rows(h, space))
+        return solve_a(grid.curl_adjoint(gx, gy), space)
 
     return _system_from_parts(
         space, make_pointwise(spec.nonlinearity, arg_dim=2), stacked_velocity,
@@ -519,11 +515,11 @@ def build_stokes_manufactured(spec: StokesSpec
 
     # the gradients of a linear coupling are the same at every pair
     def eval_nu(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return np.broadcast_to(solve_a(ell1, space).coeffs,
+        return np.broadcast_to(solve_a(ell1, space),
                                np.broadcast_shapes(a.shape, b.shape))
 
     def eval_nv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return np.broadcast_to(solve_a(ell2, space).coeffs,
+        return np.broadcast_to(solve_a(ell2, space),
                                np.broadcast_shapes(a.shape, b.shape))
 
     system = CoupledSystem(

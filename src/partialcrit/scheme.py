@@ -436,8 +436,10 @@ def contraction_certificate(trace: SchemeTrace, m: MonotonyMatrix, p: int = 1
     """Check the difference-vector recursion on the trace's iterate history.
 
     The slack term is ``2 / k`` in both components, covering the two
-    admission residuals that enter the estimate.
+    admission residuals that enter the estimate. `m` must be 2 by 2.
     """
+    if m.n != 2:
+        raise ValueError("the coupling matrix must be 2 by 2")
     if p < 1:
         raise ValueError("gap p must be at least 1")
     us, vs = trace.iterates_u, trace.iterates_v

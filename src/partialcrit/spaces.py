@@ -33,7 +33,6 @@ __all__ = [
     "norm_a",
     "norms_a",
     "solve_a",
-    "solve_a_rows",
     "riesz_lift",
     "random_unit",
     "random_unit_rows",
@@ -131,30 +130,29 @@ class DiscreteSpace:
     def zero(self) -> "HVector":
         return HVector(np.zeros(self.dim), self.space_id)
 
-    def wrap(self, coeffs: np.ndarray) -> "HVector":
-        """The one vector check: a float array of shape ``(dim,)``, finite."""
+    def check(self, coeffs) -> np.ndarray:
+        """The one coefficient check: a ``(dim,)`` vector or a ``(k, dim)``
+        block of them, finite, returned as a float array."""
         c = np.asarray(coeffs, dtype=float)
-        if c.shape != (self.dim,):
+        if c.ndim not in (1, 2) or c.shape[-1] != self.dim:
             raise ValueError("vector length does not match space dimension")
         if not np.all(np.isfinite(c)):
             raise ValueError("coefficients must be finite")
-        return HVector(c, self.space_id)
+        return c
 
-    def wrap_rows(self, rows: np.ndarray) -> np.ndarray:
-        """`wrap`'s check on each row of a ``(k, dim)`` block, returned as
-        it is."""
-        if rows.ndim != 2 or rows.shape[1] != self.dim:
+    def wrap(self, coeffs) -> "HVector":
+        """A ``(dim,)`` vector passed by `check`, tied to the space."""
+        c = self.check(coeffs)
+        if c.ndim != 1:
             raise ValueError("vector length does not match space dimension")
-        if not np.all(np.isfinite(rows)):
-            raise ValueError("coefficients must be finite")
-        return rows
+        return HVector(c, self.space_id)
 
 
 @dataclass(frozen=True)
 class HVector:
     """Coefficient vector tied to a space by its identifier.
 
-    A plain record, checked once by `DiscreteSpace.wrap`, which every
+    A plain record, checked once by `DiscreteSpace.wrap`, whose check every
     A-solve result passes. Its arithmetic checks only that the operands
     share a space (``ValueError``); the scheme's inner solve sees overflow.
     """
@@ -248,54 +246,49 @@ def norms_a(rows: np.ndarray, space: DiscreteSpace) -> np.ndarray:
     return np.sqrt(np.where(low, 0.0, q)) + 0.0
 
 
-def solve_a(h, space: DiscreteSpace) -> HVector:
+def solve_a(h, space: DiscreteSpace) -> np.ndarray:
     """Solve ``A x = h`` with the operator's cached sparse factorization.
 
     Parameters
     ----------
     h : array_like
-        Right-hand side (coefficients of a dual vector).
+        Right-hand side (coefficients of a dual vector), ``(dim,)``, or a
+        ``(k, dim)`` block of them.
+
+    Returns the finite coefficients, in the shape of `h`. A vector takes
+    one single solve; a block's nonzero rows are solved as the columns of
+    one right-hand side, which equals the single solves bit for bit. Zero
+    right-hand sides give exact zeros.
 
     Raises
     ------
+    ValueError
+        From `DiscreteSpace.check`, if the solution is not finite.
     IntegrityError
         If the operator is singular or not positive definite.
     """
     b = np.asarray(h, dtype=float)
-    if b.shape != (space.dim,):
+    if b.ndim not in (1, 2) or b.shape[-1] != space.dim:
         raise ValueError("right-hand side length does not match space dimension")
-    if not np.any(b):
-        return space.zero()
-    return space.wrap(space.operator.factor().solve(b))
+    if b.ndim == 1:
+        x = space.operator.factor().solve(b) if np.any(b) else np.zeros(b.shape)
+    else:
+        x = np.zeros(b.shape)
+        live = np.any(b, axis=1)
+        if live.any():
+            x[live] = space.operator.factor().solve(b[live].T).T
+    return space.check(x)
 
 
-def solve_a_rows(h, space: DiscreteSpace) -> np.ndarray:
-    """`solve_a` on each row of a ``(k, dim)`` block, in one solve call.
-
-    The factorization solves the block's nonzero rows as the columns of
-    one right-hand side, which equals the single solves bit for bit; zero
-    rows stay exact zeros, and a non-finite solution raises the
-    ``ValueError`` of `DiscreteSpace.wrap`.
-    """
-    b = np.asarray(h, dtype=float)
-    if b.ndim != 2 or b.shape[1] != space.dim:
-        raise ValueError("right-hand side length does not match space dimension")
-    out = np.zeros(b.shape)
-    live = np.any(b, axis=1)
-    if live.any():
-        out[live] = space.operator.factor().solve(b[live].T).T
-    return space.wrap_rows(out)
-
-
-def riesz_lift(f_pointwise, space: DiscreteSpace) -> HVector:
+def riesz_lift(f_pointwise, space: DiscreteSpace) -> np.ndarray:
     """Lift pointwise values into the space: solve ``A x = W f``.
 
     The result represents the functional ``v -> (f, v)_mass`` in the
     A-product, so ``inner_a(riesz_lift(f), v) == (f, v)_mass`` up to
-    round-off.
+    round-off. Takes and returns a vector or a block, as `solve_a` does.
     """
     f = np.asarray(f_pointwise, dtype=float)
-    if f.shape != (space.dim,):
+    if f.ndim not in (1, 2) or f.shape[-1] != space.dim:
         raise ValueError("pointwise data length does not match space dimension")
     return solve_a(space.mass_weights * f, space)
 
@@ -365,7 +358,7 @@ def dominant_inverse_eig(space: DiscreteSpace,
         if lam_old is not None and abs(lam - lam_old) <= 1e-7 * max(abs(lam), 1e-300):
             return lam
         lam_old = lam
-        y = solve_a(mx, space).coeffs
+        y = solve_a(mx, space)
         ynorm = float(np.linalg.norm(y))
         if ynorm == 0.0:
             # the squares underflow once every entry is below about 1e-154

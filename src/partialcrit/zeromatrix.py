@@ -241,10 +241,10 @@ def verify_dominance(x_seq, y_seq, m, slack: float = 0.0,
 
     Parameters
     ----------
-    x_seq, y_seq : sequences of nonnegative vectors, equal length >= 2.
-        ``y_seq[0]`` is never used.
+    x_seq, y_seq : sequences of finite nonnegative vectors, equal
+        length >= 2. ``y_seq[0]`` is never used.
     slack : float
-        Uniform additive tolerance applied to every component.
+        Uniform finite additive tolerance applied to every component.
     tail_threshold : float, optional
         When given, also report whether ``max ||x_k||_inf`` over the final
         quarter of the trajectory dropped below it.
@@ -257,6 +257,8 @@ def verify_dominance(x_seq, y_seq, m, slack: float = 0.0,
         raise ValueError("x and y sequences must have matching shapes")
     if xs.shape[0] < 2:
         raise ValueError("need at least two steps")
+    if not all(np.isfinite(a).all() for a in (xs, ys, slack)):
+        raise ValueError("dominance sequences and slack must be finite")
     if np.any(xs < 0.0) or np.any(ys < 0.0):
         raise ValueError("dominance sequences must be nonnegative")
     a = _coerce(m)

@@ -246,3 +246,16 @@ def test_growth_constant_rejects_negative_declared():
     pw = pc.make_pointwise(pc.NonlinearitySpec.sincos(0.1), arg_dim=1)
     with pytest.raises(ValueError):
         pc.check_growth(pw.F, (-0.1, 0.0, 0.0), pc.SamplerSpec())
+
+
+@pytest.mark.parametrize("declared", [(np.nan, 0.1, 0.0), (0.0, np.nan, 0.0),
+                                      (0.0, 0.1, np.nan)])
+def test_growth_constant_rejects_nan_declared(declared):
+    # F = 5 x y breaks every finite bound of this form on the box; a NaN
+    # constant used to pass the sign check and read as ok
+    def F(x, y):
+        return 5.0 * np.sum(x * y, axis=1)
+
+    with pytest.raises(ValueError, match="^growth constants must be "
+                                         "nonnegative$"):
+        pc.check_growth(F, declared, pc.SamplerSpec())

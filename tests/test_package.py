@@ -10,9 +10,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import partialcrit as pc
+from partialcrit import oracle
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(pc.__path__))
 
@@ -77,3 +79,18 @@ def test_benchmark_tracer_fits_the_package():
     for side in ("eval_N", "eval_Nu", "eval_Nv"):
         assert metrics[f"problems.{side}.calls"] > 0, side
     assert metrics["oracle.resid_evals"] > 0
+
+
+def test_benchmark_tracer_sees_the_dense_jacobian_solves():
+    # the dense Jacobian lifts both sides' block gradients through the
+    # traced `solve_a`, one block solve a side
+    tracing = _benchmark_tracing()
+    system = pc.build_dirichlet(pc.DirichletSpec(
+        dims=1, n_per_dim=15, lengths=(1.0,),
+        nonlinearity=pc.NonlinearitySpec.quadratic(0.0, 0.5, 0.0, 1.0)))
+    x = np.linspace(-1.0, 1.0, 2 * system.space.dim)
+    tracer = tracing.Tracer()
+    with tracing.instrument(tracer):
+        oracle._fd_jacobian(system, x, np.zeros_like(x))
+    names = [span[tracing.NAME] for span in tracer.spans]
+    assert names.count("spaces.solve_a") == 2

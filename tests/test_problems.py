@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import partialcrit as pc
-from partialcrit import problems
+from partialcrit import problems, spaces
 
 
 # ------------------------------------------------------------ nonlinearity
@@ -254,11 +254,19 @@ def test_stokes_curl_matches_analytic_gradient(stokes_17, rng):
 def test_single_pairs_never_solve_a_block(cross_coupled_1d, stokes_cross_17,
                                           stokes_17, monkeypatch):
     # the scheme and the matrix-free oracle evaluate one pair at a time,
-    # on `solve_a` alone
-    def refuse(h, space):
-        raise AssertionError("a single pair reached solve_a_rows")
+    # and a single right-hand side takes the single solve
+    real_factor = spaces.SpdOperator.factor
 
-    monkeypatch.setattr(problems, "solve_a_rows", refuse)
+    class SingleSolves:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, b):
+            assert b.ndim == 1, "a single pair reached the block solve"
+            return self.lu.solve(b)
+
+    monkeypatch.setattr(spaces.SpdOperator, "factor",
+                        lambda self: SingleSolves(real_factor(self)))
     for system, scfg in (cross_coupled_1d, stokes_cross_17):
         assert pc.run_scheme(system, scfg)[0].converged
     assert pc.newton_full(stokes_17, jacobian_free=True).converged

@@ -270,6 +270,17 @@ def test_contraction_certificate_rejects_bad_gap(solved, scalar_linear):
         pc.contraction_certificate(trace, scalar_linear.monotony, p=0)
 
 
+@pytest.mark.parametrize("size", [1, 3])
+def test_contraction_certificate_needs_a_2_by_2_matrix(solved, size):
+    # a 1 by 1 matrix used to raise IndexError, a 3 by 3 one to be read
+    # by its top-left corner
+    _, trace = solved["scalar_stiff"]
+    with pytest.raises(ValueError, match="^the coupling matrix must be 2 by "
+                                         "2$"):
+        pc.contraction_certificate(trace, pc.MonotonyMatrix(
+            0.1 * np.eye(size)))
+
+
 def test_nash_check_accepts_converged_pair(solved, bundled):
     pair, _ = solved["scalar_stiff"]
     rep = pc.nash_check(bundled["scalar_stiff"], pair)

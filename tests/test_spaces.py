@@ -25,43 +25,57 @@ def test_solve_a_matches_dense_lu():
     rng = np.random.default_rng(7)
     for _ in range(20):
         h = rng.standard_normal(12)
-        got = pc.solve_a(h, space).coeffs
+        got = pc.solve_a(h, space)
         ref = np.linalg.solve(dense, h)
         assert np.allclose(got, ref, rtol=1e-8, atol=1e-12)
 
 
 def test_solve_a_zero_rhs_is_zero():
     space = _random_spd_space(6, 1, "zero-rhs")
-    assert np.all(pc.solve_a(np.zeros(6), space).coeffs == 0.0)
+    assert np.all(pc.solve_a(np.zeros(6), space) == 0.0)
 
 
-def test_solve_a_rows_equals_solve_a_row_by_row(bundled):
+def test_solve_a_block_equals_solve_a_row_by_row(bundled):
     rng = np.random.default_rng(4)
     for space in (_random_spd_space(12, 3, "rows"), bundled["sincos_1d"].space,
                   bundled["stokes_17"].space):
         h = rng.standard_normal((5, space.dim))
-        h[2] = -0.0  # a zero row is solved to +0.0, as `solve_a` returns it
-        got = spaces.solve_a_rows(h, space)
+        h[2] = -0.0  # a zero row is solved to +0.0, as a zero vector is
+        got = pc.solve_a(h, space)
         assert got.shape == h.shape
         assert np.all(got[2] == 0.0) and not np.any(np.signbit(got[2]))
         for row, b in zip(got, h):
-            assert row.tolist() == pc.solve_a(b, space).coeffs.tolist()
+            assert row.tolist() == pc.solve_a(b, space).tolist()
 
 
-def test_solve_a_rows_keeps_the_checks_of_solve_a():
+def test_riesz_lift_block_equals_riesz_lift_row_by_row(bundled):
+    rng = np.random.default_rng(5)
+    for space in (_random_spd_space(12, 3, "lift-rows"),
+                  bundled["sincos_1d"].space, bundled["stokes_17"].space):
+        f = rng.standard_normal((4, space.dim))
+        f[1] = 0.0
+        got = pc.riesz_lift(f, space)
+        assert got.shape == f.shape
+        assert np.all(got[1] == 0.0) and not np.any(np.signbit(got[1]))
+        for row, g in zip(got, f):
+            assert row.tolist() == pc.riesz_lift(g, space).tolist()
+
+
+def test_solve_a_block_keeps_the_checks_of_a_single_solve():
     space = pc.make_space(sp.diags(np.full(4, 1e-3)), np.ones(4), "soft")
     h = np.ones((3, 4))
     h[1] = 1e307  # the solution overflows
     with pytest.raises(ValueError) as single:
         pc.solve_a(h[1], space)
     with pytest.raises(ValueError) as block:
-        spaces.solve_a_rows(h, space)
+        pc.solve_a(h, space)
     assert str(block.value) == str(single.value) == (
         "coefficients must be finite")
-    for bad in (np.ones((3, 5)), np.ones(4), np.ones((2, 2, 4))):
+    for bad in (np.ones((3, 5)), np.ones(5), np.ones((2, 2, 4)), np.ones(()),
+                np.ones((3, 0))):
         with pytest.raises(ValueError, match="^right-hand side length does "
                                              "not match space dimension$"):
-            spaces.solve_a_rows(bad, space)
+            pc.solve_a(bad, space)
 
 
 def test_solve_a_rejects_non_spd_operator():
@@ -121,7 +135,7 @@ def test_riesz_lift_pairing():
     for _ in range(10):
         f = rng.standard_normal(10)
         x = space.wrap(rng.standard_normal(10))
-        lifted = pc.riesz_lift(f, space)
+        lifted = space.wrap(pc.riesz_lift(f, space))
         lhs = pc.inner_a(lifted, x, space)
         rhs = float(np.dot(space.mass_weights, f * x.coeffs))
         assert abs(lhs - rhs) <= 1e-8 * (1.0 + abs(rhs))
@@ -274,6 +288,23 @@ def test_wrap_rejects_nonfinite_entries(xc, index, bad):
 def test_wrap_rejects_wrong_length(xc):
     with pytest.raises(ValueError, match="length does not match"):
         PROP_SPACE.wrap(xc)
+
+
+@_property
+@given(_coeffs, _coeffs)
+def test_check_takes_a_vector_or_a_block_and_wrap_a_vector(xc, yc):
+    block = PROP_SPACE.check(np.stack([xc, yc]))
+    assert block.tolist() == [PROP_SPACE.check(xc).tolist(),
+                              PROP_SPACE.check(yc).tolist()]
+    assert PROP_SPACE.wrap(xc).coeffs.tolist() == xc.tolist()
+    for bad in (np.stack([xc, yc]), np.stack([[xc]]), xc[0]):
+        with pytest.raises(ValueError, match="length does not match"):
+            PROP_SPACE.wrap(bad)
+    with pytest.raises(ValueError, match="length does not match"):
+        PROP_SPACE.check(np.stack([[xc]]))
+    yc[-1] = np.nan
+    with pytest.raises(ValueError, match="^coefficients must be finite$"):
+        PROP_SPACE.check(np.stack([xc, yc]))
 
 
 @_property

@@ -166,6 +166,23 @@ def test_verify_dominance_input_checks():
         pc.verify_dominance(np.ones((3, 3)), np.ones((3, 3)), m)
 
 
+@pytest.mark.parametrize("xs, ys, slack", [
+    # a NaN step and an all-inf column used to read as dominated, and a
+    # NaN slack hid the violation of test_verify_dominance_flags_violation
+    ([[1.0, 1.0], [np.nan, 5.0], [9.0, 9.0]], np.zeros((3, 2)), 0.0),
+    ([[1.0, np.inf], [1.0, np.inf], [1.0, np.inf]], np.zeros((3, 2)), 0.0),
+    ([[1.0, 1.0], [0.5, 0.5], [0.9, 0.1]], np.zeros((3, 2)), np.nan),
+    ([[1.0, 1.0], [0.5, 0.5], [0.9, 0.1]], [[0.0, 0.0], [0.0, np.inf],
+                                            [0.0, 0.0]], 0.0),
+    ([[1.0, 1.0], [0.5, 0.5], [0.9, 0.1]], np.zeros((3, 2)), np.inf),
+])
+def test_verify_dominance_rejects_nonfinite_input(xs, ys, slack):
+    m = np.array([[0.3, 0.2], [0.1, 0.4]])
+    with pytest.raises(ValueError, match="^dominance sequences and slack "
+                                         "must be finite$"):
+        pc.verify_dominance(xs, ys, m, slack=slack)
+
+
 def test_certificate_fields_on_divergent_matrix():
     cert = pc.is_convergent_to_zero([[1.5, 0.0], [0.0, 0.2]])
     assert not cert.convergent
