@@ -424,7 +424,7 @@ def cmd_check(args) -> int:
 
 
 def _solve_payloads(system: CoupledSystem, pair, trace, scfg: SchemeConfig):
-    e1, e2, e_total = energies(system, pair.u_star, pair.v_star)
+    e1, e2, e_total = energies(system, pair.u_star.coeffs, pair.v_star.coeffs)
     space = system.space
     solution = {
         "space_id": space.space_id,

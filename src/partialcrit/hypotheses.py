@@ -142,7 +142,8 @@ def check_growth(F, declared: tuple[float, float, float],
         lower_gap = (-al * y2 - c) - f
         au_hat = np.where(x2 > 1e-300, (f - c) / x2, 0.0)
         al_hat = np.where(y2 > 1e-300, (-f - c) / y2, 0.0)
-    violated = np.maximum(upper_gap, lower_gap) > slack
+    # written as "not within", so that a NaN value counts as violated
+    violated = ~(np.maximum(upper_gap, lower_gap) <= slack)
     witness = None
     if np.any(violated):
         worst = int(np.argmax(np.maximum(upper_gap, lower_gap)))
@@ -327,7 +328,7 @@ def check_mountain_pass_ring(sys: CoupledSystem, tau: float,
         raise ValueError("tau must be positive")
     space = sys.space
     rng = np.random.default_rng(sampler.seed)
-    zero = space.zero().coeffs
+    zero = np.zeros(space.dim)
     n_zero = sys.eval_N(zero, zero)
 
     violated = 0

@@ -43,8 +43,8 @@ class OracleResult:
 def _stacked_residual(sys: CoupledSystem, us: np.ndarray, vs: np.ndarray
                       ) -> np.ndarray:
     """(u - Nu, -v - Nv) at a pair, or at each row pair of two blocks."""
-    return np.concatenate([us - sys.eval_Nu(us, vs),
-                           -1.0 * vs - sys.eval_Nv(us, vs)], axis=-1)
+    return np.concatenate([residual_u(sys, us, vs), residual_v(sys, us, vs)],
+                          axis=-1)
 
 
 def _fd_jacobian(sys: CoupledSystem, x: np.ndarray, r0: np.ndarray
@@ -120,8 +120,7 @@ def newton_full(sys: CoupledSystem, tol: float = 1e-8,
 
     r = resid(x)
     for it in range(NEWTON_MAX_ITERS):
-        ru = norm_a(space.wrap(r[:n].copy()), space)
-        rv = norm_a(space.wrap(r[n:].copy()), space)
+        ru, rv = norm_a(space.check(r.reshape(2, n)), space).tolist()
         if max(ru, rv) <= tol:
             u, v = map(space.wrap, x.reshape(2, n).copy())
             return OracleResult(u_star=u, v_star=v,
@@ -156,10 +155,11 @@ def newton_full(sys: CoupledSystem, tol: float = 1e-8,
     )
 
 
-def fd_gradient_check(sys: CoupledSystem, u: HVector, v: HVector,
+def fd_gradient_check(sys: CoupledSystem, u: np.ndarray, v: np.ndarray,
                       n_dirs: int = 10) -> float:
     """Largest relative mismatch between analytic and central-difference
-    directional derivatives of the three energies at (u, v).
+    directional derivatives of the three energies at the coefficient
+    vectors (u, v).
 
     Directions are seeded (seed 0) unit vectors in the operator norm, and
     the central differences take a step of 1e-4; the relative error
@@ -225,7 +225,8 @@ def brute_nash(sys: CoupledSystem, pair: SolutionPair,
     """Scan a coefficient box exhaustively; spaces of dimension 1 or 2 only.
 
     The slack is a first-order allowance for the pair's residual,
-    2 * radius * max residual, plus roundoff.
+    2 * radius * max residual, plus roundoff. The grid is evaluated in
+    blocks of ``sys.probe_rows`` offsets.
     """
     space = sys.space
     if space.dim > 2:
@@ -243,15 +244,18 @@ def brute_nash(sys: CoupledSystem, pair: SolutionPair,
         ax, ay = np.meshgrid(line, line)
         offsets = np.column_stack([ax.reshape(-1), ay.reshape(-1)])
 
-    e1_star, e2_star, _ = energies(sys, pair.u_star, pair.v_star)
-    min_e1 = np.inf
-    max_e2 = -np.inf
-    for off in offsets:
-        du = space.wrap(off.copy())
-        e1 = energies(sys, pair.u_star + du, pair.v_star)[0]
-        e2 = energies(sys, pair.u_star, pair.v_star + du)[1]
-        min_e1 = min(min_e1, e1 - e1_star)
-        max_e2 = max(max_e2, e2 - e2_star)
+    u, v = pair.u_star.coeffs, pair.v_star.coeffs
+    e1_star, e2_star, _ = energies(sys, u, v)
+    e1_deltas = [np.inf]
+    e2_deltas = [-np.inf]
+    for start in range(0, len(offsets), sys.probe_rows):
+        block = offsets[start:start + sys.probe_rows]
+        e1_deltas += (energies(sys, u + block, v)[0] - e1_star).tolist()
+        e2_deltas += (energies(sys, u, v + block)[1] - e2_star).tolist()
+    # the builtin min and max, as a per-point fold takes them: they pass
+    # over a NaN after the first entry, where numpy's would return it
+    min_e1 = min(e1_deltas)
+    max_e2 = max(e2_deltas)
 
     return BruteScanReport(grid_n=grid_n, grid_radius=grid_radius,
                            slack=float(slack),

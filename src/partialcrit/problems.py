@@ -308,7 +308,7 @@ def _system_from_parts(space: DiscreteSpace, pw: PointwiseNonlinearity,
     monotony = MonotonyMatrix(embedding_sq * np.asarray(pw.monotony, float))
     return CoupledSystem(
         space=space, eval_N=eval_n, eval_Nu=eval_nu, eval_Nv=eval_nv,
-        probe_rows=_probe_rows(space, sample(space.zero().coeffs).size),
+        probe_rows=_probe_rows(space, sample(np.zeros(space.dim)).size),
         monotony=monotony, growth=growth, pointwise=pw,
         embedding_sq=embedding_sq, label=label,
     )

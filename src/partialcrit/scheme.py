@@ -33,7 +33,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConvergenceError, HypothesisError, SchemeStageError
-from .spaces import (DiscreteSpace, HVector, norm_a, norms_a, random_unit,
+from .spaces import (DiscreteSpace, HVector, norm_a, random_unit,
                      random_unit_rows)
 from .zeromatrix import MonotonyMatrix, is_convergent_to_zero, verify_dominance
 
@@ -172,12 +172,13 @@ CSV_HEADER = ("k", "norm_u", "norm_v", "r1", "r2", "E1", "E2", "E",
 
 @dataclass
 class SchemeTrace:
-    """Per-stage diagnostics and the full iterate history."""
+    """Per-stage diagnostics and the full iterate history, as coefficient
+    arrays."""
 
     space: DiscreteSpace
     rows: list[TraceRow] = field(default_factory=list)
-    iterates_u: list[HVector] = field(default_factory=list)
-    iterates_v: list[HVector] = field(default_factory=list)
+    iterates_u: list[np.ndarray] = field(default_factory=list)
+    iterates_v: list[np.ndarray] = field(default_factory=list)
 
     def csv_rows(self) -> list[tuple]:
         return [CSV_HEADER] + [astuple(r) for r in self.rows]
@@ -194,46 +195,40 @@ class SolutionPair:
     stages: int
 
 
-def residual_u(sys: CoupledSystem, u: HVector, v: HVector) -> HVector:
+# Every function of a pair below takes coefficient arrays: each side is a
+# ``(dim,)`` vector or a ``(k, dim)`` block, as in `CoupledSystem.eval_N`,
+# and a block equals the vector calls row by row.
+
+def residual_u(sys: CoupledSystem, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """First partial derivative of the energy: ``u - Nu(u, v)``."""
-    return u - HVector(sys.eval_Nu(u.coeffs, v.coeffs), sys.space.space_id)
+    return u - sys.eval_Nu(u, v)
 
 
-def residual_v(sys: CoupledSystem, u: HVector, v: HVector) -> HVector:
+def residual_v(sys: CoupledSystem, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Second partial derivative of the energy: ``-v - Nv(u, v)``."""
-    return -1.0 * v - HVector(sys.eval_Nv(u.coeffs, v.coeffs),
-                              sys.space.space_id)
+    return -1.0 * v - sys.eval_Nv(u, v)
 
 
-def _e1(sys: CoupledSystem, u: HVector, v: HVector) -> float:
-    """First partial functional ``E1(u, v) = 1/2 |u|_A^2 - N(u, v)``."""
-    return 0.5 * norm_a(u, sys.space) ** 2 - sys.eval_N(u.coeffs, v.coeffs)
-
-
-def _e2(sys: CoupledSystem, u: HVector, v: HVector) -> float:
-    """Second partial functional ``E2(u, v) = -1/2 |v|_A^2 - N(u, v)``."""
-    return -0.5 * norm_a(v, sys.space) ** 2 - sys.eval_N(u.coeffs, v.coeffs)
-
-
-def _half_squares(sign: float, norms: np.ndarray) -> np.ndarray:
-    # Python's float power, as `_e1` and `_e2` take it; numpy squares by
+def _half_square(sign: float, norm):
+    # ``sign / 2`` times the square of a norm, or of each of a block's
+    # norms, squared by Python's float power: numpy squares by
     # multiplying, which rounds differently
-    return np.array([sign * 0.5 * n ** 2 for n in norms.tolist()])
+    if isinstance(norm, float):
+        return sign * 0.5 * norm ** 2
+    return np.array([sign * 0.5 * n ** 2 for n in norm.tolist()])
 
 
-def _e1_rows(sys: CoupledSystem, us: np.ndarray, v: HVector) -> np.ndarray:
-    """`_e1` at each row of the ``(k, dim)`` block `us`."""
-    n_vals = sys.eval_N(us, v.coeffs)
-    return _half_squares(1.0, norms_a(us, sys.space)) - n_vals
+def _e1(sys: CoupledSystem, u: np.ndarray, v: np.ndarray):
+    """First partial functional ``E1(u, v) = 1/2 |u|_A^2 - N(u, v)``."""
+    return _half_square(1.0, norm_a(u, sys.space)) - sys.eval_N(u, v)
 
 
-def _e2_rows(sys: CoupledSystem, u: HVector, vs: np.ndarray) -> np.ndarray:
-    """`_e2` at each row of the ``(k, dim)`` block `vs`."""
-    n_vals = sys.eval_N(u.coeffs, vs)
-    return _half_squares(-1.0, norms_a(vs, sys.space)) - n_vals
+def _e2(sys: CoupledSystem, u: np.ndarray, v: np.ndarray):
+    """Second partial functional ``E2(u, v) = -1/2 |v|_A^2 - N(u, v)``."""
+    return _half_square(-1.0, norm_a(v, sys.space)) - sys.eval_N(u, v)
 
 
-def energies(sys: CoupledSystem, u: HVector, v: HVector) -> tuple[float, float, float]:
+def energies(sys: CoupledSystem, u: np.ndarray, v: np.ndarray) -> tuple:
     """Return (E1, E2, E) from one evaluation of N.
 
     E differs from E1 by the v-quadratic and from E2 by the u-quadratic,
@@ -242,19 +237,19 @@ def energies(sys: CoupledSystem, u: HVector, v: HVector) -> tuple[float, float, 
     return _energies(sys, u, v, norm_a(u, sys.space), norm_a(v, sys.space))
 
 
-def _energies(sys: CoupledSystem, u: HVector, v: HVector, norm_u: float,
-              norm_v: float) -> tuple[float, float, float]:
+def _energies(sys: CoupledSystem, u: np.ndarray, v: np.ndarray, norm_u,
+              norm_v) -> tuple:
     """`energies` from the A-norms of u and v, already taken."""
-    nu2 = norm_u ** 2
-    nv2 = norm_v ** 2
-    n_val = sys.eval_N(u.coeffs, v.coeffs)
-    return 0.5 * nu2 - n_val, -0.5 * nv2 - n_val, 0.5 * nu2 - 0.5 * nv2 - n_val
+    half_u = _half_square(1.0, norm_u)
+    half_v = _half_square(-1.0, norm_v)
+    n_val = sys.eval_N(u, v)
+    return half_u - n_val, half_v - n_val, half_u + half_v - n_val
 
 
-def _inner_solve(sys: CoupledSystem, fixed: HVector, moving: HVector,
+def _inner_solve(sys: CoupledSystem, fixed: np.ndarray, moving: np.ndarray,
                  tol: float, side: str,
-                 start: tuple[HVector, float] | None = None
-                 ) -> tuple[HVector, int, float]:
+                 start: tuple[np.ndarray, float] | None = None
+                 ) -> tuple[np.ndarray, int, float]:
     """Damped descent with monotone acceptance on one partial functional.
 
     side "u" minimizes E1(., fixed) along g = u - Nu(u, fixed);
@@ -263,11 +258,11 @@ def _inner_solve(sys: CoupledSystem, fixed: HVector, moving: HVector,
     (s halves on rejection, at most 40 times), so the exit point also
     satisfies the energy admission condition. Returns the iterate, the
     number of accepted steps and the A-norm of g at exit; more than
-    `INNER_MAX_ITERS` steps raise `ConvergenceError`. Vectors are
-    checked at `DiscreteSpace.wrap`, so only overflow can arise here: a
-    non-finite objective or norm of g raises, and a NaN or +inf candidate
-    objective is a rejected step. ``start`` holds the gradient at `moving`
-    and its A-norm when the caller has them already.
+    `INNER_MAX_ITERS` steps raise `ConvergenceError`. The start is
+    finite, so only overflow can arise here: a non-finite objective or
+    norm of g raises, and a NaN or +inf candidate objective is a rejected
+    step. ``start`` holds the gradient at `moving` and its A-norm when
+    the caller has them already.
     """
     if side == "u":
         objective = lambda x: _e1(sys, x, fixed)
@@ -275,8 +270,7 @@ def _inner_solve(sys: CoupledSystem, fixed: HVector, moving: HVector,
     else:
         objective = lambda x: -_e2(sys, fixed, x)
         # -residual_v bit for bit, since rounding is sign-symmetric
-        gradient = lambda x: x + HVector(sys.eval_Nv(fixed.coeffs, x.coeffs),
-                                         sys.space.space_id)
+        gradient = lambda x: x + sys.eval_Nv(fixed, x)
     base_step = 0.9 / (1.0 + float(sys.monotony.entries[0, 0]))
     x = moving
     obj = objective(x)
@@ -347,9 +341,9 @@ def run_scheme(sys: CoupledSystem, cfg: SchemeConfig | None = None
             raise HypothesisError(message)
 
     space = sys.space
-    u = space.zero()
+    u = np.zeros(space.dim)
     v = (random_unit(space, np.random.default_rng(cfg.seed))
-         if cfg.random_init else space.zero())
+         if cfg.random_init else np.zeros(space.dim))
 
     trace = SchemeTrace(space=space, iterates_u=[u], iterates_v=[v])
 
@@ -398,8 +392,8 @@ def run_scheme(sys: CoupledSystem, cfg: SchemeConfig | None = None
             forcing = ru_pair > FORCING * ru_start
 
     pair = SolutionPair(
-        u_star=u, v_star=v, residuals=(ru_pair, rv_pair),
-        converged=converged, stages=stages,
+        u_star=space.wrap(u), v_star=space.wrap(v),
+        residuals=(ru_pair, rv_pair), converged=converged, stages=stages,
     )
     return pair, trace
 
@@ -442,19 +436,14 @@ def contraction_certificate(trace: SchemeTrace, m: MonotonyMatrix, p: int = 1
         raise ValueError("the coupling matrix must be 2 by 2")
     if p < 1:
         raise ValueError("gap p must be at least 1")
-    us, vs = trace.iterates_u, trace.iterates_v
-    n_stages = len(us) - 1
+    n_stages = len(trace.iterates_u) - 1
     if n_stages - p < 1:
         # not enough stages to form a single delayed comparison
         return ContractionReport(p=p, n_checks=0, full_ok=True, m11_only_ok=True,
                                  max_margin_full=0.0, max_margin_m11_only=0.0)
-    space = trace.space
-    diffs = []
-    for k in range(0, n_stages - p + 1):
-        du = norm_a(us[k + p] - us[k], space)
-        dv = norm_a(vs[k + p] - vs[k], space)
-        diffs.append((du, dv))
-    xs = np.asarray(diffs)
+    us, vs = np.asarray(trace.iterates_u), np.asarray(trace.iterates_v)
+    xs = np.column_stack([norm_a(us[p:] - us[:-p], trace.space),
+                          norm_a(vs[p:] - vs[:-p], trace.space)])
 
     e = m.entries
     b_now_full = np.array([[e[0, 0], 0.0], [e[1, 0], e[1, 1]]])
@@ -513,7 +502,7 @@ def nash_check(sys: CoupledSystem, pair: SolutionPair, seed: int = 0
     space = sys.space
     rows = sys.probe_rows
     rng = np.random.default_rng(seed)
-    u, v = pair.u_star, pair.v_star
+    u, v = pair.u_star.coeffs, pair.v_star.coeffs
 
     # curvature probe: symmetric second differences at half the radius
     delta = 0.5 * NASH_RADIUS
@@ -522,10 +511,10 @@ def nash_check(sys: CoupledSystem, pair: SolutionPair, seed: int = 0
     curvatures = [1e-6]
     for start in range(0, 8, rows):
         _, (d,) = random_unit_rows(space, rng, min(rows, 8 - start))
-        c1 = np.abs(_e1_rows(sys, u.coeffs + delta * d, v) - 2.0 * e1_base
-                    + _e1_rows(sys, u.coeffs - delta * d, v)) / delta**2
-        c2 = np.abs(_e2_rows(sys, u, v.coeffs + delta * d) - 2.0 * e2_base
-                    + _e2_rows(sys, u, v.coeffs - delta * d)) / delta**2
+        c1 = np.abs(_e1(sys, u + delta * d, v) - 2.0 * e1_base
+                    + _e1(sys, u - delta * d, v)) / delta**2
+        c2 = np.abs(_e2(sys, u, v + delta * d) - 2.0 * e2_base
+                    + _e2(sys, u, v - delta * d)) / delta**2
         curvatures += np.column_stack([c1, c2]).reshape(-1).tolist()
     # the builtin max and min pass over a NaN after the first entry, where
     # numpy's would return it
@@ -538,11 +527,11 @@ def nash_check(sys: CoupledSystem, pair: SolutionPair, seed: int = 0
         draws, (d_u, d_v) = random_unit_rows(
             space, rng, min(rows, NASH_SAMPLES - start), units=2, uniform=True)
         s = NASH_RADIUS * (1.0 - draws)
-        # Python's float power again, as in `_half_squares`
+        # Python's float power again, as in `_half_square`
         bound = np.array([grad_level * x + curvature * x ** 2
                           for x in s.tolist()])
-        de1 = _e1_rows(sys, u.coeffs + d_u * s[:, None], v) - e1_base
-        de2 = _e2_rows(sys, u, v.coeffs + d_v * s[:, None]) - e2_base
+        de1 = _e1(sys, u + d_u * s[:, None], v) - e1_base
+        de2 = _e2(sys, u, v + d_v * s[:, None]) - e2_base
         e1_margins += (de1 + bound).tolist()
         e2_margins += (de2 - bound).tolist()
 

@@ -31,7 +31,6 @@ __all__ = [
     "make_space",
     "inner_a",
     "norm_a",
-    "norms_a",
     "solve_a",
     "riesz_lift",
     "random_unit",
@@ -127,9 +126,6 @@ class DiscreteSpace:
             raise ValueError("mass_weights must be finite and strictly positive")
         object.__setattr__(self, "mass_weights", w)
 
-    def zero(self) -> "HVector":
-        return HVector(np.zeros(self.dim), self.space_id)
-
     def check(self, coeffs) -> np.ndarray:
         """The one coefficient check: a ``(dim,)`` vector or a ``(k, dim)``
         block of them, finite, returned as a float array."""
@@ -150,37 +146,24 @@ class DiscreteSpace:
 
 @dataclass(frozen=True)
 class HVector:
-    """Coefficient vector tied to a space by its identifier.
+    """A result's coefficient vector, tied to its space by the identifier.
 
-    A plain record, checked once by `DiscreteSpace.wrap`, whose check every
-    A-solve result passes. Its arithmetic checks only that the operands
-    share a space (``ValueError``); the scheme's inner solve sees overflow.
+    Inside the package vectors are plain coefficient arrays; an `HVector`
+    is made only by `DiscreteSpace.wrap`, where a result leaves it. The
+    difference of two results checks that they share a space
+    (``ValueError``), and `norm_a` and `inner_a` check the space they are
+    given.
     """
 
     coeffs: np.ndarray
     space_id: str
 
-    def _check(self, other: "HVector") -> None:
+    def __sub__(self, other: "HVector") -> "HVector":
         if self.space_id != other.space_id:
             raise ValueError(
                 f"space mismatch: {self.space_id!r} vs {other.space_id!r}"
             )
-
-    def __add__(self, other: "HVector") -> "HVector":
-        self._check(other)
-        return HVector(self.coeffs + other.coeffs, self.space_id)
-
-    def __sub__(self, other: "HVector") -> "HVector":
-        self._check(other)
         return HVector(self.coeffs - other.coeffs, self.space_id)
-
-    def __mul__(self, scalar: float) -> "HVector":
-        return HVector(self.coeffs * float(scalar), self.space_id)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "HVector":
-        return HVector(-self.coeffs, self.space_id)
 
 
 def make_space(matrix, mass_weights, space_id: str) -> DiscreteSpace:
@@ -202,13 +185,21 @@ def make_space(matrix, mass_weights, space_id: str) -> DiscreteSpace:
                          space_id=space_id)
 
 
-def inner_a(u: HVector, v: HVector, space: DiscreteSpace) -> float:
-    """A-weighted inner product ``<A u, v>`` of two elements of `space`."""
-    for w in (u, v):
-        if w.space_id != space.space_id:
+def _coeffs(x, space: DiscreteSpace) -> np.ndarray:
+    """The coefficients of `x`, an array or an `HVector` of `space`."""
+    if isinstance(x, HVector):
+        if x.space_id != space.space_id:
             raise ValueError(
-                f"vector belongs to {w.space_id!r}, not {space.space_id!r}")
-    return float(np.dot(space.operator.apply(u.coeffs), v.coeffs))
+                f"vector belongs to {x.space_id!r}, not {space.space_id!r}")
+        return x.coeffs
+    return np.asarray(x, dtype=float)
+
+
+def inner_a(u, v, space: DiscreteSpace) -> float:
+    """A-weighted inner product ``<A u, v>`` of two ``(dim,)`` vectors of
+    `space`, each an array or an `HVector`."""
+    u, v = _coeffs(u, space), _coeffs(v, space)
+    return float(np.dot(space.operator.apply(u), v))
 
 
 def _root(q: float, x: np.ndarray) -> float:
@@ -224,11 +215,6 @@ def _root(q: float, x: np.ndarray) -> float:
     return float(np.sqrt(q) + 0.0)
 
 
-def norm_a(u: HVector, space: DiscreteSpace) -> float:
-    """A-norm, guarding against roundoff-negative quadratic forms."""
-    return _root(inner_a(u, u, space), u.coeffs)
-
-
 def _forms(rows: np.ndarray, space: DiscreteSpace) -> np.ndarray:
     # one operator application on the block; each row's form is the same
     # np.dot as in `inner_a`, on contiguous rows, so it rounds the same way
@@ -236,13 +222,18 @@ def _forms(rows: np.ndarray, space: DiscreteSpace) -> np.ndarray:
     return np.array([np.dot(p, x) for p, x in zip(products, rows)])
 
 
-def norms_a(rows: np.ndarray, space: DiscreteSpace) -> np.ndarray:
-    """A-norms of the rows of a ``(k, dim)`` block, equal to `norm_a` row
-    by row."""
-    q = _forms(rows, space)
+def norm_a(x, space: DiscreteSpace):
+    """A-norm of a ``(dim,)`` vector (a float) or of each row of a
+    ``(k, dim)`` block (``(k,)`` norms, equal to the vector calls row by
+    row), guarding against roundoff-negative quadratic forms. `x` is an
+    array or an `HVector` of `space`."""
+    x = _coeffs(x, space)
+    if x.ndim == 1:
+        return _root(float(np.dot(space.operator.apply(x), x)), x)
+    q = _forms(x, space)
     low = q < 0.0
-    for form, x in zip(q[low].tolist(), rows[low]):
-        _root(form, x)  # raises unless the form is roundoff
+    for form, row in zip(q[low].tolist(), x[low]):
+        _root(form, row)  # raises unless the form is roundoff
     return np.sqrt(np.where(low, 0.0, q)) + 0.0
 
 
@@ -293,9 +284,9 @@ def riesz_lift(f_pointwise, space: DiscreteSpace) -> np.ndarray:
     return solve_a(space.mass_weights * f, space)
 
 
-def random_unit(space: DiscreteSpace, rng: np.random.Generator) -> HVector:
+def random_unit(space: DiscreteSpace, rng: np.random.Generator) -> np.ndarray:
     """Standard normal direction scaled to unit A-norm (redrawn if zero)."""
-    return HVector(random_unit_rows(space, rng, 1)[1][0, 0], space.space_id)
+    return random_unit_rows(space, rng, 1)[1][0, 0]
 
 
 def random_unit_rows(space: DiscreteSpace, rng: np.random.Generator, k: int,
@@ -307,7 +298,7 @@ def random_unit_rows(space: DiscreteSpace, rng: np.random.Generator, k: int,
     Returns the ``(k,)`` uniforms (unset when `uniform` is false) and the
     ``(units, k, dim)`` unit directions, equal bit for bit to the
     sequential calls, which leave `rng` in the same state. The norms come
-    from one operator application on the block, as in `norms_a`. A
+    from one operator application on the block, as in `norm_a`. A
     standard normal draw whose A-norm is zero is redrawn before the next
     draw, so a block that holds a nonpositive form is drawn again from the
     same start, checking every draw as it is made.
@@ -323,7 +314,7 @@ def random_unit_rows(space: DiscreteSpace, rng: np.random.Generator, k: int,
                 uniforms[i] = rng.random()
             for x in raw[:, i]:
                 rng.standard_normal(out=x)
-                while check and norms_a(x[None], space)[0] == 0.0:
+                while check and norm_a(x, space) == 0.0:
                     rng.standard_normal(out=x)
 
     start = rng.bit_generator.state

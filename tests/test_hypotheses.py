@@ -259,3 +259,12 @@ def test_growth_constant_rejects_nan_declared(declared):
     with pytest.raises(ValueError, match="^growth constants must be "
                                          "nonnegative$"):
         pc.check_growth(F, declared, pc.SamplerSpec())
+
+
+def test_growth_counts_a_nan_value_as_violated():
+    # a NaN comparison is false either way round, so a NaN sample used to
+    # pass as within the bounds and read ok
+    rep = pc.check_growth(lambda x, y: np.full(len(x), np.nan),
+                          (0.1, 0.1, 0.1), pc.SamplerSpec())
+    assert not rep.ok
+    assert rep.witness is not None and np.isnan(rep.witness[-1])

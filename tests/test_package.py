@@ -4,6 +4,7 @@ fits the package."""
 
 import importlib
 import importlib.util
+import json
 import os
 import pkgutil
 import subprocess
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 import partialcrit as pc
-from partialcrit import oracle
+from partialcrit import cli, oracle
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(pc.__path__))
 
@@ -50,12 +51,18 @@ def test_cli_import_leaves_out_scipy_optimize():
     assert out.strip() == "[]"
 
 
-def _benchmark_tracing():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+def _benchmark_module(name):
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up while the class is made
+    sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
+
+
+def _benchmark_tracing():
+    return _benchmark_module("tracing")
 
 
 def test_benchmark_tracer_fits_the_package():
@@ -71,14 +78,33 @@ def test_benchmark_tracer_fits_the_package():
         system = pc.build_dirichlet(pc.DirichletSpec(
             dims=1, n_per_dim=15, lengths=(1.0,),
             nonlinearity=pc.NonlinearitySpec.quadratic(0.0, 0.5, 0.0, 1.0)))
-        pair, _ = pc.run_scheme(system)
+        pair, trace = pc.run_scheme(system)
         orc = pc.newton_full(system, jacobian_free=True)
-    assert pair.converged and orc.converged
+        pc.contraction_certificate(trace, system.monotony, p=1)
+        pc.nash_check(system, pair)
+    assert pair.converged and orc.converged and pair.stages >= 2
     metrics = tracing.layer_metrics(tracer)
     assert metrics["scheme.stages"] == pair.stages
     for side in ("eval_N", "eval_Nu", "eval_Nv"):
         assert metrics[f"problems.{side}.calls"] > 0, side
     assert metrics["oracle.resid_evals"] > 0
+    # the derived counts are counts: a builder or an energy that escapes
+    # the wrappers shows as a negative backtrack count
+    assert metrics["scheme.backtracks"] >= 0
+    assert 0.0 <= metrics["scheme.accept_ratio"] <= 1.0
+    # an A-norm of a row block is one traced call: one a side in the
+    # certificate; in the Nash probe two at the pair, four a curvature
+    # block and two a sample block
+    spans = tracer.spans
+    owners = {"scheme.contraction_certificate": 2,
+              "scheme.nash_check": (2 + 4 * -(-8 // system.probe_rows)
+                                    + 2 * -(-pc.scheme.NASH_SAMPLES
+                                            // system.probe_rows))}
+    for owner, expected in owners.items():
+        got = sum(1 for i, s in enumerate(spans)
+                  if s[tracing.NAME] == "spaces.norm_a"
+                  and tracing._ancestor(spans, i, (owner,)) >= 0)
+        assert got == expected, owner
 
 
 def test_benchmark_tracer_sees_the_dense_jacobian_solves():
@@ -94,3 +120,29 @@ def test_benchmark_tracer_sees_the_dense_jacobian_solves():
         oracle._fd_jacobian(system, x, np.zeros_like(x))
     names = [span[tracing.NAME] for span in tracer.spans]
     assert names.count("spaces.solve_a") == 2
+
+
+def test_benchmark_result_checks_fit_the_package():
+    # perfbench/workloads.py reads a result's coefficients, subtracts two
+    # results and takes `norm_a` of the difference, and reconstructs a
+    # Stokes velocity from a result
+    workloads = _benchmark_module("workloads")
+    cfg = json.loads((Path(__file__).resolve().parents[1] / "configs"
+                      / "scalar_closed_form.json").read_text())
+    system = cli.build_problem(cfg)
+    pair, _ = pc.run_scheme(system, cli.scheme_config_from(cfg, None))
+    orc = pc.newton_full(system, tol=cfg["oracle"]["tol"],
+                         jacobian_free=cfg["oracle"]["jacobian_free"])
+    assert workloads._agreement(system, pair, orc) <= 10.0 * (1e-8 + 1e-8)
+    workloads._check_closed_form(cfg, pair)
+    with pytest.raises(workloads.GateError, match="closed form"):
+        workloads._check_closed_form(cfg, pc.SolutionPair(
+            u_star=pair.v_star, v_star=pair.u_star, residuals=pair.residuals,
+            converged=True, stages=pair.stages))
+
+    spec = pc.StokesSpec(n_per_dim=5, lengths=(1.0, 1.0), mu_coeff=1.0,
+                         nonlinearity=pc.NonlinearitySpec.sincos(0.5))
+    stokes_pair, _ = pc.run_scheme(pc.build_stokes(spec))
+    assert stokes_pair.converged
+    assert isinstance(stokes_pair.u_star, pc.HVector)
+    workloads._check_divergence(stokes_pair, spec)

@@ -1,11 +1,15 @@
 """Block evaluation of the probes, bit for bit against per-sample loops.
 
-`nash_check` and `check_mountain_pass_ring` draw and evaluate their samples
-as ``(k, dim)`` row blocks. The references below are the per-sample loops
-they replace: one `random_unit` draw, one A-norm and one ``eval_N`` per
-sample. Every comparison is ``==`` on floats.
+The A-norm, the partial energies and the residuals take a ``(dim,)``
+vector or a ``(k, dim)`` row block; a block equals the vector calls row by
+row. `nash_check`, `check_mountain_pass_ring`, `contraction_certificate`
+and `brute_nash` draw and evaluate their samples as row blocks. The
+references below are the per-sample loops they replace: one `random_unit`
+draw, one A-norm and one ``eval_N`` per sample, stage or grid point.
+Every comparison is ``==`` on floats.
 """
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -14,31 +18,29 @@ import scipy.sparse as sp
 
 import partialcrit as pc
 from partialcrit import problems, scheme
-from partialcrit.spaces import norms_a, random_unit_rows
+from partialcrit.spaces import random_unit_rows
 
 
 def _ref_unit(space, rng):
     while True:
-        raw = space.wrap(rng.standard_normal(space.dim))
+        raw = rng.standard_normal(space.dim)
         n = pc.norm_a(raw, space)
         if n != 0.0:
             return raw * (1.0 / n)
 
 
 def _ref_e1(sys, u, v):
-    return (0.5 * pc.norm_a(u, sys.space) ** 2
-            - float(sys.eval_N(u.coeffs, v.coeffs)))
+    return 0.5 * pc.norm_a(u, sys.space) ** 2 - float(sys.eval_N(u, v))
 
 
 def _ref_e2(sys, u, v):
-    return (-0.5 * pc.norm_a(v, sys.space) ** 2
-            - float(sys.eval_N(u.coeffs, v.coeffs)))
+    return -0.5 * pc.norm_a(v, sys.space) ** 2 - float(sys.eval_N(u, v))
 
 
 def _ref_nash(sys, pair, seed=0):
     space = sys.space
     rng = np.random.default_rng(seed)
-    u, v = pair.u_star, pair.v_star
+    u, v = pair.u_star.coeffs, pair.v_star.coeffs
     delta = 0.5 * scheme.NASH_RADIUS
     curvature = 1e-6
     e1_base = _ref_e1(sys, u, v)
@@ -70,8 +72,8 @@ def _ref_nash(sys, pair, seed=0):
 def _ref_ring(sys, tau, sampler):
     space = sys.space
     rng = np.random.default_rng(sampler.seed)
-    zero = space.zero()
-    n_zero = float(sys.eval_N(zero.coeffs, zero.coeffs))
+    zero = np.zeros(space.dim)
+    n_zero = float(sys.eval_N(zero, zero))
     violated = 0
     for _ in range(sampler.n_points):
         split = rng.random()
@@ -79,7 +81,7 @@ def _ref_ring(sys, tau, sampler):
         nv = (1.0 - split) * tau
         u = nu * _ref_unit(space, rng)
         v = nv * _ref_unit(space, rng)
-        lhs = float(sys.eval_N(u.coeffs, v.coeffs)) - n_zero
+        lhs = float(sys.eval_N(u, v)) - n_zero
         if not (lhs < 0.5 * tau * (nu - nv)):
             violated += 1
     return pc.RingReport(tau=float(tau), n_samples=sampler.n_points,
@@ -103,13 +105,42 @@ def spaces(bundled):
             bundled["sincos_2d"].space, bundled["stokes_17"].space, _TINY]
 
 
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.int64)
+
+
 def test_block_norms_equal_norm_a(spaces):
+    # a 9-row block, one with a zero row and a 1-row block
     rng = np.random.default_rng(5)
     for space in spaces:
         rows = rng.standard_normal((9, space.dim)) * 10.0 ** rng.uniform(
             -3, 3, (9, 1))
-        ref = [pc.norm_a(pc.HVector(x, space.space_id), space) for x in rows]
-        assert norms_a(rows, space).tolist() == ref, space.space_id
+        with_zero = rows[:3].copy()
+        with_zero[1] = 0.0
+        for block in (rows, with_zero, rows[:1]):
+            ref = [pc.norm_a(x, space) for x in block]
+            assert all(type(x) is float for x in ref)
+            got = pc.norm_a(block, space)
+            assert np.array_equal(_bits(got), _bits(ref)), space.space_id
+
+
+@pytest.mark.parametrize("name", ["_e1", "_e2", "residual_u", "residual_v"])
+def test_block_energies_and_residuals_equal_the_vector_calls(bundled, name):
+    # block/block, block/vector and vector/block, on a 6-row block, a block
+    # with a zero row and a 1-row block, against one call a row
+    fn = getattr(scheme, name)
+    rng = np.random.default_rng(6)
+    for label, system in bundled.items():
+        dim = system.space.dim
+        us, vs = rng.standard_normal((2, 6, dim))
+        us[2] = vs[4] = 0.0
+        for rows in (slice(None), slice(1, 4), slice(4, 5)):
+            a, b = us[rows], vs[rows]
+            for x, y in ((a, b), (a, b[0]), (a[0], b)):
+                ref = [fn(system, p, q)
+                       for p, q in zip(*np.broadcast_arrays(x, y))]
+                got = fn(system, x, y)
+                assert np.array_equal(_bits(got), _bits(ref)), label
 
 
 @pytest.mark.parametrize("units, uniform", [(1, False), (2, True)])
@@ -124,7 +155,7 @@ def test_block_draws_equal_sequential_random_unit(spaces, units, uniform):
                 if uniform:
                     assert draws[i] == ref_rng.random()
                 for j in range(units):
-                    ref = _ref_unit(space, ref_rng).coeffs
+                    ref = _ref_unit(space, ref_rng)
                     assert np.array_equal(dirs[j, i], ref), space.space_id
             # both streams end in the same state
             assert block_rng.random() == ref_rng.random()
@@ -135,7 +166,7 @@ def test_random_unit_keeps_its_contract():
     ref_rng = np.random.default_rng(0)
     for _ in range(20):
         d = pc.spaces.random_unit(_TINY, rng)
-        assert np.array_equal(d.coeffs, _ref_unit(_TINY, ref_rng).coeffs)
+        assert np.array_equal(d, _ref_unit(_TINY, ref_rng))
         assert pc.norm_a(d, _TINY) != 0.0
 
 
@@ -198,13 +229,12 @@ def test_row_energies_equal_e1_and_e2(bundled):
     # Python squares a float with pow(), which rounds differently from a
     # product on about one value in a thousand: many rows catch it
     system = bundled["scalar_sincos"]
-    space = system.space
     rows = np.random.default_rng(8).standard_normal((4000, 1))
-    u, v = space.wrap([0.3]), space.wrap([-0.2])
-    assert scheme._e1_rows(system, rows, v).tolist() == [
-        _ref_e1(system, space.wrap(x), v) for x in rows]
-    assert scheme._e2_rows(system, u, rows).tolist() == [
-        _ref_e2(system, u, space.wrap(x)) for x in rows]
+    u, v = np.array([0.3]), np.array([-0.2])
+    assert scheme._e1(system, rows, v).tolist() == [
+        _ref_e1(system, x, v) for x in rows]
+    assert scheme._e2(system, u, rows).tolist() == [
+        _ref_e2(system, u, x) for x in rows]
 
 
 def test_nash_check_equals_per_sample_reference(bundled, solved):
@@ -221,6 +251,102 @@ def test_ring_scan_equals_per_sample_reference(bundled):
         for tau in (0.5, 2.0):
             assert (pc.check_mountain_pass_ring(system, tau, sampler)
                     == _ref_ring(system, tau, sampler)), name
+
+
+def _ref_contraction(trace, m, p):
+    # one pair of A-norms a stage, then the two dominance checks
+    us, vs = trace.iterates_u, trace.iterates_v
+    if len(us) - 1 - p < 1:
+        return pc.ContractionReport(p=p, n_checks=0, full_ok=True,
+                                    m11_only_ok=True, max_margin_full=0.0,
+                                    max_margin_m11_only=0.0)
+    xs = np.asarray([(pc.norm_a(us[k + p] - us[k], trace.space),
+                      pc.norm_a(vs[k + p] - vs[k], trace.space))
+                     for k in range(len(us) - p)])
+    e = m.entries
+    m11 = float(e[0, 0])
+    forms = (([[e[0, 0], 0.0], [e[1, 0], e[1, 1]]], [[0.0, e[0, 1]], [0.0, 0.0]]),
+             ([[m11, 0.0], [m11, m11]], [[0.0, m11], [0.0, 0.0]]))
+    reports = []
+    for b_now, b_delay in forms:
+        ys = np.zeros_like(xs)
+        for k in range(1, len(xs)):
+            ys[k] = np.array(b_now) @ xs[k] + 2.0 / k
+        reports.append(pc.verify_dominance(
+            xs, ys, pc.MonotonyMatrix(np.array(b_delay)), slack=1e-12))
+    full, lit = reports
+    return pc.ContractionReport(
+        p=p, n_checks=len(xs) - 1, full_ok=bool(full.dominance_ok),
+        m11_only_ok=bool(lit.dominance_ok),
+        max_margin_full=float(full.max_violation),
+        max_margin_m11_only=float(lit.max_violation))
+
+
+def test_contraction_certificate_equals_per_stage_reference(bundled, solved):
+    assert max(len(trace.rows) for _, trace in solved.values()) >= 14
+    for name, system in bundled.items():
+        _, trace = solved[name]
+        for p in (1, 2, 3):
+            assert (pc.contraction_certificate(trace, system.monotony, p)
+                    == _ref_contraction(trace, system.monotony, p)), name
+
+
+def _ref_brute(sys, pair, grid_radius, grid_n):
+    # one pair of energies a grid point, folded by the builtin min and max
+    u, v = pair.u_star.coeffs, pair.v_star.coeffs
+    line = np.linspace(-grid_radius, grid_radius, grid_n)
+    grid = ([np.array([x]) for x in line] if sys.space.dim == 1
+            else [np.array([x, y]) for y in line for x in line])
+    e1_star, e2_star, _ = pc.energies(sys, u, v)
+    min_e1, max_e2 = np.inf, -np.inf
+    for off in grid:
+        min_e1 = min(min_e1, pc.energies(sys, u + off, v)[0] - e1_star)
+        max_e2 = max(max_e2, pc.energies(sys, u, v + off)[1] - e2_star)
+    return pc.BruteScanReport(
+        grid_n=grid_n, grid_radius=grid_radius,
+        slack=2.0 * grid_radius * max(pair.residuals) + 1e-12,
+        min_e1_delta=float(min_e1), max_e2_delta=float(max_e2))
+
+
+def _plane():
+    # a hand-built system of dimension 2, for the two-dimensional scan
+    space = pc.make_space(sp.diags([2.0, 3.0]), np.ones(2), "plane")
+    return pc.CoupledSystem(
+        space=space,
+        eval_N=lambda u, v: 0.3 * np.sum(np.sin(u) * np.cos(v), axis=-1),
+        eval_Nu=lambda u, v: pc.solve_a(0.3 * np.cos(u) * np.cos(v), space),
+        eval_Nv=lambda u, v: pc.solve_a(-0.3 * np.sin(u) * np.sin(v), space),
+        probe_rows=64,
+        monotony=pc.MonotonyMatrix(np.full((2, 2), 0.15)))
+
+
+def _shifted(pair, shift):
+    # a pair moved off the solution, so that the extremes of the scan fall
+    # on other grid points than the centre
+    space_id = pair.u_star.space_id
+    return dataclasses.replace(
+        pair, u_star=pc.HVector(pair.u_star.coeffs + shift[0], space_id),
+        v_star=pc.HVector(pair.v_star.coeffs + shift[1], space_id))
+
+
+def test_brute_nash_equals_per_point_reference(bundled, solved):
+    # blocks of 7 rows split either grid unevenly; the plane scans a 2-D
+    # grid
+    cases = [(name, bundled[name], solved[name][0])
+             for name in ("scalar_linear", "scalar_sincos", "scalar_stiff")]
+    plane = _plane()
+    cases.append(("plane", plane, pc.run_scheme(plane)[0]))
+    rng = np.random.default_rng(9)
+    for name, system, pair in cases:
+        grid_n = 201 if system.space.dim == 1 else 31
+        shifts = rng.uniform(-0.4, 0.4, (3, 2, system.space.dim))
+        for candidate in [pair] + [_shifted(pair, s) for s in shifts]:
+            for rows in (system.probe_rows, 7):
+                small = dataclasses.replace(system, probe_rows=rows)
+                for radius in (0.5, 2.0):
+                    assert (pc.brute_nash(small, candidate, radius, grid_n)
+                            == _ref_brute(small, candidate, radius,
+                                          grid_n)), name
 
 
 def test_probe_rows_follow_the_byte_budget(bundled):

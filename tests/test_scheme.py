@@ -144,15 +144,15 @@ def test_gated_schedule_lands_on_the_solution(case, seed):
 def test_inner_solvers_move_energy_monotonically(bundled, name, rng):
     system = bundled[name]
     space = system.space
-    v_fixed = space.wrap(rng.standard_normal(space.dim))
-    u0 = space.wrap(rng.standard_normal(space.dim) + 2.0)
+    v_fixed = rng.standard_normal(space.dim)
+    u0 = rng.standard_normal(space.dim) + 2.0
     u1 = scheme._inner_solve(system, v_fixed, u0, 1e-8, "u")[0]
     e1_before = pc.energies(system, u0, v_fixed)[0]
     e1_after = pc.energies(system, u1, v_fixed)[0]
     assert e1_after <= e1_before + 1e-10
 
-    u_fixed = space.wrap(rng.standard_normal(space.dim))
-    v0 = space.wrap(rng.standard_normal(space.dim) + 2.0)
+    u_fixed = rng.standard_normal(space.dim)
+    v0 = rng.standard_normal(space.dim) + 2.0
     v1 = scheme._inner_solve(system, u_fixed, v0, 1e-8, "v")[0]
     e2_before = pc.energies(system, u_fixed, v0)[1]
     e2_after = pc.energies(system, u_fixed, v1)[1]
@@ -291,8 +291,8 @@ def test_nash_check_accepts_converged_pair(solved, bundled):
 
 
 def test_nash_check_rejects_unconverged_pair(scalar_linear):
-    space = scalar_linear.space
-    fake = pc.SolutionPair(u_star=space.zero(), v_star=space.zero(),
+    zero = scalar_linear.space.wrap(np.zeros(1))
+    fake = pc.SolutionPair(u_star=zero, v_star=zero,
                            residuals=(1.0, 1.0), converged=False, stages=0)
     with pytest.raises(ValueError):
         pc.nash_check(scalar_linear, fake)
