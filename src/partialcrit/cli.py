@@ -607,8 +607,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"refused: {exc}", file=_sys.stderr)
         return 1
     except SchemeStageError as exc:
-        print(f"inner solver failed at stage {exc.stage} on the {exc.side} "
-              f"side: {exc}", file=_sys.stderr)
+        # the exception text names the stage and the side
+        print(f"inner solver failed at {exc}", file=_sys.stderr)
         return 4
 
 

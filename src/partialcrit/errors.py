@@ -6,14 +6,11 @@ from __future__ import annotations
 class ConvergenceError(RuntimeError):
     """An iterative solver ran out of iterations or stalled.
 
-    Carries the last residual norm and the iteration count so callers can
-    report how far the solve got.
+    Carries the iteration count, so callers can report how far the solve got.
     """
 
-    def __init__(self, message: str, residual: float = float("nan"),
-                 iterations: int = -1):
+    def __init__(self, message: str, iterations: int = -1):
         super().__init__(message)
-        self.residual = residual
         self.iterations = iterations
 
 
@@ -21,8 +18,8 @@ class SchemeStageError(ConvergenceError):
     """Inner solver failure inside an outer stage; records the stage index."""
 
     def __init__(self, message: str, stage: int, side: str,
-                 residual: float = float("nan"), iterations: int = -1):
-        super().__init__(message, residual=residual, iterations=iterations)
+                 iterations: int = -1):
+        super().__init__(message, iterations=iterations)
         self.stage = stage
         self.side = side
 

@@ -142,17 +142,20 @@ def check_growth(F, declared: tuple[float, float, float],
         lower_gap = (-al * y2 - c) - f
         au_hat = np.where(x2 > 1e-300, (f - c) / x2, 0.0)
         al_hat = np.where(y2 > 1e-300, (-f - c) / y2, 0.0)
-    # written as "not within", so that a NaN value counts as violated
-    violated = ~(np.maximum(upper_gap, lower_gap) <= slack)
+    # written as "not within", so that a NaN value counts as violated; an
+    # infinite value is violated too, though its slack is infinite
+    violated = ~(np.maximum(upper_gap, lower_gap) <= slack) | ~np.isfinite(f)
     witness = None
     if np.any(violated):
         worst = int(np.argmax(np.maximum(upper_gap, lower_gap)))
         witness = tuple(float(t) for t in (*x[worst], *y[worst], f[worst]))
+    # numpy's max, which returns a NaN fit where the builtin's would drop it
     return GrowthReport(
         ok=not bool(np.any(violated)),
-        alpha_upper_hat=float(max(0.0, np.max(au_hat))),
-        alpha_lower_hat=float(max(0.0, np.max(al_hat))),
-        c_hat=float(max(0.0, np.max(f - au * x2), np.max(-f - al * y2))),
+        alpha_upper_hat=float(np.max(au_hat, initial=0.0)),
+        alpha_lower_hat=float(np.max(al_hat, initial=0.0)),
+        c_hat=float(np.max(np.maximum(f - au * x2, -f - al * y2),
+                           initial=0.0)),
         witness=witness,
         n_points=sampler.n_points,
     )

@@ -19,8 +19,9 @@ both inner solves are one damped descent. The outer loop alternates them.
 Stage 1 is solved to ``final_tol``; when it contracts the u-residual by
 at least `FORCING`, every stage is, and otherwise stage k is solved only
 to a forcing tolerance ``FORCING`` times the previous pair residual,
-kept within ``[final_tol, 1/k]``. Under a convergent-to-zero coupling
-matrix the iterates form a Cauchy pair and the limit solves the system.
+raised to ``final_tol``. Either tolerance is capped at ``1/k``. Under a
+convergent-to-zero coupling matrix the iterates form a Cauchy pair and
+the limit solves the system.
 """
 
 from __future__ import annotations
@@ -92,11 +93,11 @@ class GrowthParams:
 class SchemeConfig:
     """Knobs for `run_scheme`.
 
-    Stage k solves both sides to at most ``min(1/k, final_tol)``, or, once
-    stage 1 has shown a slow alternation, to the forcing tolerance of
-    `run_scheme`; the inner step is ``0.9 / (1 + m11)`` from the declared
-    coupling matrix, and each inner solve has a fixed budget of
-    `INNER_MAX_ITERS` steps.
+    Stage k solves both sides to ``min(1/k, final_tol)``, or, once stage 1
+    has shown a slow alternation, to the forcing tolerance of
+    `run_scheme`; neither exceeds 1/k. The inner step is
+    ``0.9 / (1 + m11)`` from the declared coupling matrix, and each inner
+    solve has a fixed budget of `INNER_MAX_ITERS` steps.
     """
 
     max_outer: int = 200
@@ -282,15 +283,13 @@ def _inner_solve(sys: CoupledSystem, fixed: np.ndarray, moving: np.ndarray,
             gn = norm_a(g, sys.space)
         if not (math.isfinite(obj) and math.isfinite(gn)):
             raise ConvergenceError(f"inner {side}-solve overflowed",
-                                   residual=gn, iterations=it)
+                                   iterations=it)
         if gn <= tol:
             return x, it, gn
         if it == INNER_MAX_ITERS:
             raise ConvergenceError(
                 f"inner {side}-solve did not reach tolerance {tol:g} "
-                f"in {INNER_MAX_ITERS} iterations",
-                residual=gn, iterations=it,
-            )
+                f"in {INNER_MAX_ITERS} iterations", iterations=it)
         step = base_step
         for _ in range(40):
             candidate = x - step * g
@@ -300,9 +299,7 @@ def _inner_solve(sys: CoupledSystem, fixed: np.ndarray, moving: np.ndarray,
             step *= 0.5
         else:
             raise ConvergenceError(
-                f"inner {side}-solve stalled in the line search",
-                residual=gn, iterations=it,
-            )
+                f"inner {side}-solve stalled in the line search", iterations=it)
         x, obj = candidate, cand_obj
 
 
@@ -317,9 +314,10 @@ def run_scheme(sys: CoupledSystem, cfg: SchemeConfig | None = None
     later stage k is solved to ``min(1/k, final_tol)`` as well. Otherwise
     the alternation, not the inner accuracy, limits the pair, and stage k
     is solved to the forcing tolerance
-    ``max(final_tol, min(1/k, FORCING * max(ru_{k-1}, rv_{k-1})))`` of
+    ``min(1/k, max(final_tol, FORCING * max(ru_{k-1}, rv_{k-1})))`` of
     inexact Newton methods (Eisenstat and Walker, 1996), where ru and rv
-    are the residuals at the pair after stage k - 1. Either way every
+    are the residuals at the pair after stage k - 1. Either way the stage
+    tolerance is at most 1/k, even when ``final_tol`` exceeds it, so every
     recorded residual stays within the paper's 1/k schedule. The loop
     stops once both residuals at the current pair are below
     ``final_tol``. An inner failure is raised as `SchemeStageError` naming
@@ -356,11 +354,8 @@ def run_scheme(sys: CoupledSystem, cfg: SchemeConfig | None = None
     stages = 0
     for k in range(1, cfg.max_outer + 1):
         stages = k
-        if forcing:
-            tol_k = max(cfg.final_tol,
-                        min(1.0 / k, FORCING * max(ru_pair, rv_pair)))
-        else:
-            tol_k = min(1.0 / k, cfg.final_tol)
+        tol_k = min(1.0 / k, max(cfg.final_tol, FORCING * max(ru_pair, rv_pair)
+                                 if forcing else 0.0))
         side = "u"
         try:
             u, iters_u, r1 = _inner_solve(sys, v, u, tol_k, side,
@@ -369,7 +364,6 @@ def run_scheme(sys: CoupledSystem, cfg: SchemeConfig | None = None
             v, iters_v, r2 = _inner_solve(sys, u, v, tol_k, side)
         except ConvergenceError as exc:
             raise SchemeStageError(f"stage {k}: {exc}", stage=k, side=side,
-                                   residual=exc.residual,
                                    iterations=exc.iterations) from exc
         norm_u, norm_v = norm_a(u, space), norm_a(v, space)
         e1, e2, e_total = _energies(sys, u, v, norm_u, norm_v)
@@ -452,10 +446,13 @@ def contraction_certificate(trace: SchemeTrace, m: MonotonyMatrix, p: int = 1
     b_now_lit = np.array([[m11, 0.0], [m11, m11]])
     b_delay_lit = np.array([[0.0, m11], [0.0, 0.0]])
 
+    # row k holds stage k; row 0, never read, is kept finite by 2/1
+    two_over_k = 2.0 / np.maximum(np.arange(xs.shape[0]), 1)[:, None]
+
     def check(b_now: np.ndarray, b_delay: np.ndarray):
-        ys = np.zeros_like(xs)
-        for k in range(1, xs.shape[0]):
-            ys[k] = b_now @ xs[k] + 2.0 / k
+        # a stack of 2 by 2 products rounds as ``b_now @ xs[k]`` stage by
+        # stage does, where ``xs @ b_now.T`` would not
+        ys = (b_now @ xs[:, :, None])[:, :, 0] + two_over_k
         report = verify_dominance(xs, ys, MonotonyMatrix(b_delay), slack=1e-12)
         return report.dominance_ok, report.max_violation
 

@@ -268,3 +268,17 @@ def test_growth_counts_a_nan_value_as_violated():
                           (0.1, 0.1, 0.1), pc.SamplerSpec())
     assert not rep.ok
     assert rep.witness is not None and np.isnan(rep.witness[-1])
+    # the fits read NaN too, where max(0.0, nan) used to fold them to 0.0
+    assert np.isnan([rep.alpha_upper_hat, rep.alpha_lower_hat,
+                     rep.c_hat]).all()
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf])
+def test_growth_counts_an_infinite_value_as_violated(value):
+    # the slack 1e-12 max(1, |F|) is infinite there, so an infinite sample
+    # used to pass as within the bounds and read ok
+    rep = pc.check_growth(lambda x, y: np.full(len(x), value),
+                          (0.1, 0.1, 0.1), pc.SamplerSpec())
+    assert not rep.ok
+    assert rep.witness is not None and rep.witness[-1] == value
+    assert rep.c_hat == np.inf

@@ -66,6 +66,17 @@ def test_newton_line_search_failure():
     assert err.value.iterations == 9
 
 
+def test_newton_gmres_failure_names_the_newton_iteration():
+    # the system above on the matrix-free path: at Newton iteration 7
+    # restarted GMRES runs out of its 300 cycles
+    system = pc.build_scalar(0.5, pc.NonlinearitySpec.sincos(3.0))
+    with pytest.raises(ConvergenceError) as err:
+        pc.newton_full(system, jacobian_free=True)
+    assert str(err.value) == ("inner linear solve did not converge "
+                              "(gmres info 300)")
+    assert err.value.iterations == 7
+
+
 def test_newton_budget_error(monkeypatch):
     system = pc.build_scalar(2.0,
                              pc.NonlinearitySpec.quadratic(0.0, 0.2, 0.0, 1.0))

@@ -291,6 +291,22 @@ def test_contraction_certificate_equals_per_stage_reference(bundled, solved):
                     == _ref_contraction(trace, system.monotony, p)), name
 
 
+def test_contraction_certificate_rounds_as_the_per_stage_reference():
+    # random iterates against a full coupling matrix: there the v row's
+    # products round apart unless the block takes them as 2 by 2 products
+    # stage by stage, as ``b_now @ xs[k]`` does
+    space = pc.make_space(sp.identity(3, format="csr"), np.ones(3), "id3")
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        trace = pc.SchemeTrace(space=space,
+                               iterates_u=list(rng.standard_normal((30, 3))),
+                               iterates_v=list(rng.standard_normal((30, 3))))
+        m = pc.MonotonyMatrix(rng.uniform(0.0, 1.0, (2, 2)))
+        for p in (1, 2):
+            assert (pc.contraction_certificate(trace, m, p)
+                    == _ref_contraction(trace, m, p))
+
+
 def _ref_brute(sys, pair, grid_radius, grid_n):
     # one pair of energies a grid point, folded by the builtin min and max
     u, v = pair.u_star.coeffs, pair.v_star.coeffs

@@ -44,8 +44,8 @@ def _check_schedule(system, trace, final_tol, name=""):
             assert r <= final_tol, where
         else:
             r_prev = max(ru(k - 1), trace.rows[k - 2].r2)
-            assert r <= max(final_tol,
-                            min(1.0 / k, scheme.FORCING * r_prev)), where
+            assert r <= min(1.0 / k, max(final_tol,
+                                         scheme.FORCING * r_prev)), where
     return forcing
 
 
@@ -57,6 +57,20 @@ def test_trace_respects_schedule(solved, bundled):
     # solving every stage to final_tol takes 17, 10, 38 and 29 stages
     assert forced == {"scalar_stiff": 11, "dirichlet_stiff": 8,
                       "cross_coupled_1d": 19, "stokes_cross_17": 14}
+
+
+def test_stage_tolerance_never_exceeds_one_over_k():
+    # final_tol 0.5 lies above 1/k from stage 3 on, and the forcing path
+    # still caps every stage at 1/k, the schedule the certificate's 2/k
+    # slack rests on
+    system = pc.build_dirichlet(pc.DirichletSpec(
+        dims=1, n_per_dim=63, lengths=(1.0,),
+        nonlinearity=pc.NonlinearitySpec.quadratic(0.0, 9.5, 0.0, 100.0)))
+    cfg = pc.SchemeConfig(max_outer=1000, final_tol=0.5, seed=3,
+                          random_init=True)
+    pair, trace = pc.run_scheme(system, cfg)
+    assert pair.converged and pair.stages == 36
+    assert _check_schedule(system, trace, cfg.final_tol)
 
 
 def test_pair_residual_starts_the_next_u_solve(stokes_17):
