@@ -14,59 +14,67 @@ The public surface:
 * `oracle`: independent Newton, finite-difference, and exhaustive-scan
   cross-checks.
 * `cli`: the `partialcrit` command line front end.
+
+The surface is lazy (PEP 562): ``import partialcrit`` loads neither numpy
+nor scipy. A submodule is imported the first time it, or a name it
+exports, is asked for. Exported names are looked up in their submodule on
+every access and never stored here, so a binding swapped in a submodule
+(by a tracer or a test patch) is what the package returns. `__version__`
+is read from the installed metadata once, on first access.
 """
 
-import importlib.metadata
+import importlib
 
-from .errors import (ConvergenceError, HypothesisError, IntegrityError,
-                     SchemeStageError)
-from .hypotheses import (GrowthReport, HypothesisReport, PsBeta, RingReport,
-                         SamplerSpec, check_growth, check_mountain_pass_ring,
-                         estimate_monotony, full_report, mu_of, ps_beta)
-from .oracle import (BruteScanReport, OracleResult, brute_nash,
-                     fd_gradient_check, newton_full)
-from .problems import (DirichletSpec, NonlinearitySpec, PointwiseNonlinearity,
-                       StokesSpec, build_dirichlet, build_scalar,
-                       build_stokes, build_stokes_manufactured,
-                       discrete_divergence, make_pointwise,
-                       reconstruct_velocity)
-from .scheme import (ContractionReport, CoupledSystem, GrowthParams,
-                     NashReport, SchemeConfig, SchemeTrace, SolutionPair,
-                     TraceRow, contraction_certificate, energies,
-                     nash_check, residual_u, residual_v, run_scheme)
-from .spaces import (DiscreteSpace, HVector, SpdOperator, embedding_constant,
-                     inner_a, make_space, norm_a, riesz_lift, solve_a,
-                     validate_space)
-from .zeromatrix import (ConvergenceCertificate, DominanceReport,
-                         MonotonyMatrix, is_convergent_to_zero,
-                         neumann_inverse, spectral_radius, verify_dominance)
+# submodule -> the names the package re-exports from it
+_EXPORTS = {
+    "errors": ("ConvergenceError", "HypothesisError", "IntegrityError",
+               "SchemeStageError"),
+    "spaces": ("DiscreteSpace", "HVector", "SpdOperator", "make_space",
+               "solve_a", "riesz_lift", "inner_a", "norm_a",
+               "embedding_constant", "validate_space"),
+    "zeromatrix": ("MonotonyMatrix", "ConvergenceCertificate",
+                   "DominanceReport", "spectral_radius",
+                   "is_convergent_to_zero", "neumann_inverse",
+                   "verify_dominance"),
+    "scheme": ("GrowthParams", "SchemeConfig", "CoupledSystem", "SchemeTrace",
+               "TraceRow", "SolutionPair", "ContractionReport", "NashReport",
+               "run_scheme", "residual_u", "residual_v", "energies",
+               "contraction_certificate", "nash_check"),
+    "hypotheses": ("SamplerSpec", "GrowthReport", "RingReport", "PsBeta",
+                   "HypothesisReport", "check_growth", "estimate_monotony",
+                   "mu_of", "check_mountain_pass_ring", "ps_beta",
+                   "full_report"),
+    "problems": ("NonlinearitySpec", "PointwiseNonlinearity",
+                 "make_pointwise", "DirichletSpec", "StokesSpec",
+                 "build_dirichlet", "build_stokes", "build_scalar",
+                 "build_stokes_manufactured", "reconstruct_velocity",
+                 "discrete_divergence"),
+    "oracle": ("OracleResult", "BruteScanReport", "newton_full",
+               "fd_gradient_check", "brute_nash"),
+}
+_SUBMODULES = frozenset(_EXPORTS) | {"cli"}
+_HOMES = {name: module for module, names in _EXPORTS.items()
+          for name in names}
 
-try:
-    __version__ = importlib.metadata.version("partialcrit")
-except importlib.metadata.PackageNotFoundError:  # running from a checkout
-    __version__ = "0.1.0"
+__all__ = [*_HOMES, "__version__"]
 
-__all__ = [
-    "ConvergenceError", "HypothesisError", "IntegrityError",
-    "SchemeStageError",
-    "DiscreteSpace", "HVector", "SpdOperator", "make_space", "solve_a",
-    "riesz_lift", "inner_a", "norm_a", "embedding_constant",
-    "validate_space",
-    "MonotonyMatrix", "ConvergenceCertificate", "DominanceReport",
-    "spectral_radius", "is_convergent_to_zero", "neumann_inverse",
-    "verify_dominance",
-    "GrowthParams", "SchemeConfig", "CoupledSystem", "SchemeTrace",
-    "TraceRow", "SolutionPair", "ContractionReport", "NashReport",
-    "run_scheme", "residual_u", "residual_v", "energies",
-    "contraction_certificate", "nash_check",
-    "SamplerSpec", "GrowthReport", "RingReport", "PsBeta",
-    "HypothesisReport", "check_growth", "estimate_monotony", "mu_of",
-    "check_mountain_pass_ring", "ps_beta", "full_report",
-    "NonlinearitySpec", "PointwiseNonlinearity", "make_pointwise",
-    "DirichletSpec", "StokesSpec", "build_dirichlet", "build_stokes",
-    "build_scalar", "build_stokes_manufactured", "reconstruct_velocity",
-    "discrete_divergence",
-    "OracleResult", "BruteScanReport", "newton_full", "fd_gradient_check",
-    "brute_nash",
-    "__version__",
-]
+
+def __getattr__(name: str):
+    if name == "__version__":
+        from importlib import metadata
+        try:
+            version = metadata.version("partialcrit")
+        except metadata.PackageNotFoundError:  # running from a checkout
+            version = "0.1.0"
+        globals()["__version__"] = version
+        return version
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name in _HOMES:
+        module = importlib.import_module(f"{__name__}.{_HOMES[name]}")
+        return getattr(module, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _SUBMODULES | set(__all__))

@@ -34,21 +34,22 @@ import sys as _sys
 import warnings
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import __version__
 from .errors import ConvergenceError, HypothesisError, SchemeStageError
-from .hypotheses import (SamplerSpec, check_mountain_pass_ring, full_report,
-                         mu_of, ps_beta)
-from .oracle import newton_full
-from .problems import (DirichletSpec, NonlinearitySpec, StokesSpec,
-                       build_dirichlet, build_scalar, build_stokes)
-from .scheme import (CoupledSystem, SchemeConfig, contraction_certificate,
-                     energies, nash_check, run_scheme)
-from .spaces import norm_a
 from .zeromatrix import (MonotonyMatrix, is_convergent_to_zero,
                          neumann_inverse, verify_dominance)
+
+# `lemma`, `--help` and a config file that fails to load need none of the
+# scipy-backed modules. So `main` reads the config first, and a command that
+# solves builds its problem, the one path that loads scipy, before it imports
+# the rest of what it uses.
+if TYPE_CHECKING:
+    from .problems import NonlinearitySpec
+    from .scheme import CoupledSystem, SchemeConfig
 
 __all__ = ["main", "entry"]
 
@@ -256,6 +257,8 @@ _NONLINEARITIES = {
 
 
 def _nonlinearity(v, where: str) -> NonlinearitySpec:
+    from .problems import NonlinearitySpec
+
     if not isinstance(v, dict):
         raise ConfigError(f"{where} must be an object")
     kind = v.get("kind")
@@ -268,20 +271,21 @@ def _nonlinearity(v, where: str) -> NonlinearitySpec:
 _NONLINEARITY = (_nonlinearity, True)
 _LENGTHS = (_as_given, True)  # checked against the number of dimensions
 
-# kind -> (table, builder); the builders look their names up at call time,
-# so a wrapper bound over a module name sees every build
+# kind -> (table, builder); a builder takes the `problems` module and looks
+# its names up at call time, so a wrapper bound over a module name sees
+# every build
 _PROBLEMS = {
     "dirichlet": ({"kind": _KIND, "dims": (_int, True),
                    "n_per_dim": (_int, True), "lengths": _LENGTHS,
                    "potential_c": (_number, False),
                    "nonlinearity": _NONLINEARITY},
-                  lambda **kw: build_dirichlet(DirichletSpec(**kw))),
+                  lambda pb, **kw: pb.build_dirichlet(pb.DirichletSpec(**kw))),
     "stokes": ({"kind": _KIND, "n_per_dim": (_int, True), "lengths": _LENGTHS,
                 "mu_coeff": (_number, True), "nonlinearity": _NONLINEARITY},
-               lambda **kw: build_stokes(StokesSpec(**kw))),
+               lambda pb, **kw: pb.build_stokes(pb.StokesSpec(**kw))),
     "scalar": ({"kind": _KIND, "a_value": (_number, True),
                 "nonlinearity": _NONLINEARITY},
-               lambda **kw: build_scalar(**kw)),
+               lambda pb, **kw: pb.build_scalar(**kw)),
 }
 
 _MATRIX = {"kind": _KIND, "entries": (_entries, True)}
@@ -338,10 +342,14 @@ def build_problem(cfg: dict) -> CoupledSystem:
     if "lengths" in kw:  # a stokes grid is two-dimensional
         kw["lengths"] = _sides(kw["lengths"], kw.get("dims", 2),
                                "problem.lengths")
-    return _call("problem", build, **kw)
+    from . import problems
+
+    return _call("problem", build, problems, **kw)
 
 
 def scheme_config_from(cfg: dict, seed_override: int | None) -> SchemeConfig:
+    from .scheme import SchemeConfig
+
     kw = _fields(cfg.get("scheme"), "scheme", _SCHEME)
     if seed_override is not None:
         kw["seed"] = seed_override
@@ -360,6 +368,8 @@ def _payload(report, verdict: str | None = None) -> dict:
 
 
 def _system_mu(system: CoupledSystem) -> float | None:
+    from .hypotheses import mu_of
+
     g = system.growth
     return None if g is None else mu_of(g.alpha_upper, g.alpha_lower)
 
@@ -381,9 +391,11 @@ def _emit(args, raw: bytes, seed, files: dict) -> None:
 
 # -------------------------------------------------------------- commands
 
-def cmd_check(args) -> int:
-    cfg, raw = load_config(args.config)
+def cmd_check(args, cfg: dict, raw: bytes) -> int:
     system = build_problem(cfg)
+    from .hypotheses import (SamplerSpec, check_mountain_pass_ring,
+                             full_report, ps_beta)
+
     chk = _fields(cfg.get("check"), "check", _CHECK)
     sampler_kw = chk.get("sampler", {})
     if args.seed is not None:
@@ -424,6 +436,9 @@ def cmd_check(args) -> int:
 
 
 def _solve_payloads(system: CoupledSystem, pair, trace, scfg: SchemeConfig):
+    from .scheme import contraction_certificate, energies, nash_check
+    from .spaces import norm_a
+
     e1, e2, e_total = energies(system, pair.u_star.coeffs, pair.v_star.coeffs)
     space = system.space
     solution = {
@@ -459,9 +474,10 @@ def _solve_payloads(system: CoupledSystem, pair, trace, scfg: SchemeConfig):
     return solution, report
 
 
-def cmd_solve(args) -> int:
-    cfg, raw = load_config(args.config)
+def cmd_solve(args, cfg: dict, raw: bytes) -> int:
     system = build_problem(cfg)
+    from .scheme import run_scheme
+
     scfg = scheme_config_from(cfg, args.seed)
     pair, trace = _call("scheme", run_scheme, system, scfg)
     solution, report = _call("scheme", _solve_payloads, system, pair, trace,
@@ -475,9 +491,12 @@ def cmd_solve(args) -> int:
     return 0 if pair.converged else 3
 
 
-def cmd_compare(args) -> int:
-    cfg, raw = load_config(args.config)
+def cmd_compare(args, cfg: dict, raw: bytes) -> int:
     system = build_problem(cfg)
+    from .oracle import newton_full
+    from .scheme import run_scheme
+    from .spaces import norm_a
+
     scfg = scheme_config_from(cfg, args.seed)
     oracle_kw = _fields(cfg.get("oracle"), "oracle", _ORACLE)
 
@@ -541,8 +560,7 @@ def _dominance_demo(matrix: MonotonyMatrix) -> dict:
     }
 
 
-def cmd_lemma(args) -> int:
-    cfg, raw = load_config(args.config)
+def cmd_lemma(args, cfg: dict, raw: bytes) -> int:
     p = cfg.get("problem")
     if not isinstance(p, dict) or p.get("kind") != "matrix":
         raise ConfigError("lemma needs a problem of kind \"matrix\"")
@@ -599,7 +617,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.run(args)
+        return args.run(args, *load_config(args.config))
     except ConfigError as exc:
         print(f"config error: {exc}", file=_sys.stderr)
         return 2

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import IntegrityError
 from .scheme import CoupledSystem
-from .spaces import random_unit_rows
+from .spaces import _row_sums, random_unit_rows
 from .zeromatrix import ConvergenceCertificate, MonotonyMatrix, is_convergent_to_zero
 
 __all__ = [
@@ -132,8 +132,8 @@ def check_growth(F, declared: tuple[float, float, float],
     f = np.asarray(F(x, y), dtype=float).reshape(-1)
     if f.shape[0] != sampler.n_points:
         raise ValueError("F must return one value per sample point")
-    x2 = np.sum(x * x, axis=1)
-    y2 = np.sum(y * y, axis=1)
+    x2 = _row_sums(x * x)
+    y2 = _row_sums(y * y)
 
     slack = 1e-12 * np.maximum(1.0, np.abs(f))
     # a gap or fit that overflows keeps its sign, which is all that is read
@@ -280,8 +280,8 @@ def estimate_monotony(f1, f2, sampler: SamplerSpec, arg_dim: int = 1,
     dx = np.linalg.norm(x - xb, axis=1)
     dy = np.linalg.norm(y - yb, axis=1)
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
-        s1 = np.sum((np.asarray(f1(x, y)) - np.asarray(f1(xb, yb))) * (x - xb), axis=1)
-        s2 = np.sum((np.asarray(f2(x, y)) - np.asarray(f2(xb, yb))) * (y - yb), axis=1)
+        s1 = _row_sums((np.asarray(f1(x, y)) - np.asarray(f1(xb, yb))) * (x - xb))
+        s2 = _row_sums((np.asarray(f2(x, y)) - np.asarray(f2(xb, yb))) * (y - yb))
         rows = np.stack([dx ** 2, dy ** 2, dx * dy, s1, s2])
     if not np.all(np.isfinite(rows)):
         raise ValueError("sampled difference quotients leave the float range")

@@ -26,7 +26,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .scheme import CoupledSystem, GrowthParams
-from .spaces import (DiscreteSpace, HVector, dominant_inverse_eig,
+from .spaces import (DiscreteSpace, HVector, _row_sums, dominant_inverse_eig,
                      embedding_constant, make_space, riesz_lift, solve_a,
                      validate_space)
 from .zeromatrix import MonotonyMatrix
@@ -144,8 +144,8 @@ def make_pointwise(spec: NonlinearitySpec, arg_dim: int) -> PointwiseNonlinearit
         a, b, c, g = spec.a, spec.b, spec.c, spec.g
         return PointwiseNonlinearity(
             arg_dim=arg_dim,
-            F=lambda x, y: (a * np.sum(x * x, axis=1) + b * np.sum(x * y, axis=1)
-                            + c * np.sum(y * y, axis=1) + g * np.sum(x, axis=1)),
+            F=lambda x, y: (a * _row_sums(x * x) + b * _row_sums(x * y)
+                            + c * _row_sums(y * y) + g * _row_sums(x)),
             f1=lambda x, y: 2.0 * a * x + b * y + g,
             f2=lambda x, y: b * x + 2.0 * c * y,
             growth=None,  # no global box-free quadratic growth bound
@@ -155,7 +155,7 @@ def make_pointwise(spec: NonlinearitySpec, arg_dim: int) -> PointwiseNonlinearit
     eps = spec.epsilon
     return PointwiseNonlinearity(
         arg_dim=arg_dim,
-        F=lambda x, y: eps * np.sum(np.sin(x) * np.cos(y), axis=1),
+        F=lambda x, y: eps * _row_sums(np.sin(x) * np.cos(y)),
         f1=lambda x, y: eps * np.cos(x) * np.cos(y),
         f2=lambda x, y: -eps * np.sin(x) * np.sin(y),
         growth=(0.0, 0.0, arg_dim * eps),

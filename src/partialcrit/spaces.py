@@ -195,6 +195,16 @@ def _coeffs(x, space: DiscreteSpace) -> np.ndarray:
     return np.asarray(x, dtype=float)
 
 
+def _row_sums(z: np.ndarray) -> np.ndarray:
+    """``np.sum(z, axis=1)`` as column adds in order: the same bits for the
+    densities' narrow point axes (below 8 wide), a few times faster. The
+    ``+ 0.0`` start sums a row of negative zeros to ``+0.0``, as `np.sum`."""
+    out = z[:, 0] + 0.0
+    for j in range(1, z.shape[1]):
+        out += z[:, j]
+    return out
+
+
 def inner_a(u, v, space: DiscreteSpace) -> float:
     """A-weighted inner product ``<A u, v>`` of two ``(dim,)`` vectors of
     `space`, each an array or an `HVector`."""

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import partialcrit as pc
-from partialcrit import cli
+from partialcrit import cli, oracle
 from partialcrit.cli import main
 from partialcrit.errors import ConvergenceError
 
@@ -184,7 +184,8 @@ def test_compare_oracle_failure_exit_four(tmp_path, capsys, monkeypatch):
     def fail(*args, **kwargs):
         raise ConvergenceError("no convergence in 50 iterations")
 
-    monkeypatch.setattr(cli, "newton_full", fail)
+    # `cmd_compare` looks `newton_full` up in `oracle` when it runs
+    monkeypatch.setattr(oracle, "newton_full", fail)
     cfg = _write(tmp_path, "cfg.json", SCALAR_CONFIG)
     out = tmp_path / "cmp"
     assert main(["compare", "--config", cfg, "--out", str(out)]) == 4

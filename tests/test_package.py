@@ -1,7 +1,8 @@
-"""Package surface: every exported name resolves, one version string, the
-CLI imports without `scipy.optimize`, and the benchmark's tracer still
-fits the package."""
+"""Package surface: every exported name resolves, lazily, one version
+string, the light CLI calls import no scipy, and the benchmark's tracer
+still fits the package."""
 
+import ast
 import importlib
 import importlib.util
 import json
@@ -38,17 +39,78 @@ def test_version_is_stated_once():
     assert cli.__version__ is pc.__version__
 
 
-def test_cli_import_leaves_out_scipy_optimize():
-    # a fresh interpreter, so no other test's imports count
+def _loaded(probe: str, prefixes: tuple, cwd=None) -> list[str]:
+    """The modules named with any of `prefixes` that `probe` leaves loaded
+    in a fresh interpreter, so that no other test's imports count."""
     src = Path(pc.__file__).resolve().parents[1]
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(
                p for p in (str(src), os.environ.get("PYTHONPATH")) if p)}
-    probe = ("import sys, partialcrit.cli; "
-             "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))")
-    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    script = (f"{probe}\nimport sys\nprint(sorted(m for m in sys.modules "
+              f"if m.startswith({prefixes!r})))")
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True, cwd=cwd).stdout
+    return ast.literal_eval(out.splitlines()[-1])
+
+
+def test_cli_import_leaves_out_scipy_optimize():
+    assert _loaded("import partialcrit.cli", ("scipy.optimize",)) == []
+
+
+def test_package_import_loads_no_numpy_or_scipy():
+    assert _loaded("import partialcrit", ("numpy", "scipy")) == []
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["lemma", "--config", str(CONFIGS / "matrix_demo.json"), "--out", "out"],
+     0),
+    (["--help"], 0),
+    (["solve", "--config", "bad.json", "--out", "out"], 2),
+], ids=["lemma", "help", "config-error"])
+def test_light_cli_calls_load_no_scipy(tmp_path, argv, code):
+    # `lemma` needs only numpy; `--help` and a config error need neither
+    (tmp_path / "bad.json").write_text(json.dumps(
+        {"problem": {"kind": "scalar"}, "bogus": 1}))
+    probe = ("from partialcrit import cli\n"
+             "try:\n"
+             f"    code = cli.main({argv!r})\n"
+             "except SystemExit as exc:\n"
+             "    code = exc.code\n"
+             f"assert code == {code}, code")
+    assert _loaded(probe, ("scipy",), cwd=tmp_path) == []
+
+
+def test_star_import_binds_every_export():
+    namespace = {}
+    exec("from partialcrit import *", namespace)
+    assert [name for name in pc.__all__ if name not in namespace] == []
+    assert set(pc.__all__) <= set(dir(pc))
+    assert set(MODULES) <= set(dir(pc))
+
+
+def test_exports_are_looked_up_not_stored():
+    # the benchmark's tracer swaps the bindings in the submodules; a
+    # re-export first touched while it is active is traced, and none of
+    # its wrappers stays bound in the package once it is done
+    tracing = _benchmark_tracing()
+    assert "is_convergent_to_zero" not in vars(pc)
+    tracer = tracing.Tracer()
+    with tracing.instrument(tracer):
+        cert = pc.is_convergent_to_zero(pc.MonotonyMatrix([[0.3, 0.2],
+                                                           [0.1, 0.4]]))
+    assert cert.convergent
+    names = [span[tracing.NAME] for span in tracer.spans]
+    assert names[0] == "zeromatrix.is_convergent_to_zero"
+    assert pc.is_convergent_to_zero is pc.zeromatrix.is_convergent_to_zero
+    for name in pc.__all__:
+        value = getattr(pc, name)
+        if callable(value):
+            home = importlib.import_module(value.__module__)
+            assert value is getattr(home, name), name
+            assert name not in vars(pc), name
 
 
 def _benchmark_module(name):

@@ -2,7 +2,9 @@
 
 import dataclasses
 import gc
+import json
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import partialcrit as pc
 from partialcrit import scheme
+from partialcrit.cli import build_problem, scheme_config_from
 from partialcrit.errors import HypothesisError, SchemeStageError
 
 
@@ -348,3 +351,29 @@ def test_exhaustion_reports_not_converged(scalar_stiff):
     assert not pair.converged
     assert pair.stages == 1
     assert max(pair.residuals) > 1e-12
+
+
+# refinements of two bundled configs' settings; Stokes stays at n <= 33
+MESHES = {"stokes_cross_17": (9, 17, 33),
+          "cross_coupled_1d": (15, 31, 63, 127, 255)}
+
+
+@pytest.mark.parametrize("name", sorted(MESHES))
+def test_stage_count_is_mesh_independent(name):
+    # the contraction holds in the A-norm, so the coupling radius converges
+    # under refinement and the outer stage count does not grow with it
+    # (16/14/13 on Stokes and 19/20/19/18/19 on Dirichlet 1D)
+    cfg = json.loads((Path(__file__).resolve().parents[1] / "configs"
+                      / f"{name}.json").read_text())
+    rhos, stages = [], []
+    for n in MESHES[name]:
+        cfg["problem"]["n_per_dim"] = n
+        system = build_problem(cfg)
+        pair, _ = pc.run_scheme(system, scheme_config_from(cfg, None))
+        assert pair.converged, n
+        rhos.append(pc.is_convergent_to_zero(system.monotony).spectral_radius)
+        stages.append(pair.stages)
+    steps = np.abs(np.diff(rhos))
+    # at least halved at each refinement: the radii form a Cauchy sequence
+    assert np.all(steps[1:] <= 0.5 * steps[:-1]), rhos
+    assert all(abs(k - stages[0]) <= 3 for k in stages), stages
