@@ -43,15 +43,32 @@ from .errors import ConvergenceError, HypothesisError, SchemeStageError
 from .zeromatrix import (MonotonyMatrix, is_convergent_to_zero,
                          neumann_inverse, verify_dominance)
 
-# `lemma`, `--help` and a config file that fails to load need none of the
-# scipy-backed modules. So `main` reads the config first, and a command that
-# solves builds its problem, the one path that loads scipy, before it imports
-# the rest of what it uses.
 if TYPE_CHECKING:
     from .problems import NonlinearitySpec
     from .scheme import CoupledSystem, SchemeConfig
 
 __all__ = ["main", "entry"]
+
+# `lemma`, `--help` and a config file that fails to load need none of the
+# scipy-backed modules, so `main` reads the config first and `cli` imports
+# none of them at its top. The names it takes from them are attributes of
+# `cli` all the same: `__getattr__` looks each up in its home module on
+# every access, and the commands read them as ``_cli.<name>``, so a global
+# set in ``vars(cli)`` and a binding swapped in the home module both take
+# effect.
+_FORWARDED = frozenset({
+    "SamplerSpec", "check_mountain_pass_ring", "full_report", "mu_of",
+    "ps_beta", "newton_full", "DirichletSpec", "NonlinearitySpec",
+    "StokesSpec", "build_dirichlet", "build_scalar", "build_stokes",
+    "CoupledSystem", "SchemeConfig", "contraction_certificate", "energies",
+    "nash_check", "run_scheme", "norm_a"})
+_cli = _sys.modules[__name__]
+
+
+def __getattr__(name: str):
+    if name in _FORWARDED:
+        return getattr(_sys.modules[__package__], name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class ConfigError(ValueError):
@@ -257,35 +274,32 @@ _NONLINEARITIES = {
 
 
 def _nonlinearity(v, where: str) -> NonlinearitySpec:
-    from .problems import NonlinearitySpec
-
     if not isinstance(v, dict):
         raise ConfigError(f"{where} must be an object")
     kind = v.get("kind")
     table = _NONLINEARITIES.get(kind) if isinstance(kind, str) else None
     if table is None:
         raise ConfigError(f"{where}: unknown nonlinearity kind {kind!r}")
-    return _call(where, NonlinearitySpec, **_fields(v, where, table))
+    return _call(where, _cli.NonlinearitySpec, **_fields(v, where, table))
 
 
 _NONLINEARITY = (_nonlinearity, True)
 _LENGTHS = (_as_given, True)  # checked against the number of dimensions
 
-# kind -> (table, builder); a builder takes the `problems` module and looks
-# its names up at call time, so a wrapper bound over a module name sees
-# every build
+# kind -> (table, builder); the builders look their names up at call time,
+# so a wrapper bound over a module name sees every build
 _PROBLEMS = {
     "dirichlet": ({"kind": _KIND, "dims": (_int, True),
                    "n_per_dim": (_int, True), "lengths": _LENGTHS,
                    "potential_c": (_number, False),
                    "nonlinearity": _NONLINEARITY},
-                  lambda pb, **kw: pb.build_dirichlet(pb.DirichletSpec(**kw))),
+                  lambda **kw: _cli.build_dirichlet(_cli.DirichletSpec(**kw))),
     "stokes": ({"kind": _KIND, "n_per_dim": (_int, True), "lengths": _LENGTHS,
                 "mu_coeff": (_number, True), "nonlinearity": _NONLINEARITY},
-               lambda pb, **kw: pb.build_stokes(pb.StokesSpec(**kw))),
+               lambda **kw: _cli.build_stokes(_cli.StokesSpec(**kw))),
     "scalar": ({"kind": _KIND, "a_value": (_number, True),
                 "nonlinearity": _NONLINEARITY},
-               lambda pb, **kw: pb.build_scalar(**kw)),
+               lambda **kw: _cli.build_scalar(**kw)),
 }
 
 _MATRIX = {"kind": _KIND, "entries": (_entries, True)}
@@ -342,18 +356,14 @@ def build_problem(cfg: dict) -> CoupledSystem:
     if "lengths" in kw:  # a stokes grid is two-dimensional
         kw["lengths"] = _sides(kw["lengths"], kw.get("dims", 2),
                                "problem.lengths")
-    from . import problems
-
-    return _call("problem", build, problems, **kw)
+    return _call("problem", build, **kw)
 
 
 def scheme_config_from(cfg: dict, seed_override: int | None) -> SchemeConfig:
-    from .scheme import SchemeConfig
-
     kw = _fields(cfg.get("scheme"), "scheme", _SCHEME)
     if seed_override is not None:
         kw["seed"] = seed_override
-    return _call("scheme", SchemeConfig, **kw)
+    return _call("scheme", _cli.SchemeConfig, **kw)
 
 
 # ------------------------------------------------------------ serializers
@@ -368,10 +378,8 @@ def _payload(report, verdict: str | None = None) -> dict:
 
 
 def _system_mu(system: CoupledSystem) -> float | None:
-    from .hypotheses import mu_of
-
     g = system.growth
-    return None if g is None else mu_of(g.alpha_upper, g.alpha_lower)
+    return None if g is None else _cli.mu_of(g.alpha_upper, g.alpha_lower)
 
 
 def _emit(args, raw: bytes, seed, files: dict) -> None:
@@ -393,14 +401,11 @@ def _emit(args, raw: bytes, seed, files: dict) -> None:
 
 def cmd_check(args, cfg: dict, raw: bytes) -> int:
     system = build_problem(cfg)
-    from .hypotheses import (SamplerSpec, check_mountain_pass_ring,
-                             full_report, ps_beta)
-
     chk = _fields(cfg.get("check"), "check", _CHECK)
     sampler_kw = chk.get("sampler", {})
     if args.seed is not None:
         sampler_kw["seed"] = args.seed
-    sampler = _call("check.sampler", SamplerSpec, **sampler_kw)
+    sampler = _call("check.sampler", _cli.SamplerSpec, **sampler_kw)
     declared = chk.get("declared_growth")
     if declared is None:
         if system.pointwise is None or system.pointwise.growth is None:
@@ -408,11 +413,12 @@ def cmd_check(args, cfg: dict, raw: bytes) -> int:
         declared = system.pointwise.growth
     taus = _taus(chk.get("ring_taus"), "check.ring_taus")
 
-    report = _call("check", full_report, system, declared, sampler)
+    report = _call("check", _cli.full_report, system, declared, sampler)
 
     margins = None
     if report.certificate.rho_ok:
-        margins = _payload(_call("check", ps_beta, report.monotony_estimate))
+        margins = _payload(_call("check", _cli.ps_beta,
+                                 report.monotony_estimate))
 
     payload = {
         "label": system.label,
@@ -423,7 +429,7 @@ def cmd_check(args, cfg: dict, raw: bytes) -> int:
         "certificate": _payload(report.certificate, "convergent"),
         "mu": report.mu,
         "ps_beta": margins,
-        "ring": [_payload(_call("check", check_mountain_pass_ring, system,
+        "ring": [_payload(_call("check", _cli.check_mountain_pass_ring, system,
                                 tau, sampler), "fraction_violated")
                  for tau in taus],
         "notes": list(report.notes),
@@ -436,10 +442,8 @@ def cmd_check(args, cfg: dict, raw: bytes) -> int:
 
 
 def _solve_payloads(system: CoupledSystem, pair, trace, scfg: SchemeConfig):
-    from .scheme import contraction_certificate, energies, nash_check
-    from .spaces import norm_a
-
-    e1, e2, e_total = energies(system, pair.u_star.coeffs, pair.v_star.coeffs)
+    e1, e2, e_total = _cli.energies(system, pair.u_star.coeffs,
+                                    pair.v_star.coeffs)
     space = system.space
     solution = {
         "space_id": space.space_id,
@@ -449,8 +453,8 @@ def _solve_payloads(system: CoupledSystem, pair, trace, scfg: SchemeConfig):
         "stages": pair.stages,
         "residuals": list(pair.residuals),
         "final_tol": scfg.final_tol,
-        "norm_u": norm_a(pair.u_star, space),
-        "norm_v": norm_a(pair.v_star, space),
+        "norm_u": _cli.norm_a(pair.u_star, space),
+        "norm_v": _cli.norm_a(pair.v_star, space),
         "energies": {"E1": e1, "E2": e2, "E": e_total},
         "u": pair.u_star.coeffs,
         "v": pair.v_star.coeffs,
@@ -467,19 +471,18 @@ def _solve_payloads(system: CoupledSystem, pair, trace, scfg: SchemeConfig):
     }
     if len(trace.rows) >= 2:
         report["contraction"] = _payload(
-            contraction_certificate(trace, system.monotony, p=1), "passed")
+            _cli.contraction_certificate(trace, system.monotony, p=1),
+            "passed")
     if pair.converged:
-        report["nash"] = _payload(nash_check(system, pair, seed=scfg.seed),
-                                  "ok")
+        report["nash"] = _payload(
+            _cli.nash_check(system, pair, seed=scfg.seed), "ok")
     return solution, report
 
 
 def cmd_solve(args, cfg: dict, raw: bytes) -> int:
     system = build_problem(cfg)
-    from .scheme import run_scheme
-
     scfg = scheme_config_from(cfg, args.seed)
-    pair, trace = _call("scheme", run_scheme, system, scfg)
+    pair, trace = _call("scheme", _cli.run_scheme, system, scfg)
     solution, report = _call("scheme", _solve_payloads, system, pair, trace,
                              scfg)
     _emit(args, raw, scfg.seed, {"trace.csv": trace.csv_rows(),
@@ -493,24 +496,20 @@ def cmd_solve(args, cfg: dict, raw: bytes) -> int:
 
 def cmd_compare(args, cfg: dict, raw: bytes) -> int:
     system = build_problem(cfg)
-    from .oracle import newton_full
-    from .scheme import run_scheme
-    from .spaces import norm_a
-
     scfg = scheme_config_from(cfg, args.seed)
     oracle_kw = _fields(cfg.get("oracle"), "oracle", _ORACLE)
 
-    pair, _ = _call("scheme", run_scheme, system, scfg)
+    pair, _ = _call("scheme", _cli.run_scheme, system, scfg)
     try:
-        orc = _call("oracle", newton_full, system, **oracle_kw)
+        orc = _call("oracle", _cli.newton_full, system, **oracle_kw)
     except ConvergenceError as exc:
         print(f"oracle failed: {exc}", file=_sys.stderr)
         return 4
 
     space = system.space
     diff = _call("oracle", lambda: math.hypot(
-        norm_a(pair.u_star - orc.u_star, space),
-        norm_a(pair.v_star - orc.v_star, space)))
+        _cli.norm_a(pair.u_star - orc.u_star, space),
+        _cli.norm_a(pair.v_star - orc.v_star, space)))
     bound = 10.0 * (scfg.final_tol + orc.tol)
     # newton_full either converges or raises, which returned 4 above
     agree = bool(diff <= bound and pair.converged)

@@ -196,9 +196,13 @@ def _coeffs(x, space: DiscreteSpace) -> np.ndarray:
 
 
 def _row_sums(z: np.ndarray) -> np.ndarray:
-    """``np.sum(z, axis=1)`` as column adds in order: the same bits for the
-    densities' narrow point axes (below 8 wide), a few times faster. The
-    ``+ 0.0`` start sums a row of negative zeros to ``+0.0``, as `np.sum`."""
+    """``np.sum(z, axis=1)``, bit for bit, at any width. Below 8 columns
+    numpy adds a row in order, and column adds in order give the same bits a
+    few times faster; from 8 columns numpy sums pairwise, so a wider block
+    goes to `np.sum`. The ``+ 0.0`` start sums a row of negative zeros to
+    ``+0.0``, as `np.sum`."""
+    if z.shape[1] >= 8:
+        return np.sum(z, axis=1)
     out = z[:, 0] + 0.0
     for j in range(1, z.shape[1]):
         out += z[:, j]

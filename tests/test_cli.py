@@ -180,18 +180,31 @@ def test_compare_agrees_exit_zero(tmp_path):
     assert payload["difference"] <= payload["bound"]
 
 
-def test_compare_oracle_failure_exit_four(tmp_path, capsys, monkeypatch):
-    def fail(*args, **kwargs):
-        raise ConvergenceError("no convergence in 50 iterations")
+def _fail_oracle(*args, **kwargs):
+    raise ConvergenceError("no convergence in 50 iterations")
 
-    # `cmd_compare` looks `newton_full` up in `oracle` when it runs
-    monkeypatch.setattr(oracle, "newton_full", fail)
+
+def _assert_oracle_failure_exits_four(tmp_path, capsys):
     cfg = _write(tmp_path, "cfg.json", SCALAR_CONFIG)
     out = tmp_path / "cmp"
     assert main(["compare", "--config", cfg, "--out", str(out)]) == 4
     err = capsys.readouterr().err
     assert err == "oracle failed: no convergence in 50 iterations\n"
     assert not (out / "compare.json").exists()
+
+
+def test_compare_oracle_failure_exit_four(tmp_path, capsys, monkeypatch):
+    # `cmd_compare` looks `newton_full` up in `oracle` when it runs
+    monkeypatch.setattr(oracle, "newton_full", _fail_oracle)
+    _assert_oracle_failure_exits_four(tmp_path, capsys)
+
+
+def test_compare_sees_a_patch_set_on_cli(tmp_path, capsys, monkeypatch):
+    # a global set on `cli` shadows the name `cli` reads in `oracle`; the
+    # patch goes into the module dict, so that undoing it deletes it again
+    monkeypatch.setitem(vars(cli), "newton_full", _fail_oracle)
+    _assert_oracle_failure_exits_four(tmp_path, capsys)
+    assert cli.newton_full is _fail_oracle
 
 
 def test_lemma_certifies_matrix(tmp_path):

@@ -113,6 +113,19 @@ def test_exports_are_looked_up_not_stored():
             assert name not in vars(pc), name
 
 
+def test_cli_names_are_read_in_their_home_module():
+    # `cli` imports no scipy-backed module at its top; the names it takes
+    # from them resolve there on every access, a tracer's swap included
+    for name in cli._FORWARDED:
+        assert getattr(cli, name) is getattr(pc, name), name
+    tracing = _benchmark_tracing()
+    before = cli.run_scheme
+    with tracing.instrument(tracing.Tracer()):
+        assert cli.run_scheme is not before
+    assert cli.run_scheme is before
+    assert "run_scheme" not in vars(cli)
+
+
 def _benchmark_module(name):
     path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
     spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)

@@ -323,9 +323,10 @@ def test_cross_space_operations_rejected(xc, yc):
         pc.norm_a(y, PROP_SPACE)
 
 
-@pytest.mark.parametrize("width", range(1, 8))
+@pytest.mark.parametrize("width", range(1, 13))
 def test_row_sums_equal_np_sum_bit_for_bit(width):
-    # the densities' point axes are narrow; there numpy adds in order too
+    # the densities' point axes are narrow, where numpy adds in order too;
+    # from 8 columns on numpy sums pairwise, and so does `_row_sums`
     rng = np.random.default_rng(width)
     z = (rng.standard_normal((200, width))
          * 10.0 ** rng.uniform(-300.0, 300.0, (200, width)))
@@ -333,5 +334,6 @@ def test_row_sums_equal_np_sum_bit_for_bit(width):
     z[:3] = -0.0  # a row of negative zeros sums to +0.0
     z[3, 0], z[4, -1], z[5, 0] = np.inf, -np.inf, np.nan
     with np.errstate(over="ignore", invalid="ignore"):
-        assert (spaces._row_sums(z).tobytes()
-                == np.sum(z, axis=1).tobytes())
+        for block in (z, np.asfortranarray(z)):
+            assert (spaces._row_sums(block).tobytes()
+                    == np.sum(z, axis=1).tobytes())
