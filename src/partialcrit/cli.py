@@ -38,7 +38,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import __version__
 from .errors import ConvergenceError, HypothesisError, SchemeStageError
 from .zeromatrix import (MonotonyMatrix, is_convergent_to_zero,
                          neumann_inverse, verify_dominance)
@@ -55,13 +54,14 @@ __all__ = ["main", "entry"]
 # `cli` all the same: `__getattr__` looks each up in its home module on
 # every access, and the commands read them as ``_cli.<name>``, so a global
 # set in ``vars(cli)`` and a binding swapped in the home module both take
-# effect.
+# effect. `__version__` is forwarded too: reading it imports
+# `importlib.metadata`, which only a written manifest needs.
 _FORWARDED = frozenset({
     "SamplerSpec", "check_mountain_pass_ring", "full_report", "mu_of",
     "ps_beta", "newton_full", "DirichletSpec", "NonlinearitySpec",
     "StokesSpec", "build_dirichlet", "build_scalar", "build_stokes",
     "CoupledSystem", "SchemeConfig", "contraction_certificate", "energies",
-    "nash_check", "run_scheme", "norm_a"})
+    "nash_check", "run_scheme", "norm_a", "__version__"})
 _cli = _sys.modules[__name__]
 
 
@@ -147,7 +147,7 @@ def _write_manifest(out: Path, command: str, config_raw: bytes,
     manifest = {
         "command": command,
         "created_utc": datetime.now(timezone.utc).isoformat(),
-        "package_version": __version__,
+        "package_version": _cli.__version__,
         "config_path": config_path,
         "config_sha256": hashlib.sha256(config_raw).hexdigest(),
         "seed": seed,

@@ -325,7 +325,8 @@ def check_mountain_pass_ring(sys: CoupledSystem, tau: float,
 
     at every ring point; the report counts how often the sampled points
     violate it. A nonzero violated fraction rules the geometry out. The
-    points are drawn and evaluated in blocks of ``sys.probe_rows`` rows.
+    points are drawn and evaluated in blocks of ``sys.probe_rows`` rows;
+    they are drawn one block at a time, so they depend on ``probe_rows``.
     """
     if not (tau > 0.0):
         raise ValueError("tau must be positive")

@@ -34,8 +34,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConvergenceError, HypothesisError, SchemeStageError
-from .spaces import (DiscreteSpace, HVector, norm_a, random_unit,
-                     random_unit_rows)
+from .spaces import DiscreteSpace, HVector, norm_a, random_unit_rows
 from .zeromatrix import MonotonyMatrix, is_convergent_to_zero, verify_dominance
 
 __all__ = [
@@ -340,7 +339,7 @@ def run_scheme(sys: CoupledSystem, cfg: SchemeConfig | None = None
 
     space = sys.space
     u = np.zeros(space.dim)
-    v = (random_unit(space, np.random.default_rng(cfg.seed))
+    v = (random_unit_rows(space, np.random.default_rng(cfg.seed), 1)[1][0, 0]
          if cfg.random_init else np.zeros(space.dim))
 
     trace = SchemeTrace(space=space, iterates_u=[u], iterates_v=[v])
@@ -492,7 +491,8 @@ def nash_check(sys: CoupledSystem, pair: SolutionPair, seed: int = 0
     (0, `NASH_RADIUS`], then compares the observed energy changes with the
     first-order bound from the pair's residual norms plus a curvature term
     estimated by second differences. Both probes draw and evaluate their
-    samples in blocks of ``sys.probe_rows`` rows.
+    samples in blocks of ``sys.probe_rows`` rows; the samples are drawn one
+    block at a time, so they depend on ``probe_rows``.
     """
     if not pair.converged:
         raise ValueError("nash_check expects a converged pair")

@@ -33,7 +33,6 @@ __all__ = [
     "norm_a",
     "solve_a",
     "riesz_lift",
-    "random_unit",
     "random_unit_rows",
     "embedding_constant",
     "validate_space",
@@ -298,46 +297,32 @@ def riesz_lift(f_pointwise, space: DiscreteSpace) -> np.ndarray:
     return solve_a(space.mass_weights * f, space)
 
 
-def random_unit(space: DiscreteSpace, rng: np.random.Generator) -> np.ndarray:
-    """Standard normal direction scaled to unit A-norm (redrawn if zero)."""
-    return random_unit_rows(space, rng, 1)[1][0, 0]
-
-
 def random_unit_rows(space: DiscreteSpace, rng: np.random.Generator, k: int,
                      units: int = 1, uniform: bool = False
                      ) -> tuple[np.ndarray, np.ndarray]:
-    """`k` rounds of draws, each an optional ``rng.random()`` and then
-    `units` calls of `random_unit`, as a block.
+    """`k` rows of `units` standard normal directions scaled to unit
+    A-norm, drawn as one block.
 
-    Returns the ``(k,)`` uniforms (unset when `uniform` is false) and the
-    ``(units, k, dim)`` unit directions, equal bit for bit to the
-    sequential calls, which leave `rng` in the same state. The norms come
-    from one operator application on the block, as in `norm_a`. A
-    standard normal draw whose A-norm is zero is redrawn before the next
-    draw, so a block that holds a nonpositive form is drawn again from the
-    same start, checking every draw as it is made.
+    Returns the ``(k,)`` uniforms of ``rng.random(k)``, drawn first when
+    `uniform` is set (unset otherwise), and the ``(units, k, dim)``
+    directions of one ``rng.standard_normal((units, k, dim))``. With
+    uniforms or several units the samples depend on the block size; one
+    unit without uniforms gives the rows of sequential single draws. The
+    norms come from one operator application on the block, as in
+    `norm_a`. A row whose form is not positive is redrawn in place until
+    its A-norm is nonzero; `norm_a` raises `IntegrityError` on a form
+    that is negative beyond roundoff.
     """
-    dim = space.dim
-    uniforms = np.empty(k)
-    raw = np.empty((units, k, dim))
-    rows = raw.reshape(-1, dim)
-
-    def draw(check: bool) -> None:
-        for i in range(k):
-            if uniform:
-                uniforms[i] = rng.random()
-            for x in raw[:, i]:
-                rng.standard_normal(out=x)
-                while check and norm_a(x, space) == 0.0:
-                    rng.standard_normal(out=x)
-
-    start = rng.bit_generator.state
-    draw(False)
+    uniforms = rng.random(k) if uniform else np.empty(k)
+    raw = rng.standard_normal((units, k, space.dim))
+    rows = raw.reshape(-1, space.dim)
     q = _forms(rows, space)
-    if not np.all(q > 0.0):
-        rng.bit_generator.state = start
-        draw(True)
-        q = _forms(rows, space)
+    redo = np.flatnonzero(~(q > 0.0))
+    for i in redo:
+        while norm_a(rows[i], space) == 0.0:
+            rng.standard_normal(out=rows[i])
+    if redo.size:
+        q[redo] = _forms(rows[redo], space)
     # each form is now positive or NaN, where `norm_a` is its square root
     return uniforms, raw * (1.0 / np.sqrt(q)).reshape(units, k, 1)
 

@@ -57,6 +57,11 @@ def test_cli_import_leaves_out_scipy_optimize():
     assert _loaded("import partialcrit.cli", ("scipy.optimize",)) == []
 
 
+def test_cli_import_leaves_out_the_version_lookup():
+    # the version is read from the installed metadata only for a manifest
+    assert _loaded("import partialcrit.cli", ("importlib.metadata",)) == []
+
+
 def test_package_import_loads_no_numpy_or_scipy():
     assert _loaded("import partialcrit", ("numpy", "scipy")) == []
 

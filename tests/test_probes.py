@@ -4,9 +4,11 @@ The A-norm, the partial energies and the residuals take a ``(dim,)``
 vector or a ``(k, dim)`` row block; a block equals the vector calls row by
 row. `nash_check`, `check_mountain_pass_ring`, `contraction_certificate`
 and `brute_nash` draw and evaluate their samples as row blocks. The
-references below are the per-sample loops they replace: one `random_unit`
-draw, one A-norm and one ``eval_N`` per sample, stage or grid point.
-Every comparison is ``==`` on floats.
+references below are the per-sample loops they replace: one A-norm and
+one ``eval_N`` per sample, stage or grid point. They take their
+directions from `random_unit_rows` over the same ``probe_rows`` blocks,
+since the samples depend on the block size. Every comparison is ``==``
+on floats.
 """
 
 import dataclasses
@@ -15,9 +17,11 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 import partialcrit as pc
 from partialcrit import problems, scheme
+from partialcrit.errors import IntegrityError
 from partialcrit.spaces import random_unit_rows
 
 
@@ -29,6 +33,16 @@ def _ref_unit(space, rng):
             return raw * (1.0 / n)
 
 
+def _ref_samples(sys, rng, n, units=1, uniform=False):
+    # the probes' draws over their blocks of ``probe_rows``, one sample
+    # (uniform, then a direction a unit) at a time
+    rows = sys.probe_rows
+    for start in range(0, n, rows):
+        draws, dirs = random_unit_rows(sys.space, rng, min(rows, n - start),
+                                       units, uniform)
+        yield from zip(draws.tolist(), *dirs)
+
+
 def _ref_e1(sys, u, v):
     return 0.5 * pc.norm_a(u, sys.space) ** 2 - float(sys.eval_N(u, v))
 
@@ -38,15 +52,13 @@ def _ref_e2(sys, u, v):
 
 
 def _ref_nash(sys, pair, seed=0):
-    space = sys.space
     rng = np.random.default_rng(seed)
     u, v = pair.u_star.coeffs, pair.v_star.coeffs
     delta = 0.5 * scheme.NASH_RADIUS
     curvature = 1e-6
     e1_base = _ref_e1(sys, u, v)
     e2_base = _ref_e2(sys, u, v)
-    for _ in range(8):
-        d = _ref_unit(space, rng)
+    for _, d in _ref_samples(sys, rng, 8):
         c1 = abs(_ref_e1(sys, u + delta * d, v) - 2.0 * e1_base
                  + _ref_e1(sys, u - delta * d, v)) / delta**2
         c2 = abs(_ref_e2(sys, u, v + delta * d) - 2.0 * e2_base
@@ -55,11 +67,9 @@ def _ref_nash(sys, pair, seed=0):
     grad_level = max(pair.residuals)
     min_e1_margin = np.inf
     max_e2_margin = -np.inf
-    for _ in range(scheme.NASH_SAMPLES):
-        s = scheme.NASH_RADIUS * (1.0 - rng.random())
+    for x, d_u, d_v in _ref_samples(sys, rng, scheme.NASH_SAMPLES, 2, True):
+        s = scheme.NASH_RADIUS * (1.0 - x)
         bound = grad_level * s + curvature * s**2
-        d_u = _ref_unit(space, rng)
-        d_v = _ref_unit(space, rng)
         de1 = _ref_e1(sys, u + s * d_u, v) - e1_base
         de2 = _ref_e2(sys, u, v + s * d_v) - e2_base
         min_e1_margin = min(min_e1_margin, de1 + bound)
@@ -70,17 +80,15 @@ def _ref_nash(sys, pair, seed=0):
 
 
 def _ref_ring(sys, tau, sampler):
-    space = sys.space
     rng = np.random.default_rng(sampler.seed)
-    zero = np.zeros(space.dim)
+    zero = np.zeros(sys.space.dim)
     n_zero = float(sys.eval_N(zero, zero))
     violated = 0
-    for _ in range(sampler.n_points):
-        split = rng.random()
+    for split, d_u, d_v in _ref_samples(sys, rng, sampler.n_points, 2, True):
         nu = split * tau
         nv = (1.0 - split) * tau
-        u = nu * _ref_unit(space, rng)
-        v = nv * _ref_unit(space, rng)
+        u = nu * d_u
+        v = nv * d_v
         lhs = float(sys.eval_N(u, v)) - n_zero
         if not (lhs < 0.5 * tau * (nu - nv)):
             violated += 1
@@ -94,8 +102,8 @@ def _stokes(n):
         nonlinearity=pc.NonlinearitySpec.sincos(0.3)))
 
 
-# a space whose forms underflow to zero for about half the draws, so
-# `random_unit` redraws often
+# a space whose forms underflow to zero for about one draw in seven, so
+# `random_unit_rows` redraws often
 _TINY = pc.make_space(sp.diags([5e-324, 5e-324]), np.ones(2), "tiny")
 
 
@@ -143,31 +151,44 @@ def test_block_energies_and_residuals_equal_the_vector_calls(bundled, name):
                 assert np.array_equal(_bits(got), _bits(ref)), label
 
 
-@pytest.mark.parametrize("units, uniform", [(1, False), (2, True)])
-def test_block_draws_equal_sequential_random_unit(spaces, units, uniform):
-    for space in spaces:
-        for seed in range(4):
-            block_rng = np.random.default_rng(seed)
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 9),
+       units=st.integers(1, 3), uniform=st.booleans())
+def test_block_draws_are_unit_and_reproducible(spaces, seed, k, units,
+                                               uniform):
+    # `_TINY`'s subnormal forms give no unit norms
+    for space in (s for s in spaces if s is not _TINY):
+        draws, dirs = random_unit_rows(space, np.random.default_rng(seed), k,
+                                       units, uniform)
+        assert dirs.shape == (units, k, space.dim)
+        norms = pc.norm_a(dirs.reshape(-1, space.dim), space)
+        assert np.all(np.abs(norms - 1.0) <= 1e-12), space.space_id
+        again = random_unit_rows(space, np.random.default_rng(seed), k,
+                                 units, uniform)
+        assert np.array_equal(_bits(dirs), _bits(again[1]))
+        if uniform:
+            assert np.array_equal(_bits(draws), _bits(again[0]))
+        else:
+            # one unit without uniforms is the sequential stream, which
+            # keeps the scheme's random start
             ref_rng = np.random.default_rng(seed)
-            draws, dirs = random_unit_rows(space, block_rng, 7, units,
-                                           uniform)
-            for i in range(7):
-                if uniform:
-                    assert draws[i] == ref_rng.random()
-                for j in range(units):
-                    ref = _ref_unit(space, ref_rng)
-                    assert np.array_equal(dirs[j, i], ref), space.space_id
-            # both streams end in the same state
-            assert block_rng.random() == ref_rng.random()
+            assert np.array_equal(_bits(dirs[0]), _bits(
+                [_ref_unit(space, ref_rng) for _ in range(k)]))
 
 
-def test_random_unit_keeps_its_contract():
+def test_zero_forms_are_redrawn_row_by_row():
+    # a whole-block redraw of 200 rows would hardly ever come out all
+    # nonzero here
     rng = np.random.default_rng(0)
-    ref_rng = np.random.default_rng(0)
-    for _ in range(20):
-        d = pc.spaces.random_unit(_TINY, rng)
-        assert np.array_equal(d, _ref_unit(_TINY, ref_rng))
-        assert pc.norm_a(d, _TINY) != 0.0
+    for _ in range(5):
+        _, dirs = random_unit_rows(_TINY, rng, 100, units=2, uniform=True)
+        assert np.all(pc.norm_a(dirs.reshape(-1, 2), _TINY) != 0.0)
+
+
+def test_negative_forms_raise_instead_of_redrawing():
+    space = pc.make_space(sp.diags([-1.0, -1.0]), np.ones(2), "negative")
+    with pytest.raises(IntegrityError, match="not positive definite"):
+        random_unit_rows(space, np.random.default_rng(0), 4)
 
 
 def _rows_systems(bundled, custom_1d, manufactured_9):
