@@ -25,14 +25,6 @@ from partialcrit.errors import IntegrityError
 from partialcrit.spaces import random_unit_rows
 
 
-def _ref_unit(space, rng):
-    while True:
-        raw = rng.standard_normal(space.dim)
-        n = pc.norm_a(raw, space)
-        if n != 0.0:
-            return raw * (1.0 / n)
-
-
 def _ref_samples(sys, rng, n, units=1, uniform=False):
     # the probes' draws over their blocks of ``probe_rows``, one sample
     # (uniform, then a direction a unit) at a time
@@ -168,12 +160,33 @@ def test_block_draws_are_unit_and_reproducible(spaces, seed, k, units,
         assert np.array_equal(_bits(dirs), _bits(again[1]))
         if uniform:
             assert np.array_equal(_bits(draws), _bits(again[0]))
-        else:
-            # one unit without uniforms is the sequential stream, which
-            # keeps the scheme's random start
+
+
+@pytest.mark.parametrize("units, uniform", [(1, False), (2, True)])
+def test_block_draws_equal_sequential_random_unit(spaces, units, uniform):
+    # the block's numbers one draw at a time: the uniforms, then each
+    # unit's rows; a row with a zero form is redrawn once the block is
+    # drawn. One unit without uniforms is thus a row of sequential unit
+    # draws, which keeps the scheme's random start.
+    for space in spaces:
+        for seed in range(4):
+            block_rng = np.random.default_rng(seed)
             ref_rng = np.random.default_rng(seed)
-            assert np.array_equal(_bits(dirs[0]), _bits(
-                [_ref_unit(space, ref_rng) for _ in range(k)]))
+            draws, dirs = random_unit_rows(space, block_rng, 7, units,
+                                           uniform)
+            ref_draws = [ref_rng.random() for _ in range(7 if uniform else 0)]
+            raw = [ref_rng.standard_normal(space.dim)
+                   for _ in range(units * 7)]
+            for i, row in enumerate(raw):
+                while pc.norm_a(row, space) == 0.0:
+                    row = raw[i] = ref_rng.standard_normal(space.dim)
+            ref = [row * (1.0 / pc.norm_a(row, space)) for row in raw]
+            if uniform:
+                assert np.array_equal(_bits(draws), _bits(ref_draws))
+            assert np.array_equal(_bits(dirs.reshape(-1, space.dim)),
+                                  _bits(ref)), space.space_id
+            # both streams end in the same state
+            assert block_rng.random() == ref_rng.random()
 
 
 def test_zero_forms_are_redrawn_row_by_row():
