@@ -338,9 +338,9 @@ def check_mountain_pass_ring(sys: CoupledSystem, tau: float,
     violated = 0
     rows = sys.probe_rows
     for start in range(0, sampler.n_points, rows):
-        split, (d_u, d_v) = random_unit_rows(
-            space, rng, min(rows, sampler.n_points - start), units=2,
-            uniform=True)
+        k = min(rows, sampler.n_points - start)
+        split = rng.random(k)
+        d_u, d_v = random_unit_rows(space, rng, k, units=2)
         nu = split * tau
         nv = (1.0 - split) * tau
         lhs = sys.eval_N(d_u * nu[:, None], d_v * nv[:, None]) - n_zero

@@ -339,7 +339,7 @@ def run_scheme(sys: CoupledSystem, cfg: SchemeConfig | None = None
 
     space = sys.space
     u = np.zeros(space.dim)
-    v = (random_unit_rows(space, np.random.default_rng(cfg.seed), 1)[1][0, 0]
+    v = (random_unit_rows(space, np.random.default_rng(cfg.seed), 1)[0, 0]
          if cfg.random_init else np.zeros(space.dim))
 
     trace = SchemeTrace(space=space, iterates_u=[u], iterates_v=[v])
@@ -492,7 +492,9 @@ def nash_check(sys: CoupledSystem, pair: SolutionPair, seed: int = 0
     first-order bound from the pair's residual norms plus a curvature term
     estimated by second differences. Both probes draw and evaluate their
     samples in blocks of ``sys.probe_rows`` rows; the samples are drawn one
-    block at a time, so they depend on ``probe_rows``.
+    block at a time, so they depend on ``probe_rows``. The curvature and
+    the margins are numpy's max and min over all blocks, so a NaN energy
+    on any probed row makes them NaN and the report not ``ok``.
     """
     if not pair.converged:
         raise ValueError("nash_check expects a converged pair")
@@ -505,34 +507,31 @@ def nash_check(sys: CoupledSystem, pair: SolutionPair, seed: int = 0
     delta = 0.5 * NASH_RADIUS
     e1_base = _e1(sys, u, v)
     e2_base = _e2(sys, u, v)
-    curvatures = [1e-6]
+    curvatures = []
     for start in range(0, 8, rows):
-        _, (d,) = random_unit_rows(space, rng, min(rows, 8 - start))
-        c1 = np.abs(_e1(sys, u + delta * d, v) - 2.0 * e1_base
-                    + _e1(sys, u - delta * d, v)) / delta**2
-        c2 = np.abs(_e2(sys, u, v + delta * d) - 2.0 * e2_base
-                    + _e2(sys, u, v - delta * d)) / delta**2
-        curvatures += np.column_stack([c1, c2]).reshape(-1).tolist()
-    # the builtin max and min pass over a NaN after the first entry, where
-    # numpy's would return it
-    curvature = max(curvatures)
+        (d,) = random_unit_rows(space, rng, min(rows, 8 - start))
+        curvatures += [
+            np.abs(_e1(sys, u + delta * d, v) - 2.0 * e1_base
+                   + _e1(sys, u - delta * d, v)) / delta**2,
+            np.abs(_e2(sys, u, v + delta * d) - 2.0 * e2_base
+                   + _e2(sys, u, v - delta * d)) / delta**2]
+    curvature = float(np.max(np.concatenate(curvatures), initial=1e-6))
 
     grad_level = max(pair.residuals)
-    e1_margins = [np.inf]
-    e2_margins = [-np.inf]
+    e1_margins = []
+    e2_margins = []
     for start in range(0, NASH_SAMPLES, rows):
-        draws, (d_u, d_v) = random_unit_rows(
-            space, rng, min(rows, NASH_SAMPLES - start), units=2, uniform=True)
-        s = NASH_RADIUS * (1.0 - draws)
+        k = min(rows, NASH_SAMPLES - start)
+        s = NASH_RADIUS * (1.0 - rng.random(k))
+        d_u, d_v = random_unit_rows(space, rng, k, units=2)
         # Python's float power again, as in `_half_square`
         bound = np.array([grad_level * x + curvature * x ** 2
                           for x in s.tolist()])
-        de1 = _e1(sys, u + d_u * s[:, None], v) - e1_base
-        de2 = _e2(sys, u, v + d_v * s[:, None]) - e2_base
-        e1_margins += (de1 + bound).tolist()
-        e2_margins += (de2 - bound).tolist()
+        e1_margins.append(_e1(sys, u + d_u * s[:, None], v) - e1_base + bound)
+        e2_margins.append(_e2(sys, u, v + d_v * s[:, None]) - e2_base - bound)
 
     return NashReport(
-        curvature=float(curvature), min_e1_margin=float(min(e1_margins)),
-        max_e2_margin=float(max(e2_margins)),
+        curvature=curvature,
+        min_e1_margin=float(np.min(np.concatenate(e1_margins))),
+        max_e2_margin=float(np.max(np.concatenate(e2_margins))),
     )

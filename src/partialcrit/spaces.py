@@ -298,22 +298,22 @@ def riesz_lift(f_pointwise, space: DiscreteSpace) -> np.ndarray:
 
 
 def random_unit_rows(space: DiscreteSpace, rng: np.random.Generator, k: int,
-                     units: int = 1, uniform: bool = False
-                     ) -> tuple[np.ndarray, np.ndarray]:
+                     units: int = 1) -> np.ndarray:
     """`k` rows of `units` standard normal directions scaled to unit
     A-norm, drawn as one block.
 
-    Returns the ``(k,)`` uniforms of ``rng.random(k)``, drawn first when
-    `uniform` is set (unset otherwise), and the ``(units, k, dim)``
-    directions of one ``rng.standard_normal((units, k, dim))``. With
-    uniforms or several units the samples depend on the block size; one
-    unit without uniforms gives the rows of sequential single draws. The
-    norms come from one operator application on the block, as in
-    `norm_a`. A row whose form is not positive is redrawn in place until
-    its A-norm is nonzero; `norm_a` raises `IntegrityError` on a form
-    that is negative beyond roundoff.
+    Returns the ``(units, k, dim)`` directions of one
+    ``rng.standard_normal((units, k, dim))``. With several units the
+    samples depend on the block size; one unit gives the rows of
+    sequential single draws. The probes that also need offsets or splits
+    take them from ``rng.random(k)`` just before. The norms come from one
+    operator application on the block, as in `norm_a`. A row whose form
+    is not positive is redrawn in place until its A-norm is nonzero;
+    `norm_a` raises `IntegrityError` on a form that is negative beyond
+    roundoff. On a space whose forms are subnormal the rows are not of
+    unit norm: ``1 / sqrt(q)`` of such a form keeps only a few
+    significant bits.
     """
-    uniforms = rng.random(k) if uniform else np.empty(k)
     raw = rng.standard_normal((units, k, space.dim))
     rows = raw.reshape(-1, space.dim)
     q = _forms(rows, space)
@@ -324,7 +324,7 @@ def random_unit_rows(space: DiscreteSpace, rng: np.random.Generator, k: int,
     if redo.size:
         q[redo] = _forms(rows[redo], space)
     # each form is now positive or NaN, where `norm_a` is its square root
-    return uniforms, raw * (1.0 / np.sqrt(q)).reshape(units, k, 1)
+    return raw * (1.0 / np.sqrt(q)).reshape(units, k, 1)
 
 
 def dominant_inverse_eig(space: DiscreteSpace,

@@ -7,11 +7,15 @@ and `brute_nash` draw and evaluate their samples as row blocks. The
 references below are the per-sample loops they replace: one A-norm and
 one ``eval_N`` per sample, stage or grid point. They take their
 directions from `random_unit_rows` over the same ``probe_rows`` blocks,
-since the samples depend on the block size. Every comparison is ``==``
-on floats.
+since the samples depend on the block size, and a block's uniforms from
+``rng.random(k)`` just before it, as the probes do. Every comparison is
+``==`` on floats. The probes reduce their blocks with numpy's min and
+max, so a NaN energy on any probed row fails them; the references fold
+finite values only.
 """
 
 import dataclasses
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -26,13 +30,15 @@ from partialcrit.spaces import random_unit_rows
 
 
 def _ref_samples(sys, rng, n, units=1, uniform=False):
-    # the probes' draws over their blocks of ``probe_rows``, one sample
-    # (uniform, then a direction a unit) at a time
+    # the probes' draws over their blocks of ``probe_rows`` (a block's
+    # uniforms, when asked for, come first), one sample (uniform, then a
+    # direction a unit) at a time
     rows = sys.probe_rows
     for start in range(0, n, rows):
-        draws, dirs = random_unit_rows(sys.space, rng, min(rows, n - start),
-                                       units, uniform)
-        yield from zip(draws.tolist(), *dirs)
+        k = min(rows, n - start)
+        draws = rng.random(k) if uniform else np.zeros(k)
+        yield from zip(draws.tolist(), *random_unit_rows(sys.space, rng, k,
+                                                         units))
 
 
 def _ref_e1(sys, u, v):
@@ -145,35 +151,31 @@ def test_block_energies_and_residuals_equal_the_vector_calls(bundled, name):
 
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 9),
-       units=st.integers(1, 3), uniform=st.booleans())
-def test_block_draws_are_unit_and_reproducible(spaces, seed, k, units,
-                                               uniform):
+       units=st.integers(1, 3))
+def test_block_draws_are_unit_and_reproducible(spaces, seed, k, units):
     # `_TINY`'s subnormal forms give no unit norms
     for space in (s for s in spaces if s is not _TINY):
-        draws, dirs = random_unit_rows(space, np.random.default_rng(seed), k,
-                                       units, uniform)
+        dirs = random_unit_rows(space, np.random.default_rng(seed), k, units)
+        assert type(dirs) is np.ndarray
         assert dirs.shape == (units, k, space.dim)
         norms = pc.norm_a(dirs.reshape(-1, space.dim), space)
         assert np.all(np.abs(norms - 1.0) <= 1e-12), space.space_id
-        again = random_unit_rows(space, np.random.default_rng(seed), k,
-                                 units, uniform)
-        assert np.array_equal(_bits(dirs), _bits(again[1]))
-        if uniform:
-            assert np.array_equal(_bits(draws), _bits(again[0]))
+        again = random_unit_rows(space, np.random.default_rng(seed), k, units)
+        assert np.array_equal(_bits(dirs), _bits(again))
 
 
 @pytest.mark.parametrize("units, uniform", [(1, False), (2, True)])
 def test_block_draws_equal_sequential_random_unit(spaces, units, uniform):
-    # the block's numbers one draw at a time: the uniforms, then each
-    # unit's rows; a row with a zero form is redrawn once the block is
-    # drawn. One unit without uniforms is thus a row of sequential unit
-    # draws, which keeps the scheme's random start.
+    # the probes' numbers one draw at a time: the uniforms they draw just
+    # before the block, then each unit's rows; a row with a zero form is
+    # redrawn once the block is drawn. One unit without uniforms is thus a
+    # row of sequential unit draws, which keeps the scheme's random start.
     for space in spaces:
         for seed in range(4):
             block_rng = np.random.default_rng(seed)
             ref_rng = np.random.default_rng(seed)
-            draws, dirs = random_unit_rows(space, block_rng, 7, units,
-                                           uniform)
+            draws = block_rng.random(7) if uniform else None
+            dirs = random_unit_rows(space, block_rng, 7, units)
             ref_draws = [ref_rng.random() for _ in range(7 if uniform else 0)]
             raw = [ref_rng.standard_normal(space.dim)
                    for _ in range(units * 7)]
@@ -194,7 +196,7 @@ def test_zero_forms_are_redrawn_row_by_row():
     # nonzero here
     rng = np.random.default_rng(0)
     for _ in range(5):
-        _, dirs = random_unit_rows(_TINY, rng, 100, units=2, uniform=True)
+        dirs = random_unit_rows(_TINY, rng, 100, units=2)
         assert np.all(pc.norm_a(dirs.reshape(-1, 2), _TINY) != 0.0)
 
 
@@ -397,6 +399,51 @@ def test_brute_nash_equals_per_point_reference(bundled, solved):
                     assert (pc.brute_nash(small, candidate, radius, grid_n)
                             == _ref_brute(small, candidate, radius,
                                           grid_n)), name
+
+
+def _nan_after_first_row(system, calls=None):
+    # `system` whose ``eval_N`` returns NaN on every row of a block but the
+    # first, on the block calls numbered in `calls` (on all when None)
+    numbers = itertools.count()
+
+    def eval_N(u, v):
+        out = system.eval_N(u, v)
+        if np.ndim(out) and (calls is None or next(numbers) in calls):
+            out = np.where(np.arange(len(out)) == 0, out, np.nan)
+        return out
+
+    return dataclasses.replace(system, eval_N=eval_N)
+
+
+@pytest.mark.parametrize("rows", [None, 7])
+def test_nan_energies_fail_the_nash_probe(bundled, solved, rows):
+    # a fold that passes over NaN would judge each block by its first row
+    system, pair = bundled["sincos_1d"], solved["sincos_1d"][0]
+    system = dataclasses.replace(system, probe_rows=rows or system.probe_rows)
+    clean = pc.nash_check(system, pair)
+    assert clean.ok
+    # four energies a block of the 8 curvature directions, then two a block
+    # of the samples
+    n_curvature = 4 * -(-8 // system.probe_rows)
+    for calls, nan_curvature in ((None, True), (range(n_curvature), True),
+                                 (range(n_curvature, 10**6), False)):
+        report = pc.nash_check(_nan_after_first_row(system, calls), pair)
+        assert not report.ok, calls
+        assert (np.isnan(report.curvature) if nan_curvature
+                else report.curvature == clean.curvature)
+        assert np.isnan(report.min_e1_margin)
+        assert np.isnan(report.max_e2_margin)
+
+
+def test_nan_energies_fail_the_grid_scan(bundled, solved):
+    system, pair = bundled["scalar_linear"], solved["scalar_linear"][0]
+    for rows in (system.probe_rows, 7):
+        small = dataclasses.replace(system, probe_rows=rows)
+        assert pc.brute_nash(small, pair).ok
+        report = pc.brute_nash(_nan_after_first_row(small), pair)
+        assert not report.ok, rows
+        assert np.isnan(report.min_e1_delta)
+        assert np.isnan(report.max_e2_delta)
 
 
 def test_probe_rows_follow_the_byte_budget(bundled):
