@@ -50,18 +50,13 @@ __all__ = ["main", "entry"]
 
 # `lemma`, `--help` and a config file that fails to load need none of the
 # scipy-backed modules, so `main` reads the config first and `cli` imports
-# none of them at its top. The names it takes from them are attributes of
-# `cli` all the same: `__getattr__` looks each up in its home module on
-# every access, and the commands read them as ``_cli.<name>``, so a global
-# set in ``vars(cli)`` and a binding swapped in the home module both take
-# effect. `__version__` is forwarded too: reading it imports
+# none of them at its top. Every package export, `__version__` included,
+# is an attribute of `cli` all the same: `__getattr__` looks each up
+# through the lazy package on every access, and the commands read them as
+# ``_cli.<name>``, so a global set in ``vars(cli)`` and a binding swapped
+# in the home module both take effect. Reading `__version__` imports
 # `importlib.metadata`, which only a written manifest needs.
-_FORWARDED = frozenset({
-    "SamplerSpec", "check_mountain_pass_ring", "full_report", "mu_of",
-    "ps_beta", "newton_full", "DirichletSpec", "NonlinearitySpec",
-    "StokesSpec", "build_dirichlet", "build_scalar", "build_stokes",
-    "CoupledSystem", "SchemeConfig", "contraction_certificate",
-    "nash_check", "run_scheme", "norm_a", "__version__"})
+_FORWARDED = frozenset(_sys.modules[__package__].__all__)
 _cli = _sys.modules[__name__]
 
 
@@ -387,14 +382,17 @@ def _emit(args, raw: bytes, seed, files: dict) -> None:
     for a ``.csv`` name, JSON otherwise), then the manifest naming them.
 
     The writers are looked up at call time, so a wrapper bound over a module
-    name sees every write.
+    name sees every write. An `--out` that cannot be written is bad input.
     """
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    for name, payload in files.items():
-        write = _write_csv if name.endswith(".csv") else _write_json
-        write(out / name, payload)
-    _write_manifest(out, args.command, raw, args.config, seed, list(files))
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for name, payload in files.items():
+            write = _write_csv if name.endswith(".csv") else _write_json
+            write(out / name, payload)
+        _write_manifest(out, args.command, raw, args.config, seed, list(files))
+    except OSError as exc:
+        raise ConfigError(f"cannot write to {args.out}: {exc}") from exc
 
 
 # -------------------------------------------------------------- commands

@@ -192,8 +192,6 @@ class BruteScanReport:
     below +slack.
     """
 
-    grid_n: int
-    grid_radius: float
     slack: float
     min_e1_delta: float
     max_e2_delta: float
@@ -240,6 +238,6 @@ def brute_nash(sys: CoupledSystem, pair: SolutionPair,
         e2_deltas.append(_e2(sys, u, v + block) - e2_star)
 
     return BruteScanReport(
-        grid_n=grid_n, grid_radius=grid_radius, slack=float(slack),
+        slack=float(slack),
         min_e1_delta=float(np.min(np.concatenate(e1_deltas))),
         max_e2_delta=float(np.max(np.concatenate(e2_deltas))))

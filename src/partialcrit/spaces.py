@@ -45,25 +45,17 @@ class SpdOperator:
 
     Parameters
     ----------
-    dim : int
-        Number of degrees of freedom.
     matrix : scipy.sparse.csr_matrix
-        The operator matrix. Must be symmetric and positive definite;
-        `validate_space` probes both properties.
+        The square operator matrix, as `make_space` canonicalises it. Must
+        be symmetric and positive definite; `validate_space` probes both
+        properties.
 
     The sparse factorization behind `solve_a` is computed on the first
     solve and kept with the operator.
     """
 
-    dim: int
     matrix: sp.csr_matrix
     _lu: object = field(default=None, init=False, repr=False)
-
-    def __post_init__(self):
-        if self.matrix.shape != (self.dim, self.dim):
-            raise ValueError(
-                f"operator matrix shape {self.matrix.shape} does not match dim {self.dim}"
-            )
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Return ``A @ x`` as a dense vector."""
@@ -169,17 +161,18 @@ def make_space(matrix, mass_weights, space_id: str) -> DiscreteSpace:
     """Assemble a `DiscreteSpace` from a matrix and mass weights.
 
     Canonicalises the sparse matrix and wraps it; nothing is solved or
-    factored here. Raises ``ValueError`` when an entry is not finite, as
-    when a builder's scales overflow.
+    factored here. Raises ``ValueError`` when the matrix is not square or
+    an entry is not finite, as when a builder's scales overflow.
     """
     m = sp.csr_matrix(matrix, dtype=float, copy=True)
+    if m.shape[0] != m.shape[1]:
+        raise ValueError(f"operator matrix shape {m.shape} is not square")
     m.sum_duplicates()
     m.eliminate_zeros()
     m.sort_indices()
     if not np.all(np.isfinite(m.data)):
         raise ValueError("operator entries must be finite")
-    dim = m.shape[0]
-    return DiscreteSpace(dim=dim, operator=SpdOperator(dim=dim, matrix=m),
+    return DiscreteSpace(dim=m.shape[0], operator=SpdOperator(m),
                          mass_weights=np.asarray(mass_weights, dtype=float),
                          space_id=space_id)
 
@@ -228,13 +221,6 @@ def _root(q: float, x: np.ndarray) -> float:
     return float(np.sqrt(q) + 0.0)
 
 
-def _forms(rows: np.ndarray, space: DiscreteSpace) -> np.ndarray:
-    # one operator application on the block; each row's form is the same
-    # np.dot as in `inner_a`, on contiguous rows, so it rounds the same way
-    products = np.ascontiguousarray(space.operator.apply(rows.T).T)
-    return np.array([np.dot(p, x) for p, x in zip(products, rows)])
-
-
 def norm_a(x, space: DiscreteSpace):
     """A-norm of a ``(dim,)`` vector (a float) or of each row of a
     ``(k, dim)`` block (``(k,)`` norms, equal to the vector calls row by
@@ -243,7 +229,10 @@ def norm_a(x, space: DiscreteSpace):
     x = _coeffs(x, space)
     if x.ndim == 1:
         return _root(float(np.dot(space.operator.apply(x), x)), x)
-    q = _forms(x, space)
+    # one operator application on the block; each row's form is the same
+    # np.dot as in `inner_a`, on contiguous rows, so it rounds the same way
+    products = np.ascontiguousarray(space.operator.apply(x.T).T)
+    q = np.array([np.dot(p, r) for p, r in zip(products, x)])
     low = q < 0.0
     for form, row in zip(q[low].tolist(), x[low]):
         _root(form, row)  # raises unless the form is roundoff
@@ -306,25 +295,21 @@ def random_unit_rows(space: DiscreteSpace, rng: np.random.Generator, k: int,
     ``rng.standard_normal((units, k, dim))``. With several units the
     samples depend on the block size; one unit gives the rows of
     sequential single draws. The probes that also need offsets or splits
-    take them from ``rng.random(k)`` just before. The norms come from one
-    operator application on the block, as in `norm_a`. A row whose form
-    is not positive is redrawn in place until its A-norm is nonzero;
-    `norm_a` raises `IntegrityError` on a form that is negative beyond
-    roundoff. On a space whose forms are subnormal the rows are not of
-    unit norm: ``1 / sqrt(q)`` of such a form keeps only a few
-    significant bits.
+    take them from ``rng.random(k)`` just before. The norms are one block
+    `norm_a`, which raises `IntegrityError` on a form that is negative
+    beyond roundoff; a row whose A-norm is zero is redrawn in place until
+    the vector `norm_a` of it is nonzero. On a space whose forms are
+    subnormal the rows are not of unit norm: ``1 / sqrt(q)`` of such a
+    form keeps only a few significant bits.
     """
     raw = rng.standard_normal((units, k, space.dim))
     rows = raw.reshape(-1, space.dim)
-    q = _forms(rows, space)
-    redo = np.flatnonzero(~(q > 0.0))
-    for i in redo:
-        while norm_a(rows[i], space) == 0.0:
+    norms = norm_a(rows, space)
+    for i in np.flatnonzero(norms == 0.0):
+        while norms[i] == 0.0:
             rng.standard_normal(out=rows[i])
-    if redo.size:
-        q[redo] = _forms(rows[redo], space)
-    # each form is now positive or NaN, where `norm_a` is its square root
-    return raw * (1.0 / np.sqrt(q)).reshape(units, k, 1)
+            norms[i] = norm_a(rows[i], space)
+    return raw * (1.0 / norms).reshape(units, k, 1)
 
 
 def dominant_inverse_eig(space: DiscreteSpace,

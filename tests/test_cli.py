@@ -234,6 +234,22 @@ def test_lemma_on_badly_scaled_matrix_is_a_verdict(tmp_path, capsys):
     assert "neumann_inverse" not in payload
 
 
+def test_unwritable_out_is_a_config_error(tmp_path, capsys):
+    # --out names an existing file: bad input, and no verdict line
+    cfg = _write(tmp_path, "cfg.json", MATRIX_CONFIG)
+    out = tmp_path / "taken"
+    out.write_text("")
+    assert main(["lemma", "--config", cfg, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"config error: cannot write to {out}: ")
+
+
+def test_every_package_export_is_a_cli_attribute():
+    for name in pc.__all__:
+        assert getattr(cli, name) is getattr(pc, name), name
+
+
 def _readme_keys() -> dict[str, set[str]]:
     # section cell -> the keys its rows of the README config table name; an
     # empty section cell continues the row above

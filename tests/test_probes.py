@@ -355,7 +355,6 @@ def _ref_brute(sys, pair, grid_radius, grid_n):
         min_e1 = min(min_e1, pc.energies(sys, u + off, v)[0] - e1_star)
         max_e2 = max(max_e2, pc.energies(sys, u, v + off)[1] - e2_star)
     return pc.BruteScanReport(
-        grid_n=grid_n, grid_radius=grid_radius,
         slack=2.0 * grid_radius * max(pair.residuals) + 1e-12,
         min_e1_delta=float(min_e1), max_e2_delta=float(max_e2))
 

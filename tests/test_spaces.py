@@ -128,6 +128,12 @@ def test_make_space_rejects_nonfinite_entries(bad):
         pc.make_space(m, np.ones(3), space_id="nonfinite")
 
 
+def test_make_space_rejects_a_non_square_matrix():
+    with pytest.raises(ValueError, match=r"^operator matrix shape \(3, 4\) "
+                                         r"is not square$"):
+        pc.make_space(sp.csr_matrix(np.ones((3, 4))), np.ones(3), "wide")
+
+
 def test_riesz_lift_pairing():
     # (riesz f, x)_A equals the weighted pointwise pairing sum w f x
     space = _random_spd_space(10, 11, "riesz")
