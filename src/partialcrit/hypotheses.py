@@ -9,6 +9,7 @@ scalar diagnostics used by the boundedness and compactness arguments.
 
 from __future__ import annotations
 
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -52,6 +53,9 @@ class SamplerSpec:
             raise ValueError("n_points must be positive")
         if not (self.box_radius > 0.0):
             raise ValueError("box_radius must be positive")
+        if not (self.box_radius <= 0.5 * sys.float_info.max):
+            # the box's width, which rng.uniform computes, would overflow
+            raise ValueError("box_radius must be below half the float range")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
         if self.n_points < 100:

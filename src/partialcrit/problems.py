@@ -289,8 +289,8 @@ def _system_from_parts(space: DiscreteSpace, pw: PointwiseNonlinearity,
         f = at_points(pw.F, a, b)
         if f.ndim == 1:
             return float(np.dot(weights, f))
-        # each row reduces with the np.dot of a single pair
-        return np.array([np.dot(weights, row) for row in f])
+        # np.vecdot calls np.dot's BLAS ddot on each row
+        return np.vecdot(f, weights)
 
     def eval_nu(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return lift(at_points(pw.f1, a, b))
@@ -510,8 +510,7 @@ def build_stokes_manufactured(spec: StokesSpec
     def eval_n(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
         if a.ndim == b.ndim == 1:
             return float(np.dot(ell1, a) + np.dot(ell2, b))
-        return np.array([np.dot(ell1, x) + np.dot(ell2, y)
-                         for x, y in zip(*np.broadcast_arrays(a, b))])
+        return np.vecdot(a, ell1) + np.vecdot(b, ell2)
 
     # the gradients of a linear coupling are the same at every pair
     def eval_nu(a: np.ndarray, b: np.ndarray) -> np.ndarray:

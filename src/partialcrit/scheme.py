@@ -211,11 +211,11 @@ def residual_v(sys: CoupledSystem, u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def _half_square(sign: float, norm):
     # ``sign / 2`` times the square of a norm, or of each of a block's
-    # norms, squared by Python's float power: numpy squares by
-    # multiplying, which rounds differently
+    # norms. Python's float power and np.float_power both call libm pow;
+    # ``x * x``, np.square and np.power round differently
     if isinstance(norm, float):
         return sign * 0.5 * norm ** 2
-    return np.array([sign * 0.5 * n ** 2 for n in norm.tolist()])
+    return sign * 0.5 * np.float_power(norm, 2.0)
 
 
 def _e1(sys: CoupledSystem, u: np.ndarray, v: np.ndarray):
@@ -524,9 +524,8 @@ def nash_check(sys: CoupledSystem, pair: SolutionPair, seed: int = 0
         k = min(rows, NASH_SAMPLES - start)
         s = NASH_RADIUS * (1.0 - rng.random(k))
         d_u, d_v = random_unit_rows(space, rng, k, units=2)
-        # Python's float power again, as in `_half_square`
-        bound = np.array([grad_level * x + curvature * x ** 2
-                          for x in s.tolist()])
+        # libm pow through np.float_power, as in `_half_square`
+        bound = grad_level * s + curvature * np.float_power(s, 2.0)
         e1_margins.append(_e1(sys, u + d_u * s[:, None], v) - e1_base + bound)
         e2_margins.append(_e2(sys, u, v + d_v * s[:, None]) - e2_base - bound)
 

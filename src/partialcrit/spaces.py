@@ -229,10 +229,10 @@ def norm_a(x, space: DiscreteSpace):
     x = _coeffs(x, space)
     if x.ndim == 1:
         return _root(float(np.dot(space.operator.apply(x), x)), x)
-    # one operator application on the block; each row's form is the same
-    # np.dot as in `inner_a`, on contiguous rows, so it rounds the same way
+    # one operator application on the block; np.vecdot calls the BLAS ddot
+    # of `inner_a`'s np.dot on each contiguous row, so it rounds the same
     products = np.ascontiguousarray(space.operator.apply(x.T).T)
-    q = np.array([np.dot(p, r) for p, r in zip(products, x)])
+    q = np.vecdot(products, x)
     low = q < 0.0
     for form, row in zip(q[low].tolist(), x[low]):
         _root(form, row)  # raises unless the form is roundoff

@@ -477,6 +477,10 @@ DEFECTS = [
      {"kind": "scalar", "a_value": 1e308,
       "nonlinearity": {"kind": "sincos", "epsilon": 1e308}},
      (), 2, "check: sampled difference quotients leave the float range"),
+    # a box wider than the float range cannot be sampled uniformly (new
+    # rows go last, so that the ids of the rows above keep their index)
+    ("check", SINCOS_CONFIG, ("check", "sampler", "box_radius"), 1e308, (), 2,
+     "check.sampler: box_radius must be below half the float range"),
 ]
 
 
@@ -703,14 +707,26 @@ _PROBLEM = st.one_of(
                            "nonlinearity": _NONLINEARITY}),
 )
 
+# a config that draws every number key of the other sections as well
+_CONFIG = st.fixed_dictionaries({
+    "problem": _PROBLEM,
+    "scheme": st.fixed_dictionaries({"max_outer": st.just(50),
+                                     "final_tol": _NUMBER}),
+    "check": st.fixed_dictionaries(
+        {"sampler": st.fixed_dictionaries(
+            {"n_points": st.sampled_from([100, 2]), "box_radius": _NUMBER}),
+         "ring_taus": st.lists(_NUMBER, min_size=1, max_size=2),
+         "declared_growth": st.lists(_NUMBER, min_size=3, max_size=3)}),
+    "oracle": st.fixed_dictionaries({"tol": _NUMBER}),
+})
+
 
 @settings(max_examples=150, derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(st.sampled_from(["check", "solve", "compare"]), _PROBLEM)
-def test_schema_valid_configs_end_in_an_exit_code(tmp_path, command, problem):
+@given(st.sampled_from(["check", "solve", "compare"]), _CONFIG)
+def test_schema_valid_configs_end_in_an_exit_code(tmp_path, command, config):
     # whatever the values, main maps the outcome to an exit code: nothing
     # raises, and no warning escapes (the suite turns warnings into errors)
-    cfg = _write(tmp_path, "cfg.json", {"problem": problem,
-                                        "scheme": {"max_outer": 50}})
+    cfg = _write(tmp_path, "cfg.json", config)
     code = main([command, "--config", cfg, "--out", str(tmp_path / "o")])
     assert code in {0, 1, 2, 3, 4}

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import sys
 
 import numpy as np
 import pytest
@@ -238,6 +239,12 @@ def test_sampler_spec_validation():
         pc.SamplerSpec(n_points=0)
     with pytest.raises(ValueError):
         pc.SamplerSpec(box_radius=0.0)
+    # the box's width must be a float; the largest radius still samples
+    half = 0.5 * sys.float_info.max
+    for radius in (np.nextafter(half, np.inf), 10**400):
+        with pytest.raises(ValueError, match="below half the float range"):
+            pc.SamplerSpec(box_radius=radius)
+    assert pc.SamplerSpec(box_radius=half).box_radius == half
     with pytest.warns(RuntimeWarning):
         pc.SamplerSpec(n_points=50)
 

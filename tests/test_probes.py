@@ -130,6 +130,38 @@ def test_block_norms_equal_norm_a(spaces):
             assert np.array_equal(_bits(got), _bits(ref)), space.space_id
 
 
+# the two numpy identities that make a block equal the vector calls:
+# np.vecdot reduces each row with the BLAS ddot that np.dot calls on one
+# pair, and np.float_power squares with the libm pow of Python's float
+# power. A numpy or BLAS upgrade that breaks either fails here.
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 12),
+       width=st.integers(1, 2600), scale=st.sampled_from([1e-5, 1.0, 1e5]))
+def test_vecdot_rows_equal_np_dot(seed, k, width, scale):
+    # C-contiguous rows, a row against one vector and a column-strided view
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((k, width)) * scale
+    b = rng.standard_normal((k, width))
+    strided = rng.standard_normal((k, 2 * width))[:, ::2]
+    for x, y in ((a, b), (a, b[0]), (strided, a)):
+        ref = [np.dot(p, r) for p, r in zip(*np.broadcast_arrays(x, y))]
+        assert np.array_equal(_bits(np.vecdot(x, y)), _bits(ref))
+
+
+# ``t ** 2`` of a Python float raises OverflowError above this
+_SQUARE_MAX = 1.3e154
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.lists(st.floats(-_SQUARE_MAX, _SQUARE_MAX)
+                | st.sampled_from([0.0, -0.0, 5e-324, -1e-310, _SQUARE_MAX]),
+                min_size=1, max_size=40))
+def test_float_power_squares_as_python_float_power(values):
+    x = np.array(values)
+    ref = [t ** 2 for t in x.tolist()]
+    assert np.array_equal(_bits(np.float_power(x, 2.0)), _bits(ref))
+
+
 @pytest.mark.parametrize("name", ["_e1", "_e2", "residual_u", "residual_v"])
 def test_block_energies_and_residuals_equal_the_vector_calls(bundled, name):
     # block/block, block/vector and vector/block, on a 6-row block, a block

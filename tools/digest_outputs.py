@@ -8,7 +8,13 @@ of stdout, of stderr and of every data file the run wrote.
 ``manifest.json`` is left out: it carries a timestamp and the config
 path.
 
-Two trees give the same outputs when their digests are equal:
+The first two lines are a header naming the numpy and scipy versions,
+so that
+
+    PYTHONPATH=src python3 tools/digest_outputs.py > tests/data/digests.txt
+
+regenerates the stored digests whole. Two trees give the same outputs
+when their digests are equal:
 
     PYTHONPATH=<parent checkout>/src python3 tools/digest_outputs.py > a.txt
     PYTHONPATH=src python3 tools/digest_outputs.py > b.txt
@@ -29,9 +35,14 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+import scipy
+
 from partialcrit import cli
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+HEADER = ("# Output of tools/digest_outputs.py on the bundled configs.",
+          f"# numpy {np.__version__} scipy {scipy.__version__}")
 
 
 def _sha(data: bytes) -> str:
@@ -70,6 +81,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", type=Path, default=None,
                         help="keep the outputs under this directory")
     args = parser.parse_args(argv)
+    print(*HEADER, sep="\n")
     with tempfile.TemporaryDirectory() as scratch:
         root = args.out or Path(scratch)
         for config in sorted(CONFIGS.glob("*.json")):
