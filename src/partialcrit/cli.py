@@ -469,8 +469,7 @@ def _solve_payloads(system: CoupledSystem, pair, trace, scfg: SchemeConfig):
     }
     if len(trace.rows) >= 2:
         report["contraction"] = _payload(
-            _cli.contraction_certificate(trace, system.monotony, p=1),
-            "passed")
+            _cli.contraction_certificate(trace, system.monotony, p=1))
     if pair.converged:
         report["nash"] = _payload(
             _cli.nash_check(system, pair, seed=scfg.seed), "ok")

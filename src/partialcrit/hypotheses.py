@@ -90,15 +90,12 @@ class RingReport:
 
 @dataclass(frozen=True)
 class PsBeta:
-    """Two readings of the compactness margin 1 - m11 - cross/(1 - diag).
+    """The compactness margin ``1 - m11 - m12 m21 / (1 - m22)``.
 
-    ``m11_only`` substitutes the first diagonal entry for every coefficient;
-    ``full`` uses the matrix's actual entries where the two-sequence
-    estimate produces them. The full margin is provably positive for a
-    convergent matrix; the m11-only one need not be.
+    ``full`` takes each entry where the two-sequence estimate produces it;
+    it is provably positive for a convergent matrix.
     """
 
-    m11_only: float
     full: float
 
 
@@ -347,14 +344,17 @@ def check_mountain_pass_ring(sys: CoupledSystem, tau: float,
         d_u, d_v = random_unit_rows(space, rng, k, units=2)
         nu = split * tau
         nv = (1.0 - split) * tau
-        lhs = sys.eval_N(d_u * nu[:, None], d_v * nv[:, None]) - n_zero
-        violated += int(np.count_nonzero(~(lhs < 0.5 * tau * (nu - nv))))
+        # a bound that overflows keeps its sign, and a NaN left side counts
+        # as violated
+        with np.errstate(over="ignore", invalid="ignore"):
+            lhs = sys.eval_N(d_u * nu[:, None], d_v * nv[:, None]) - n_zero
+            violated += int(np.count_nonzero(~(lhs < 0.5 * tau * (nu - nv))))
     return RingReport(tau=float(tau), n_samples=sampler.n_points,
                       n_violated=violated)
 
 
 def ps_beta(mm: MonotonyMatrix) -> PsBeta:
-    """Both readings of the compactness margin for a convergent matrix."""
+    """The compactness margin of a convergent matrix."""
     if mm.n != 2:
         raise ValueError("the margin is defined for 2 by 2 matrices")
     cert = is_convergent_to_zero(mm)
@@ -363,14 +363,13 @@ def ps_beta(mm: MonotonyMatrix) -> PsBeta:
             f"matrix is not convergent to zero (radius {cert.spectral_radius:.6g})"
         )
     e = mm.entries
-    m11 = float(e[0, 0])
-    lit = 1.0 - m11 - m11 * m11 / (1.0 - m11)
-    full = 1.0 - m11 - float(e[0, 1]) * float(e[1, 0]) / (1.0 - float(e[1, 1]))
+    full = (1.0 - float(e[0, 0])
+            - float(e[0, 1]) * float(e[1, 0]) / (1.0 - float(e[1, 1])))
     if not (full > 0.0):
         raise IntegrityError(
             f"full margin {full} should be positive for a convergent matrix"
         )
-    return PsBeta(m11_only=float(lit), full=float(full))
+    return PsBeta(full=float(full))
 
 
 def full_report(sys: CoupledSystem, declared: tuple[float, float, float],

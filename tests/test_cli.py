@@ -134,7 +134,7 @@ def _section_keys(cls, verdict=None):
 
 def test_report_sections_are_their_dataclasses(tmp_path):
     # each certificate section lists its report's fields in declaration
-    # order, then the verdict property
+    # order, then the verdict property when the verdict is not a field
     outputs = {}
     for command, config, name in (
             ("solve", SCALAR_CONFIG, "report.json"),
@@ -147,7 +147,7 @@ def test_report_sections_are_their_dataclasses(tmp_path):
     solve, check = outputs["solve"], outputs["check"]
     sections = [
         (solve["certificate"], pc.ConvergenceCertificate, "convergent"),
-        (solve["contraction"], pc.ContractionReport, "passed"),
+        (solve["contraction"], pc.ContractionReport, None),
         (solve["nash"], pc.NashReport, "ok"),
         (check["growth"], pc.GrowthReport, None),
         (check["certificate"], pc.ConvergenceCertificate, "convergent"),
@@ -623,6 +623,22 @@ def test_override_key_demotes_refusal(tmp_path, capsys):
     err = capsys.readouterr().err
     assert _rho_warning("1.5") in err.splitlines()
     assert ".py:" not in err
+
+
+def test_solve_reports_a_concave_pair_as_no_equilibrium(tmp_path, capsys):
+    # E1 = -0.1 u^2: the zero pair is converged but maximizes E1 in u, so
+    # the run exits 0 and its Nash probe fails
+    concave = {"problem": {"kind": "scalar", "a_value": 1.0,
+                           "nonlinearity": {"kind": "quadratic", "a": 0.6}},
+               "scheme": {"override_hypotheses": True}}
+    cfg = _write(tmp_path, "cfg.json", concave)
+    out = tmp_path / "o"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    assert capsys.readouterr().err.splitlines() == [_rho_warning("1.2")]
+    report = json.loads((out / "report.json").read_text())
+    assert report["converged"] is True
+    assert report["nash"]["ok"] is False
+    assert report["nash"]["min_e1_margin"] < 0.0
 
 
 def test_exhausted_exit_three(tmp_path):

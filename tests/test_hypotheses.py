@@ -167,7 +167,6 @@ def test_mu_domain_errors():
 def test_ps_beta_frozen_values():
     rep = pc.ps_beta(pc.MonotonyMatrix([[0.3, 0.2], [0.1, 0.4]]))
     assert rep.full == pytest.approx(1.0 - 0.3 - 0.02 / 0.6, rel=1e-12)
-    assert rep.m11_only == pytest.approx(1.0 - 0.3 - 0.09 / 0.7, rel=1e-12)
     assert rep.full > 0.0
 
 
@@ -194,6 +193,19 @@ def test_ring_inequality_fails_somewhere(sincos_1d):
         assert rep.n_violated > 0, f"tau={tau}"
         assert rep.n_violated < rep.n_samples, f"tau={tau}"
         assert 0.0 < rep.fraction_violated < 1.0
+
+
+def test_ring_scan_at_a_huge_tau_counts_without_warning():
+    # 0.5 * tau * (|u|_A - |v|_A) overflows at tau = 1e308 (a warning is an
+    # error here); the overflowed bound keeps its sign, so the count
+    # equals that at tau = 1e150
+    system = pc.build_dirichlet(pc.DirichletSpec(
+        dims=1, n_per_dim=15, lengths=(1.0,),
+        nonlinearity=pc.NonlinearitySpec.sincos(0.1)))
+    counts = [pc.check_mountain_pass_ring(system, tau,
+                                          pc.SamplerSpec()).n_violated
+              for tau in (1e150, 1e308)]
+    assert counts == [183, 183]
 
 
 def test_full_report_ready_for_bundled_sincos(sincos_1d):

@@ -144,6 +144,38 @@ def test_brute_nash_detects_wrong_candidate(scalar_linear):
     assert not rep.ok
 
 
+def _zero_pair(system):
+    # the zero pair, marked converged with zero residuals
+    zero = system.space.wrap(np.zeros(system.space.dim))
+    return pc.SolutionPair(u_star=zero, v_star=zero, residuals=(0.0, 0.0),
+                           converged=True, stages=1)
+
+
+@pytest.mark.parametrize("a, margin", [(0.6, -9.9e-4), (1.0, -5.0e-3),
+                                       (3.0, -2.5e-2)])
+def test_nash_check_rejects_a_concave_partial_functional(a, margin):
+    # E1 = (1/2 - a) u^2 has the zero pair as its maximum in u, not its
+    # minimum; the probe and the exhaustive scan both say so
+    system = pc.build_scalar(1.0, pc.NonlinearitySpec.quadratic(a, 0.0, 0.0,
+                                                                0.0))
+    pair = _zero_pair(system)
+    rep = pc.nash_check(system, pair)
+    assert not rep.ok
+    assert rep.min_e1_margin == pytest.approx(margin, rel=0.02)
+    assert rep.max_e2_margin < 0.0
+    scan = pc.brute_nash(system, pair)
+    assert not scan.ok
+    assert scan.min_e1_delta == pytest.approx((0.5 - a) * 0.5**2, rel=1e-12)
+
+
+def test_nash_check_rejects_a_concave_dirichlet_pair():
+    # a = 1000 bends E1 down along the low modes of the 31-node interval
+    system = pc.build_dirichlet(pc.DirichletSpec(
+        dims=1, n_per_dim=31, lengths=(1.0,),
+        nonlinearity=pc.NonlinearitySpec.quadratic(1000.0, 0.0, 0.0, 0.0)))
+    assert not pc.nash_check(system, _zero_pair(system)).ok
+
+
 def _ref_resid(sys, x):
     # the stacked residual of `newton_full`, through eval_Nu and eval_Nv
     n = sys.space.dim

@@ -173,13 +173,12 @@ def test_benchmark_tracer_fits_the_package():
     assert metrics["scheme.backtracks"] >= 0
     assert 0.0 <= metrics["scheme.accept_ratio"] <= 1.0
     # an A-norm of a row block is one traced call: one a side in the
-    # certificate; in the Nash probe two at the pair, four a curvature
-    # block and two a sample block, plus one for each block's draw
+    # certificate; in the Nash probe two at the pair and two a sample
+    # block, plus one for each block's draw
     spans = tracer.spans
     owners = {"scheme.contraction_certificate": 2,
-              "scheme.nash_check": (2 + 5 * -(-8 // system.probe_rows)
-                                    + 3 * -(-pc.scheme.NASH_SAMPLES
-                                            // system.probe_rows))}
+              "scheme.nash_check": 2 + 3 * -(-pc.scheme.NASH_SAMPLES
+                                             // system.probe_rows)}
     for owner, expected in owners.items():
         got = sum(1 for i, s in enumerate(spans)
                   if s[tracing.NAME] == "spaces.norm_a"

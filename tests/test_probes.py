@@ -29,16 +29,16 @@ from partialcrit.errors import IntegrityError
 from partialcrit.spaces import random_unit_rows
 
 
-def _ref_samples(sys, rng, n, units=1, uniform=False):
+def _ref_samples(sys, rng, n):
     # the probes' draws over their blocks of ``probe_rows`` (a block's
-    # uniforms, when asked for, come first), one sample (uniform, then a
-    # direction a unit) at a time
+    # uniforms first), one sample (uniform, then a direction a side) at a
+    # time
     rows = sys.probe_rows
     for start in range(0, n, rows):
         k = min(rows, n - start)
-        draws = rng.random(k) if uniform else np.zeros(k)
-        yield from zip(draws.tolist(), *random_unit_rows(sys.space, rng, k,
-                                                         units))
+        uniforms = rng.random(k)
+        yield from zip(uniforms.tolist(),
+                       *random_unit_rows(sys.space, rng, k, units=2))
 
 
 def _ref_e1(sys, u, v):
@@ -50,31 +50,23 @@ def _ref_e2(sys, u, v):
 
 
 def _ref_nash(sys, pair, seed=0):
+    # the one-sided first-order bound, one sample at a time
     rng = np.random.default_rng(seed)
     u, v = pair.u_star.coeffs, pair.v_star.coeffs
-    delta = 0.5 * scheme.NASH_RADIUS
-    curvature = 1e-6
+    r_u, r_v = pair.residuals
     e1_base = _ref_e1(sys, u, v)
     e2_base = _ref_e2(sys, u, v)
-    for _, d in _ref_samples(sys, rng, 8):
-        c1 = abs(_ref_e1(sys, u + delta * d, v) - 2.0 * e1_base
-                 + _ref_e1(sys, u - delta * d, v)) / delta**2
-        c2 = abs(_ref_e2(sys, u, v + delta * d) - 2.0 * e2_base
-                 + _ref_e2(sys, u, v - delta * d)) / delta**2
-        curvature = max(curvature, c1, c2)
-    grad_level = max(pair.residuals)
     min_e1_margin = np.inf
     max_e2_margin = -np.inf
-    for x, d_u, d_v in _ref_samples(sys, rng, scheme.NASH_SAMPLES, 2, True):
+    for x, d_u, d_v in _ref_samples(sys, rng, scheme.NASH_SAMPLES):
         s = scheme.NASH_RADIUS * (1.0 - x)
-        bound = grad_level * s + curvature * s**2
         de1 = _ref_e1(sys, u + s * d_u, v) - e1_base
         de2 = _ref_e2(sys, u, v + s * d_v) - e2_base
-        min_e1_margin = min(min_e1_margin, de1 + bound)
-        max_e2_margin = max(max_e2_margin, de2 - bound)
-    return pc.NashReport(curvature=float(curvature),
-                         min_e1_margin=float(min_e1_margin),
-                         max_e2_margin=float(max_e2_margin))
+        min_e1_margin = min(min_e1_margin, de1 + r_u * s)
+        max_e2_margin = max(max_e2_margin, de2 - r_v * s)
+    return pc.NashReport(
+        min_e1_margin=float(min_e1_margin + 1e-12 * (1.0 + abs(e1_base))),
+        max_e2_margin=float(max_e2_margin - 1e-12 * (1.0 + abs(e2_base))))
 
 
 def _ref_ring(sys, tau, sampler):
@@ -82,7 +74,7 @@ def _ref_ring(sys, tau, sampler):
     zero = np.zeros(sys.space.dim)
     n_zero = float(sys.eval_N(zero, zero))
     violated = 0
-    for split, d_u, d_v in _ref_samples(sys, rng, sampler.n_points, 2, True):
+    for split, d_u, d_v in _ref_samples(sys, rng, sampler.n_points):
         nu = split * tau
         nv = (1.0 - split) * tau
         u = nu * d_u
@@ -283,13 +275,12 @@ def test_fixed_side_is_sampled_once_a_block(stokes_17, solved, monkeypatch):
     monkeypatch.setattr(problems._StokesGrid, "curl", counting)
     pc.nash_check(stokes_17, solved["stokes_17"][0])
     # E1 and E2 at the pair sample two vectors each; then each block of
-    # the curvature probe (8 directions) evaluates four energies and each
-    # block of the samples two, each on the block and the fixed vector
+    # the samples evaluates two energies, each on the block and the fixed
+    # vector
     k = stokes_17.probe_rows
     expected = [1] * 4
-    for n, energies in ((8, 4), (scheme.NASH_SAMPLES, 2)):
-        for start in range(0, n, k):
-            expected += [min(k, n - start), 1] * energies
+    for start in range(0, scheme.NASH_SAMPLES, k):
+        expected += [min(k, scheme.NASH_SAMPLES - start), 1] * 2
     assert sorted(rows) == sorted(expected)
 
 
@@ -322,32 +313,25 @@ def test_ring_scan_equals_per_sample_reference(bundled):
 
 
 def _ref_contraction(trace, m, p):
-    # one pair of A-norms a stage, then the two dominance checks
+    # one pair of A-norms a stage, then the dominance check
     us, vs = trace.iterates_u, trace.iterates_v
     if len(us) - 1 - p < 1:
-        return pc.ContractionReport(p=p, n_checks=0, full_ok=True,
-                                    m11_only_ok=True, max_margin_full=0.0,
-                                    max_margin_m11_only=0.0)
+        return pc.ContractionReport(p=p, n_checks=0, max_margin=0.0,
+                                    passed=True)
     xs = np.asarray([(pc.norm_a(us[k + p] - us[k], trace.space),
                       pc.norm_a(vs[k + p] - vs[k], trace.space))
                      for k in range(len(us) - p)])
     e = m.entries
-    m11 = float(e[0, 0])
-    forms = (([[e[0, 0], 0.0], [e[1, 0], e[1, 1]]], [[0.0, e[0, 1]], [0.0, 0.0]]),
-             ([[m11, 0.0], [m11, m11]], [[0.0, m11], [0.0, 0.0]]))
-    reports = []
-    for b_now, b_delay in forms:
-        ys = np.zeros_like(xs)
-        for k in range(1, len(xs)):
-            ys[k] = np.array(b_now) @ xs[k] + 2.0 / k
-        reports.append(pc.verify_dominance(
-            xs, ys, pc.MonotonyMatrix(np.array(b_delay)), slack=1e-12))
-    full, lit = reports
-    return pc.ContractionReport(
-        p=p, n_checks=len(xs) - 1, full_ok=bool(full.dominance_ok),
-        m11_only_ok=bool(lit.dominance_ok),
-        max_margin_full=float(full.max_violation),
-        max_margin_m11_only=float(lit.max_violation))
+    b_now = np.array([[e[0, 0], 0.0], [e[1, 0], e[1, 1]]])
+    ys = np.zeros_like(xs)
+    for k in range(1, len(xs)):
+        ys[k] = b_now @ xs[k] + 2.0 / k
+    report = pc.verify_dominance(
+        xs, ys, pc.MonotonyMatrix(np.array([[0.0, e[0, 1]], [0.0, 0.0]])),
+        slack=1e-12)
+    return pc.ContractionReport(p=p, n_checks=len(xs) - 1,
+                                max_margin=float(report.max_violation),
+                                passed=bool(report.dominance_ok))
 
 
 def test_contraction_certificate_equals_per_stage_reference(bundled, solved):
@@ -451,17 +435,13 @@ def test_nan_energies_fail_the_nash_probe(bundled, solved, rows):
     # a fold that passes over NaN would judge each block by its first row
     system, pair = bundled["sincos_1d"], solved["sincos_1d"][0]
     system = dataclasses.replace(system, probe_rows=rows or system.probe_rows)
-    clean = pc.nash_check(system, pair)
-    assert clean.ok
-    # four energies a block of the 8 curvature directions, then two a block
-    # of the samples
-    n_curvature = 4 * -(-8 // system.probe_rows)
-    for calls, nan_curvature in ((None, True), (range(n_curvature), True),
-                                 (range(n_curvature, 10**6), False)):
+    assert pc.nash_check(system, pair).ok
+    # two energies a block of the samples: NaN rows in every block, and in
+    # the last block alone
+    n_calls = 2 * -(-scheme.NASH_SAMPLES // system.probe_rows)
+    for calls in (None, range(n_calls - 2, n_calls)):
         report = pc.nash_check(_nan_after_first_row(system, calls), pair)
         assert not report.ok, calls
-        assert (np.isnan(report.curvature) if nan_curvature
-                else report.curvature == clean.curvature)
         assert np.isnan(report.min_e1_margin)
         assert np.isnan(report.max_e2_margin)
 
@@ -495,8 +475,7 @@ def stokes_49():
 
 
 def test_blocks_on_stokes_49_equal_the_reference(stokes_49):
-    # 3 rows a block: the curvature probe splits 3 + 3 + 2, the samples
-    # end in a block of 2
+    # 3 rows a block: the samples end in a block of 2
     system, pair = stokes_49
     assert pc.nash_check(system, pair) == _ref_nash(system, pair)
     sampler = pc.SamplerSpec(n_points=100)

@@ -142,6 +142,38 @@ def test_embedding_refinement_is_second_order():
     assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.5)
 
 
+@pytest.mark.parametrize("dims, sizes", [(1, (15, 31, 63, 255)),
+                                         (2, (15, 31))])
+def test_dirichlet_embedding_matches_the_discrete_eigenvalue(dims, sizes):
+    # the first eigenvalue of the second-difference Laplacian on the unit
+    # interval is (4/h^2) sin^2(pi h / 2), on the unit square twice that;
+    # a Rayleigh quotient of the power iteration underestimates it
+    for n in sizes:
+        system = pc.build_dirichlet(pc.DirichletSpec(
+            dims=dims, n_per_dim=n, lengths=(1.0,) * dims))
+        h = 1.0 / (n + 1)
+        lam = dims * 4.0 / h**2 * np.sin(0.5 * np.pi * h) ** 2
+        assert 0.0 < 1.0 - system.embedding_sq * lam < 1e-8, n
+
+
+def test_stokes_embedding_tends_to_the_stokes_eigenvalue():
+    # mu = 1: 1/c^2 - mu is the discrete first Stokes eigenvalue of the
+    # unit square. It falls with n, and its O(h^2) Richardson extrapolation
+    # meets the continuum value 52.3447 (5.304 pi^2, the clamped square
+    # plate's buckling load)
+    lam = {}
+    for n in (9, 17, 33, 49, 65):
+        system = pc.build_stokes(pc.StokesSpec(
+            n_per_dim=n, lengths=(1.0, 1.0), mu_coeff=1.0))
+        lam[n] = 1.0 / system.embedding_sq - 1.0
+    values = list(lam.values())
+    assert all(a > b for a, b in zip(values, values[1:]))
+    h_coarse, h_fine = 1.0 / 34, 1.0 / 66
+    limit = ((h_coarse**2 * lam[65] - h_fine**2 * lam[33])
+             / (h_coarse**2 - h_fine**2))
+    assert limit == pytest.approx(52.3447, abs=1e-2)
+
+
 def test_solution_refinement_on_shared_nodes():
     # nested grids share nodes; differences against the finest level
     # shrink at second order
