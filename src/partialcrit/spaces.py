@@ -15,11 +15,13 @@ norms.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 from scipy.sparse.linalg import splu
 
 from .errors import ConvergenceError, IntegrityError
@@ -58,8 +60,26 @@ class SpdOperator:
     _lu: object = field(default=None, init=False, repr=False)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """Return ``A @ x`` as a dense vector."""
-        return self.matrix @ x
+        """Return ``A @ x`` for a ``(dim,)`` vector or a ``(dim, k)`` block.
+
+        Calls the CSR kernels that ``matrix @ x`` ends in (``csr_matvec``,
+        ``csr_matvecs``) without scipy's dispatch, which on a small vector
+        costs about twice the product itself; the result is the same, bit
+        for bit. The kernels take `x` as a contiguous float copy when it is
+        not one, but trust its length, so that is checked here.
+        """
+        m = self.matrix
+        n = m.shape[0]
+        if x.ndim not in (1, 2) or x.shape[0] != n:
+            raise ValueError("vector length does not match operator dimension")
+        if x.ndim == 1:
+            out = np.zeros(n)
+            _sparsetools.csr_matvec(n, n, m.indptr, m.indices, m.data, x, out)
+        else:
+            out = np.zeros((n, x.shape[1]))
+            _sparsetools.csr_matvecs(n, n, x.shape[1], m.indptr, m.indices,
+                                     m.data, x.ravel(), out.ravel())
+        return out
 
     def factor(self):
         """Sparse LU factorization of the matrix, computed once.
@@ -123,7 +143,7 @@ class DiscreteSpace:
         c = np.asarray(coeffs, dtype=float)
         if c.ndim not in (1, 2) or c.shape[-1] != self.dim:
             raise ValueError("vector length does not match space dimension")
-        if not np.all(np.isfinite(c)):
+        if not np.isfinite(c).all():
             raise ValueError("coefficients must be finite")
         return c
 
@@ -218,7 +238,7 @@ def _root(q: float, x: np.ndarray) -> float:
             )
         q = 0.0
     # the + 0.0 folds a possible negative zero from sqrt(-0.0)
-    return float(np.sqrt(q) + 0.0)
+    return math.sqrt(q) + 0.0
 
 
 def norm_a(x, space: DiscreteSpace):
@@ -264,7 +284,7 @@ def solve_a(h, space: DiscreteSpace) -> np.ndarray:
     if b.ndim not in (1, 2) or b.shape[-1] != space.dim:
         raise ValueError("right-hand side length does not match space dimension")
     if b.ndim == 1:
-        x = space.operator.factor().solve(b) if np.any(b) else np.zeros(b.shape)
+        x = space.operator.factor().solve(b) if b.any() else np.zeros(b.shape)
     else:
         x = np.zeros(b.shape)
         live = np.any(b, axis=1)
@@ -335,8 +355,9 @@ def dominant_inverse_eig(space: DiscreteSpace,
         lam_old = lam
         y = solve_a(mx, space)
         ynorm = float(np.linalg.norm(y))
-        if ynorm == 0.0:
+        if ynorm == 0.0 or ynorm == math.inf:
             # the squares underflow once every entry is below about 1e-154
+            # and overflow once one is above about 1e154
             peak = float(np.max(np.abs(y)))
             if peak == 0.0:
                 return 0.0

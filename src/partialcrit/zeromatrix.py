@@ -27,6 +27,7 @@ __all__ = [
 ]
 
 _MAX_SIZE = 8
+_LOG_DECAYED = math.log(1e-6)
 
 
 @dataclass(frozen=True)
@@ -58,8 +59,9 @@ class ConvergenceCertificate:
 
     ``spectral_radius`` is one eigensolve checked against its
     Collatz–Wielandt bracket; ``neumann_ok`` says that ``I - M`` has a
-    nonnegative inverse; ``powers_decay`` squares the matrix 64 times (with
-    norm tracking), so it probes an astronomically high power. Outside a
+    nonnegative inverse; ``powers_decay`` says that ``M^(2^64)`` has
+    infinity norm below 1e-6, found by squaring with norm tracking until a
+    power is below that (then every later one is) or 64 times. Outside a
     thin band around spectral radius one the three booleans agree, and
     `is_convergent_to_zero` enforces that agreement.
     """
@@ -161,25 +163,27 @@ def _neumann_ok(a: np.ndarray, rho_ok: bool) -> bool:
 
 
 def _powers_decay(a: np.ndarray) -> bool:
-    # track log ||M^(2^k)||_inf through 64 normalized squarings to dodge
-    # overflow/underflow; decayed means ||M^(2^64)||_inf < 1e-6
+    # track log ||M^(2^k)||_inf through up to 64 normalized squarings to
+    # dodge overflow/underflow; decayed means ||M^(2^64)||_inf < 1e-6. The
+    # inf-norm is submultiplicative, so once a tracked power is below 1e-6
+    # every later one is smaller, and the verdict is settled
     norm = float(np.abs(a).sum(axis=1).max())
     if norm == 0.0:
         return True
     log_norm = math.log(norm)
     p = a / norm
     for _ in range(64):
+        if log_norm < _LOG_DECAYED:
+            return True
         p = p @ p
         norm = float(np.abs(p).sum(axis=1).max())
         if norm == 0.0:
             return True
         log_norm = 2.0 * log_norm + math.log(norm)
         p = p / norm
-        if log_norm < -1e6:
-            return True
         if log_norm > 1e6:
             return False
-    return log_norm < math.log(1e-6)
+    return log_norm < _LOG_DECAYED
 
 
 def is_convergent_to_zero(m) -> ConvergenceCertificate:

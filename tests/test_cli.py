@@ -608,6 +608,21 @@ def test_refused_exit_one(tmp_path):
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
 
 
+def test_overflowing_power_iteration_is_a_verdict(tmp_path, capsys):
+    # at length 1e150 the embedding's power iterates exceed 1e154, so
+    # their euclidean norm overflows; the build rescales them and goes on
+    huge = {"problem": {"kind": "dirichlet", "dims": 1, "n_per_dim": 15,
+                        "lengths": [1e150],
+                        "nonlinearity": {"kind": "sincos", "epsilon": 1.0}}}
+    cfg = _write(tmp_path, "cfg.json", huge)
+    code = main(["check", "--config", cfg, "--out", str(tmp_path / "o")])
+    captured = capsys.readouterr()
+    assert code in {0, 1, 2}
+    assert "Traceback" not in captured.out + captured.err
+    assert captured.err.splitlines()[0] == (
+        "warning: problem: overflow encountered in dot")
+
+
 def _rho_warning(rho: str) -> str:
     return (f"warning: scheme: coupling matrix has spectral radius {rho} "
             "(needs < 1); continuing on request")

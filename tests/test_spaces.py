@@ -198,6 +198,21 @@ def test_power_iteration_survives_underflowing_iterates():
     assert lam_scaled == pytest.approx(1e-280 * lam, rel=1e-6, abs=0.0)
 
 
+def test_power_iteration_survives_overflowing_iterates():
+    # scaling A by 2^-500 and W by 2^500 scales the eigenvalue by 2^1000;
+    # the iterates then sit above 1e154, where their euclidean norm
+    # overflows (numpy warns) while the peak rescaling keeps them finite
+    base = _random_spd_space(6, 4, "unscaled")
+    w = base.mass_weights
+    scaled = pc.make_space(2.0**-500 * base.operator.matrix, w,
+                           space_id="scaled")
+    lam = spaces.dominant_inverse_eig(base, lambda x: w * x)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        lam_scaled = spaces.dominant_inverse_eig(
+            scaled, lambda x: 2.0**500 * w * x)
+    assert lam_scaled == pytest.approx(2.0**1000 * lam, rel=1e-6, abs=0.0)
+
+
 def test_power_iteration_stagnation_raises():
     # eigenvalues +-i: the Rayleigh quotient cycles and never settles
     space = pc.make_space(sp.identity(2, format="csr"), np.ones(2),
@@ -343,3 +358,83 @@ def test_row_sums_equal_np_sum_bit_for_bit(width):
         for block in (z, np.asfortranarray(z)):
             assert (spaces._row_sums(block).tobytes()
                     == np.sum(z, axis=1).tobytes())
+
+
+# ------------------------------------------------ the operator product
+
+
+def _same_bits(got, ref):
+    return (got.dtype == ref.dtype and got.shape == ref.shape
+            and got.tobytes() == ref.tobytes())
+
+
+def _apply_cases(matrix, x, block):
+    """(argument, reference) pairs: a vector, the transposed block that
+    `norm_a` passes, strided views of both, and integer input."""
+    cases = [x, block.T, np.repeat(x, 2)[::2], block[::-1].T[:, ::2],
+             np.rint(8.0 * x).astype(np.int64),
+             np.rint(8.0 * block.T).astype(np.int32)]
+    return [(z, matrix @ z) for z in cases]
+
+
+def test_apply_is_the_matrix_product_on_every_bundled_space(bundled):
+    rng = np.random.default_rng(9)
+    for system in bundled.values():
+        op, dim = system.space.operator, system.space.dim
+        x, block = rng.standard_normal(dim), rng.standard_normal((5, dim))
+        for z, ref in _apply_cases(op.matrix, x, block):
+            assert _same_bits(op.apply(z), ref)
+
+
+@st.composite
+def _sparse_spd(draw):
+    n = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    r = sp.random(n, n, density=draw(st.floats(0.05, 1.0)), random_state=rng,
+                  format="csr")
+    return (r.T @ r + sp.identity(n)).tocsr()
+
+
+@_property
+@given(_sparse_spd(), st.integers(1, 6), st.data())
+def test_apply_is_the_matrix_product_bit_for_bit(matrix, k, data):
+    op = pc.make_space(matrix, np.ones(matrix.shape[0]), "apply").operator
+    n = op.matrix.shape[0]
+    x = data.draw(arrays(float, n, elements=_finite))
+    block = data.draw(arrays(float, (k, n), elements=_finite))
+    for z, ref in _apply_cases(op.matrix, x, block):
+        assert _same_bits(op.apply(z), ref)
+
+
+def test_apply_rejects_a_wrong_length():
+    op = _random_spd_space(4, 5, "length").operator
+    for bad in (np.ones(5), np.ones((3, 2)), np.ones((4, 2, 1)), np.float64(1)):
+        with pytest.raises(ValueError, match="does not match operator"):
+            op.apply(bad)
+
+
+def test_the_forms_reach_the_operator_product(monkeypatch):
+    # the benchmark's tracer counts matvecs by wrapping SpdOperator.apply;
+    # a form that multiplied by the matrix another way would count none
+    calls = []
+    apply = spaces.SpdOperator.apply
+
+    def counted(self, x):
+        calls.append(x.shape)
+        return apply(self, x)
+
+    monkeypatch.setattr(spaces.SpdOperator, "apply", counted)
+    space = _random_spd_space(6, 8, "reach")
+    x = np.ones(6)
+    forms = {
+        "norm_a": lambda: pc.norm_a(x, space),
+        "norm_a block": lambda: pc.norm_a(np.ones((3, 6)), space),
+        "inner_a": lambda: pc.inner_a(x, x, space),
+        "dominant_inverse_eig": lambda: spaces.dominant_inverse_eig(
+            space, lambda y: y),
+        "validate_space": lambda: pc.validate_space(space),
+    }
+    for name, form in forms.items():
+        calls.clear()
+        form()
+        assert calls, name

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import partialcrit as pc
 from partialcrit.errors import IntegrityError
-from partialcrit.zeromatrix import _balance
+from partialcrit.zeromatrix import _balance, _powers_decay
 
 
 def test_spectral_radius_frozen_example():
@@ -285,3 +285,41 @@ def test_certificates_agree_off_the_unit_band(m):
     assert cert.rho_ok == (ref < 1.0)
     assert cert.neumann_ok == cert.rho_ok
     assert cert.powers_decay == cert.rho_ok
+
+
+def _powers_decay_64(a):
+    # reference: all 64 normalized squarings, no early verdict below 1e-6
+    norm = float(np.abs(a).sum(axis=1).max())
+    if norm == 0.0:
+        return True
+    log_norm = math.log(norm)
+    p = a / norm
+    for _ in range(64):
+        p = p @ p
+        norm = float(np.abs(p).sum(axis=1).max())
+        if norm == 0.0:
+            return True
+        log_norm = 2.0 * log_norm + math.log(norm)
+        p = p / norm
+        if log_norm < -1e6:
+            return True
+        if log_norm > 1e6:
+            return False
+    return log_norm < math.log(1e-6)
+
+
+_RADII = st.one_of(
+    st.floats(0.0, 0.99),
+    st.floats(-1e-3, 1e-3).map(lambda d: 1.0 + d),
+    st.floats(1.01, 4.0),
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_nonnegative_matrices(), _RADII)
+def test_powers_decay_stops_early_with_the_full_verdict(m, target):
+    # scaled to the drawn radius: below one, within 1e-3 of it, or above
+    ref = float(np.max(np.abs(np.linalg.eigvals(m))))
+    if ref > 0.0:
+        m = m * (target / ref)
+    assert _powers_decay(m) == _powers_decay_64(m)
