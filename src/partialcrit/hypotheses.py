@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IntegrityError
-from .scheme import CoupledSystem
-from .spaces import _row_sums, random_unit_rows
+from .scheme import CoupledSystem, _probe_blocks
+from .spaces import _row_sums
 from .zeromatrix import ConvergenceCertificate, MonotonyMatrix, is_convergent_to_zero
 
 __all__ = [
@@ -326,22 +326,16 @@ def check_mountain_pass_ring(sys: CoupledSystem, tau: float,
 
     at every ring point; the report counts how often the sampled points
     violate it. A nonzero violated fraction rules the geometry out. The
-    points are drawn and evaluated in blocks of ``sys.probe_rows`` rows;
-    they are drawn one block at a time, so they depend on ``probe_rows``.
+    points come from `scheme._probe_blocks`, so they are a function of the
+    sampler's seed and point count alone.
     """
     if not (tau > 0.0):
         raise ValueError("tau must be positive")
-    space = sys.space
-    rng = np.random.default_rng(sampler.seed)
-    zero = np.zeros(space.dim)
+    zero = np.zeros(sys.space.dim)
     n_zero = sys.eval_N(zero, zero)
 
     violated = 0
-    rows = sys.probe_rows
-    for start in range(0, sampler.n_points, rows):
-        k = min(rows, sampler.n_points - start)
-        split = rng.random(k)
-        d_u, d_v = random_unit_rows(space, rng, k, units=2)
+    for split, d_u, d_v in _probe_blocks(sys, sampler.seed, sampler.n_points):
         nu = split * tau
         nv = (1.0 - split) * tau
         # a bound that overflows keeps its sign, and a NaN left side counts

@@ -170,7 +170,8 @@ def fd_gradient_check(sys: CoupledSystem, u: np.ndarray, v: np.ndarray,
     """
     space = sys.space
     step = 1e-4
-    du, dv = random_unit_rows(space, np.random.default_rng(0), n_dirs, units=2)
+    du, dv = random_unit_rows(space, np.random.default_rng(0),
+                              2 * n_dirs).reshape(2, n_dirs, space.dim)
     an1 = du @ space.operator.apply(residual_u(sys, u, v))
     an2 = dv @ space.operator.apply(residual_v(sys, u, v))
     fd = np.array([_e1(sys, u + step * du, v) - _e1(sys, u - step * du, v),

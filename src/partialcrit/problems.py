@@ -243,12 +243,12 @@ def _pointwise_laplacian_2d(n: int, hx: float, hy: float) -> sp.csr_matrix:
             + sp.kron(_laplacian_1d(n, hy), eye, format="csr"))
 
 
-# byte budget for each array of a probe block: `nash_check` and
-# `check_mountain_pass_ring` evaluate their samples in blocks of rows. With
-# 256 KB of pointwise values a block, the peak resident memory of a run of
-# Stokes sessions rose by 3.6 MB (4.5%); with 128 KB for every array it
-# stays level. Half that leaves Stokes n=49 one row a block, which costs
-# more in block handling than it saves
+# byte budget for each array of a probe block; it sets memory and speed only,
+# as the samples of `nash_check` and `check_mountain_pass_ring` do not depend
+# on it. 256 KB of pointwise values a block raised the peak resident memory
+# of Stokes sessions by 3.6 MB (4.5%), 128 KB for every array keeps it level,
+# and half that leaves Stokes n=49 one row a block, which costs more in block
+# handling than it saves
 PROBE_BYTES = 128 * 1024
 
 

@@ -126,7 +126,8 @@ class CoupledSystem:
     returns a float for two vectors and ``(k,)`` values otherwise, the
     gradients ``(dim,)`` or ``(k, dim)`` coefficients; a block equals the
     single calls row by row. The probes evaluate in blocks of
-    ``probe_rows`` rows, the most whose arrays fit `problems.PROBE_BYTES`.
+    ``probe_rows`` rows, the most whose arrays fit `problems.PROBE_BYTES`,
+    which bounds memory only: a probe's samples depend on its seed and count.
 
     ``monotony`` bounds the couplings of the gradient differences and is
     consumed by the convergence gate and the contraction certificate;
@@ -339,7 +340,7 @@ def run_scheme(sys: CoupledSystem, cfg: SchemeConfig | None = None
 
     space = sys.space
     u = np.zeros(space.dim)
-    v = (random_unit_rows(space, np.random.default_rng(cfg.seed), 1)[0, 0]
+    v = (random_unit_rows(space, np.random.default_rng(cfg.seed), 1)[0]
          if cfg.random_init else np.zeros(space.dim))
 
     trace = SchemeTrace(space=space, iterates_u=[u], iterates_v=[v])
@@ -463,6 +464,19 @@ class NashReport:
         return self.min_e1_margin >= 0.0 and self.max_e2_margin <= 0.0
 
 
+def _probe_blocks(sys: CoupledSystem, seed: int, n: int):
+    """Yield a probe's `n` samples as ``(uniforms, d_u, d_v)`` blocks of
+    ``sys.probe_rows``: all uniforms first, then each block's directions as
+    one `random_unit_rows` draw, sample i's u in row 2i and v in 2i + 1, so
+    that a sample depends on `seed` and `n` only, not on the block size."""
+    rng = np.random.default_rng(seed)
+    uniforms = rng.random(n)
+    for start in range(0, n, sys.probe_rows):
+        k = min(sys.probe_rows, n - start)
+        d = random_unit_rows(sys.space, rng, 2 * k).reshape(k, 2, -1)
+        yield uniforms[start:start + k], d[:, 0], d[:, 1]
+
+
 def nash_check(sys: CoupledSystem, pair: SolutionPair, seed: int = 0
                ) -> NashReport:
     """Probe that E1 cannot drop and E2 cannot rise beyond residual effects.
@@ -480,28 +494,20 @@ def nash_check(sys: CoupledSystem, pair: SolutionPair, seed: int = 0
     ``1 - m11``, so ``dE1 >= -r_u s + (1 - m11) s^2 / 2``, and m22 does
     the same for -E2(u, .). A pair that minimizes E1 in u and maximizes
     E2 in v passes; where either functional bends the wrong way, a sample
-    that finds it fails. The samples are drawn and evaluated in blocks of
-    ``sys.probe_rows`` rows, one block at a time, so they depend on
-    ``probe_rows``. The margins are numpy's min and max over all blocks,
-    so a NaN energy on any probed row makes them NaN and the report not
-    ``ok``.
+    that finds it fails. The samples, from `_probe_blocks`, depend on `seed`
+    alone. The margins are numpy's min and max over all blocks, so a NaN
+    energy on any probed row makes them NaN and the report not ``ok``.
     """
     if not pair.converged:
         raise ValueError("nash_check expects a converged pair")
-    space = sys.space
-    rows = sys.probe_rows
-    rng = np.random.default_rng(seed)
     u, v = pair.u_star.coeffs, pair.v_star.coeffs
     r_u, r_v = pair.residuals
     e1_base = _e1(sys, u, v)
     e2_base = _e2(sys, u, v)
 
-    e1_margins = []
-    e2_margins = []
-    for start in range(0, NASH_SAMPLES, rows):
-        k = min(rows, NASH_SAMPLES - start)
-        s = NASH_RADIUS * (1.0 - rng.random(k))
-        d_u, d_v = random_unit_rows(space, rng, k, units=2)
+    e1_margins, e2_margins = [], []
+    for x, d_u, d_v in _probe_blocks(sys, seed, NASH_SAMPLES):
+        s = NASH_RADIUS * (1.0 - x)
         e1_margins.append(_e1(sys, u + d_u * s[:, None], v) - e1_base + r_u * s)
         e2_margins.append(_e2(sys, u, v + d_v * s[:, None]) - e2_base - r_v * s)
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -53,7 +54,7 @@ class SpdOperator:
         properties.
 
     The sparse factorization behind `solve_a` is computed on the first
-    solve and kept with the operator.
+    solve and kept with the operator, as is `row_scale` on first use.
     """
 
     matrix: sp.csr_matrix
@@ -114,6 +115,12 @@ class SpdOperator:
                 )
             object.__setattr__(self, "_lu", lu)
         return self._lu
+
+    @cached_property
+    def row_scale(self) -> float:
+        """The power of two nearest to ``1 / sqrt(max |A_ij|)``."""
+        peak = float(np.max(np.abs(self.matrix.data), initial=0.0))
+        return math.ldexp(1.0, -round(math.log2(peak) / 2)) if peak else 1.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -306,30 +313,21 @@ def riesz_lift(f_pointwise, space: DiscreteSpace) -> np.ndarray:
     return solve_a(space.mass_weights * f, space)
 
 
-def random_unit_rows(space: DiscreteSpace, rng: np.random.Generator, k: int,
-                     units: int = 1) -> np.ndarray:
-    """`k` rows of `units` standard normal directions scaled to unit
-    A-norm, drawn as one block.
-
-    Returns the ``(units, k, dim)`` directions of one
-    ``rng.standard_normal((units, k, dim))``. With several units the
-    samples depend on the block size; one unit gives the rows of
-    sequential single draws. The probes that also need offsets or splits
-    take them from ``rng.random(k)`` just before. The norms are one block
-    `norm_a`, which raises `IntegrityError` on a form that is negative
-    beyond roundoff; a row whose A-norm is zero is redrawn in place until
-    the vector `norm_a` of it is nonzero. On a space whose forms are
-    subnormal the rows are not of unit norm: ``1 / sqrt(q)`` of such a
-    form keeps only a few significant bits.
+def random_unit_rows(space: DiscreteSpace, rng: np.random.Generator,
+                     k: int) -> np.ndarray:
+    """`k` standard normal directions scaled to unit A-norm: the ``(k, dim)``
+    rows of one ``rng.standard_normal((k, dim))``, so consecutive calls on
+    one generator give the rows of one larger call. The rows are first
+    scaled by the power of two `SpdOperator.row_scale`, exactly, so that
+    their forms stay normal even where A's entries are near the ends of the
+    float range. A form that is not positive raises `IntegrityError`.
     """
-    raw = rng.standard_normal((units, k, space.dim))
-    rows = raw.reshape(-1, space.dim)
+    rows = rng.standard_normal((k, space.dim)) * space.operator.row_scale
     norms = norm_a(rows, space)
-    for i in np.flatnonzero(norms == 0.0):
-        while norms[i] == 0.0:
-            rng.standard_normal(out=rows[i])
-            norms[i] = norm_a(rows[i], space)
-    return raw * (1.0 / norms).reshape(units, k, 1)
+    if not np.all(norms > 0.0):
+        raise IntegrityError("drawn direction has a zero quadratic form; "
+                             "operator is not positive definite")
+    return rows * (1.0 / norms)[:, None]
 
 
 def dominant_inverse_eig(space: DiscreteSpace,
@@ -354,7 +352,8 @@ def dominant_inverse_eig(space: DiscreteSpace,
             return lam
         lam_old = lam
         y = solve_a(mx, space)
-        ynorm = float(np.linalg.norm(y))
+        with np.errstate(over="ignore"):
+            ynorm = float(np.linalg.norm(y))
         if ynorm == 0.0 or ynorm == math.inf:
             # the squares underflow once every entry is below about 1e-154
             # and overflow once one is above about 1e154

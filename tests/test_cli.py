@@ -610,7 +610,8 @@ def test_refused_exit_one(tmp_path):
 
 def test_overflowing_power_iteration_is_a_verdict(tmp_path, capsys):
     # at length 1e150 the embedding's power iterates exceed 1e154, so
-    # their euclidean norm overflows; the build rescales them and goes on
+    # their euclidean norm overflows; the build rescales them and goes on,
+    # without a warning about the overflow it handles
     huge = {"problem": {"kind": "dirichlet", "dims": 1, "n_per_dim": 15,
                         "lengths": [1e150],
                         "nonlinearity": {"kind": "sincos", "epsilon": 1.0}}}
@@ -619,8 +620,21 @@ def test_overflowing_power_iteration_is_a_verdict(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code in {0, 1, 2}
     assert "Traceback" not in captured.out + captured.err
-    assert captured.err.splitlines()[0] == (
-        "warning: problem: overflow encountered in dot")
+    assert captured.err == ""
+    assert captured.out.startswith("check: not ready")
+
+
+def test_nash_probe_at_a_huge_operator_tests_something(tmp_path, capsys):
+    # at a = 1e308 a raw direction's form overflows; the probe scales its
+    # rows first, so its margins are more than the 1e-12 slack alone
+    huge = {"problem": {"kind": "scalar", "a_value": 1e308,
+                        "nonlinearity": {"kind": "sincos", "epsilon": 0.1}}}
+    cfg = _write(tmp_path, "cfg.json", huge)
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert capsys.readouterr().err == ""
+    nash = json.loads((tmp_path / "o" / "report.json").read_text())["nash"]
+    assert nash["ok"]
+    assert nash["min_e1_margin"] > 1e-9 and nash["max_e2_margin"] < -1e-9
 
 
 def _rho_warning(rho: str) -> str:

@@ -5,13 +5,12 @@ vector or a ``(k, dim)`` row block; a block equals the vector calls row by
 row. `nash_check`, `check_mountain_pass_ring`, `contraction_certificate`
 and `brute_nash` draw and evaluate their samples as row blocks. The
 references below are the per-sample loops they replace: one A-norm and
-one ``eval_N`` per sample, stage or grid point. They take their
-directions from `random_unit_rows` over the same ``probe_rows`` blocks,
-since the samples depend on the block size, and a block's uniforms from
-``rng.random(k)`` just before it, as the probes do. Every comparison is
-``==`` on floats. The probes reduce their blocks with numpy's min and
-max, so a NaN energy on any probed row fails them; the references fold
-finite values only.
+one ``eval_N`` per sample, stage or grid point. They draw the n uniforms
+first and then, one sample at a time, its u and its v direction from
+`random_unit_rows`: the probes' samples depend on the seed and the count
+only, not on ``probe_rows``. Every comparison is ``==`` on floats. The
+probes reduce their blocks with numpy's min and max, so a NaN energy on
+any probed row fails them; the references fold finite values only.
 """
 
 import dataclasses
@@ -30,15 +29,11 @@ from partialcrit.spaces import random_unit_rows
 
 
 def _ref_samples(sys, rng, n):
-    # the probes' draws over their blocks of ``probe_rows`` (a block's
-    # uniforms first), one sample (uniform, then a direction a side) at a
-    # time
-    rows = sys.probe_rows
-    for start in range(0, n, rows):
-        k = min(rows, n - start)
-        uniforms = rng.random(k)
-        yield from zip(uniforms.tolist(),
-                       *random_unit_rows(sys.space, rng, k, units=2))
+    # the probes' draws: all n uniforms, then two directions a sample, u
+    # first, one sample at a time
+    for x in rng.random(n).tolist():
+        d_u, d_v = random_unit_rows(sys.space, rng, 2)
+        yield x, d_u, d_v
 
 
 def _ref_e1(sys, u, v):
@@ -92,8 +87,9 @@ def _stokes(n):
         nonlinearity=pc.NonlinearitySpec.sincos(0.3)))
 
 
-# a space whose forms underflow to zero for about one draw in seven, so
-# `random_unit_rows` redraws often
+# a space whose entries are the smallest subnormal: unscaled, the form of
+# about one drawn row in seven underflows to zero, and the others keep only
+# a few significant bits
 _TINY = pc.make_space(sp.diags([5e-324, 5e-324]), np.ones(2), "tiny")
 
 
@@ -174,60 +170,64 @@ def test_block_energies_and_residuals_equal_the_vector_calls(bundled, name):
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 9),
-       units=st.integers(1, 3))
-def test_block_draws_are_unit_and_reproducible(spaces, seed, k, units):
-    # `_TINY`'s subnormal forms give no unit norms
-    for space in (s for s in spaces if s is not _TINY):
-        dirs = random_unit_rows(space, np.random.default_rng(seed), k, units)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 9))
+def test_block_draws_are_unit_and_reproducible(spaces, seed, k):
+    for space in spaces:
+        dirs = random_unit_rows(space, np.random.default_rng(seed), k)
         assert type(dirs) is np.ndarray
-        assert dirs.shape == (units, k, space.dim)
-        norms = pc.norm_a(dirs.reshape(-1, space.dim), space)
+        assert dirs.shape == (k, space.dim)
+        norms = pc.norm_a(dirs, space)
         assert np.all(np.abs(norms - 1.0) <= 1e-12), space.space_id
-        again = random_unit_rows(space, np.random.default_rng(seed), k, units)
+        again = random_unit_rows(space, np.random.default_rng(seed), k)
         assert np.array_equal(_bits(dirs), _bits(again))
 
 
-@pytest.mark.parametrize("units, uniform", [(1, False), (2, True)])
-def test_block_draws_equal_sequential_random_unit(spaces, units, uniform):
-    # the probes' numbers one draw at a time: the uniforms they draw just
-    # before the block, then each unit's rows; a row with a zero form is
-    # redrawn once the block is drawn. One unit without uniforms is thus a
-    # row of sequential unit draws, which keeps the scheme's random start.
+def test_block_draws_equal_sequential_random_unit(spaces):
+    # a block of 7 rows is 7 single draws, which keeps the scheme's random
+    # start and lets the probes draw a block at a time
     for space in spaces:
         for seed in range(4):
             block_rng = np.random.default_rng(seed)
             ref_rng = np.random.default_rng(seed)
-            draws = block_rng.random(7) if uniform else None
-            dirs = random_unit_rows(space, block_rng, 7, units)
-            ref_draws = [ref_rng.random() for _ in range(7 if uniform else 0)]
-            raw = [ref_rng.standard_normal(space.dim)
-                   for _ in range(units * 7)]
-            for i, row in enumerate(raw):
-                while pc.norm_a(row, space) == 0.0:
-                    row = raw[i] = ref_rng.standard_normal(space.dim)
-            ref = [row * (1.0 / pc.norm_a(row, space)) for row in raw]
-            if uniform:
-                assert np.array_equal(_bits(draws), _bits(ref_draws))
-            assert np.array_equal(_bits(dirs.reshape(-1, space.dim)),
-                                  _bits(ref)), space.space_id
+            dirs = random_unit_rows(space, block_rng, 7)
+            ref = [random_unit_rows(space, ref_rng, 1)[0] for _ in range(7)]
+            assert np.array_equal(_bits(dirs), _bits(ref)), space.space_id
             # both streams end in the same state
             assert block_rng.random() == ref_rng.random()
 
 
-def test_zero_forms_are_redrawn_row_by_row():
-    # a whole-block redraw of 200 rows would hardly ever come out all
-    # nonzero here
-    rng = np.random.default_rng(0)
-    for _ in range(5):
-        dirs = random_unit_rows(_TINY, rng, 100, units=2)
-        assert np.all(pc.norm_a(dirs.reshape(-1, 2), _TINY) != 0.0)
+def test_row_scale_keeps_the_bits_of_draws_in_range(spaces):
+    # scaling by a power of two is exact: where the forms of the raw rows
+    # are normal, the directions are those of the unscaled formula
+    assert any(space.operator.row_scale != 1.0 for space in spaces)
+    for space in (s for s in spaces if s is not _TINY):
+        for seed in range(4):
+            raw = np.random.default_rng(seed).standard_normal((9, space.dim))
+            ref = raw * (1.0 / pc.norm_a(raw, space))[:, None]
+            dirs = random_unit_rows(space, np.random.default_rng(seed), 9)
+            assert np.array_equal(_bits(dirs), _bits(ref)), space.space_id
+
+
+@pytest.mark.parametrize("matrix", [
+    sp.diags([1e308] * 3), sp.diags([1e-300] * 3), _TINY.operator.matrix,
+    -1e300 * problems._laplacian_1d(15, 1.0 / 16)],
+    ids=["1e308", "1e-300", "subnormal", "laplacian_1e300"])
+def test_draws_are_unit_at_the_ends_of_the_float_range(matrix):
+    # unscaled, the forms on diag(1e308) overflow (zero directions) and
+    # those on the subnormal space fall out of the normal range (norms off
+    # by up to 50%, or zero); the other two take large scales either way,
+    # one with negative entries
+    space = pc.make_space(matrix, np.ones(matrix.shape[0]), "extreme")
+    dirs = random_unit_rows(space, np.random.default_rng(0), 200)
+    assert np.all(np.abs(pc.norm_a(dirs, space) - 1.0) <= 1e-12)
 
 
 def test_negative_forms_raise_instead_of_redrawing():
-    space = pc.make_space(sp.diags([-1.0, -1.0]), np.ones(2), "negative")
-    with pytest.raises(IntegrityError, match="not positive definite"):
-        random_unit_rows(space, np.random.default_rng(0), 4)
+    # and so do zero forms
+    for matrix in (sp.diags([-1.0, -1.0]), sp.csr_matrix((2, 2))):
+        space = pc.make_space(matrix, np.ones(2), "not_positive")
+        with pytest.raises(IntegrityError, match="not positive definite"):
+            random_unit_rows(space, np.random.default_rng(0), 4)
 
 
 def _rows_systems(bundled, custom_1d, manufactured_9):
@@ -302,6 +302,19 @@ def test_nash_check_equals_per_sample_reference(bundled, solved):
         for seed in (0, 3):
             assert (pc.nash_check(system, pair, seed=seed)
                     == _ref_nash(system, pair, seed=seed)), name
+
+
+def test_probe_samples_do_not_depend_on_the_block_size(bundled, solved):
+    # one row a block, an uneven split, the budget's and one block for all
+    sampler = pc.SamplerSpec(n_points=150, seed=4)
+    for name, system in bundled.items():
+        pair, _ = solved[name]
+        reports = []
+        for rows in (1, 7, system.probe_rows, scheme.NASH_SAMPLES):
+            small = dataclasses.replace(system, probe_rows=rows)
+            reports.append((pc.nash_check(small, pair),
+                            pc.check_mountain_pass_ring(small, 2.0, sampler)))
+        assert all(r == reports[0] for r in reports), name
 
 
 def test_ring_scan_equals_per_sample_reference(bundled):

@@ -1,5 +1,7 @@
 """Discrete space layer: solves, lifts, embeddings, validation."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -201,13 +203,15 @@ def test_power_iteration_survives_underflowing_iterates():
 def test_power_iteration_survives_overflowing_iterates():
     # scaling A by 2^-500 and W by 2^500 scales the eigenvalue by 2^1000;
     # the iterates then sit above 1e154, where their euclidean norm
-    # overflows (numpy warns) while the peak rescaling keeps them finite
+    # overflows while the peak rescaling keeps them finite. The overflow is
+    # handled, so it raises no warning (warnings are errors here)
     base = _random_spd_space(6, 4, "unscaled")
     w = base.mass_weights
     scaled = pc.make_space(2.0**-500 * base.operator.matrix, w,
                            space_id="scaled")
     lam = spaces.dominant_inverse_eig(base, lambda x: w * x)
-    with pytest.warns(RuntimeWarning, match="overflow"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         lam_scaled = spaces.dominant_inverse_eig(
             scaled, lambda x: 2.0**500 * w * x)
     assert lam_scaled == pytest.approx(2.0**1000 * lam, rel=1e-6, abs=0.0)
