@@ -182,15 +182,23 @@ def test_block_draws_are_unit_and_reproducible(spaces, seed, k):
         assert np.array_equal(_bits(dirs), _bits(again))
 
 
-def test_block_draws_equal_sequential_random_unit(spaces):
-    # a block of 7 rows is 7 single draws, which keeps the scheme's random
-    # start and lets the probes draw a block at a time
+@pytest.mark.parametrize("units, uniform", [(1, False), (2, True)])
+def test_block_draws_equal_sequential_random_unit(spaces, units, uniform):
+    # a block of 7 samples of `units` rows each is 7 * units single draws,
+    # which keeps the scheme's random start and lets the probes draw a block
+    # at a time; with uniforms drawn first, as `_probe_blocks` does, the
+    # rows follow them in the stream
     for space in spaces:
         for seed in range(4):
             block_rng = np.random.default_rng(seed)
             ref_rng = np.random.default_rng(seed)
-            dirs = random_unit_rows(space, block_rng, 7)
-            ref = [random_unit_rows(space, ref_rng, 1)[0] for _ in range(7)]
+            draws = block_rng.random(7) if uniform else None
+            dirs = random_unit_rows(space, block_rng, units * 7)
+            ref_draws = [ref_rng.random() for _ in range(7 if uniform else 0)]
+            ref = [random_unit_rows(space, ref_rng, 1)[0]
+                   for _ in range(units * 7)]
+            if uniform:
+                assert np.array_equal(_bits(draws), _bits(ref_draws))
             assert np.array_equal(_bits(dirs), _bits(ref)), space.space_id
             # both streams end in the same state
             assert block_rng.random() == ref_rng.random()
