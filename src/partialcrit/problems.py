@@ -50,10 +50,16 @@ __all__ = [
 class PointwiseNonlinearity:
     """Vectorized pointwise density with its gradients and declared bounds.
 
-    All callables take two arrays of shape (m, arg_dim), one point a row,
-    for any number m of stacked points: the probes and the oracle's
-    Jacobian pass the points of many states at once, so each must act row
-    by row. ``F`` returns (m,), the gradients return (m, arg_dim).
+    All callables take two point arrays of shape ``(..., arg_dim)`` that
+    broadcast against each other, a point's arguments along the last axis,
+    and act on that axis: ``F`` gives one value a point, the broadcast
+    shape without the last axis, and the gradients return the broadcast
+    shape. A built system passes a vector's points as ``(m, arg_dim)`` and
+    a block's as ``(k, m, arg_dim)``, so a side held fixed against a block
+    is computed once, not once a row; `spaces._row_sums` sums the last
+    axis. An output that is neither the broadcast shape nor the fixed
+    side's raises ``ValueError``, as a table that sums ``axis=1`` gives on
+    a block.
     ``growth`` holds pointwise (alpha_upper, alpha_lower, c) constants
     when known, ``monotony`` the pointwise 2x2 coupling coefficients
     (every built-in kind sets them, and a custom table must).
@@ -132,11 +138,14 @@ def make_pointwise(spec: NonlinearitySpec, arg_dim: int) -> PointwiseNonlinearit
             )
         return spec.table
     if spec.kind == "zero":
+        def shape(x, y):
+            return np.broadcast_shapes(x.shape, y.shape)
+
         return PointwiseNonlinearity(
             arg_dim=arg_dim,
-            F=lambda x, y: np.zeros(x.shape[0]),
-            f1=lambda x, y: np.zeros_like(x),
-            f2=lambda x, y: np.zeros_like(y),
+            F=lambda x, y: np.zeros(shape(x, y)[:-1]),
+            f1=lambda x, y: np.zeros(shape(x, y)),
+            f2=lambda x, y: np.zeros(shape(x, y)),
             growth=(0.0, 0.0, 0.0),
             monotony=np.zeros((2, 2)),
         )
@@ -271,19 +280,36 @@ def _system_from_parts(space: DiscreteSpace, pw: PointwiseNonlinearity,
     ``lift`` turns an (m, arg_dim) pointwise gradient into the ``(dim,)``
     coefficients representing it in the A-product, and a ``(k, m,
     arg_dim)`` block into ``(k, dim)``, equal row by row: `solve_a`,
-    `riesz_lift` and `DiscreteSpace.check` take either shape. A vector
-    facing a block is sampled once, its points repeated for each row.
+    `riesz_lift` and `DiscreteSpace.check` take either shape. The density
+    sees a block's points as ``(k, m, arg_dim)`` and a vector's as ``(m,
+    arg_dim)``, so a vector facing a block is sampled and evaluated once;
+    its values are broadcast to the block's rows.
     """
-    def at_points(fn, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    m = weights.size
+
+    def at_points(fn, a: np.ndarray, b: np.ndarray, tail: tuple = ()
+                  ) -> np.ndarray:
+        # ``fn`` at the points of a and b: ``(m,) + tail`` for two vectors,
+        # ``(k, m) + tail`` when either is a block
         sa, sb = sample(a), sample(b)
         if a.ndim == b.ndim == 1:
             return fn(sa, sb)
-        if a.ndim == 1:
-            sa = np.tile(sa, (len(b), 1))
-        if b.ndim == 1:
-            sb = np.tile(sb, (len(a), 1))
+        if a.ndim == 2:
+            sa = sa.reshape(len(a), m, -1)
+        if b.ndim == 2:
+            sb = sb.reshape(len(b), m, -1)
         out = fn(sa, sb)
-        return out.reshape((-1, weights.size) + out.shape[1:])
+        point = (m,) + tail
+        shape = (len(a) if a.ndim == 2 else len(b),) + point
+        got = np.shape(out)
+        if got == shape:
+            return out
+        if got != point:
+            raise ValueError(
+                f"a pointwise density must act on the last axis of point "
+                f"arrays that broadcast: it returned shape {got} on points "
+                f"{sa.shape} and {sb.shape}, not {shape}")
+        return np.broadcast_to(out, shape)
 
     def eval_n(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
         f = at_points(pw.F, a, b)
@@ -293,10 +319,10 @@ def _system_from_parts(space: DiscreteSpace, pw: PointwiseNonlinearity,
         return np.vecdot(f, weights)
 
     def eval_nu(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return lift(at_points(pw.f1, a, b))
+        return lift(at_points(pw.f1, a, b, (pw.arg_dim,)))
 
     def eval_nv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return lift(at_points(pw.f2, a, b))
+        return lift(at_points(pw.f2, a, b, (pw.arg_dim,)))
 
     if pw.growth is not None:
         au, al, c_pt = pw.growth

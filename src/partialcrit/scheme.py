@@ -122,10 +122,11 @@ class CoupledSystem:
     its partial A-gradients (already lifted into the space, so the fixed
     point equations read u = Nu(u, v) and -v = Nv(u, v)). Each takes two
     coefficient arrays; a side is a ``(dim,)`` vector or a ``(k, dim)``
-    block, and a vector facing a block holds for every row. ``eval_N``
-    returns a float for two vectors and ``(k,)`` values otherwise, the
-    gradients ``(dim,)`` or ``(k, dim)`` coefficients; a block equals the
-    single calls row by row. The probes evaluate in blocks of
+    block, and a vector facing a block holds for every row (the built
+    systems evaluate its pointwise values once, not once a row).
+    ``eval_N`` returns a float for two vectors and ``(k,)`` values
+    otherwise, the gradients ``(dim,)`` or ``(k, dim)`` coefficients; a
+    block equals the single calls row by row. The probes evaluate in blocks of
     ``probe_rows`` rows, the most whose arrays fit `problems.PROBE_BYTES`,
     which bounds memory only: a probe's samples depend on its seed and count.
 
@@ -495,21 +496,36 @@ def nash_check(sys: CoupledSystem, pair: SolutionPair, seed: int = 0
     the same for -E2(u, .). A pair that minimizes E1 in u and maximizes
     E2 in v passes; where either functional bends the wrong way, a sample
     that finds it fails. The samples, from `_probe_blocks`, depend on `seed`
-    alone. The margins are numpy's min and max over all blocks, so a NaN
-    energy on any probed row makes them NaN and the report not ``ok``.
+    alone. A sample evaluates only what moves: as d is unit in the A-norm,
+    ``1/2 |u + s d|_A^2 - 1/2 |u|_A^2 = s (d . A u) + s^2 / 2``, so the
+    quadratic step is one product with ``A u`` (or ``A v``), taken once,
+    and no A-norm of a perturbed row is formed; the coupling step is
+    ``N`` on the block less ``N(u, v)``, with the fixed side's points
+    evaluated once a block. The margins are numpy's min and max over all
+    blocks, so a NaN energy on any probed row makes them NaN and the
+    report not ``ok``.
     """
     if not pair.converged:
         raise ValueError("nash_check expects a converged pair")
     u, v = pair.u_star.coeffs, pair.v_star.coeffs
     r_u, r_v = pair.residuals
-    e1_base = _e1(sys, u, v)
-    e2_base = _e2(sys, u, v)
+    au, av = sys.space.operator.apply(u), sys.space.operator.apply(v)
+    n_base = sys.eval_N(u, v)
+    # `_e1` and `_e2` at the pair, bit for bit, from one evaluation of N
+    e1_base = _half_square(1.0, norm_a(u, sys.space)) - n_base
+    e2_base = _half_square(-1.0, norm_a(v, sys.space)) - n_base
 
     e1_margins, e2_margins = [], []
     for x, d_u, d_v in _probe_blocks(sys, seed, NASH_SAMPLES):
         s = NASH_RADIUS * (1.0 - x)
-        e1_margins.append(_e1(sys, u + d_u * s[:, None], v) - e1_base + r_u * s)
-        e2_margins.append(_e2(sys, u, v + d_v * s[:, None]) - e2_base - r_v * s)
+        # the A-quadratic steps in closed form, as the directions are unit
+        # in the A-norm; np.vecdot is np.dot's ddot on each row
+        q_u = s * np.vecdot(d_u, au) + 0.5 * s * s
+        q_v = s * np.vecdot(d_v, av) + 0.5 * s * s
+        e1_margins.append(q_u - (sys.eval_N(u + d_u * s[:, None], v) - n_base)
+                          + r_u * s)
+        e2_margins.append(-q_v - (sys.eval_N(u, v + d_v * s[:, None]) - n_base)
+                          - r_v * s)
 
     return NashReport(
         min_e1_margin=float(np.min(np.concatenate(e1_margins))

@@ -215,16 +215,17 @@ def _coeffs(x, space: DiscreteSpace) -> np.ndarray:
 
 
 def _row_sums(z: np.ndarray) -> np.ndarray:
-    """``np.sum(z, axis=1)``, bit for bit, at any width. Below 8 columns
-    numpy adds a row in order, and column adds in order give the same bits a
-    few times faster; from 8 columns numpy sums pairwise, so a wider block
-    goes to `np.sum`. The ``+ 0.0`` start sums a row of negative zeros to
+    """``np.sum(z, axis=-1)``, bit for bit, at any width: the sums over the
+    last axis, which holds a point's arguments in the densities. Below 8
+    entries numpy adds them in order, and adds of whole slices in order give
+    the same bits a few times faster; from 8 numpy sums pairwise, so a wider
+    array goes to `np.sum`. The ``+ 0.0`` start sums negative zeros to
     ``+0.0``, as `np.sum`."""
-    if z.shape[1] >= 8:
-        return np.sum(z, axis=1)
-    out = z[:, 0] + 0.0
-    for j in range(1, z.shape[1]):
-        out += z[:, j]
+    if z.shape[-1] >= 8:
+        return np.sum(z, axis=-1)
+    out = z[..., 0] + 0.0
+    for j in range(1, z.shape[-1]):
+        out += z[..., j]
     return out
 
 

@@ -91,7 +91,7 @@ def custom_1d():
     # a user-supplied pointwise table on Dirichlet 1D n=15
     table = pc.PointwiseNonlinearity(
         arg_dim=1,
-        F=lambda x, y: np.sum(np.tanh(x) * y + 0.1 * x ** 3, axis=1),
+        F=lambda x, y: np.sum(np.tanh(x) * y + 0.1 * x ** 3, axis=-1),
         f1=lambda x, y: (1.0 - np.tanh(x) ** 2) * y + 0.3 * x ** 2,
         f2=lambda x, y: np.tanh(x),
         monotony=np.array([[0.1, 0.1], [0.1, 0.0]]))

@@ -1,6 +1,6 @@
 """Package surface: every exported name resolves, lazily, one version
-string, the light CLI calls import no scipy, and the benchmark's tracer
-still fits the package."""
+string, the light CLI calls import no scipy, the benchmark's tracer
+still fits the package, and the README's Python examples run."""
 
 import ast
 import importlib
@@ -8,8 +8,10 @@ import importlib.util
 import json
 import os
 import pkgutil
+import re
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -173,12 +175,12 @@ def test_benchmark_tracer_fits_the_package():
     assert metrics["scheme.backtracks"] >= 0
     assert 0.0 <= metrics["scheme.accept_ratio"] <= 1.0
     # an A-norm of a row block is one traced call: one a side in the
-    # certificate; in the Nash probe two at the pair and two a sample
-    # block, plus one for each block's draw
+    # certificate; in the Nash probe two at the pair and one for each
+    # sample block's draw, as its energy steps take no A-norm
     spans = tracer.spans
     owners = {"scheme.contraction_certificate": 2,
-              "scheme.nash_check": 2 + 3 * -(-pc.scheme.NASH_SAMPLES
-                                             // system.probe_rows)}
+              "scheme.nash_check": 2 + -(-pc.scheme.NASH_SAMPLES
+                                         // system.probe_rows)}
     for owner, expected in owners.items():
         got = sum(1 for i, s in enumerate(spans)
                   if s[tracing.NAME] == "spaces.norm_a"
@@ -225,3 +227,28 @@ def test_benchmark_result_checks_fit_the_package():
     assert stokes_pair.converged
     assert isinstance(stokes_pair.u_star, pc.HVector)
     workloads._check_divergence(stokes_pair, spec)
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_python_blocks():
+    # (first line, code) of each fenced python block, also those indented
+    # in a list item
+    text = README.read_text(encoding="utf-8")
+    return [(text.count("\n", 0, m.start()) + 2, textwrap.dedent(m[2]))
+            for m in re.finditer(r"^( *)```python\n(.*?)^\1```$", text,
+                                 re.M | re.S)]
+
+
+@pytest.mark.parametrize("line, code", [
+    pytest.param(line, code, id=f"line{line}")
+    for line, code in _readme_python_blocks()])
+def test_readme_python_examples_run(line, code, capsys):
+    # warnings are errors here, as everywhere in the suite
+    exec(compile(code, f"README.md:{line}", "exec"), {"__name__": "readme"})
+    assert capsys.readouterr().out
+
+
+def test_readme_has_python_examples():
+    assert len(_readme_python_blocks()) >= 2

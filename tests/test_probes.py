@@ -5,15 +5,20 @@ vector or a ``(k, dim)`` row block; a block equals the vector calls row by
 row. `nash_check`, `check_mountain_pass_ring`, `contraction_certificate`
 and `brute_nash` draw and evaluate their samples as row blocks. The
 references below are the per-sample loops they replace: one A-norm and
-one ``eval_N`` per sample, stage or grid point. They draw the n uniforms
-first and then, one sample at a time, its u and its v direction from
-`random_unit_rows`: the probes' samples depend on the seed and the count
-only, not on ``probe_rows``. Every comparison is ``==`` on floats. The
+one ``eval_N`` per sample, stage or grid point, except that the Nash
+reference takes each quadratic step in closed form, ``s (d . A u) + s^2
+/ 2``, as `nash_check` does. They draw the n uniforms first and then, one
+sample at a time, its u and its v direction from `random_unit_rows`: the
+probes' samples depend on the seed and the count only, not on
+``probe_rows``. Every comparison is ``==`` on floats, but one: the
+difference of two partial energies that the closed form replaced is kept
+as a second Nash reference, within the probe's roundoff slack. The
 probes reduce their blocks with numpy's min and max, so a NaN energy on
 any probed row fails them; the references fold finite values only.
 """
 
 import dataclasses
+import functools
 import itertools
 import tracemalloc
 
@@ -44,24 +49,53 @@ def _ref_e2(sys, u, v):
     return -0.5 * pc.norm_a(v, sys.space) ** 2 - float(sys.eval_N(u, v))
 
 
+def _nash_report(margins, e1_base, e2_base):
+    # fold a probe's per-sample margins as `nash_check` reports them
+    min_e1_margin = min(m[0] for m in margins)
+    max_e2_margin = max(m[1] for m in margins)
+    return pc.NashReport(
+        min_e1_margin=float(min_e1_margin + 1e-12 * (1.0 + abs(e1_base))),
+        max_e2_margin=float(max_e2_margin - 1e-12 * (1.0 + abs(e2_base))))
+
+
 def _ref_nash(sys, pair, seed=0):
-    # the one-sided first-order bound, one sample at a time
+    # the one-sided first-order bound, one sample at a time, with the
+    # A-quadratic step in closed form: the directions are unit in the
+    # A-norm, so 1/2 |u + s d|_A^2 - 1/2 |u|_A^2 = s (d . A u) + s^2 / 2
+    rng = np.random.default_rng(seed)
+    u, v = pair.u_star.coeffs, pair.v_star.coeffs
+    r_u, r_v = pair.residuals
+    au, av = (sys.space.operator.apply(x) for x in (u, v))
+    n_base = float(sys.eval_N(u, v))
+    e1_base = 0.5 * pc.norm_a(u, sys.space) ** 2 - n_base
+    e2_base = -0.5 * pc.norm_a(v, sys.space) ** 2 - n_base
+    margins = []
+    for x, d_u, d_v in _ref_samples(sys, rng, scheme.NASH_SAMPLES):
+        s = scheme.NASH_RADIUS * (1.0 - x)
+        de1 = (s * np.dot(d_u, au) + 0.5 * s * s
+               - (float(sys.eval_N(u + s * d_u, v)) - n_base))
+        de2 = (-(s * np.dot(d_v, av) + 0.5 * s * s)
+               - (float(sys.eval_N(u, v + s * d_v)) - n_base))
+        margins.append((de1 + r_u * s, de2 - r_v * s))
+    return _nash_report(margins, e1_base, e2_base)
+
+
+def _difference_nash(sys, pair, seed=0):
+    # the same probe with each energy step a difference of two partial
+    # energies, as the bound is written: the quadratic step then cancels
+    # two numbers of size |u|_A^2
     rng = np.random.default_rng(seed)
     u, v = pair.u_star.coeffs, pair.v_star.coeffs
     r_u, r_v = pair.residuals
     e1_base = _ref_e1(sys, u, v)
     e2_base = _ref_e2(sys, u, v)
-    min_e1_margin = np.inf
-    max_e2_margin = -np.inf
+    margins = []
     for x, d_u, d_v in _ref_samples(sys, rng, scheme.NASH_SAMPLES):
         s = scheme.NASH_RADIUS * (1.0 - x)
         de1 = _ref_e1(sys, u + s * d_u, v) - e1_base
         de2 = _ref_e2(sys, u, v + s * d_v) - e2_base
-        min_e1_margin = min(min_e1_margin, de1 + r_u * s)
-        max_e2_margin = max(max_e2_margin, de2 - r_v * s)
-    return pc.NashReport(
-        min_e1_margin=float(min_e1_margin + 1e-12 * (1.0 + abs(e1_base))),
-        max_e2_margin=float(max_e2_margin - 1e-12 * (1.0 + abs(e2_base))))
+        margins.append((de1 + r_u * s, de2 - r_v * s))
+    return _nash_report(margins, e1_base, e2_base)
 
 
 def _ref_ring(sys, tau, sampler):
@@ -282,14 +316,39 @@ def test_fixed_side_is_sampled_once_a_block(stokes_17, solved, monkeypatch):
 
     monkeypatch.setattr(problems._StokesGrid, "curl", counting)
     pc.nash_check(stokes_17, solved["stokes_17"][0])
-    # E1 and E2 at the pair sample two vectors each; then each block of
-    # the samples evaluates two energies, each on the block and the fixed
-    # vector
+    # N at the pair samples its two vectors; then each block of the
+    # samples evaluates N twice, each on the block and the fixed vector
     k = stokes_17.probe_rows
-    expected = [1] * 4
+    expected = [1] * 2
     for start in range(0, scheme.NASH_SAMPLES, k):
         expected += [min(k, scheme.NASH_SAMPLES - start), 1] * 2
     assert sorted(rows) == sorted(expected)
+
+
+def test_density_sees_the_fixed_side_once_a_block(stokes_spec, solved):
+    # the sincos density of stokes_17 as a custom table that records the
+    # shapes of the points it is given: a block's as (k, m, 2), the fixed
+    # vector's as (m, 2), so its sines and cosines run once a block
+    shapes = []
+    sincos = pc.make_pointwise(stokes_spec.nonlinearity, arg_dim=2)
+
+    def recording(x, y):
+        shapes.append((x.shape, y.shape))
+        return sincos.F(x, y)
+
+    table = dataclasses.replace(sincos, F=recording)
+    system = pc.build_stokes(dataclasses.replace(
+        stokes_spec, nonlinearity=pc.NonlinearitySpec.custom(table)))
+    pair = solved["stokes_17"][0]
+    assert pc.nash_check(system, pair) == pc.nash_check(
+        pc.build_stokes(stokes_spec), pair)
+    m = (stokes_spec.n_per_dim + 2) ** 2
+    k = system.probe_rows
+    expected = [((m, 2), (m, 2))]
+    for start in range(0, scheme.NASH_SAMPLES, k):
+        rows = min(k, scheme.NASH_SAMPLES - start)
+        expected += [((rows, m, 2), (m, 2)), ((m, 2), (rows, m, 2))]
+    assert shapes == expected
 
 
 def test_row_energies_equal_e1_and_e2(bundled):
@@ -310,6 +369,48 @@ def test_nash_check_equals_per_sample_reference(bundled, solved):
         for seed in (0, 3):
             assert (pc.nash_check(system, pair, seed=seed)
                     == _ref_nash(system, pair, seed=seed)), name
+
+
+@functools.lru_cache(maxsize=None)
+def _drawn_system(kind, size, coupling):
+    nonlinearity = (pc.NonlinearitySpec.sincos(0.2) if coupling == "sincos"
+                    else pc.NonlinearitySpec.quadratic(0.1, 0.4, -0.1, 0.5))
+    if kind == "scalar":
+        return pc.build_scalar(float(size), nonlinearity)
+    if kind == "dirichlet":
+        return pc.build_dirichlet(pc.DirichletSpec(
+            dims=1, n_per_dim=size, lengths=(1.0,),
+            nonlinearity=nonlinearity))
+    return pc.build_stokes(pc.StokesSpec(
+        n_per_dim=size, lengths=(1.0, 1.0), mu_coeff=1.0,
+        nonlinearity=nonlinearity))
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(system=st.sampled_from([("scalar", 2), ("scalar", 5),
+                               ("dirichlet", 7), ("dirichlet", 31),
+                               ("stokes", 5), ("stokes", 9)]),
+       coupling=st.sampled_from(["sincos", "quadratic"]),
+       seed=st.integers(0, 2**32 - 1),
+       scales=st.tuples(st.floats(0.0, 3.0), st.floats(0.0, 3.0)),
+       residuals=st.tuples(st.floats(0.0, 1e-3), st.floats(0.0, 1e-3)))
+def test_closed_form_margins_match_the_energy_differences(
+        system, coupling, seed, scales, residuals):
+    # at pairs of A-norms up to 3, whether or not they solve the system:
+    # the closed-form quadratic step moves a margin by less than the probe's
+    # roundoff slack
+    sys = _drawn_system(*system, coupling)
+    u, v = random_unit_rows(sys.space, np.random.default_rng(seed), 2) * (
+        np.array(scales)[:, None])
+    pair = pc.SolutionPair(u_star=sys.space.wrap(u), v_star=sys.space.wrap(v),
+                           residuals=residuals, converged=True, stages=1)
+    got = pc.nash_check(sys, pair, seed=seed)
+    ref = _difference_nash(sys, pair, seed=seed)
+    e1, e2, _ = pc.energies(sys, u, v)
+    assert (abs(got.min_e1_margin - ref.min_e1_margin)
+            <= 1e-12 * (1.0 + abs(e1)))
+    assert (abs(got.max_e2_margin - ref.max_e2_margin)
+            <= 1e-12 * (1.0 + abs(e2)))
 
 
 def test_probe_samples_do_not_depend_on_the_block_size(bundled, solved):

@@ -66,6 +66,53 @@ def test_custom_table_must_declare_monotony():
         pc.NonlinearitySpec.custom(table)
 
 
+def _summing_table(axis, arg_dim):
+    # tanh(x) y summed over `axis`: over the last axis it is a density
+    return pc.PointwiseNonlinearity(
+        arg_dim=arg_dim,
+        F=lambda x, y: np.sum(np.tanh(x) * y, axis=axis),
+        f1=lambda x, y: (1.0 - np.tanh(x) ** 2) * y,
+        f2=lambda x, y: np.tanh(x),
+        monotony=np.array([[0.1, 0.1], [0.1, 0.0]]))
+
+
+def test_a_table_summing_axis_1_breaks_the_density_contract():
+    # a block's points reach the density as (k, m, arg_dim), so a sum over
+    # axis 1 adds up the points instead of their components; the shape of
+    # its output gives it away before any value is used
+    rng = np.random.default_rng(0)
+    for arg_dim, build in (
+            (1, lambda nl: pc.build_dirichlet(pc.DirichletSpec(
+                dims=1, n_per_dim=15, lengths=(1.0,), nonlinearity=nl))),
+            (2, lambda nl: pc.build_stokes(pc.StokesSpec(
+                n_per_dim=7, lengths=(1.0, 1.0), mu_coeff=1.0,
+                nonlinearity=nl)))):
+        old, new = (build(pc.NonlinearitySpec.custom(_summing_table(
+            axis, arg_dim))) for axis in (1, -1))
+        us, vs = rng.standard_normal((2, 4, old.space.dim))
+        # on two vectors the two rules read the same points
+        assert old.eval_N(us[0], vs[0]) == new.eval_N(us[0], vs[0])
+        for a, b in ((us, vs), (us, vs[0]), (us[0], vs)):
+            assert new.eval_N(a, b).shape == (4,)
+            with pytest.raises(ValueError, match=(
+                    "must act on the last axis of point arrays that "
+                    "broadcast")):
+                old.eval_N(a, b)
+        pair = pc.SolutionPair(u_star=old.space.wrap(us[0]),
+                               v_star=old.space.wrap(vs[0]),
+                               residuals=(0.0, 0.0), converged=True, stages=1)
+        with pytest.raises(ValueError, match="last axis"):
+            pc.nash_check(old, pair)
+
+
+def test_zero_density_returns_the_broadcast_shape():
+    pw = pc.make_pointwise(pc.NonlinearitySpec.zero(), arg_dim=2)
+    block, vector = np.ones((3, 5, 2)), np.ones((5, 2))
+    for x, y in ((block, vector), (vector, block), (block, block)):
+        assert pw.F(x, y).shape == (3, 5)
+        assert pw.f1(x, y).shape == pw.f2(x, y).shape == (3, 5, 2)
+
+
 def test_nonlinearity_spec_validation():
     with pytest.raises(ValueError):
         pc.NonlinearitySpec(kind="bogus")

@@ -362,6 +362,10 @@ def test_row_sums_equal_np_sum_bit_for_bit(width):
         for block in (z, np.asfortranarray(z)):
             assert (spaces._row_sums(block).tobytes()
                     == np.sum(z, axis=1).tobytes())
+        # the last axis of a stack of blocks, as the densities see a block
+        stack = z.reshape(4, 50, width)
+        assert (spaces._row_sums(stack).tobytes()
+                == np.sum(z, axis=1).reshape(4, 50).tobytes())
 
 
 # ------------------------------------------------ the operator product
