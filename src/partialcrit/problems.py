@@ -54,12 +54,13 @@ class PointwiseNonlinearity:
     broadcast against each other, a point's arguments along the last axis,
     and act on that axis: ``F`` gives one value a point, the broadcast
     shape without the last axis, and the gradients return the broadcast
-    shape. A built system passes a vector's points as ``(m, arg_dim)`` and
-    a block's as ``(k, m, arg_dim)``, so a side held fixed against a block
-    is computed once, not once a row; `spaces._row_sums` sums the last
-    axis. An output that is neither the broadcast shape nor the fixed
-    side's raises ``ValueError``, as a table that sums ``axis=1`` gives on
-    a block.
+    shape. A built system passes two vectors' points as ``(m, arg_dim)``,
+    and otherwise a block's as ``(k, m, arg_dim)`` and a vector's as ``(1,
+    m, arg_dim)``, so a side held fixed against a block is computed once,
+    not once a row; `spaces._row_sums` sums the last axis. On a block, an
+    output that is neither the broadcast shape nor the fixed side's raises
+    ``ValueError``, as a table written for one point a row gives when it
+    sums ``axis=1`` or takes ``x[:, j]``.
     ``growth`` holds pointwise (alpha_upper, alpha_lower, c) constants
     when known, ``monotony`` the pointwise 2x2 coupling coefficients
     (every built-in kind sets them, and a custom table must).
@@ -281,9 +282,9 @@ def _system_from_parts(space: DiscreteSpace, pw: PointwiseNonlinearity,
     coefficients representing it in the A-product, and a ``(k, m,
     arg_dim)`` block into ``(k, dim)``, equal row by row: `solve_a`,
     `riesz_lift` and `DiscreteSpace.check` take either shape. The density
-    sees a block's points as ``(k, m, arg_dim)`` and a vector's as ``(m,
-    arg_dim)``, so a vector facing a block is sampled and evaluated once;
-    its values are broadcast to the block's rows.
+    sees a block's points as ``(k, m, arg_dim)`` and a vector facing a
+    block as ``(1, m, arg_dim)``, so that vector is sampled and evaluated
+    once; its values are broadcast to the block's rows.
     """
     m = weights.size
 
@@ -294,17 +295,17 @@ def _system_from_parts(space: DiscreteSpace, pw: PointwiseNonlinearity,
         sa, sb = sample(a), sample(b)
         if a.ndim == b.ndim == 1:
             return fn(sa, sb)
-        if a.ndim == 2:
-            sa = sa.reshape(len(a), m, -1)
-        if b.ndim == 2:
-            sb = sb.reshape(len(b), m, -1)
+        # a vector as a block of one row: it broadcasts against the other
+        # side's rows, and a table that takes ``x[:, j]`` as one point a row
+        # gives (k, 1), which fits (k, m) only at m = 1, where it is right
+        sa = sa.reshape(len(a) if a.ndim == 2 else 1, m, -1)
+        sb = sb.reshape(len(b) if b.ndim == 2 else 1, m, -1)
         out = fn(sa, sb)
-        point = (m,) + tail
-        shape = (len(a) if a.ndim == 2 else len(b),) + point
+        shape = (len(a) if a.ndim == 2 else len(b), m) + tail
         got = np.shape(out)
         if got == shape:
             return out
-        if got != point:
+        if got != (1,) + shape[1:]:
             raise ValueError(
                 f"a pointwise density must act on the last axis of point "
                 f"arrays that broadcast: it returned shape {got} on points "

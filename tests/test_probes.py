@@ -328,7 +328,7 @@ def test_fixed_side_is_sampled_once_a_block(stokes_17, solved, monkeypatch):
 def test_density_sees_the_fixed_side_once_a_block(stokes_spec, solved):
     # the sincos density of stokes_17 as a custom table that records the
     # shapes of the points it is given: a block's as (k, m, 2), the fixed
-    # vector's as (m, 2), so its sines and cosines run once a block
+    # vector's as (1, m, 2), so its sines and cosines run once a block
     shapes = []
     sincos = pc.make_pointwise(stokes_spec.nonlinearity, arg_dim=2)
 
@@ -347,7 +347,7 @@ def test_density_sees_the_fixed_side_once_a_block(stokes_spec, solved):
     expected = [((m, 2), (m, 2))]
     for start in range(0, scheme.NASH_SAMPLES, k):
         rows = min(k, scheme.NASH_SAMPLES - start)
-        expected += [((rows, m, 2), (m, 2)), ((m, 2), (rows, m, 2))]
+        expected += [((rows, m, 2), (1, m, 2)), ((1, m, 2), (rows, m, 2))]
     assert shapes == expected
 
 

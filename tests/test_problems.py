@@ -105,6 +105,44 @@ def test_a_table_summing_axis_1_breaks_the_density_contract():
             pc.nash_check(old, pair)
 
 
+def test_a_table_indexing_one_point_a_row_breaks_the_density_contract():
+    # under the rule of one (m, arg_dim) point a row, ``x[:, 0]`` was the
+    # first argument of every point; on a block's (k, m, 1) points it is
+    # each row's first point, (k, 1), which the fixed side's (1, m, 1)
+    # points cannot widen to the block's (k, m)
+    def table(first):
+        return pc.PointwiseNonlinearity(
+            arg_dim=1,
+            F=lambda x, y: np.tanh(first(x)) * first(y),
+            f1=lambda x, y: (1.0 - np.tanh(x) ** 2) * y,
+            f2=lambda x, y: np.tanh(x),
+            monotony=np.array([[0.1, 0.1], [0.1, 0.0]]))
+
+    old, new = (pc.build_dirichlet(pc.DirichletSpec(
+        dims=1, n_per_dim=15, lengths=(1.0,),
+        nonlinearity=pc.NonlinearitySpec.custom(table(first))))
+        for first in (lambda z: z[:, 0], lambda z: z[..., 0]))
+    us, vs = np.random.default_rng(1).standard_normal((2, 4, 15))
+    assert old.eval_N(us[0], vs[0]) == new.eval_N(us[0], vs[0])
+    for a, b in ((us, vs), (us, vs[0]), (us[0], vs)):
+        assert new.eval_N(a, b).tolist() == [
+            new.eval_N(x, y) for x, y in zip(*np.broadcast_arrays(a, b))]
+        with pytest.raises(ValueError, match=(
+                "must act on the last axis of point arrays that "
+                "broadcast")):
+            old.eval_N(a, b)
+    # f2 = tanh(x) reads the fixed u only: its (1, m, 1) output is
+    # broadcast to the block's rows
+    assert np.array_equal(new.eval_Nv(us[0], vs),
+                          [new.eval_Nv(us[0], v) for v in vs])
+    pair = pc.SolutionPair(u_star=old.space.wrap(us[0]),
+                           v_star=old.space.wrap(vs[0]),
+                           residuals=(0.0, 0.0), converged=True, stages=1)
+    with pytest.raises(ValueError, match="last axis"):
+        pc.nash_check(old, pair)
+    pc.nash_check(new, pair)
+
+
 def test_zero_density_returns_the_broadcast_shape():
     pw = pc.make_pointwise(pc.NonlinearitySpec.zero(), arg_dim=2)
     block, vector = np.ones((3, 5, 2)), np.ones((5, 2))
