@@ -121,20 +121,23 @@ def check_growth(F, declared: tuple[float, float, float],
     """Test ``-al |y|^2 - c <= F(x, y) <= au |x|^2 + c`` on random points.
 
     `declared` is the pointwise (alpha_upper, alpha_lower, c) triple; a
-    negative or NaN constant raises `ValueError`. The report also carries the
-    tightest constants fitting the sample: each alpha with the declared c
-    held fixed, and c with the declared alphas held fixed.
+    negative or NaN constant, or a sampled square that overflows, raises
+    `ValueError`. The report also carries the tightest constants fitting
+    the sample: each alpha with the declared c held fixed, and c with the
+    declared alphas held fixed.
     """
     au, al, c = (float(x) for x in declared)
     if not (au >= 0.0) or not (al >= 0.0) or not (c >= 0.0):
         raise ValueError("growth constants must be nonnegative")
     rng = np.random.default_rng(sampler.seed)
     x, y = _draw_box(sampler, arg_dim, rng)
+    with np.errstate(over="ignore"):  # reported below
+        x2, y2 = _row_sums(x * x), _row_sums(y * y)
+    if not np.all(np.isfinite((x2, y2))):
+        raise ValueError("sampled squares leave the float range")
     f = np.asarray(F(x, y), dtype=float).reshape(-1)
     if f.shape[0] != sampler.n_points:
         raise ValueError("F must return one value per sample point")
-    x2 = _row_sums(x * x)
-    y2 = _row_sums(y * y)
 
     slack = 1e-12 * np.maximum(1.0, np.abs(f))
     # a gap or fit that overflows keeps its sign, which is all that is read
@@ -263,7 +266,7 @@ def estimate_monotony(f1, f2, sampler: SamplerSpec, arg_dim: int = 1,
     exact two-variable linear program (`_fit_pair`). The returned matrix
     is scaled by ``embedding_sq``, converting pointwise coefficients into
     A-norm ones. A sampled row that leaves the float range is bad input:
-    `ValueError`.
+    `ValueError`, and so is a box with no pair to fit on one side.
     """
     if not (embedding_sq > 0.0):
         raise ValueError("embedding_sq must be positive")
@@ -287,9 +290,10 @@ def estimate_monotony(f1, f2, sampler: SamplerSpec, arg_dim: int = 1,
     if not np.all(np.isfinite(rows)):
         raise ValueError("sampled difference quotients leave the float range")
 
-    keep1 = dx > 1e-12
+    keep1, keep2 = dx > 1e-12, dy > 1e-12
+    if not (np.any(keep1) and np.any(keep2)):
+        raise ValueError("box_radius is too small to fit a slope")
     m11, m12 = _fit_pair(dx[keep1] ** 2, (dx * dy)[keep1], s1[keep1])
-    keep2 = dy > 1e-12
     m22, m21 = _fit_pair(dy[keep2] ** 2, (dx * dy)[keep2], -s2[keep2])
     raw = np.array([[m11, m12], [m21, m22]])
     return MonotonyMatrix(embedding_sq * raw)
@@ -335,7 +339,8 @@ def check_mountain_pass_ring(sys: CoupledSystem, tau: float,
     n_zero = sys.eval_N(zero, zero)
 
     violated = 0
-    for split, d_u, d_v in _probe_blocks(sys, sampler.seed, sampler.n_points):
+    for split, d_u, d_v in _probe_blocks(sys.space, sampler.seed,
+                                         sampler.n_points):
         nu = split * tau
         nv = (1.0 - split) * tau
         # a bound that overflows keeps its sign, and a NaN left side counts

@@ -15,8 +15,8 @@ import numpy as np
 from scipy.sparse.linalg import LinearOperator, gmres
 
 from .errors import ConvergenceError
-from .scheme import (CoupledSystem, SolutionPair, _e1, _e2, energies,
-                     residual_u, residual_v)
+from .scheme import (CoupledSystem, SolutionPair, _e1, _e2, _probe_rows,
+                     energies, residual_u, residual_v)
 from .spaces import HVector, norm_a, random_unit_rows
 
 __all__ = [
@@ -209,7 +209,7 @@ def brute_nash(sys: CoupledSystem, pair: SolutionPair,
 
     The slack is a first-order allowance for the pair's residual,
     2 * radius * max residual, plus roundoff. The grid is evaluated in
-    blocks of ``sys.probe_rows`` offsets, and the extreme deltas are
+    blocks of `scheme._probe_rows` offsets, and the extreme deltas are
     numpy's min and max over all of them, so a NaN energy at any grid
     point makes the report not ``ok``.
     """
@@ -233,8 +233,9 @@ def brute_nash(sys: CoupledSystem, pair: SolutionPair,
     e1_star, e2_star = _e1(sys, u, v), _e2(sys, u, v)
     e1_deltas = []
     e2_deltas = []
-    for start in range(0, len(offsets), sys.probe_rows):
-        block = offsets[start:start + sys.probe_rows]
+    rows = _probe_rows(space)
+    for start in range(0, len(offsets), rows):
+        block = offsets[start:start + rows]
         e1_deltas.append(_e1(sys, u + block, v) - e1_star)
         e2_deltas.append(_e2(sys, u, v + block) - e2_star)
 

@@ -253,21 +253,6 @@ def _pointwise_laplacian_2d(n: int, hx: float, hy: float) -> sp.csr_matrix:
             + sp.kron(_laplacian_1d(n, hy), eye, format="csr"))
 
 
-# byte budget for each array of a probe block; it sets memory and speed only,
-# as the samples of `nash_check` and `check_mountain_pass_ring` do not depend
-# on it. 256 KB of pointwise values a block raised the peak resident memory
-# of Stokes sessions by 3.6 MB (4.5%), 128 KB for every array keeps it level,
-# and half that leaves Stokes n=49 one row a block, which costs more in block
-# handling than it saves
-PROBE_BYTES = 128 * 1024
-
-
-def _probe_rows(space: DiscreteSpace, points: int) -> int:
-    """Rows of a probe block within the budget: per row, the `points`
-    pointwise values and the two directions drawn."""
-    return max(1, PROBE_BYTES // (8 * max(points, 2 * space.dim)))
-
-
 def _system_from_parts(space: DiscreteSpace, pw: PointwiseNonlinearity,
                        sample: Callable[[np.ndarray], np.ndarray],
                        weights: np.ndarray,
@@ -335,7 +320,6 @@ def _system_from_parts(space: DiscreteSpace, pw: PointwiseNonlinearity,
     monotony = MonotonyMatrix(embedding_sq * np.asarray(pw.monotony, float))
     return CoupledSystem(
         space=space, eval_N=eval_n, eval_Nu=eval_nu, eval_Nv=eval_nv,
-        probe_rows=_probe_rows(space, sample(np.zeros(space.dim)).size),
         monotony=monotony, growth=growth, pointwise=pw,
         embedding_sq=embedding_sq, label=label,
     )
@@ -550,7 +534,6 @@ def build_stokes_manufactured(spec: StokesSpec
 
     system = CoupledSystem(
         space=space, eval_N=eval_n, eval_Nu=eval_nu, eval_Nv=eval_nv,
-        probe_rows=_probe_rows(space, space.dim),
         monotony=MonotonyMatrix(np.zeros((2, 2))), growth=None,
         pointwise=None, embedding_sq=None,
         label=f"{space.space_id}-manufactured",

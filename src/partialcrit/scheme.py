@@ -62,6 +62,11 @@ FORCING = 0.1
 # perturbations probed by `nash_check`, and the largest offset it tries
 NASH_SAMPLES = 200
 NASH_RADIUS = 0.1
+# bytes of the two directions a probe block draws a sample; it sets memory
+# and speed only, as the samples depend on seed and count. 128 KB keeps the
+# peak memory of Stokes sessions level (256 KB raised it 4.5%); half that
+# leaves Stokes n=49 one row a block, which costs more than it saves
+PROBE_BYTES = 128 * 1024
 
 
 @dataclass(frozen=True)
@@ -126,9 +131,7 @@ class CoupledSystem:
     systems evaluate its pointwise values once, not once a row).
     ``eval_N`` returns a float for two vectors and ``(k,)`` values
     otherwise, the gradients ``(dim,)`` or ``(k, dim)`` coefficients; a
-    block equals the single calls row by row. The probes evaluate in blocks of
-    ``probe_rows`` rows, the most whose arrays fit `problems.PROBE_BYTES`,
-    which bounds memory only: a probe's samples depend on its seed and count.
+    block equals the single calls row by row.
 
     ``monotony`` bounds the couplings of the gradient differences and is
     consumed by the convergence gate and the contraction certificate;
@@ -142,7 +145,6 @@ class CoupledSystem:
     eval_N: Callable[[np.ndarray, np.ndarray], float | np.ndarray]
     eval_Nu: Callable[[np.ndarray, np.ndarray], np.ndarray]
     eval_Nv: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    probe_rows: int
     monotony: MonotonyMatrix
     growth: GrowthParams | None = None
     pointwise: object | None = None
@@ -465,16 +467,22 @@ class NashReport:
         return self.min_e1_margin >= 0.0 and self.max_e2_margin <= 0.0
 
 
-def _probe_blocks(sys: CoupledSystem, seed: int, n: int):
+def _probe_rows(space: DiscreteSpace) -> int:
+    """Rows of a probe block: as many as `PROBE_BYTES` holds, at least 1."""
+    return max(1, PROBE_BYTES // (16 * space.dim))
+
+
+def _probe_blocks(space: DiscreteSpace, seed: int, n: int):
     """Yield a probe's `n` samples as ``(uniforms, d_u, d_v)`` blocks of
-    ``sys.probe_rows``: all uniforms first, then each block's directions as
+    `_probe_rows` rows: all uniforms first, then each block's directions as
     one `random_unit_rows` draw, sample i's u in row 2i and v in 2i + 1, so
     that a sample depends on `seed` and `n` only, not on the block size."""
     rng = np.random.default_rng(seed)
     uniforms = rng.random(n)
-    for start in range(0, n, sys.probe_rows):
-        k = min(sys.probe_rows, n - start)
-        d = random_unit_rows(sys.space, rng, 2 * k).reshape(k, 2, -1)
+    rows = _probe_rows(space)
+    for start in range(0, n, rows):
+        k = min(rows, n - start)
+        d = random_unit_rows(space, rng, 2 * k).reshape(k, 2, -1)
         yield uniforms[start:start + k], d[:, 0], d[:, 1]
 
 
@@ -516,7 +524,7 @@ def nash_check(sys: CoupledSystem, pair: SolutionPair, seed: int = 0
     e2_base = _half_square(-1.0, norm_a(v, sys.space)) - n_base
 
     e1_margins, e2_margins = [], []
-    for x, d_u, d_v in _probe_blocks(sys, seed, NASH_SAMPLES):
+    for x, d_u, d_v in _probe_blocks(sys.space, seed, NASH_SAMPLES):
         s = NASH_RADIUS * (1.0 - x)
         # the A-quadratic steps in closed form, as the directions are unit
         # in the A-norm; np.vecdot is np.dot's ddot on each row

@@ -304,6 +304,9 @@ DIRICHLET_2D_STIFF = {"kind": "dirichlet", "dims": 2, "n_per_dim": 5,
 STOKES_STIFF = {"kind": "stokes", "n_per_dim": 5, "lengths": [1.0, 1.0],
                 "mu_coeff": 1e200, "nonlinearity": _SINCOS}
 STOKES_HUGE = {**STOKES_STIFF, "lengths": [1e30, 1e30]}
+# the bundled stokes_17 with a coupling whose declared matrix has rho 1.47
+STOKES_17_STRONG = json.loads((CONFIGS / "stokes_17.json").read_text())
+STOKES_17_STRONG["problem"]["nonlinearity"]["epsilon"] = 40.0
 
 # (command, base config, path, value or DELETE, extra flags, exit code,
 #  config error message); the empty path replaces the whole config
@@ -481,6 +484,14 @@ DEFECTS = [
     # rows go last, so that the ids of the rows above keep their index)
     ("check", SINCOS_CONFIG, ("check", "sampler", "box_radius"), 1e308, (), 2,
      "check.sampler: box_radius must be below half the float range"),
+    # squares of the sampled points overflow: one line, no warning before it
+    ("check", SINCOS_CONFIG, ("check", "sampler", "box_radius"), 1e300, (), 2,
+     "check: sampled squares leave the float range"),
+    # no pair far enough apart to fit a slope: the fit used to read zero and
+    # report ready, also on a coupling whose declared matrix does not converge
+    *[("check", base, ("check", "sampler", "box_radius"), 1e-13, (), 2,
+       "check: box_radius is too small to fit a slope")
+      for base in (SINCOS_CONFIG, STOKES_17_STRONG)],
 ]
 
 

@@ -73,6 +73,17 @@ def test_pure_cross_coupling_fits_zero_diagonal():
     assert e[1, 0] == pytest.approx(1.0, rel=1e-12)
 
 
+def test_estimate_monotony_rejects_a_box_too_small_for_a_slope():
+    # every pair of a 1e-13 box is within 1e-12 on both sides; the fit of
+    # no pair used to read zero, a coupling matrix that certifies anything
+    pw = pc.make_pointwise(
+        pc.NonlinearitySpec.quadratic(0.3, 0.5, -0.2, 1.0), arg_dim=1)
+    e = pc.estimate_monotony(pw.f1, pw.f2, pc.SamplerSpec()).entries
+    assert np.allclose(e, [[0.6, 0.5], [0.5, 0.4]], rtol=1e-9)
+    with pytest.raises(ValueError, match="too small to fit a slope"):
+        pc.estimate_monotony(pw.f1, pw.f2, pc.SamplerSpec(box_radius=1e-13))
+
+
 def test_fit_pair_rejects_row_with_no_coefficient():
     a = np.array([1.0, 0.0])
     b = np.array([0.5, 0.0])
@@ -290,6 +301,21 @@ def test_growth_counts_a_nan_value_as_violated():
     # the fits read NaN too, where max(0.0, nan) used to fold them to 0.0
     assert np.isnan([rep.alpha_upper_hat, rep.alpha_lower_hat,
                      rep.c_hat]).all()
+
+
+def test_growth_rejects_squares_beyond_the_float_range():
+    # |x|^2 of points near 1e160 overflows: that used to warn, then read
+    # every point as violated through 0 * inf
+    pw = pc.make_pointwise(pc.NonlinearitySpec.sincos(0.1), arg_dim=1)
+    with pytest.raises(ValueError,
+                       match="^sampled squares leave the float range$"):
+        pc.check_growth(pw.F, (0.0, 0.0, 0.1),
+                        pc.SamplerSpec(box_radius=1e160))
+    rep = pc.check_growth(pw.F, (0.0, 0.0, 0.1),
+                          pc.SamplerSpec(box_radius=1e150))
+    assert rep.ok
+    assert (rep.alpha_upper_hat, rep.alpha_lower_hat) == (0.0, 0.0)
+    assert rep.c_hat == 0.09992708334744424
 
 
 @pytest.mark.parametrize("value", [np.inf, -np.inf])

@@ -179,8 +179,8 @@ def test_benchmark_tracer_fits_the_package():
     # sample block's draw, as its energy steps take no A-norm
     spans = tracer.spans
     owners = {"scheme.contraction_certificate": 2,
-              "scheme.nash_check": 2 + -(-pc.scheme.NASH_SAMPLES
-                                         // system.probe_rows)}
+              "scheme.nash_check": 2 + -(-pc.scheme.NASH_SAMPLES // (
+                  pc.scheme._probe_rows(system.space)))}
     for owner, expected in owners.items():
         got = sum(1 for i, s in enumerate(spans)
                   if s[tracing.NAME] == "spaces.norm_a"

@@ -9,8 +9,8 @@ one ``eval_N`` per sample, stage or grid point, except that the Nash
 reference takes each quadratic step in closed form, ``s (d . A u) + s^2
 / 2``, as `nash_check` does. They draw the n uniforms first and then, one
 sample at a time, its u and its v direction from `random_unit_rows`: the
-probes' samples depend on the seed and the count only, not on
-``probe_rows``. Every comparison is ``==`` on floats, but one: the
+probes' samples depend on the seed and the count only, not on the
+block size, which the tests set through ``scheme.PROBE_BYTES``. Every comparison is ``==`` on floats, but one: the
 difference of two partial energies that the closed form replaced is kept
 as a second Nash reference, within the probe's roundoff slack. The
 probes reduce their blocks with numpy's min and max, so a NaN energy on
@@ -113,6 +113,11 @@ def _ref_ring(sys, tau, sampler):
             violated += 1
     return pc.RingReport(tau=float(tau), n_samples=sampler.n_points,
                          n_violated=violated)
+
+
+def _set_rows(monkeypatch, system, rows):
+    # a byte budget that gives `system` blocks of `rows` rows
+    monkeypatch.setattr(scheme, "PROBE_BYTES", 16 * system.space.dim * rows)
 
 
 def _stokes(n):
@@ -318,7 +323,7 @@ def test_fixed_side_is_sampled_once_a_block(stokes_17, solved, monkeypatch):
     pc.nash_check(stokes_17, solved["stokes_17"][0])
     # N at the pair samples its two vectors; then each block of the
     # samples evaluates N twice, each on the block and the fixed vector
-    k = stokes_17.probe_rows
+    k = scheme._probe_rows(stokes_17.space)
     expected = [1] * 2
     for start in range(0, scheme.NASH_SAMPLES, k):
         expected += [min(k, scheme.NASH_SAMPLES - start), 1] * 2
@@ -343,7 +348,7 @@ def test_density_sees_the_fixed_side_once_a_block(stokes_spec, solved):
     assert pc.nash_check(system, pair) == pc.nash_check(
         pc.build_stokes(stokes_spec), pair)
     m = (stokes_spec.n_per_dim + 2) ** 2
-    k = system.probe_rows
+    k = scheme._probe_rows(system.space)
     expected = [((m, 2), (m, 2))]
     for start in range(0, scheme.NASH_SAMPLES, k):
         rows = min(k, scheme.NASH_SAMPLES - start)
@@ -413,16 +418,19 @@ def test_closed_form_margins_match_the_energy_differences(
             <= 1e-12 * (1.0 + abs(e2)))
 
 
-def test_probe_samples_do_not_depend_on_the_block_size(bundled, solved):
+def test_probe_samples_do_not_depend_on_the_block_size(bundled, solved,
+                                                      monkeypatch):
     # one row a block, an uneven split, the budget's and one block for all
     sampler = pc.SamplerSpec(n_points=150, seed=4)
     for name, system in bundled.items():
         pair, _ = solved[name]
         reports = []
-        for rows in (1, 7, system.probe_rows, scheme.NASH_SAMPLES):
-            small = dataclasses.replace(system, probe_rows=rows)
-            reports.append((pc.nash_check(small, pair),
-                            pc.check_mountain_pass_ring(small, 2.0, sampler)))
+        for rows in (1, 7, scheme._probe_rows(system.space),
+                     scheme.NASH_SAMPLES):
+            _set_rows(monkeypatch, system, rows)
+            reports.append((pc.nash_check(system, pair),
+                            pc.check_mountain_pass_ring(system, 2.0, sampler)))
+            monkeypatch.undo()
         assert all(r == reports[0] for r in reports), name
 
 
@@ -505,7 +513,6 @@ def _plane():
         eval_N=lambda u, v: 0.3 * np.sum(np.sin(u) * np.cos(v), axis=-1),
         eval_Nu=lambda u, v: pc.solve_a(0.3 * np.cos(u) * np.cos(v), space),
         eval_Nv=lambda u, v: pc.solve_a(-0.3 * np.sin(u) * np.sin(v), space),
-        probe_rows=64,
         monotony=pc.MonotonyMatrix(np.full((2, 2), 0.15)))
 
 
@@ -518,7 +525,7 @@ def _shifted(pair, shift):
         v_star=pc.HVector(pair.v_star.coeffs + shift[1], space_id))
 
 
-def test_brute_nash_equals_per_point_reference(bundled, solved):
+def test_brute_nash_equals_per_point_reference(bundled, solved, monkeypatch):
     # blocks of 7 rows split either grid unevenly; the plane scans a 2-D
     # grid
     cases = [(name, bundled[name], solved[name][0])
@@ -530,12 +537,13 @@ def test_brute_nash_equals_per_point_reference(bundled, solved):
         grid_n = 201 if system.space.dim == 1 else 31
         shifts = rng.uniform(-0.4, 0.4, (3, 2, system.space.dim))
         for candidate in [pair] + [_shifted(pair, s) for s in shifts]:
-            for rows in (system.probe_rows, 7):
-                small = dataclasses.replace(system, probe_rows=rows)
+            for rows in (scheme._probe_rows(system.space), 7):
+                _set_rows(monkeypatch, system, rows)
                 for radius in (0.5, 2.0):
-                    assert (pc.brute_nash(small, candidate, radius, grid_n)
-                            == _ref_brute(small, candidate, radius,
+                    assert (pc.brute_nash(system, candidate, radius, grid_n)
+                            == _ref_brute(system, candidate, radius,
                                           grid_n)), name
+                monkeypatch.undo()
 
 
 def _nan_after_first_row(system, calls=None):
@@ -553,14 +561,16 @@ def _nan_after_first_row(system, calls=None):
 
 
 @pytest.mark.parametrize("rows", [None, 7])
-def test_nan_energies_fail_the_nash_probe(bundled, solved, rows):
+def test_nan_energies_fail_the_nash_probe(bundled, solved, rows,
+                                         monkeypatch):
     # a fold that passes over NaN would judge each block by its first row
     system, pair = bundled["sincos_1d"], solved["sincos_1d"][0]
-    system = dataclasses.replace(system, probe_rows=rows or system.probe_rows)
+    if rows:
+        _set_rows(monkeypatch, system, rows)
     assert pc.nash_check(system, pair).ok
     # two energies a block of the samples: NaN rows in every block, and in
     # the last block alone
-    n_calls = 2 * -(-scheme.NASH_SAMPLES // system.probe_rows)
+    n_calls = 2 * -(-scheme.NASH_SAMPLES // scheme._probe_rows(system.space))
     for calls in (None, range(n_calls - 2, n_calls)):
         report = pc.nash_check(_nan_after_first_row(system, calls), pair)
         assert not report.ok, calls
@@ -568,25 +578,37 @@ def test_nan_energies_fail_the_nash_probe(bundled, solved, rows):
         assert np.isnan(report.max_e2_margin)
 
 
-def test_nan_energies_fail_the_grid_scan(bundled, solved):
+def test_nan_energies_fail_the_grid_scan(bundled, solved, monkeypatch):
     system, pair = bundled["scalar_linear"], solved["scalar_linear"][0]
-    for rows in (system.probe_rows, 7):
-        small = dataclasses.replace(system, probe_rows=rows)
-        assert pc.brute_nash(small, pair).ok
-        report = pc.brute_nash(_nan_after_first_row(small), pair)
+    for rows in (scheme._probe_rows(system.space), 7):
+        _set_rows(monkeypatch, system, rows)
+        assert pc.brute_nash(system, pair).ok
+        report = pc.brute_nash(_nan_after_first_row(system), pair)
         assert not report.ok, rows
         assert np.isnan(report.min_e1_delta)
         assert np.isnan(report.max_e2_delta)
 
 
 def test_probe_rows_follow_the_byte_budget(bundled):
-    # 128 KB for the larger of a row's pointwise values and its two drawn
-    # directions: 130 rows on Dirichlet 1D n=63, a few on Stokes
-    assert bundled["cross_coupled_1d"].probe_rows == 130
-    assert bundled["scalar_linear"].probe_rows >= scheme.NASH_SAMPLES
-    assert bundled["stokes_17"].probe_rows == 22
-    assert _stokes(33).probe_rows == 6
-    assert _stokes(49).probe_rows == 3
+    # 128 KB for a row's two drawn directions: 130 rows on Dirichlet 1D
+    # n=63, a few on Stokes, whose unknowns are the n^2 interior nodes
+    rows = [scheme._probe_rows(system.space) for system in (
+        bundled["cross_coupled_1d"], bundled["scalar_linear"],
+        bundled["stokes_17"], _stokes(33), _stokes(49))]
+    assert rows[0] == 130
+    assert rows[1] >= scheme.NASH_SAMPLES
+    assert rows[2:] == [28, 7, 3]
+
+
+def test_probe_blocks_fit_the_byte_budget(bundled):
+    # every block's directions fit the budget, unless a single row does not
+    for system in [*bundled.values(), _stokes(33), _stokes(49)]:
+        dim = system.space.dim
+        sizes = [len(x) for x, _, _ in scheme._probe_blocks(
+            system.space, 0, scheme.NASH_SAMPLES)]
+        assert sum(sizes) == scheme.NASH_SAMPLES, system.label
+        assert all(16 * k * dim <= scheme.PROBE_BYTES or k == 1
+                   for k in sizes), system.label
 
 
 @pytest.fixture(scope="module")
