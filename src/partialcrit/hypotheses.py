@@ -12,6 +12,7 @@ from __future__ import annotations
 import sys
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -93,7 +94,8 @@ class PsBeta:
     """The compactness margin ``1 - m11 - m12 m21 / (1 - m22)``.
 
     ``full`` takes each entry where the two-sequence estimate produces it;
-    it is provably positive for a convergent matrix.
+    it is provably positive for a convergent matrix, and computed exactly,
+    then rounded once.
     """
 
     full: float
@@ -361,14 +363,9 @@ def ps_beta(mm: MonotonyMatrix) -> PsBeta:
         raise ValueError(
             f"matrix is not convergent to zero (radius {cert.spectral_radius:.6g})"
         )
-    e = mm.entries
-    full = (1.0 - float(e[0, 0])
-            - float(e[0, 1]) * float(e[1, 0]) / (1.0 - float(e[1, 1])))
-    if not (full > 0.0):
-        raise IntegrityError(
-            f"full margin {full} should be positive for a convergent matrix"
-        )
-    return PsBeta(full=float(full))
+    # exact, then rounded once: in floats it can round to <= 0 near rho = 1
+    m11, m12, m21, m22 = map(Fraction, mm.entries.ravel().tolist())
+    return PsBeta(full=float(1 - m11 - m12 * m21 / (1 - m22)))
 
 
 def full_report(sys: CoupledSystem, declared: tuple[float, float, float],

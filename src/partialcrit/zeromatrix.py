@@ -2,9 +2,12 @@
 
 A nonnegative square matrix M is convergent to zero when its powers tend to
 the zero matrix; equivalently its spectral radius is below one, equivalently
-I - M is invertible with a nonnegative inverse. Vector sequences dominated
-componentwise by ``x_k <= M x_{k-1} + y_k`` with ``y_k -> 0`` then tend to
-zero themselves, which is what the iteration analysis leans on.
+I - M is a nonsingular M-matrix, that is, every leading principal minor of
+I - M is positive (Berman and Plemmons, *Nonnegative Matrices in the
+Mathematical Sciences*, 1979, ch. 6). The verdict here is that minor test,
+taken exactly. Vector sequences dominated componentwise by
+``x_k <= M x_{k-1} + y_k`` with ``y_k -> 0`` then tend to zero themselves,
+which is what the iteration analysis leans on.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ __all__ = [
 ]
 
 _MAX_SIZE = 8
-_LOG_DECAYED = math.log(1e-6)
 
 
 @dataclass(frozen=True)
@@ -55,21 +57,17 @@ class MonotonyMatrix:
 
 @dataclass(frozen=True)
 class ConvergenceCertificate:
-    """Three characterizations of convergence to zero, evaluated together.
+    """Whether a nonnegative matrix is convergent to zero, and its radius.
 
-    ``spectral_radius`` is one eigensolve checked against its
-    Collatz–Wielandt bracket; ``neumann_ok`` says that ``I - M`` has a
-    nonnegative inverse; ``powers_decay`` says that ``M^(2^64)`` has
-    infinity norm below 1e-6, found by squaring with norm tracking until a
-    power is below that (then every later one is) or 64 times. Outside a
-    thin band around spectral radius one the three booleans agree, and
-    `is_convergent_to_zero` enforces that agreement.
+    ``rho_ok`` is the exact verdict: every leading principal minor of
+    ``I - M`` is positive, which for nonnegative M holds exactly when
+    ``rho(M) < 1`` (Berman and Plemmons 1979, ch. 6). ``spectral_radius`` is
+    the reported number, from `spectral_radius`; within rounding of one it
+    may read 1 under a true verdict.
     """
 
     spectral_radius: float
     rho_ok: bool
-    neumann_ok: bool
-    powers_decay: bool
 
     @property
     def convergent(self) -> bool:
@@ -138,7 +136,10 @@ def spectral_radius(m) -> float:
         raise ValueError("spectral radius leaves the float range")
     x = np.abs(vecs[:, k])
     if np.all(x > 0.0):
-        ratios = (a @ x) / x
+        # a ratio beyond the float range leaves an infinite, still valid,
+        # upper end of the bracket
+        with np.errstate(over="ignore"):
+            ratios = (a @ x) / x
         slack = 1e-6 * max(1.0, rho)
         lo, hi = float(ratios.min()), float(ratios.max())
         if not lo - slack <= rho <= hi + slack:
@@ -149,93 +150,72 @@ def spectral_radius(m) -> float:
     return rho
 
 
-def _neumann_ok(a: np.ndarray, rho_ok: bool) -> bool:
-    n = a.shape[0]
-    try:
-        inv = np.linalg.inv(np.eye(n) - a)
-    except np.linalg.LinAlgError:
-        return False
-    if not np.all(np.isfinite(inv)):
-        if rho_ok:
-            raise ValueError("(I - M)^-1 leaves the float range")
-        return False
-    return bool(np.all(inv >= -1e-12))
+def _leading_minors_positive(a: np.ndarray) -> bool:
+    """Whether every leading principal minor of ``I - a`` is positive.
 
-
-def _powers_decay(a: np.ndarray) -> bool:
-    # track log ||M^(2^k)||_inf through up to 64 normalized squarings to
-    # dodge overflow/underflow; decayed means ||M^(2^64)||_inf < 1e-6. The
-    # inf-norm is submultiplicative, so once a tracked power is below 1e-6
-    # every later one is smaller, and the verdict is settled
-    norm = float(np.abs(a).sum(axis=1).max())
-    if norm == 0.0:
-        return True
-    log_norm = math.log(norm)
-    p = a / norm
-    for _ in range(64):
-        if log_norm < _LOG_DECAYED:
-            return True
-        p = p @ p
-        norm = float(np.abs(p).sum(axis=1).max())
-        if norm == 0.0:
-            return True
-        log_norm = 2.0 * log_norm + math.log(norm)
-        p = p / norm
-        if log_norm > 1e6:
+    Fraction-free (Bareiss) elimination without pivoting, in Python
+    integers: every float is an integer over a power of two, so ``D (I - a)``
+    for the largest such denominator ``D`` is an integer matrix, and each
+    division below is exact. The k-th pivot is the k-th leading minor of
+    that matrix, ``D^k`` times the one of ``I - a``.
+    """
+    ratios = [[x.as_integer_ratio() for x in row] for row in a.tolist()]
+    shift = max(q.bit_length() for row in ratios for _, q in row) - 1
+    rows = [[-(p << (shift + 1 - q.bit_length())) for p, q in row]
+            for row in ratios]
+    for i, row in enumerate(rows):
+        row[i] += 1 << shift
+    prev = 1
+    for k, pivot_row in enumerate(rows):
+        pivot = pivot_row[k]
+        if pivot <= 0:
             return False
-    return log_norm < _LOG_DECAYED
+        for row in rows[k + 1:]:
+            for j in range(k + 1, len(row)):
+                row[j] = (pivot * row[j] - row[k] * pivot_row[j]) // prev
+        prev = pivot
+    return True
 
 
 def is_convergent_to_zero(m) -> ConvergenceCertificate:
-    """Evaluate all three convergence characterizations.
+    """Decide exactly whether ``M`` is convergent to zero.
 
-    ``rho_ok`` means ``rho < 1 - 1e-9`` for the radius of `spectral_radius`.
-    Raises ``IntegrityError`` if such a radius fails either of the other two
-    checks, or if the radius falls outside its Collatz–Wielandt bracket;
-    either signals a numerical inconsistency, not a borderline input.
-    Raises ``ValueError`` when the radius, or ``(I - M)^-1`` under a radius
-    below one, leaves the float range.
+    ``rho_ok`` holds when every leading principal minor of ``I - M`` is
+    positive, the M-matrix criterion (Berman and Plemmons 1979, ch. 6),
+    decided in exact integer arithmetic; the radius is `spectral_radius`'s.
+    Raises ``ValueError`` when that radius leaves the float range, and
+    ``IntegrityError`` when it falls outside its Collatz–Wielandt bracket.
     """
     a = _coerce(m)
-    rho = spectral_radius(a)
-    rho_ok = rho < 1.0 - 1e-9
-    neumann = _neumann_ok(a, rho_ok)
-    powers = _powers_decay(a)
-    if rho_ok and not (neumann and powers):
-        raise IntegrityError(
-            f"certificate inconsistency: rho={rho} but neumann_ok={neumann}, "
-            f"powers_decay={powers}"
-        )
-    return ConvergenceCertificate(
-        spectral_radius=float(rho), rho_ok=bool(rho_ok),
-        neumann_ok=bool(neumann), powers_decay=bool(powers),
-    )
+    return ConvergenceCertificate(spectral_radius=spectral_radius(a),
+                                  rho_ok=_leading_minors_positive(a))
 
 
 def neumann_inverse(m) -> np.ndarray:
-    """Inverse of ``I - M`` for a convergent matrix, validated by the series.
+    """``(I - M)^-1``, the sum of the Neumann series, for a convergent M.
 
-    The partial sums ``S_m = I + M + ... + M^(m-1)`` are doubled,
-    ``S_2m = S_m + S_m M^m``, until ``M^m`` is negligible (at most 64
-    doublings, i.e. 2^64 terms), and compared with the direct inverse to
-    1e-8 relative to its largest entry.
+    A matrix that the exact M-matrix criterion of `is_convergent_to_zero`
+    (Berman and Plemmons 1979, ch. 6) refuses raises ``ValueError``, as does
+    an inverse that leaves the float range. The inverse is the direct one,
+    ``np.linalg.inv(I - M)``, which within rounding of radius one carries
+    the error of an ill-conditioned solve. The exact inverse is at least
+    ``I``, so a solve that meets a zero pivot or returns a diagonal entry
+    that is not positive raises ``ValueError`` as singular to working
+    precision.
     """
     a = _coerce(m)
-    rho = spectral_radius(a)
-    if rho >= 1.0:
-        raise ValueError(f"matrix is not convergent to zero (radius {rho})")
-    n = a.shape[0]
-    inv = np.linalg.inv(np.eye(n) - a)
-    total = np.eye(n)
-    power = a
-    for _ in range(64):
-        total = total + total @ power
-        power = power @ power
-        if float(np.abs(power).max()) <= 1e-15 * max(float(np.abs(total).max()), 1.0):
-            break
-    scale = max(float(np.abs(inv).max()), 1.0)
-    if float(np.abs(inv - total).max()) > 1e-8 * scale:
-        raise IntegrityError("direct inverse disagrees with the partial series")
+    if not _leading_minors_positive(a):
+        raise ValueError("matrix is not convergent to zero "
+                         f"(radius {spectral_radius(a)})")
+    singular = "I - M is singular to working precision"
+    try:
+        inv = np.linalg.inv(np.eye(a.shape[0]) - a)
+    except np.linalg.LinAlgError:
+        raise ValueError(singular) from None
+    if not np.all(np.isfinite(inv)):
+        raise ValueError("(I - M)^-1 leaves the float range")
+    if not np.all(np.diag(inv) > 0.0):
+        raise ValueError(singular)
     return inv
 
 

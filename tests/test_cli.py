@@ -524,6 +524,15 @@ FLOAT_RANGE_DEFECTS = [
           (STOKES_CONFIG, {**STOKES_STIFF, "n_per_dim": 7,
                            "lengths": [1e30, 3], "mu_coeff": 1e308}))
       for command in ("check", "solve", "compare")],
+    # convergent, but too close to radius one for a float inverse: the
+    # solve returns an all-negative one, or meets a zero pivot
+    *[("lemma", MATRIX_CONFIG, ("problem", "entries"), entries,
+       ["config error: problem.entries: I - M is singular to working "
+        "precision"])
+      for entries in ([[0.8776642926579782, 0.7464554969217999],
+                       [0.07279168791186937, 0.5558471295701013]],
+                      [[0.36668991677357926, 0.34234132370869863],
+                       [1.2580478044464147, 0.3199512181001695]])],
 ]
 
 

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -179,6 +180,17 @@ def test_ps_beta_frozen_values():
     rep = pc.ps_beta(pc.MonotonyMatrix([[0.3, 0.2], [0.1, 0.4]]))
     assert rep.full == pytest.approx(1.0 - 0.3 - 0.02 / 0.6, rel=1e-12)
     assert rep.full > 0.0
+
+
+def test_ps_beta_is_exact_within_rounding_of_the_unit_radius():
+    # rho rounds to 1, but the minors of I - M are positive; the float
+    # formula gives 1 - m11 - m12 m21 / (1 - m22) = 0.0 here
+    m = [[0.9643577208942796, 0.6108149501299146],
+         [0.021958285093545995, 0.6236927281061517]]
+    (m11, m12), (m21, m22) = [[Fraction(x) for x in row] for row in m]
+    rep = pc.ps_beta(pc.MonotonyMatrix(m))
+    assert rep.full > 0.0
+    assert rep.full == float(1 - m11 - m12 * m21 / (1 - m22))
 
 
 def test_ps_beta_rejects_divergent_matrix():
