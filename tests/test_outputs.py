@@ -4,12 +4,11 @@ bundled configs must print `data/digests.txt`, header and all.
 The stored digests hold for the numpy and scipy versions named in the
 header that the tool prints; other versions may round differently, so
 the test skips when the tool's version line differs from the stored one.
-They also hold only on a multi-threaded OpenBLAS: with one thread (as
-under ``taskset -c 1`` or ``OPENBLAS_NUM_THREADS=1``) the
-``cross_coupled_1d compare`` digest moves, because the oracle's dense
-Newton solve on 126 unknowns rounds with the BLAS thread count. The test
-is kept as it is; removing that dense solve (ROADMAP direction 8) waits
-on a change to the benchmark.
+The tool pins BLAS to one thread before it imports numpy, so that the
+dense Newton solve behind ``compare`` rounds the same on any machine; the
+test therefore runs it as a script in a fresh interpreter, where the pin
+takes effect, and the digests hold whatever thread count the test run
+itself uses.
 A change meant to move an output regenerates the file with
 
     PYTHONPATH=src python3 tools/digest_outputs.py > tests/data/digests.txt
@@ -17,9 +16,9 @@ A change meant to move an output regenerates the file with
 and says why in CHANGES.md.
 """
 
-import contextlib
-import importlib.util
-import io
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -28,22 +27,16 @@ ROOT = Path(__file__).resolve().parents[1]
 DIGESTS = Path(__file__).resolve().parent / "data" / "digests.txt"
 
 
-def _digest_tool():
-    path = ROOT / "tools" / "digest_outputs.py"
-    spec = importlib.util.spec_from_file_location("digest_outputs", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_outputs_match_the_stored_digests():
     expected = DIGESTS.read_text(encoding="utf-8").splitlines()
-    tool = _digest_tool()
-    stored, here = expected[1], tool.HEADER[1]
-    if here != stored:
-        pytest.skip(f"digests were taken with {stored[2:]}, "
-                    f"this is {here[2:]}")
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        assert tool.main([]) == 0
-    assert out.getvalue().splitlines() == expected
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(
+               p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH"))
+               if p)}
+    printed = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "digest_outputs.py")], env=env,
+        check=True, capture_output=True, text=True).stdout.splitlines()
+    if printed[1] != expected[1]:
+        pytest.skip(f"digests were taken with {expected[1][2:]}, "
+                    f"this is {printed[1][2:]}")
+    assert printed == expected

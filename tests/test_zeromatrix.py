@@ -1,5 +1,6 @@
 """Spectral radius, convergence certificates, Neumann series, dominance."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -180,6 +181,74 @@ def test_verify_dominance_rejects_nonfinite_input(xs, ys, slack):
     with pytest.raises(ValueError, match="^dominance sequences and slack "
                                          "must be finite$"):
         pc.verify_dominance(xs, ys, m, slack=slack)
+
+
+def _dominance_by_rows(xs, ys, m, slack, tail_threshold):
+    # the per-row formulation: a max over each step's row, and the tail
+    # bound read from the norms of every step
+    xs, ys, a = (np.asarray(v, dtype=float) for v in (xs, ys, m))
+    margins = np.max(xs[1:] - (xs[:-1] @ a.T + ys[1:] + slack), axis=1)
+    violating = np.flatnonzero(margins > 0.0)
+    norms = np.max(np.abs(xs), axis=1)
+    tail_len = max(1, int(math.ceil(len(norms) * 0.25)))
+    tail_sup = float(np.max(norms[-tail_len:]))
+    return pc.DominanceReport(
+        dominance_ok=violating.size == 0,
+        first_violation=int(violating[0]) + 1 if violating.size else None,
+        max_violation=float(np.max(margins)),
+        tail_sup=tail_sup,
+        tail_ok=None if tail_threshold is None else bool(tail_sup <= tail_threshold),
+    )
+
+
+def _bits(report):
+    # each field with its type, a float by its bits, so that -0.0 != 0.0
+    return [(type(v), np.float64(v).tobytes() if isinstance(v, float) else v)
+            for v in dataclasses.astuple(report)]
+
+
+# ties, both zeros, and entries near 1e300, where ``M x + y`` overflows and
+# a step's margin reads -inf
+_STEP_ENTRIES = [0.0, -0.0, 0.25, 0.5, 1.0, 3.0, 1e300, 1.7e308]
+_MATRIX_ENTRIES = [0.0, -0.0, 0.25, 0.5, 1.0, 2.0, 1e10]
+
+
+@st.composite
+def _trajectories(draw):
+    n, steps = draw(st.integers(1, 8)), draw(st.integers(2, 600))
+    pick = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).choice
+    a = pick(draw(st.lists(st.sampled_from(_MATRIX_ENTRIES), min_size=1,
+                           max_size=4)), size=(n, n))
+    # steps of signed zeros alone tie every margin at zero, so the sign of
+    # max_violation is down to which zero each step's maximum keeps
+    pool = [0.0, -0.0] if draw(st.booleans()) else draw(st.lists(
+        st.sampled_from(_STEP_ENTRIES) | st.floats(0.0, 1e301), min_size=1,
+        max_size=6))
+    xs, ys = pick(pool, size=(steps, n)), pick(pool, size=(steps, n))
+    if draw(st.booleans()):
+        # the recursion itself, so that every margin ties at zero
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(1, steps):
+                xs[k] = xs[k - 1] @ a.T + ys[k]
+        xs[~np.isfinite(xs)] = 1e300
+    if draw(st.booleans()):
+        # the largest entry on the first step of the tail, where a tail one
+        # step short shows
+        xs[-math.ceil(steps / 4), 0] = 1.75e308
+    slack = draw(st.sampled_from([0.0, -0.0, 1e-15, -1e-15, 1e300]))
+    tail_threshold = draw(st.sampled_from([None, 0.0, 1.0, 1e300]))
+    return xs, ys, a, slack, tail_threshold
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_trajectories())
+def test_verify_dominance_equals_the_per_row_maxima(case):
+    xs, ys, a, slack, tail_threshold = case
+    with np.errstate(over="ignore"):
+        got = pc.verify_dominance(xs, ys, a, slack=slack,
+                                  tail_threshold=tail_threshold)
+        ref = _dominance_by_rows(*case)
+    assert _bits(got) == _bits(ref)
 
 
 def test_certificate_fields_on_divergent_matrix():

@@ -22,6 +22,12 @@ when their digests are equal:
 
 ``--out DIR`` keeps the files under ``DIR/<config>/<subcommand>/``, so
 ``diff -r`` of two such directories shows what changed.
+
+BLAS runs on one thread, whatever the environment says: the dense Newton
+solve behind ``compare`` rounds with the BLAS thread count, so the digests
+would otherwise move with the machine. The pin is set before numpy is
+imported, so run the tool as a script, not from a process that already
+loaded numpy.
 """
 
 from __future__ import annotations
@@ -31,9 +37,14 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import sys
 import tempfile
 from pathlib import Path
+
+# before numpy loads its BLAS, which reads these once
+for _threads in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_threads] = "1"
 
 import numpy as np
 import scipy
