@@ -55,9 +55,8 @@ def _fd_jacobian(sys: CoupledSystem, x: np.ndarray, r0: np.ndarray
     Row j of one ``(m, m)`` block of states is `x` with its j-th entry
     stepped, and one `eval_Nu` and one `eval_Nv` call evaluate every
     row, through the `_stacked_residual` of a single state, so the
-    grouping does not change a bit. The dense path runs on at most 400
-    stacked unknowns, which bounds each block at 1.28 MB (127 KB at
-    dimension 63); a Stokes block's pointwise arrays, on the full grid
+    grouping does not change a bit. The block holds ``m**2`` floats, 127 KB
+    at dimension 63; a Stokes block's pointwise arrays, on the full grid
     with two velocity components, reach 1.6 MB at n=14.
     """
     m = x.size
@@ -92,11 +91,11 @@ def newton_full(sys: CoupledSystem, tol: float = 1e-8,
 
     The iteration starts from the zero pair, so its answer owes nothing
     to the scheme's iterates. The Jacobian is taken by forward
-    differences: up to 400 stacked unknowns as a dense matrix, whose
-    perturbed states are evaluated as one row block (`_fd_jacobian`), and
-    matrix-free through restarted GMRES above (``jacobian_free``
-    overrides the switch; it stays until the benchmark stops passing
-    it). Convergence is declared on the same metric the scheme uses:
+    differences, matrix-free through restarted GMRES; only
+    ``jacobian_free=False`` asks for it as a dense matrix, whose perturbed
+    states are evaluated as one row block (`_fd_jacobian`). The dense
+    path and the parameter stay until the benchmark stops passing it
+    ``False``. Convergence is declared on the same metric the scheme uses:
     both A-norm residuals at the pair below ``tol``. Line search halves
     the step until the squared euclidean residual decreases; running out
     of halvings or of the `NEWTON_MAX_ITERS` iterations, a singular
@@ -109,8 +108,6 @@ def newton_full(sys: CoupledSystem, tol: float = 1e-8,
     space = sys.space
     n = space.dim
     x = np.zeros(2 * n)
-    if jacobian_free is None:
-        jacobian_free = 2 * n > 400
 
     def resid(vec: np.ndarray) -> np.ndarray:
         u, v = space.check(vec.reshape(2, n))
@@ -124,7 +121,7 @@ def newton_full(sys: CoupledSystem, tol: float = 1e-8,
             return OracleResult(u_star=u, v_star=v,
                                 residual_norm=max(ru, rv),
                                 iterations=it, converged=True, tol=tol)
-        if jacobian_free:
+        if jacobian_free is not False:
             delta, info = _gmres_step(resid, x, r)
             if info != 0:
                 raise ConvergenceError(

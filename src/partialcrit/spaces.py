@@ -22,8 +22,8 @@ from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 from scipy.sparse import _sparsetools
-from scipy.sparse.linalg import splu
 
 from .errors import ConvergenceError, IntegrityError
 
@@ -53,12 +53,12 @@ class SpdOperator:
         be symmetric and positive definite; `validate_space` probes both
         properties.
 
-    The sparse factorization behind `solve_a` is computed on the first
+    The banded Cholesky factor behind `solve_a` is computed on the first
     solve and kept with the operator, as is `row_scale` on first use.
     """
 
     matrix: sp.csr_matrix
-    _lu: object = field(default=None, init=False, repr=False)
+    _band: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Return ``A @ x`` for a ``(dim,)`` vector or a ``(dim, k)`` block.
@@ -82,39 +82,44 @@ class SpdOperator:
                                      m.data, x.ravel(), out.ravel())
         return out
 
-    def factor(self):
-        """Sparse LU factorization of the matrix, computed once.
+    def factor(self) -> np.ndarray:
+        """Upper Cholesky factor of the matrix in LAPACK band storage,
+        computed once by ``dpbtrf``.
 
-        Symmetric mode with diagonal pivots only, so for an SPD matrix the
-        row and column orderings coincide and every pivot is positive.
-        Both are checked. Reading ``lu.U`` for the pivots makes scipy cache
-        CSC copies of L and U on the factor (about 2.5 MB at Stokes n=49
-        with scipy 1.17), but `SuperLU` offers no other view of them: its
-        only attributes are ``L``, ``U``, ``nnz``, ``perm_c``, ``perm_r``,
-        ``shape`` and ``solve``. The check stays, because it is what turns
-        an indefinite operator into an error instead of a wrong solve.
+        The half-bandwidth kd is the largest ``|i - j|`` of a stored entry,
+        read from the canonical CSR, and the factor holds ``(kd + 1) * dim``
+        floats: every builder's operator is banded in its natural ordering
+        (kd = 1 on a 1D Dirichlet mesh, n on a 2D one, 2n for Stokes). The
+        Cholesky reads the upper band only, so the stored lower triangle is
+        checked to mirror it exactly; else it would solve another matrix.
 
         Raises
         ------
         IntegrityError
-            If the matrix is singular or a pivot is not positive, i.e. the
-            matrix is not positive definite.
+            If the matrix is not symmetric, or not positive definite
+            (singular included).
         """
-        if self._lu is None:
-            try:
-                lu = splu(self.matrix.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                          diag_pivot_thresh=0.0,
-                          options={"SymmetricMode": True})
-            except RuntimeError as exc:
-                raise IntegrityError(f"operator matrix is singular: {exc}") from None
-            if (not np.array_equal(lu.perm_r, lu.perm_c)
-                    or not np.all(lu.U.diagonal() > 0.0)):
+        if self._band is None:
+            m = self.matrix
+            rows = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
+            offsets = m.indices - rows
+            kd = int(np.max(np.abs(offsets), initial=0))
+            # A[i, j] with i <= j sits at band[kd + i - j, j]; `mirror` puts
+            # each lower entry where its transpose sits in `band`
+            up = offsets >= 0
+            band = np.zeros((kd + 1, m.shape[0]), order="F")
+            band[kd - offsets[up], m.indices[up]] = m.data[up]
+            mirror = np.zeros_like(band[:kd])
+            mirror[kd + offsets[~up], rows[~up]] = m.data[~up]
+            if not np.array_equal(band[:kd], mirror):
+                raise IntegrityError("operator matrix is not symmetric")
+            band, info = dpbtrf(band, overwrite_ab=1)
+            if info != 0:
                 raise IntegrityError(
-                    "factorization met a non-positive pivot; operator is not "
-                    "positive definite"
-                )
-            object.__setattr__(self, "_lu", lu)
-        return self._lu
+                    "Cholesky factorization met a non-positive pivot; "
+                    "operator is not positive definite")
+            object.__setattr__(self, "_band", band)
+        return self._band
 
     @cached_property
     def row_scale(self) -> float:
@@ -268,7 +273,7 @@ def norm_a(x, space: DiscreteSpace):
 
 
 def solve_a(h, space: DiscreteSpace) -> np.ndarray:
-    """Solve ``A x = h`` with the operator's cached sparse factorization.
+    """Solve ``A x = h`` with the operator's cached band Cholesky factor.
 
     Parameters
     ----------
@@ -277,27 +282,28 @@ def solve_a(h, space: DiscreteSpace) -> np.ndarray:
         ``(k, dim)`` block of them.
 
     Returns the finite coefficients, in the shape of `h`. A vector takes
-    one single solve; a block's nonzero rows are solved as the columns of
-    one right-hand side, which equals the single solves bit for bit. Zero
-    right-hand sides give exact zeros.
+    one ``dpbtrs`` solve; a block's nonzero rows are solved as the columns
+    of one ``dpbtrs`` call, which solves each column on its own, so the
+    block equals the single solves bit for bit. Zero right-hand sides give
+    exact zeros.
 
     Raises
     ------
     ValueError
         From `DiscreteSpace.check`, if the solution is not finite.
     IntegrityError
-        If the operator is singular or not positive definite.
+        If the operator is not symmetric or not positive definite.
     """
     b = np.asarray(h, dtype=float)
     if b.ndim not in (1, 2) or b.shape[-1] != space.dim:
         raise ValueError("right-hand side length does not match space dimension")
     if b.ndim == 1:
-        x = space.operator.factor().solve(b) if b.any() else np.zeros(b.shape)
+        x = dpbtrs(space.operator.factor(), b)[0] if b.any() else np.zeros(b.shape)
     else:
         x = np.zeros(b.shape)
         live = np.any(b, axis=1)
         if live.any():
-            x[live] = space.operator.factor().solve(b[live].T).T
+            x[live] = dpbtrs(space.operator.factor(), b[live].T)[0].T
     return space.check(x)
 
 

@@ -250,7 +250,9 @@ def verify_dominance(x_seq, y_seq, m, slack: float = 0.0,
     if a.shape[0] != xs.shape[1]:
         raise ValueError("matrix size does not match vector length")
 
-    gaps = xs[1:] - (xs[:-1] @ a.T + ys[1:] + slack)
+    # a bound that leaves the float range is +inf, and its step dominated
+    with np.errstate(over="ignore"):
+        gaps = xs[1:] - (xs[:-1] @ a.T + ys[1:] + slack)
     margins = reduce(np.maximum, gaps.T)
     violating = np.flatnonzero(margins > 0.0)
     tail_sup = float(np.max(np.abs(xs[-math.ceil(len(xs) / 4):])))

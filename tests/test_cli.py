@@ -76,9 +76,9 @@ def test_solve_writes_all_outputs(tmp_path):
 
 @pytest.mark.parametrize("config", [
     SINCOS_CONFIG,
-    # cross-coupled quadratic, 19 stages with a live v-side
+    # cross-coupled quadratic, 18 stages with a live v-side
     json.loads((CONFIGS / "cross_coupled_1d.json").read_text()),
-    # Stokes quadratic cross coupling, 14 stages with a live v-side
+    # Stokes quadratic cross coupling, 15 stages with a live v-side
     json.loads((CONFIGS / "stokes_cross_17.json").read_text()),
 ], ids=["sincos_1d", "cross_coupled_1d", "stokes_cross_17"])
 def test_solve_reruns_are_byte_identical(tmp_path, config):

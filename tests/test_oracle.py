@@ -12,7 +12,8 @@ from partialcrit.scheme import residual_u, residual_v
 
 
 def test_newton_exact_on_affine_residual(scalar_linear):
-    # quadratic coupling means an affine residual: one dense step suffices
+    # quadratic coupling means an affine residual: one Newton step suffices,
+    # GMRES solving its two unknowns exactly
     result = pc.newton_full(scalar_linear)
     assert result.converged
     assert result.iterations <= 2
@@ -60,7 +61,7 @@ def test_newton_line_search_failure():
     # no halving of the Newton step lowers the stacked residual
     system = pc.build_scalar(0.5, pc.NonlinearitySpec.sincos(3.0))
     with pytest.raises(ConvergenceError) as err:
-        pc.newton_full(system)
+        pc.newton_full(system, jacobian_free=False)
     assert str(err.value) == ("line search could not reduce the stacked "
                               "residual")
     assert err.value.iterations == 9
@@ -233,11 +234,12 @@ def test_newton_result_unchanged_by_blocked_jacobian(bundled, custom_1d,
                                                      manufactured_9,
                                                      monkeypatch):
     systems = _dense_systems(bundled, custom_1d, manufactured_9)
-    results = {name: pc.newton_full(system)
+    results = {name: pc.newton_full(system, jacobian_free=False)
                for name, system in systems.items()}
     monkeypatch.setattr(oracle, "_fd_jacobian", _ref_fd_jacobian)
     for name, system in systems.items():
-        got, ref = results[name], pc.newton_full(system)
+        got, ref = (results[name],
+                    pc.newton_full(system, jacobian_free=False))
         for field in dataclasses.fields(oracle.OracleResult):
             a, b = getattr(got, field.name), getattr(ref, field.name)
             if isinstance(a, pc.HVector):

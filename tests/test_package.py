@@ -1,6 +1,7 @@
 """Package surface: every exported name resolves, lazily, one version
-string, the light CLI calls import no scipy, the benchmark's tracer
-still fits the package, and the README's Python examples run."""
+string, the light CLI calls import no scipy, `solve` and `check` no
+`scipy.sparse.linalg`, the benchmark's tracer still fits the package,
+and the README's Python examples run."""
 
 import ast
 import importlib
@@ -88,6 +89,16 @@ def test_light_cli_calls_load_no_scipy(tmp_path, argv, code):
              "    code = exc.code\n"
              f"assert code == {code}, code")
     assert _loaded(probe, ("scipy",), cwd=tmp_path) == []
+
+
+def test_solve_and_check_load_no_sparse_linalg(tmp_path):
+    # the A-solves factor with LAPACK's band Cholesky, so SuperLU, ARPACK
+    # and PROPACK stay unloaded; only `compare` loads them, for GMRES
+    config = str(CONFIGS / "sincos_1d.json")
+    probe = ("from partialcrit import cli\n"
+             "for command in ('solve', 'check'):\n"
+             f"    cli.main([command, '--config', {config!r}, '--out', 'out'])")
+    assert _loaded(probe, ("scipy.sparse.linalg",), cwd=tmp_path) == []
 
 
 def test_star_import_binds_every_export():

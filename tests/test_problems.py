@@ -372,18 +372,13 @@ def test_single_pairs_never_solve_a_block(cross_coupled_1d, stokes_cross_17,
                                           stokes_17, monkeypatch):
     # the scheme and the matrix-free oracle evaluate one pair at a time,
     # and a single right-hand side takes the single solve
-    real_factor = spaces.SpdOperator.factor
+    real_dpbtrs = spaces.dpbtrs
 
-    class SingleSolves:
-        def __init__(self, lu):
-            self.lu = lu
+    def single_solves(band, b):
+        assert b.ndim == 1, "a single pair reached the block solve"
+        return real_dpbtrs(band, b)
 
-        def solve(self, b):
-            assert b.ndim == 1, "a single pair reached the block solve"
-            return self.lu.solve(b)
-
-    monkeypatch.setattr(spaces.SpdOperator, "factor",
-                        lambda self: SingleSolves(real_factor(self)))
+    monkeypatch.setattr(spaces, "dpbtrs", single_solves)
     for system, scfg in (cross_coupled_1d, stokes_cross_17):
         assert pc.run_scheme(system, scfg)[0].converged
     assert pc.newton_full(stokes_17, jacobian_free=True).converged

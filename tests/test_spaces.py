@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import partialcrit as pc
@@ -86,19 +86,50 @@ def test_solve_a_rejects_non_spd_operator():
     for diag in ([2.0, -1.0, 3.0], [2.0, 0.0, 3.0]):
         space = pc.make_space(sp.diags(diag).tocsr(), np.ones(3),
                               space_id="non-spd")
-        with pytest.raises(IntegrityError):
+        with pytest.raises(IntegrityError, match="not positive definite"):
             pc.solve_a(np.ones(3), space)
+    # the Cholesky reads the upper band only: a lower triangle that does not
+    # mirror it, an entry off by one rounding or missing on either side, is
+    # refused, not solved as the symmetric matrix of the upper band
+    for entries in ([[2.0, 1.0], [0.5, 2.0]], [[2.0, 1.0], [0.0, 2.0]],
+                    [[2.0, 0.0], [1.0, 2.0]],
+                    [[2.0, 0.1], [np.nextafter(0.1, 1.0), 2.0]]):
+        space = pc.make_space(sp.csr_matrix(np.array(entries)), np.ones(2),
+                              space_id="asymmetric")
+        with pytest.raises(IntegrityError, match="not symmetric"):
+            pc.solve_a(np.ones(2), space)
+
+
+@pytest.mark.parametrize("n", [5, 9])
+def test_each_builder_has_its_band(n):
+    # the factor holds (kd + 1) * dim floats, kd the natural ordering's
+    # half-bandwidth: 1 on a 1D mesh, n on a 2D one, 2n for the Stokes
+    # stream function's 13-point stencil, 0 for a scalar
+    zero = pc.NonlinearitySpec.zero()
+    bands = {
+        1: pc.build_dirichlet(pc.DirichletSpec(
+            dims=1, n_per_dim=n, lengths=(1.0,), nonlinearity=zero)),
+        n: pc.build_dirichlet(pc.DirichletSpec(
+            dims=2, n_per_dim=n, lengths=(1.0, 1.0), nonlinearity=zero)),
+        2 * n: pc.build_stokes(pc.StokesSpec(
+            n_per_dim=n, lengths=(1.0, 1.0), mu_coeff=1.0,
+            nonlinearity=pc.NonlinearitySpec.sincos(0.5))),
+        0: pc.build_scalar(2.0, zero),
+    }
+    for kd, system in bands.items():
+        space = system.space
+        assert space.operator.factor().shape == (kd + 1, space.dim), kd
 
 
 def test_make_space_factors_once(monkeypatch):
     calls = []
-    real_splu = spaces.splu
+    real_dpbtrf = spaces.dpbtrf
 
-    def counting_splu(*args, **kwargs):
+    def counting_dpbtrf(*args, **kwargs):
         calls.append(1)
-        return real_splu(*args, **kwargs)
+        return real_dpbtrf(*args, **kwargs)
 
-    monkeypatch.setattr(spaces, "splu", counting_splu)
+    monkeypatch.setattr(spaces, "dpbtrf", counting_dpbtrf)
     space = _random_spd_space(15, 4, "factor-once")
     assert len(calls) == 0  # assembly only wraps the matrix
     rng = np.random.default_rng(3)
@@ -446,3 +477,46 @@ def test_the_forms_reach_the_operator_product(monkeypatch):
         calls.clear()
         form()
         assert calls, name
+
+
+# ------------------------------------------------ the band Cholesky solve
+
+
+def _banded(n, kd, seed, scale):
+    """A diagonally dominant symmetric matrix with half-bandwidth exactly
+    kd, every band entry nonzero, times `scale`."""
+    rng = np.random.default_rng(seed)
+    dense = np.zeros((n, n))
+    for d in range(1, kd + 1):
+        off = rng.uniform(0.1, 1.0, n - d) * rng.choice([-1.0, 1.0], n - d)
+        dense += np.diag(off, d) + np.diag(off, -d)
+    dense += np.diag(np.abs(dense).sum(axis=1) + rng.uniform(0.5, 2.0, n))
+    return scale * dense
+
+
+@st.composite
+def _banded_spd(draw):
+    # scaled toward either end of the float range, or not at all
+    n = draw(st.integers(1, 40))
+    kd = draw(st.integers(0, n - 1))
+    return _banded(n, kd, draw(st.integers(0, 2**32 - 1)),
+                   draw(st.sampled_from([1.0, 1e280, 1e-280]))), kd
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_banded_spd(), st.integers(1, 4), st.integers(0, 2**32 - 1))
+# dpbtrf takes its blocked path, which calls the BLAS-3 routines, only
+# above kd = 64 (LAPACK's ilaenv block size for it)
+@example((_banded(100, 80, 0, 1.0), 80), 3, 1)
+def test_band_solve_matches_a_dense_solve(case, k, seed):
+    dense, kd = case
+    n = dense.shape[0]
+    space = pc.make_space(sp.csr_matrix(dense), np.ones(n), "band")
+    assert space.operator.factor().shape == (kd + 1, n)
+    h = np.random.default_rng(seed).standard_normal((k, n))
+    got = pc.solve_a(h, space)
+    ref = np.linalg.solve(dense, h.T).T
+    assert np.allclose(got, ref, rtol=1e-8,
+                       atol=1e-12 * float(np.max(np.abs(ref))))
+    for row, b in zip(got, h):
+        assert row.tobytes() == pc.solve_a(b, space).tobytes()

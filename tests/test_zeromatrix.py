@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -166,6 +167,18 @@ def test_verify_dominance_input_checks():
         pc.verify_dominance(np.ones((3, 3)), np.ones((3, 3)), m)
 
 
+def test_verify_dominance_takes_an_overflowing_bound_as_dominated():
+    # M x overflows to +inf, which dominates the finite next step: its
+    # margin is -inf, reported with no overflow warning
+    xs = np.array([[1e308, 1e308], [1.0, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = pc.verify_dominance(xs, np.zeros((2, 2)), 2.0 * np.eye(2))
+    assert rep.dominance_ok and rep.first_violation is None
+    assert rep.max_violation == -np.inf
+    assert rep.tail_sup == 1.0
+
+
 @pytest.mark.parametrize("xs, ys, slack", [
     # a NaN step and an all-inf column used to read as dominated, and a
     # NaN slack hid the violation of test_verify_dominance_flags_violation
@@ -244,9 +257,9 @@ def _trajectories(draw):
 @given(_trajectories())
 def test_verify_dominance_equals_the_per_row_maxima(case):
     xs, ys, a, slack, tail_threshold = case
+    got = pc.verify_dominance(xs, ys, a, slack=slack,
+                              tail_threshold=tail_threshold)
     with np.errstate(over="ignore"):
-        got = pc.verify_dominance(xs, ys, a, slack=slack,
-                                  tail_threshold=tail_threshold)
         ref = _dominance_by_rows(*case)
     assert _bits(got) == _bits(ref)
 

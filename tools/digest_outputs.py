@@ -23,11 +23,13 @@ when their digests are equal:
 ``--out DIR`` keeps the files under ``DIR/<config>/<subcommand>/``, so
 ``diff -r`` of two such directories shows what changed.
 
-BLAS runs on one thread, whatever the environment says: the dense Newton
-solve behind ``compare`` rounds with the BLAS thread count, so the digests
-would otherwise move with the machine. The pin is set before numpy is
-imported, so run the tool as a script, not from a process that already
-loaded numpy.
+BLAS runs on one thread, whatever the environment says, so that no
+digest can move with the machine's thread count. The one step known to
+round with it, the dense Newton solve behind ``compare``, runs only
+where a config asks for it (``scalar_closed_form``, two unknowns), and
+the Stokes solves are checked equal on one thread and on the default in
+CI. The pin is set before numpy is imported, so run the tool as a
+script, not from a process that already loaded numpy.
 """
 
 from __future__ import annotations
