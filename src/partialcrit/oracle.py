@@ -41,31 +41,22 @@ class OracleResult:
     tol: float
 
 
-def _stacked_residual(sys: CoupledSystem, us: np.ndarray, vs: np.ndarray
-                      ) -> np.ndarray:
-    """(u - Nu, -v - Nv) at a pair, or at each row pair of two blocks."""
-    return np.concatenate([residual_u(sys, us, vs), residual_v(sys, us, vs)],
-                          axis=-1)
+def _fd_jacobian(resid, x: np.ndarray, r0: np.ndarray) -> np.ndarray:
+    """Forward-difference Jacobian of `resid` at `x`, column by column:
+    column j is `resid` at `x` with its j-th entry stepped by
+    ``sqrt(eps) * (1 + |x_j|)``, less `r0`, over the step.
 
-
-def _fd_jacobian(sys: CoupledSystem, x: np.ndarray, r0: np.ndarray
-                 ) -> np.ndarray:
-    """Forward-difference Jacobian of the stacked residual at `x`.
-
-    Row j of one ``(m, m)`` block of states is `x` with its j-th entry
-    stepped, and one `eval_Nu` and one `eval_Nv` call evaluate every
-    row, through the `_stacked_residual` of a single state, so the
-    grouping does not change a bit. The block holds ``m**2`` floats, 127 KB
-    at dimension 63; a Stokes block's pointwise arrays, on the full grid
-    with two velocity components, reach 1.6 MB at n=14.
+    Each stepped state is one `resid` call, and so passes its checks, as
+    every Newton state does; the ``x.size`` calls make the dense path
+    several times slower than the GMRES step on a mesh.
     """
-    m = x.size
-    n = m // 2
+    jac = np.empty((x.size, x.size))
     steps = np.sqrt(np.finfo(float).eps) * (1.0 + np.abs(x))
-    states = np.tile(x, (m, 1))
-    states[np.diag_indices(m)] += steps
-    rows = _stacked_residual(sys, states[:, :n], states[:, n:])
-    return ((rows - r0) / steps[:, None]).T
+    for j, step in enumerate(steps):
+        stepped = x.copy()
+        stepped[j] += step
+        jac[:, j] = (resid(stepped) - r0) / step
+    return jac
 
 
 def _gmres_step(resid, x: np.ndarray, r0: np.ndarray) -> tuple[np.ndarray, int]:
@@ -92,16 +83,15 @@ def newton_full(sys: CoupledSystem, tol: float = 1e-8,
     The iteration starts from the zero pair, so its answer owes nothing
     to the scheme's iterates. The Jacobian is taken by forward
     differences, matrix-free through restarted GMRES; only
-    ``jacobian_free=False`` asks for it as a dense matrix, whose perturbed
-    states are evaluated as one row block (`_fd_jacobian`). The dense
-    path and the parameter stay until the benchmark stops passing it
-    ``False``. Convergence is declared on the same metric the scheme uses:
-    both A-norm residuals at the pair below ``tol``. Line search halves
-    the step until the squared euclidean residual decreases; running out
-    of halvings or of the `NEWTON_MAX_ITERS` iterations, a singular
-    Jacobian or a GMRES solve that does not converge raises
-    `ConvergenceError` with the Newton iteration. A nonpositive ``tol``
-    raises `ValueError`.
+    ``jacobian_free=False`` asks for it as a dense matrix, one stepped
+    state a column (`_fd_jacobian`). The dense path and the parameter stay
+    until the benchmark stops passing it ``False``. Convergence is
+    declared on the same metric the scheme uses: both A-norm residuals at
+    the pair below ``tol``. Line search halves the step until the squared
+    euclidean residual decreases; running out of halvings or of the
+    `NEWTON_MAX_ITERS` iterations, a singular Jacobian or a GMRES solve
+    that does not converge raises `ConvergenceError` with the Newton
+    iteration. A nonpositive ``tol`` raises `ValueError`.
     """
     if not (tol > 0.0):
         raise ValueError("tol must be positive")
@@ -111,7 +101,7 @@ def newton_full(sys: CoupledSystem, tol: float = 1e-8,
 
     def resid(vec: np.ndarray) -> np.ndarray:
         u, v = space.check(vec.reshape(2, n))
-        return _stacked_residual(sys, u, v)
+        return np.concatenate([residual_u(sys, u, v), residual_v(sys, u, v)])
 
     r = resid(x)
     for it in range(NEWTON_MAX_ITERS):
@@ -129,7 +119,7 @@ def newton_full(sys: CoupledSystem, tol: float = 1e-8,
                     iterations=it)
         else:
             try:
-                delta = np.linalg.solve(_fd_jacobian(sys, x, r), -r)
+                delta = np.linalg.solve(_fd_jacobian(resid, x, r), -r)
             except np.linalg.LinAlgError as exc:
                 raise ConvergenceError(f"finite-difference Jacobian: {exc}",
                                        iterations=it) from exc

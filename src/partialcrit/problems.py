@@ -54,13 +54,13 @@ class PointwiseNonlinearity:
     broadcast against each other, a point's arguments along the last axis,
     and act on that axis: ``F`` gives one value a point, the broadcast
     shape without the last axis, and the gradients return the broadcast
-    shape. A built system passes two vectors' points as ``(m, arg_dim)``,
-    and otherwise a block's as ``(k, m, arg_dim)`` and a vector's as ``(1,
-    m, arg_dim)``, so a side held fixed against a block is computed once,
-    not once a row; `spaces._row_sums` sums the last axis. On a block, an
-    output that is neither the broadcast shape nor the fixed side's raises
-    ``ValueError``, as a table written for one point a row gives when it
-    sums ``axis=1`` or takes ``x[:, j]``.
+    shape. A built system passes two vectors' points as ``(m, arg_dim)``;
+    ``F`` alone also sees blocks, a block's points as ``(k, m, arg_dim)``
+    and a vector's as ``(1, m, arg_dim)``, so a side held fixed against a
+    block is computed once, not once a row; `spaces._row_sums` sums the
+    last axis. On a block, an output of ``F`` that is neither the broadcast
+    shape nor the fixed side's raises ``ValueError``, as a table written
+    for one point a row gives when it sums ``axis=1`` or takes ``x[:, j]``.
     ``growth`` holds pointwise (alpha_upper, alpha_lower, c) constants
     when known, ``monotony`` the pointwise 2x2 coupling coefficients
     (every built-in kind sets them, and a custom table must).
@@ -264,51 +264,38 @@ def _system_from_parts(space: DiscreteSpace, pw: PointwiseNonlinearity,
     and a ``(k, dim)`` block of them to the ``(k * m, arg_dim)`` stack of
     its rows' arguments; ``weights`` are the m quadrature weights, and
     ``lift`` turns an (m, arg_dim) pointwise gradient into the ``(dim,)``
-    coefficients representing it in the A-product, and a ``(k, m,
-    arg_dim)`` block into ``(k, dim)``, equal row by row: `solve_a`,
-    `riesz_lift` and `DiscreteSpace.check` take either shape. The density
-    sees a block's points as ``(k, m, arg_dim)`` and a vector facing a
-    block as ``(1, m, arg_dim)``, so that vector is sampled and evaluated
-    once; its values are broadcast to the block's rows.
+    coefficients representing it in the A-product. The gradients take one
+    pair of vectors. ``N`` also takes blocks: the density sees a block's
+    points as ``(k, m, arg_dim)`` and a vector facing a block as ``(1, m,
+    arg_dim)``, so that vector is sampled and evaluated once; its values
+    are broadcast to the block's rows.
     """
     m = weights.size
 
-    def at_points(fn, a: np.ndarray, b: np.ndarray, tail: tuple = ()
-                  ) -> np.ndarray:
-        # ``fn`` at the points of a and b: ``(m,) + tail`` for two vectors,
-        # ``(k, m) + tail`` when either is a block
+    def eval_n(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
         sa, sb = sample(a), sample(b)
         if a.ndim == b.ndim == 1:
-            return fn(sa, sb)
+            return float(np.dot(weights, pw.F(sa, sb)))
         # a vector as a block of one row: it broadcasts against the other
         # side's rows, and a table that takes ``x[:, j]`` as one point a row
         # gives (k, 1), which fits (k, m) only at m = 1, where it is right
         sa = sa.reshape(len(a) if a.ndim == 2 else 1, m, -1)
         sb = sb.reshape(len(b) if b.ndim == 2 else 1, m, -1)
-        out = fn(sa, sb)
-        shape = (len(a) if a.ndim == 2 else len(b), m) + tail
-        got = np.shape(out)
-        if got == shape:
-            return out
-        if got != (1,) + shape[1:]:
+        f = pw.F(sa, sb)
+        shape = (len(a) if a.ndim == 2 else len(b), m)
+        if np.shape(f) not in (shape, (1, m)):
             raise ValueError(
                 f"a pointwise density must act on the last axis of point "
-                f"arrays that broadcast: it returned shape {got} on points "
-                f"{sa.shape} and {sb.shape}, not {shape}")
-        return np.broadcast_to(out, shape)
-
-    def eval_n(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
-        f = at_points(pw.F, a, b)
-        if f.ndim == 1:
-            return float(np.dot(weights, f))
+                f"arrays that broadcast: it returned shape {np.shape(f)} on "
+                f"points {sa.shape} and {sb.shape}, not {shape}")
         # np.vecdot calls np.dot's BLAS ddot on each row
-        return np.vecdot(f, weights)
+        return np.vecdot(np.broadcast_to(f, shape), weights)
 
     def eval_nu(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return lift(at_points(pw.f1, a, b, (pw.arg_dim,)))
+        return lift(pw.f1(sample(a), sample(b)))
 
     def eval_nv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return lift(at_points(pw.f2, a, b, (pw.arg_dim,)))
+        return lift(pw.f2(sample(a), sample(b)))
 
     if pw.growth is not None:
         au, al, c_pt = pw.growth
@@ -359,7 +346,7 @@ def build_dirichlet(spec: DirichletSpec) -> CoupledSystem:
     validate_space(space)
 
     def lift(g: np.ndarray) -> np.ndarray:
-        return riesz_lift(g.reshape(g.shape[:-2] + (-1,)), space)
+        return riesz_lift(g.reshape(-1), space)
 
     return _system_from_parts(
         space, make_pointwise(spec.nonlinearity, arg_dim=1), _nodal, weights,
@@ -380,7 +367,7 @@ def build_scalar(a_value: float, nonlinearity: NonlinearitySpec) -> CoupledSyste
     space = make_space(matrix, np.array([1.0]), space_id=f"scalar-a{a_value:g}")
 
     def lift(g: np.ndarray) -> np.ndarray:
-        return space.check(g.reshape(g.shape[:-2] + (-1,)) / a_value)
+        return space.check(g.reshape(-1) / a_value)
 
     return _system_from_parts(
         space, make_pointwise(nonlinearity, arg_dim=1), _nodal,
@@ -422,19 +409,17 @@ class _StokesGrid:
         return vx, vy
 
     def curl_adjoint(self, ax: np.ndarray, ay: np.ndarray) -> np.ndarray:
-        # exact transpose of `curl` restricted to interior unknowns; a
-        # leading batch axis, if any, carries through
+        # exact transpose of `curl` restricted to interior unknowns
         a = ax.copy()
-        a[..., 0, :] = 0.0
-        a[..., -1, :] = 0.0
+        a[0, :] = 0.0
+        a[-1, :] = 0.0
         b = ay.copy()
-        b[..., 0] = 0.0
-        b[..., -1] = 0.0
+        b[:, 0] = 0.0
+        b[:, -1] = 0.0
         n = self.n
-        out = (a[..., 0:n, 1:n + 1] - a[..., 2:n + 2, 1:n + 1]) / (2.0 * self.hy)
-        out = out + ((b[..., 1:n + 1, 2:n + 2] - b[..., 1:n + 1, 0:n])
-                     / (2.0 * self.hx))
-        return out.reshape(ax.shape[:-2] + (-1,))
+        out = (a[0:n, 1:n + 1] - a[2:n + 2, 1:n + 1]) / (2.0 * self.hy)
+        out = out + (b[1:n + 1, 2:n + 2] - b[1:n + 1, 0:n]) / (2.0 * self.hx)
+        return out.reshape(-1)
 
 
 def _stokes_space(spec: StokesSpec) -> tuple[DiscreteSpace, _StokesGrid]:
@@ -484,9 +469,7 @@ def build_stokes(spec: StokesSpec) -> CoupledSystem:
         return np.column_stack([vx.reshape(-1), vy.reshape(-1)])
 
     def lift(g: np.ndarray) -> np.ndarray:
-        shape = g.shape[:-2] + (grid.n + 2, grid.n + 2)
-        gx = (wf_flat * g[..., 0]).reshape(shape)
-        gy = (wf_flat * g[..., 1]).reshape(shape)
+        gx, gy = (wf_flat * g.T).reshape(2, grid.n + 2, grid.n + 2)
         return solve_a(grid.curl_adjoint(gx, gy), space)
 
     return _system_from_parts(
@@ -525,12 +508,10 @@ def build_stokes_manufactured(spec: StokesSpec
 
     # the gradients of a linear coupling are the same at every pair
     def eval_nu(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return np.broadcast_to(solve_a(ell1, space),
-                               np.broadcast_shapes(a.shape, b.shape))
+        return solve_a(ell1, space)
 
     def eval_nv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return np.broadcast_to(solve_a(ell2, space),
-                               np.broadcast_shapes(a.shape, b.shape))
+        return solve_a(ell2, space)
 
     system = CoupledSystem(
         space=space, eval_N=eval_n, eval_Nu=eval_nu, eval_Nv=eval_nv,

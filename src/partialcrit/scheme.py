@@ -125,13 +125,13 @@ class CoupledSystem:
 
     ``eval_N`` is the scalar coupling term; ``eval_Nu`` and ``eval_Nv`` are
     its partial A-gradients (already lifted into the space, so the fixed
-    point equations read u = Nu(u, v) and -v = Nv(u, v)). Each takes two
-    coefficient arrays; a side is a ``(dim,)`` vector or a ``(k, dim)``
-    block, and a vector facing a block holds for every row (the built
-    systems evaluate its pointwise values once, not once a row).
-    ``eval_N`` returns a float for two vectors and ``(k,)`` values
-    otherwise, the gradients ``(dim,)`` or ``(k, dim)`` coefficients; a
-    block equals the single calls row by row.
+    point equations read u = Nu(u, v) and -v = Nv(u, v)). The gradients
+    take one pair of ``(dim,)`` coefficient vectors and return ``(dim,)``
+    coefficients. ``eval_N`` also takes blocks: a side is a ``(dim,)``
+    vector or a ``(k, dim)`` block, and a vector facing a block holds for
+    every row (the built systems evaluate its pointwise values once, not
+    once a row). It returns a float for two vectors and ``(k,)`` values
+    otherwise, equal to the single calls row by row.
 
     ``monotony`` bounds the couplings of the gradient differences and is
     consumed by the convergence gate and the contraction certificate;
@@ -199,9 +199,10 @@ class SolutionPair:
     stages: int
 
 
-# Every function of a pair below takes coefficient arrays: each side is a
-# ``(dim,)`` vector or a ``(k, dim)`` block, as in `CoupledSystem.eval_N`,
-# and a block equals the vector calls row by row.
+# The residuals take one pair of ``(dim,)`` vectors, as the gradients do.
+# The energies take blocks as `CoupledSystem.eval_N` does: each side is a
+# ``(dim,)`` vector or a ``(k, dim)`` block, and a block equals the vector
+# calls row by row.
 
 def residual_u(sys: CoupledSystem, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """First partial derivative of the energy: ``u - Nu(u, v)``."""

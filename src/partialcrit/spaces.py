@@ -50,8 +50,8 @@ class SpdOperator:
     ----------
     matrix : scipy.sparse.csr_matrix
         The square operator matrix, as `make_space` canonicalises it. Must
-        be symmetric and positive definite; `validate_space` probes both
-        properties.
+        be symmetric and positive definite; the first solve checks both
+        (`factor`), and `validate_space` probes strong monotonicity.
 
     The banded Cholesky factor behind `solve_a` is computed on the first
     solve and kept with the operator, as is `row_scale` on first use.
@@ -278,32 +278,23 @@ def solve_a(h, space: DiscreteSpace) -> np.ndarray:
     Parameters
     ----------
     h : array_like
-        Right-hand side (coefficients of a dual vector), ``(dim,)``, or a
-        ``(k, dim)`` block of them.
+        Right-hand side (coefficients of a dual vector), ``(dim,)``.
 
-    Returns the finite coefficients, in the shape of `h`. A vector takes
-    one ``dpbtrs`` solve; a block's nonzero rows are solved as the columns
-    of one ``dpbtrs`` call, which solves each column on its own, so the
-    block equals the single solves bit for bit. Zero right-hand sides give
-    exact zeros.
+    Returns the finite ``(dim,)`` coefficients from one ``dpbtrs`` solve;
+    a zero right-hand side gives exact zeros.
 
     Raises
     ------
     ValueError
-        From `DiscreteSpace.check`, if the solution is not finite.
+        If `h` is not a ``(dim,)`` vector, or from `DiscreteSpace.check`
+        if the solution is not finite.
     IntegrityError
         If the operator is not symmetric or not positive definite.
     """
     b = np.asarray(h, dtype=float)
-    if b.ndim not in (1, 2) or b.shape[-1] != space.dim:
+    if b.shape != (space.dim,):
         raise ValueError("right-hand side length does not match space dimension")
-    if b.ndim == 1:
-        x = dpbtrs(space.operator.factor(), b)[0] if b.any() else np.zeros(b.shape)
-    else:
-        x = np.zeros(b.shape)
-        live = np.any(b, axis=1)
-        if live.any():
-            x[live] = dpbtrs(space.operator.factor(), b[live].T)[0].T
+    x = dpbtrs(space.operator.factor(), b)[0] if b.any() else np.zeros(b.shape)
     return space.check(x)
 
 
@@ -312,10 +303,10 @@ def riesz_lift(f_pointwise, space: DiscreteSpace) -> np.ndarray:
 
     The result represents the functional ``v -> (f, v)_mass`` in the
     A-product, so ``inner_a(riesz_lift(f), v) == (f, v)_mass`` up to
-    round-off. Takes and returns a vector or a block, as `solve_a` does.
+    round-off. Takes and returns a ``(dim,)`` vector, as `solve_a` does.
     """
     f = np.asarray(f_pointwise, dtype=float)
-    if f.ndim not in (1, 2) or f.shape[-1] != space.dim:
+    if f.shape != (space.dim,):
         raise ValueError("pointwise data length does not match space dimension")
     return solve_a(space.mass_weights * f, space)
 
@@ -396,28 +387,21 @@ def embedding_constant(space: DiscreteSpace) -> float:
 
 
 def validate_space(space: DiscreteSpace) -> None:
-    """Probe operator symmetry and strong monotonicity on 8 random vector
-    pairs, drawn and tested as one block.
+    """Probe strong monotonicity on 8 random vectors, drawn and tested as
+    one block.
 
     Strong monotonicity ``<A x, x> >= theta (x, x)_mass`` is probed with
     ``theta = (1 / c^2)(1 - 1e-9)``, derived from the space's embedding
-    constant c (computed here on first use, after the symmetry probes
-    pass). The probes are seeded (seed 0), so a build is reproducible.
-    Raises ``IntegrityError`` naming the values of the first failing probe.
+    constant c (computed here on first use), which cross-checks the power
+    iteration behind c. Computing c factors the operator, and the factor
+    checks that the matrix is exactly symmetric. The probes are seeded
+    (seed 0), so a build is reproducible. Raises ``IntegrityError`` naming
+    the values of the first failing probe.
     """
-    # the probe pairs as one block: the same numbers as 8 sequential
-    # draws of x and then y
-    x, y = np.random.default_rng(0).standard_normal(
-        (8, 2, space.dim)).transpose(1, 0, 2)
-    ax, ay = (space.operator.apply(z.T).T for z in (x, y))
-    lhs, rhs = np.einsum("ij,ij->i", ax, y), np.einsum("ij,ij->i", x, ay)
-    scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1.0)
-    bad = np.flatnonzero(np.abs(lhs - rhs) > 1e-12 * scale)
-    if bad.size:
-        i = bad[0]
-        raise IntegrityError(f"operator symmetry violated: {lhs[i]} vs {rhs[i]}")
+    x = np.random.default_rng(0).standard_normal((8, space.dim))
     theta = (1.0 / embedding_constant(space) ** 2) * (1.0 - 1e-9)
-    quad, mass = np.einsum("ij,ij->i", ax, x), (x * x) @ space.mass_weights
+    quad = np.einsum("ij,ij->i", space.operator.apply(x.T).T, x)
+    mass = (x * x) @ space.mass_weights
     bad = np.flatnonzero(quad < theta * mass * (1.0 - 1e-10) - 1e-14)
     if bad.size:
         i = bad[0]

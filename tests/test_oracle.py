@@ -8,7 +8,6 @@ import pytest
 import partialcrit as pc
 from partialcrit import oracle
 from partialcrit.errors import ConvergenceError
-from partialcrit.scheme import residual_u, residual_v
 
 
 def test_newton_exact_on_affine_residual(scalar_linear):
@@ -175,74 +174,3 @@ def test_nash_check_rejects_a_concave_dirichlet_pair():
         dims=1, n_per_dim=31, lengths=(1.0,),
         nonlinearity=pc.NonlinearitySpec.quadratic(1000.0, 0.0, 0.0, 0.0)))
     assert not pc.nash_check(system, _zero_pair(system)).ok
-
-
-def _ref_resid(sys, x):
-    # the stacked residual of `newton_full`, through eval_Nu and eval_Nv
-    n = sys.space.dim
-    u, v = x[:n], x[n:]
-    return np.concatenate([residual_u(sys, u, v), residual_v(sys, u, v)])
-
-
-def _ref_fd_jacobian(sys, x, r0):
-    # the columnwise forward differences the blocked Jacobian replaces: one
-    # residual evaluation per stepped state
-    m = x.size
-    jac = np.empty((m, m))
-    sqrt_eps = np.sqrt(np.finfo(float).eps)
-    for j in range(m):
-        step = sqrt_eps * (1.0 + abs(x[j]))
-        xp = x.copy()
-        xp[j] += step
-        jac[:, j] = (_ref_resid(sys, xp) - r0) / step
-    return jac
-
-
-def _bits(a):
-    return np.ascontiguousarray(a, dtype=float).view(np.int64)
-
-
-def _dense_systems(bundled, custom_1d, manufactured_9):
-    systems = {name: system for name, system in bundled.items()
-               if 2 * system.space.dim <= 400}
-    systems.update({
-        "stokes_7": pc.build_stokes(pc.StokesSpec(
-            n_per_dim=7, lengths=(1.0, 1.0), mu_coeff=1.0,
-            nonlinearity=pc.NonlinearitySpec.sincos(0.5))),
-        "manufactured": manufactured_9,
-        "custom": custom_1d,
-    })
-    return systems
-
-
-def test_blocked_jacobian_equals_columnwise_bit_for_bit(bundled, custom_1d,
-                                                       manufactured_9):
-    systems = _dense_systems(bundled, custom_1d, manufactured_9)
-    assert {"scalar_linear", "scalar_sincos", "scalar_stiff", "sincos_1d",
-            "dirichlet_stiff", "cross_coupled_1d"} <= set(systems)
-    rng = np.random.default_rng(5)
-    for name, system in systems.items():
-        m = 2 * system.space.dim
-        for x in (np.zeros(m), 0.5 * rng.standard_normal(m)):
-            r0 = _ref_resid(system, x)
-            got = oracle._fd_jacobian(system, x, r0)
-            ref = _ref_fd_jacobian(system, x, r0)
-            assert np.array_equal(_bits(got), _bits(ref)), name
-
-
-def test_newton_result_unchanged_by_blocked_jacobian(bundled, custom_1d,
-                                                     manufactured_9,
-                                                     monkeypatch):
-    systems = _dense_systems(bundled, custom_1d, manufactured_9)
-    results = {name: pc.newton_full(system, jacobian_free=False)
-               for name, system in systems.items()}
-    monkeypatch.setattr(oracle, "_fd_jacobian", _ref_fd_jacobian)
-    for name, system in systems.items():
-        got, ref = (results[name],
-                    pc.newton_full(system, jacobian_free=False))
-        for field in dataclasses.fields(oracle.OracleResult):
-            a, b = getattr(got, field.name), getattr(ref, field.name)
-            if isinstance(a, pc.HVector):
-                assert a.space_id == b.space_id, name
-                a, b = a.coeffs, b.coeffs
-            assert np.array_equal(_bits(a), _bits(b)), (name, field.name)

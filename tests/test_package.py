@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import partialcrit as pc
-from partialcrit import cli, oracle
+from partialcrit import cli
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(pc.__path__))
 
@@ -200,18 +200,24 @@ def test_benchmark_tracer_fits_the_package():
 
 
 def test_benchmark_tracer_sees_the_dense_jacobian_solves():
-    # the dense Jacobian lifts both sides' block gradients through the
-    # traced `solve_a`, one block solve a side
+    # the dense Jacobian evaluates one stepped state a column, and each
+    # state lifts both sides' gradients through the traced `solve_a`; so
+    # the benchmark's `oracle.resid_evals`, its count of `eval_Nu` calls
+    # inside `newton_full`, counts the stepped states too
     tracing = _benchmark_tracing()
-    system = pc.build_dirichlet(pc.DirichletSpec(
-        dims=1, n_per_dim=15, lengths=(1.0,),
-        nonlinearity=pc.NonlinearitySpec.quadratic(0.0, 0.5, 0.0, 1.0)))
-    x = np.linspace(-1.0, 1.0, 2 * system.space.dim)
     tracer = tracing.Tracer()
     with tracing.instrument(tracer):
-        oracle._fd_jacobian(system, x, np.zeros_like(x))
-    names = [span[tracing.NAME] for span in tracer.spans]
-    assert names.count("spaces.solve_a") == 2
+        system = pc.build_dirichlet(pc.DirichletSpec(
+            dims=1, n_per_dim=15, lengths=(1.0,),
+            nonlinearity=pc.NonlinearitySpec.quadratic(0.0, 0.5, 0.0, 1.0)))
+        start = len(tracer.spans)
+        assert pc.newton_full(system, jacobian_free=False).iterations == 1
+    names = [span[tracing.NAME] for span in tracer.spans[start:]]
+    # the affine residual takes one step: the residual at the start, one
+    # for each of the m = 30 stepped states, one at the accepted step
+    m = 2 * system.space.dim
+    assert names.count("problems.eval_Nu") == m + 2 == 32
+    assert names.count("spaces.solve_a") == 2 * (m + 2)
 
 
 def test_benchmark_result_checks_fit_the_package():

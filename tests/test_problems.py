@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import partialcrit as pc
-from partialcrit import problems, spaces
+from partialcrit import problems
 
 
 # ------------------------------------------------------------ nonlinearity
@@ -131,10 +131,6 @@ def test_a_table_indexing_one_point_a_row_breaks_the_density_contract():
                 "must act on the last axis of point arrays that "
                 "broadcast")):
             old.eval_N(a, b)
-    # f2 = tanh(x) reads the fixed u only: its (1, m, 1) output is
-    # broadcast to the block's rows
-    assert np.array_equal(new.eval_Nv(us[0], vs),
-                          [new.eval_Nv(us[0], v) for v in vs])
     pair = pc.SolutionPair(u_star=old.space.wrap(us[0]),
                            v_star=old.space.wrap(vs[0]),
                            residuals=(0.0, 0.0), converged=True, stages=1)
@@ -338,18 +334,16 @@ def test_manufactured_stokes_recovers_exact_pair(stokes_spec):
 
 
 def test_curl_adjoint_on_a_batch_equals_the_row_calls(stokes_spec):
+    # the adjoint identity <curl psi, (a, b)> = <psi, curl_adjoint(a, b)>
     grid = problems._StokesGrid(stokes_spec)
     rng = np.random.default_rng(6)
-    ax, ay = rng.standard_normal((2, 4, grid.n + 2, grid.n + 2))
-    block = grid.curl_adjoint(ax, ay)
-    assert block.shape == (4, grid.n * grid.n)
-    for row, a, b in zip(block, ax, ay):
-        assert row.tolist() == grid.curl_adjoint(a, b).tolist()
-        # the adjoint identity <curl psi, (a, b)> = <psi, curl_adjoint(a, b)>
+    for a, b in rng.standard_normal((4, 2, grid.n + 2, grid.n + 2)):
+        adjoint = grid.curl_adjoint(a, b)
+        assert adjoint.shape == (grid.n * grid.n,)
         psi = rng.standard_normal(grid.n * grid.n)
         vx, vy = grid.curl(psi)
         lhs = np.sum(vx * a) + np.sum(vy * b)
-        assert lhs == pytest.approx(np.dot(psi, row), rel=1e-12, abs=1e-9)
+        assert lhs == pytest.approx(np.dot(psi, adjoint), rel=1e-12, abs=1e-9)
 
 
 def test_velocity_reconstruction_shape_checks(stokes_spec):
@@ -366,19 +360,3 @@ def test_stokes_curl_matches_analytic_gradient(stokes_17, rng):
     v = 0.1 * rng.standard_normal(space.dim)
     err = pc.fd_gradient_check(stokes_17, u, v, n_dirs=4)
     assert err <= 1e-6
-
-
-def test_single_pairs_never_solve_a_block(cross_coupled_1d, stokes_cross_17,
-                                          stokes_17, monkeypatch):
-    # the scheme and the matrix-free oracle evaluate one pair at a time,
-    # and a single right-hand side takes the single solve
-    real_dpbtrs = spaces.dpbtrs
-
-    def single_solves(band, b):
-        assert b.ndim == 1, "a single pair reached the block solve"
-        return real_dpbtrs(band, b)
-
-    monkeypatch.setattr(spaces, "dpbtrs", single_solves)
-    for system, scfg in (cross_coupled_1d, stokes_cross_17):
-        assert pc.run_scheme(system, scfg)[0].converged
-    assert pc.newton_full(stokes_17, jacobian_free=True).converged
