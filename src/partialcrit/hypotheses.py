@@ -278,10 +278,9 @@ def estimate_monotony(f1, f2, sampler: SamplerSpec, arg_dim: int = 1,
     # close pairs for the second half: offsets spanning four decades
     half = sampler.n_points // 2
     count = sampler.n_points - half
-    if count > 0:
-        scale = sampler.box_radius * 10.0 ** rng.uniform(-4.0, 0.0, (count, 1))
-        xb[half:] = x[half:] + scale * rng.standard_normal((count, arg_dim))
-        yb[half:] = y[half:] + scale * rng.standard_normal((count, arg_dim))
+    scale = sampler.box_radius * 10.0 ** rng.uniform(-4.0, 0.0, (count, 1))
+    xb[half:] = x[half:] + scale * rng.standard_normal((count, arg_dim))
+    yb[half:] = y[half:] + scale * rng.standard_normal((count, arg_dim))
 
     dx = np.linalg.norm(x - xb, axis=1)
     dy = np.linalg.norm(y - yb, axis=1)

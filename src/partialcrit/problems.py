@@ -27,8 +27,7 @@ import scipy.sparse as sp
 
 from .scheme import CoupledSystem, GrowthParams
 from .spaces import (DiscreteSpace, HVector, _row_sums, dominant_inverse_eig,
-                     embedding_constant, make_space, riesz_lift, solve_a,
-                     validate_space)
+                     embedding_constant, make_space, riesz_lift, solve_a)
 from .zeromatrix import MonotonyMatrix
 
 __all__ = [
@@ -343,14 +342,14 @@ def build_dirichlet(spec: DirichletSpec) -> CoupledSystem:
     matrix = (-volume_weight) * lap + spec.potential_c * sp.diags(weights)
     space_id = f"{label_geo}-c{spec.potential_c:g}"
     space = make_space(matrix, weights, space_id=space_id)
-    validate_space(space)
+    embedding_sq = embedding_constant(space) ** 2
 
     def lift(g: np.ndarray) -> np.ndarray:
         return riesz_lift(g.reshape(-1), space)
 
     return _system_from_parts(
         space, make_pointwise(spec.nonlinearity, arg_dim=1), _nodal, weights,
-        lift, embedding_constant(space) ** 2,
+        lift, embedding_sq,
         label=f"{space_id}-{spec.nonlinearity.describe()}",
     )
 
@@ -423,6 +422,9 @@ class _StokesGrid:
 
 
 def _stokes_space(spec: StokesSpec) -> tuple[DiscreteSpace, _StokesGrid]:
+    """The stream-function space and its grid, assembled only: the first
+    solve factors the operator, and a builder computes the embedding
+    constant it reads."""
     grid = _StokesGrid(spec)
     n, hx, hy = grid.n, grid.hx, grid.hy
     lap = _pointwise_laplacian_2d(n, hx, hy)
@@ -439,17 +441,7 @@ def _stokes_space(spec: StokesSpec) -> tuple[DiscreteSpace, _StokesGrid]:
     matrix = (biharm + spec.mu_coeff * stiff).tocsr()
     weights = np.full(n * n, vol)
     space_id = (f"stokes-n{n}-L{grid.lx:g}x{grid.ly:g}-mu{spec.mu_coeff:g}")
-    space = make_space(matrix, weights, space_id=space_id)
-    validate_space(space)
-    return space, grid
-
-
-def _velocity_embedding_sq(space: DiscreteSpace, grid: _StokesGrid) -> float:
-    def apply_m(x: np.ndarray) -> np.ndarray:
-        vx, vy = grid.curl(x)
-        return grid.curl_adjoint(grid.wf * vx, grid.wf * vy)
-
-    return dominant_inverse_eig(space, apply_m)
+    return make_space(matrix, weights, space_id=space_id), grid
 
 
 def build_stokes(spec: StokesSpec) -> CoupledSystem:
@@ -459,10 +451,16 @@ def build_stokes(spec: StokesSpec) -> CoupledSystem:
     argument); its gradients are pushed back onto stream unknowns through
     the curl adjoint before lifting. The embedding constant entering the
     coupling matrix is the velocity one (quadrature norm of the curl
-    against the operator norm), computed by power iteration.
+    against the operator norm), computed by one power iteration on
+    ``A^{-1} curl^T W curl``; the mass constant is not computed, as no
+    Stokes coupling reads it.
     """
     space, grid = _stokes_space(spec)
     wf_flat = grid.wf.reshape(-1)
+
+    def apply_m(x: np.ndarray) -> np.ndarray:
+        vx, vy = grid.curl(x)
+        return grid.curl_adjoint(grid.wf * vx, grid.wf * vy)
 
     def stacked_velocity(psi: np.ndarray) -> np.ndarray:
         vx, vy = grid.curl(psi)
@@ -474,7 +472,7 @@ def build_stokes(spec: StokesSpec) -> CoupledSystem:
 
     return _system_from_parts(
         space, make_pointwise(spec.nonlinearity, arg_dim=2), stacked_velocity,
-        wf_flat, lift, _velocity_embedding_sq(space, grid),
+        wf_flat, lift, dominant_inverse_eig(space, apply_m),
         label=f"{space.space_id}-{spec.nonlinearity.describe()}",
     )
 

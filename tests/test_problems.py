@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import partialcrit as pc
-from partialcrit import problems
+from partialcrit import problems, spaces
 
 
 # ------------------------------------------------------------ nonlinearity
@@ -310,6 +310,35 @@ def test_stokes_theta_increases_with_viscosity():
         system, _ = pc.build_stokes_manufactured(spec)
         consts.append(pc.embedding_constant(system.space))
     assert consts[0] > consts[1] > consts[2]
+
+
+def test_each_builder_runs_the_power_iteration_it_reads(monkeypatch,
+                                                        stokes_spec):
+    # a Dirichlet coupling reads the mass constant and a Stokes one the
+    # velocity constant; the manufactured and scalar systems read neither
+    calls = []
+    power = spaces.dominant_inverse_eig
+
+    def counted(space, apply_m):
+        calls.append(space.space_id)
+        return power(space, apply_m)
+
+    monkeypatch.setattr(spaces, "dominant_inverse_eig", counted)
+    monkeypatch.setattr(problems, "dominant_inverse_eig", counted)
+    builds = {
+        "build_dirichlet": (1, lambda: pc.build_dirichlet(pc.DirichletSpec(
+            dims=1, n_per_dim=15, lengths=(1.0,),
+            nonlinearity=pc.NonlinearitySpec.zero()))),
+        "build_stokes": (1, lambda: pc.build_stokes(stokes_spec)),
+        "build_stokes_manufactured":
+            (0, lambda: pc.build_stokes_manufactured(stokes_spec)),
+        "build_scalar":
+            (0, lambda: pc.build_scalar(2.0, pc.NonlinearitySpec.zero())),
+    }
+    for name, (expected, build) in builds.items():
+        calls.clear()
+        build()
+        assert len(calls) == expected, name
 
 
 def test_velocity_field_is_discretely_divergence_free(stokes_17, stokes_spec,

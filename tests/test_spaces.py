@@ -238,19 +238,19 @@ def test_validate_space_rejects_asymmetric():
     # first solve factors the operator, and the factor refuses it
     space = pc.make_space(bad, np.ones(2), space_id="asym")
     with pytest.raises(IntegrityError, match="not symmetric"):
-        pc.validate_space(space)
+        pc.embedding_constant(space)
 
 
-def test_validate_space_rejects_weak_monotonicity(monkeypatch):
+@pytest.mark.parametrize("s", [1.0, 1e-10, 1e-20])
+def test_validate_space_rejects_weak_monotonicity(s):
     # A = 2 W: every probe's Rayleigh quotient is theta itself, so half the
-    # true embedding constant (a theta four times too large) fails them all
-    w = np.array([0.4, 1.1, 2.0, 0.7])
+    # true embedding constant (a theta four times too large) fails them all,
+    # at any scale of the forms
+    w = s * np.array([0.4, 1.1, 2.0, 0.7])
     space = pc.make_space(sp.diags(2.0 * w).tocsr(), w, space_id="weak-mono")
-    pc.validate_space(space)
-    true_c = pc.embedding_constant(space)
-    monkeypatch.setattr(spaces, "embedding_constant", lambda s: 0.5 * true_c)
+    true_c = pc.embedding_constant(space)  # probes at the true c itself
     with pytest.raises(IntegrityError, match="strong monotonicity violated"):
-        pc.validate_space(space)
+        pc.validate_space(space, 0.5 * true_c)
 
 
 def test_hvector_space_mismatch_rejected():
@@ -439,13 +439,14 @@ def test_the_forms_reach_the_operator_product(monkeypatch):
     monkeypatch.setattr(spaces.SpdOperator, "apply", counted)
     space = _random_spd_space(6, 8, "reach")
     x = np.ones(6)
+    c = pc.embedding_constant(space)
     forms = {
         "norm_a": lambda: pc.norm_a(x, space),
         "norm_a block": lambda: pc.norm_a(np.ones((3, 6)), space),
         "inner_a": lambda: pc.inner_a(x, x, space),
         "dominant_inverse_eig": lambda: spaces.dominant_inverse_eig(
             space, lambda y: y),
-        "validate_space": lambda: pc.validate_space(space),
+        "validate_space": lambda: pc.validate_space(space, c),
     }
     for name, form in forms.items():
         calls.clear()
