@@ -241,8 +241,7 @@ def test_validate_space_rejects_asymmetric():
         pc.embedding_constant(space)
 
 
-@pytest.mark.parametrize("s", [1.0, 1e-10, 1e-20])
-def test_validate_space_rejects_weak_monotonicity(s):
+def _assert_weak_monotonicity_rejected(s):
     # A = 2 W: every probe's Rayleigh quotient is theta itself, so half the
     # true embedding constant (a theta four times too large) fails them all,
     # at any scale of the forms
@@ -251,6 +250,15 @@ def test_validate_space_rejects_weak_monotonicity(s):
     true_c = pc.embedding_constant(space)  # probes at the true c itself
     with pytest.raises(IntegrityError, match="strong monotonicity violated"):
         pc.validate_space(space, 0.5 * true_c)
+
+
+def test_validate_space_rejects_weak_monotonicity():
+    _assert_weak_monotonicity_rejected(1.0)
+
+
+@pytest.mark.parametrize("s", [1e-10, 1e-20])
+def test_validate_space_rejects_weak_monotonicity_at_small_scale(s):
+    _assert_weak_monotonicity_rejected(s)
 
 
 def test_hvector_space_mismatch_rejected():
