@@ -16,7 +16,7 @@ from scipy.sparse.linalg import LinearOperator, gmres
 
 from .errors import ConvergenceError
 from .scheme import (CoupledSystem, SolutionPair, _e1, _e2, _probe_rows,
-                     energies, residual_u, residual_v)
+                     _unsampled, energies, residual_u, residual_v)
 from .spaces import HVector, norm_a, random_unit_rows
 
 __all__ = [
@@ -98,10 +98,14 @@ def newton_full(sys: CoupledSystem, tol: float = 1e-8,
     space = sys.space
     n = space.dim
     x = np.zeros(2 * n)
+    sample = sys.sample or _unsampled
 
     def resid(vec: np.ndarray) -> np.ndarray:
         u, v = space.check(vec.reshape(2, n))
-        return np.concatenate([residual_u(sys, u, v), residual_v(sys, u, v)])
+        # `residual_u` and `residual_v` bit for bit, on one sampling a side
+        su, sv = sample(u), sample(v)
+        return np.concatenate([u - sys.eval_Nu(su, sv),
+                               -1.0 * v - sys.eval_Nv(su, sv)])
 
     r = resid(x)
     for it in range(NEWTON_MAX_ITERS):

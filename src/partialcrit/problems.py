@@ -252,6 +252,14 @@ def _pointwise_laplacian_2d(n: int, hx: float, hy: float) -> sp.csr_matrix:
             + sp.kron(_laplacian_1d(n, hy), eye, format="csr"))
 
 
+class _Sampled(tuple):
+    """``(coeffs, points)``: a coefficient vector with its pointwise
+    arguments. A bare tuple subclass, built by one C call, so that binding
+    a nodal vector costs about what its reshape does."""
+
+    __slots__ = ()
+
+
 def _system_from_parts(space: DiscreteSpace, pw: PointwiseNonlinearity,
                        sample: Callable[[np.ndarray], np.ndarray],
                        weights: np.ndarray,
@@ -263,16 +271,30 @@ def _system_from_parts(space: DiscreteSpace, pw: PointwiseNonlinearity,
     and a ``(k, dim)`` block of them to the ``(k * m, arg_dim)`` stack of
     its rows' arguments; ``weights`` are the m quadrature weights, and
     ``lift`` turns an (m, arg_dim) pointwise gradient into the ``(dim,)``
-    coefficients representing it in the A-product. The gradients take one
+    coefficients representing it in the A-product; a gradient of any other
+    shape raises ``ValueError`` before it is lifted. The gradients take one
     pair of vectors. ``N`` also takes blocks: the density sees a block's
     points as ``(k, m, arg_dim)`` and a vector facing a block as ``(1, m,
     arg_dim)``, so that vector is sampled and evaluated once; its values
     are broadcast to the block's rows.
+
+    The system's ``sample`` binds a vector to its points, and the three
+    closures take that sampled state wherever they take a vector, so a
+    caller samples a state once however often it evaluates there. A
+    sampled state is recognised by its type, never by its values; on the
+    nodal systems sampling is a reshape, on Stokes a curl.
     """
     m = weights.size
+    arg_shape = (m, pw.arg_dim)
 
-    def eval_n(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
-        sa, sb = sample(a), sample(b)
+    def bind(x: np.ndarray) -> _Sampled:
+        return _Sampled((x, sample(x)))
+
+    # each closure unpacks a sampled state or samples an array in line, as
+    # a helper's call would cost what binding a nodal vector saves
+    def eval_n(a, b) -> float | np.ndarray:
+        a, sa = a if type(a) is _Sampled else (a, sample(a))
+        b, sb = b if type(b) is _Sampled else (b, sample(b))
         if a.ndim == b.ndim == 1:
             return float(np.dot(weights, pw.F(sa, sb)))
         # a vector as a block of one row: it broadcasts against the other
@@ -290,11 +312,21 @@ def _system_from_parts(space: DiscreteSpace, pw: PointwiseNonlinearity,
         # np.vecdot calls np.dot's BLAS ddot on each row
         return np.vecdot(np.broadcast_to(f, shape), weights)
 
-    def eval_nu(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return lift(pw.f1(sample(a), sample(b)))
+    def lifted(name: str, grad: Callable) -> Callable:
+        def eval_grad(a, b) -> np.ndarray:
+            sa = a[1] if type(a) is _Sampled else sample(a)
+            sb = b[1] if type(b) is _Sampled else sample(b)
+            g = grad(sa, sb)
+            # getattr, as np.shape is two Python calls a gradient
+            if getattr(g, "shape", None) != arg_shape:
+                raise ValueError(
+                    f"a pointwise gradient must return the broadcast shape "
+                    f"of its points: {name} returned shape {np.shape(g)} on "
+                    f"points {sa.shape} and {sb.shape}, not {arg_shape}")
+            return lift(g)
+        return eval_grad
 
-    def eval_nv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return lift(pw.f2(sample(a), sample(b)))
+    eval_nu, eval_nv = lifted("f1", pw.f1), lifted("f2", pw.f2)
 
     if pw.growth is not None:
         au, al, c_pt = pw.growth
@@ -307,7 +339,7 @@ def _system_from_parts(space: DiscreteSpace, pw: PointwiseNonlinearity,
     return CoupledSystem(
         space=space, eval_N=eval_n, eval_Nu=eval_nu, eval_Nv=eval_nv,
         monotony=monotony, growth=growth, pointwise=pw,
-        embedding_sq=embedding_sq, label=label,
+        embedding_sq=embedding_sq, label=label, sample=bind,
     )
 
 
@@ -504,12 +536,16 @@ def build_stokes_manufactured(spec: StokesSpec
             return float(np.dot(ell1, a) + np.dot(ell2, b))
         return np.vecdot(a, ell1) + np.vecdot(b, ell2)
 
-    # the gradients of a linear coupling are the same at every pair
+    # the gradients of a linear coupling are the same at every pair: solved
+    # once, and read-only, as every call returns the same arrays
+    grad_u, grad_v = solve_a(ell1, space), solve_a(ell2, space)
+    grad_u.flags.writeable = grad_v.flags.writeable = False
+
     def eval_nu(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return solve_a(ell1, space)
+        return grad_u
 
     def eval_nv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return solve_a(ell2, space)
+        return grad_v
 
     system = CoupledSystem(
         space=space, eval_N=eval_n, eval_Nu=eval_nu, eval_Nv=eval_nv,

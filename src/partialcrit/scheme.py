@@ -133,6 +133,14 @@ class CoupledSystem:
     once a row). It returns a float for two vectors and ``(k,)`` values
     otherwise, equal to the single calls row by row.
 
+    ``sample``, when set, maps a ``(dim,)`` vector to its sampled state
+    (on the built systems, the vector with its pointwise arguments), which
+    the three closures take wherever they take that vector. A caller that
+    evaluates at one state more than once samples it once and passes the
+    state: the scheme, the Newton residual and the Nash probe do. A system
+    without one (``None``, as a hand-built system has) is passed the
+    vectors themselves.
+
     ``monotony`` bounds the couplings of the gradient differences and is
     consumed by the convergence gate and the contraction certificate;
     ``growth`` is optional and only feeds boundedness diagnostics.
@@ -150,10 +158,16 @@ class CoupledSystem:
     pointwise: object | None = None
     embedding_sq: float | None = None
     label: str = ""
+    sample: Callable[[np.ndarray], object] | None = None
 
     def __post_init__(self):
         if self.monotony.n != 2:
             raise ValueError("the coupling matrix must be 2 by 2")
+
+
+def _unsampled(x: np.ndarray) -> np.ndarray:
+    """The sampler of a system without one: its closures take `x` itself."""
+    return x
 
 
 @dataclass(frozen=True)
@@ -242,9 +256,9 @@ def energies(sys: CoupledSystem, u: np.ndarray, v: np.ndarray) -> tuple:
     return _energies(sys, u, v, norm_a(u, sys.space), norm_a(v, sys.space))
 
 
-def _energies(sys: CoupledSystem, u: np.ndarray, v: np.ndarray, norm_u,
-              norm_v) -> tuple:
-    """`energies` from the A-norms of u and v, already taken."""
+def _energies(sys: CoupledSystem, u, v, norm_u, norm_v) -> tuple:
+    """`energies` from the A-norms of u and v, already taken; u and v are
+    passed to `eval_N` only, so they may be sampled states."""
     half_u = _half_square(1.0, norm_u)
     half_v = _half_square(-1.0, norm_v)
     n_val = sys.eval_N(u, v)
@@ -253,43 +267,53 @@ def _energies(sys: CoupledSystem, u: np.ndarray, v: np.ndarray, norm_u,
 
 def _inner_solve(sys: CoupledSystem, fixed: np.ndarray, moving: np.ndarray,
                  tol: float, side: str,
-                 start: tuple[np.ndarray, float] | None = None
-                 ) -> tuple[np.ndarray, int, float]:
+                 start: tuple[np.ndarray, float] | None = None,
+                 states: tuple[object, object] | None = None
+                 ) -> tuple[np.ndarray, object, int, float]:
     """Damped descent with monotone acceptance on one partial functional.
 
     side "u" minimizes E1(., fixed) along g = u - Nu(u, fixed);
     side "v" minimizes -E2(fixed, .) along g = v + Nv(fixed, v).
     A step x <- x - s g is accepted once it does not raise the objective
     (s halves on rejection, at most 40 times), so the exit point also
-    satisfies the energy admission condition. Returns the iterate, the
-    number of accepted steps and the A-norm of g at exit; more than
-    `INNER_MAX_ITERS` steps raise `ConvergenceError`. The start is
-    finite, so only overflow can arise here: a non-finite objective or
-    norm of g raises, and a NaN or +inf candidate objective is a rejected
-    step. ``start`` holds the gradient at `moving` and its A-norm when
-    the caller has them already.
+    satisfies the energy admission condition. Returns the iterate, its
+    sampled state, the number of accepted steps and the A-norm of g at
+    exit; more than `INNER_MAX_ITERS` steps raise `ConvergenceError`. The
+    start is finite, so only overflow can arise here: a non-finite
+    objective or norm of g raises, and a NaN or +inf candidate objective
+    is a rejected step. ``start`` holds the gradient at `moving` and its
+    A-norm, and ``states`` the sampled states of `fixed` and `moving`,
+    when the caller has them already; otherwise both sides are sampled
+    here. Each tried state is sampled once: its objective and, once it is
+    accepted, its gradient share that sampling.
     """
+    space = sys.space
+    sample = sys.sample or _unsampled
+    fixed, state = (states if states is not None
+                    else (sample(fixed), sample(moving)))
+    # `_e1`, `_e2` and `residual_u` bit for bit, at x and its state xs
+    half = lambda sign, x: _half_square(sign, norm_a(x, space))
     if side == "u":
-        objective = lambda x: _e1(sys, x, fixed)
-        gradient = lambda x: residual_u(sys, x, fixed)
+        objective = lambda x, xs: half(1.0, x) - sys.eval_N(xs, fixed)
+        gradient = lambda x, xs: x - sys.eval_Nu(xs, fixed)
     else:
-        objective = lambda x: -_e2(sys, fixed, x)
+        objective = lambda x, xs: -(half(-1.0, x) - sys.eval_N(fixed, xs))
         # -residual_v bit for bit, since rounding is sign-symmetric
-        gradient = lambda x: x + sys.eval_Nv(fixed, x)
+        gradient = lambda x, xs: x + sys.eval_Nv(fixed, xs)
     base_step = 0.9 / (1.0 + float(sys.monotony.entries[0, 0]))
     x = moving
-    obj = objective(x)
+    obj = objective(x, state)
     for it in range(INNER_MAX_ITERS + 1):
         if it == 0 and start is not None:
             g, gn = start
         else:
-            g = gradient(x)
-            gn = norm_a(g, sys.space)
+            g = gradient(x, state)
+            gn = norm_a(g, space)
         if not (math.isfinite(obj) and math.isfinite(gn)):
             raise ConvergenceError(f"inner {side}-solve overflowed",
                                    iterations=it)
         if gn <= tol:
-            return x, it, gn
+            return x, state, it, gn
         if it == INNER_MAX_ITERS:
             raise ConvergenceError(
                 f"inner {side}-solve did not reach tolerance {tol:g} "
@@ -297,14 +321,15 @@ def _inner_solve(sys: CoupledSystem, fixed: np.ndarray, moving: np.ndarray,
         step = base_step
         for _ in range(40):
             candidate = x - step * g
-            cand_obj = objective(candidate)
+            cand_state = sample(candidate)
+            cand_obj = objective(candidate, cand_state)
             if cand_obj <= obj + 1e-12 * (1.0 + abs(obj)):
                 break
             step *= 0.5
         else:
             raise ConvergenceError(
                 f"inner {side}-solve stalled in the line search", iterations=it)
-        x, obj = candidate, cand_obj
+        x, state, obj = candidate, cand_state, cand_obj
 
 
 def run_scheme(sys: CoupledSystem, cfg: SchemeConfig | None = None
@@ -351,8 +376,14 @@ def run_scheme(sys: CoupledSystem, cfg: SchemeConfig | None = None
 
     converged = False
     forcing = False
-    # the u-residual at the pair is the first gradient of the next u-solve
-    g = residual_u(sys, u, v)
+    # each pair is sampled once: the start here, then the inner solves'
+    # exit states, which the energies, the pair residual and the next
+    # stage's solves take
+    sample = sys.sample or _unsampled
+    su, sv = sample(u), sample(v)
+    # the u-residual at the pair is the first gradient of the next u-solve;
+    # `residual_u` bit for bit
+    g = u - sys.eval_Nu(su, sv)
     ru_pair = ru_start = norm_a(g, space)
     rv_pair = float("nan")
     stages = 0
@@ -362,15 +393,16 @@ def run_scheme(sys: CoupledSystem, cfg: SchemeConfig | None = None
                                  if forcing else 0.0))
         side = "u"
         try:
-            u, iters_u, r1 = _inner_solve(sys, v, u, tol_k, side,
-                                          (g, ru_pair))
+            u, su, iters_u, r1 = _inner_solve(sys, v, u, tol_k, side,
+                                              (g, ru_pair), (sv, su))
             side = "v"
-            v, iters_v, r2 = _inner_solve(sys, u, v, tol_k, side)
+            v, sv, iters_v, r2 = _inner_solve(sys, u, v, tol_k, side,
+                                              states=(su, sv))
         except ConvergenceError as exc:
             raise SchemeStageError(f"stage {k}: {exc}", stage=k, side=side,
                                    iterations=exc.iterations) from exc
         norm_u, norm_v = norm_a(u, space), norm_a(v, space)
-        e1, e2, e_total = _energies(sys, u, v, norm_u, norm_v)
+        e1, e2, e_total = _energies(sys, su, sv, norm_u, norm_v)
         trace.rows.append(TraceRow(
             k=k, norm_u=norm_u, norm_v=norm_v,
             r1=r1, r2=r2, e1=e1, e2=e2, e_total=e_total,
@@ -380,7 +412,7 @@ def run_scheme(sys: CoupledSystem, cfg: SchemeConfig | None = None
         trace.iterates_v.append(v)
         # the u-residual is re-measured at the updated pair; the v-residual
         # is already evaluated there
-        g = residual_u(sys, u, v)
+        g = u - sys.eval_Nu(su, sv)
         ru_pair = norm_a(g, space)
         rv_pair = r2
         if ru_pair <= cfg.final_tol and rv_pair <= cfg.final_tol:
@@ -509,17 +541,20 @@ def nash_check(sys: CoupledSystem, pair: SolutionPair, seed: int = 0
     ``1/2 |u + s d|_A^2 - 1/2 |u|_A^2 = s (d . A u) + s^2 / 2``, so the
     quadratic step is one product with ``A u`` (or ``A v``), taken once,
     and no A-norm of a perturbed row is formed; the coupling step is
-    ``N`` on the block less ``N(u, v)``, with the fixed side's points
-    evaluated once a block. The margins are numpy's min and max over all
-    blocks, so a NaN energy on any probed row makes them NaN and the
-    report not ``ok``.
+    ``N`` on the block less ``N(u, v)``. The pair is sampled once a probe
+    and its states passed to every block, whose density evaluates the
+    fixed side's points once a block. The margins are numpy's min and max
+    over all blocks, so a NaN energy on any probed row makes them NaN and
+    the report not ``ok``.
     """
     if not pair.converged:
         raise ValueError("nash_check expects a converged pair")
     u, v = pair.u_star.coeffs, pair.v_star.coeffs
     r_u, r_v = pair.residuals
     au, av = sys.space.operator.apply(u), sys.space.operator.apply(v)
-    n_base = sys.eval_N(u, v)
+    sample = sys.sample or _unsampled
+    su, sv = sample(u), sample(v)
+    n_base = sys.eval_N(su, sv)
     # `_e1` and `_e2` at the pair, bit for bit, from one evaluation of N
     e1_base = _half_square(1.0, norm_a(u, sys.space)) - n_base
     e2_base = _half_square(-1.0, norm_a(v, sys.space)) - n_base
@@ -531,10 +566,10 @@ def nash_check(sys: CoupledSystem, pair: SolutionPair, seed: int = 0
         # in the A-norm; np.vecdot is np.dot's ddot on each row
         q_u = s * np.vecdot(d_u, au) + 0.5 * s * s
         q_v = s * np.vecdot(d_v, av) + 0.5 * s * s
-        e1_margins.append(q_u - (sys.eval_N(u + d_u * s[:, None], v) - n_base)
-                          + r_u * s)
-        e2_margins.append(-q_v - (sys.eval_N(u, v + d_v * s[:, None]) - n_base)
-                          - r_v * s)
+        e1_margins.append(
+            q_u - (sys.eval_N(u + d_u * s[:, None], sv) - n_base) + r_u * s)
+        e2_margins.append(
+            -q_v - (sys.eval_N(su, v + d_v * s[:, None]) - n_base) - r_v * s)
 
     return NashReport(
         min_e1_margin=float(np.min(np.concatenate(e1_margins))

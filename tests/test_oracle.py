@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import partialcrit as pc
-from partialcrit import oracle
+from partialcrit import oracle, problems
 from partialcrit.errors import ConvergenceError
 
 
@@ -46,6 +46,33 @@ def test_newton_surfaces_residual_errors(scalar_linear):
     broken = dataclasses.replace(scalar_linear, eval_Nu=eval_nu)
     with pytest.raises(TypeError, match="residual failed"):
         pc.newton_full(broken, jacobian_free=True)
+
+
+def test_a_newton_residual_samples_each_side_once(monkeypatch):
+    # 2 curls a stacked residual, u's and v's, on every GMRES matvec and
+    # line-search step, where the two gradients each sampled both sides
+    curls = [0]
+    curl = problems._StokesGrid.curl
+
+    def counting(self, psi):
+        curls[0] += 1
+        return curl(self, psi)
+
+    monkeypatch.setattr(problems._StokesGrid, "curl", counting)
+    system = pc.build_stokes(pc.StokesSpec(
+        n_per_dim=9, lengths=(1.0, 1.0), mu_coeff=1.0,
+        nonlinearity=pc.NonlinearitySpec.sincos(0.5)))
+    resids = [0]
+    eval_nu = system.eval_Nu
+
+    def counted(u, v):
+        resids[0] += 1
+        return eval_nu(u, v)
+
+    curls[0] = 0
+    result = oracle.newton_full(dataclasses.replace(system, eval_Nu=counted))
+    assert result.converged and resids[0] > 2
+    assert curls[0] == 2 * resids[0]
 
 
 def test_newton_dense_and_matrix_free_agree(sincos_1d):

@@ -19,11 +19,14 @@ any probed row fails them; the references fold finite values only.
 
 import dataclasses
 import functools
+import hashlib
 import itertools
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
@@ -31,6 +34,8 @@ import partialcrit as pc
 from partialcrit import problems, scheme
 from partialcrit.errors import IntegrityError
 from partialcrit.spaces import random_unit_rows
+
+DIGESTS = Path(__file__).resolve().parent / "data" / "digests.txt"
 
 
 def _ref_samples(sys, rng, n):
@@ -305,9 +310,10 @@ def test_blocks_equal_the_single_calls(bundled, custom_1d, manufactured_9,
             assert fn(a, b).tolist() == ref, label
 
 
-def test_fixed_side_is_sampled_once_a_block(stokes_17, solved, monkeypatch):
-    # the curl runs on each block's rows and once on the side it holds
-    # fixed, not on that side repeated for every row
+def test_fixed_side_is_sampled_once_a_probe(stokes_17, solved, monkeypatch):
+    # the curl runs on each block's rows, and on the pair once a probe: the
+    # side held fixed is passed to every block as the pair's sampled state,
+    # not sampled again a block or repeated for every row
     rows = []
     curl = problems._StokesGrid.curl
 
@@ -317,13 +323,13 @@ def test_fixed_side_is_sampled_once_a_block(stokes_17, solved, monkeypatch):
 
     monkeypatch.setattr(problems._StokesGrid, "curl", counting)
     pc.nash_check(stokes_17, solved["stokes_17"][0])
-    # N at the pair samples its two vectors; then each block of the
-    # samples evaluates N twice, each on the block and the fixed vector
+    # the pair's two vectors are sampled once; then each block of the
+    # samples evaluates N twice, each sampling the block it moves
     k = scheme._probe_rows(stokes_17.space)
     expected = [1] * 2
     for start in range(0, scheme.NASH_SAMPLES, k):
-        expected += [min(k, scheme.NASH_SAMPLES - start), 1] * 2
-    assert sorted(rows) == sorted(expected)
+        expected += [min(k, scheme.NASH_SAMPLES - start)] * 2
+    assert rows == expected
 
 
 def test_density_sees_the_fixed_side_once_a_block(stokes_spec, solved):
@@ -510,6 +516,48 @@ def _plane():
         eval_Nu=lambda u, v: pc.solve_a(0.3 * np.cos(u) * np.cos(v), space),
         eval_Nv=lambda u, v: pc.solve_a(-0.3 * np.sin(u) * np.sin(v), space),
         monotony=pc.MonotonyMatrix(np.full((2, 2), 0.15)))
+
+
+# sha256 of the `_plane` results below, taken with numpy 2.4.6 and scipy
+# 1.17.1 before systems exposed a sampler
+PLANE_DIGEST = ("8fc0c4053b8f8dd12dc29e59d05e5477"
+                "6a9d2789fcc00d609420f24cbfeeab09")
+
+
+def test_a_hand_built_system_is_passed_its_arrays():
+    # a system without a sampler sees coefficient arrays only, and the
+    # scheme, both Newton paths and the Nash probe give what they gave
+    # before any system had a sampler
+    plane = _plane()
+    assert plane.sample is None
+    seen = []
+
+    def recording(fn):
+        def wrapped(u, v):
+            seen.append((type(u), type(v)))
+            return fn(u, v)
+        return wrapped
+
+    plane = dataclasses.replace(plane, **{
+        name: recording(getattr(plane, name))
+        for name in ("eval_N", "eval_Nu", "eval_Nv")})
+    pair, trace = pc.run_scheme(plane, pc.SchemeConfig(random_init=True,
+                                                       seed=3))
+    orc = pc.newton_full(plane)
+    dense = pc.newton_full(plane, jacobian_free=False)
+    nash = pc.nash_check(plane, pair, seed=1)
+    assert seen and set(seen) == {(np.ndarray, np.ndarray)}
+    versions = (DIGESTS.read_text(encoding="utf-8").splitlines()[1]
+                .split())
+    if versions != ["#", "numpy", np.__version__, "scipy", scipy.__version__]:
+        pytest.skip("the digest was taken with other numpy and scipy versions")
+    out = repr((pair.u_star.coeffs.tolist(), pair.v_star.coeffs.tolist(),
+                pair.residuals, pair.stages, trace.csv_rows(),
+                orc.u_star.coeffs.tolist(), orc.v_star.coeffs.tolist(),
+                orc.residual_norm, orc.iterations,
+                dense.u_star.coeffs.tolist(), dense.v_star.coeffs.tolist(),
+                dense.iterations, nash))
+    assert hashlib.sha256(out.encode()).hexdigest() == PLANE_DIGEST
 
 
 def _shifted(pair, shift):

@@ -139,6 +139,41 @@ def test_a_table_indexing_one_point_a_row_breaks_the_density_contract():
     pc.nash_check(new, pair)
 
 
+@pytest.mark.parametrize("arg_dim, name, f1, f2", [
+    (1, "f1", lambda x, y: 0.5, None),
+    (2, "f1", lambda x, y: 0.5, None),
+    (2, "f1", lambda x, y: x[..., 0], None),
+    (2, "f1", lambda x, y: x[..., :1], None),
+    (2, "f2", None, lambda x, y: y[..., 0]),
+], ids=["float-dirichlet", "float-stokes", "m-stokes", "m1-stokes",
+        "f2-m-stokes"])
+def test_a_gradient_of_the_wrong_shape_raises_a_named_error(arg_dim, name,
+                                                            f1, f2):
+    # a gradient must return the (m, arg_dim) shape of its points; any
+    # other shape is refused before it is lifted, not by a reshape, a
+    # transpose or an attribute lookup inside the lift
+    sincos = pc.make_pointwise(pc.NonlinearitySpec.sincos(0.1), arg_dim)
+    table = dataclasses.replace(sincos, f1=f1 or sincos.f1,
+                                f2=f2 or sincos.f2)
+    nl = pc.NonlinearitySpec.custom(table)
+    system = (pc.build_dirichlet(pc.DirichletSpec(
+        dims=1, n_per_dim=15, lengths=(1.0,), nonlinearity=nl))
+        if arg_dim == 1 else pc.build_stokes(pc.StokesSpec(
+            n_per_dim=7, lengths=(1.0, 1.0), mu_coeff=1.0,
+            nonlinearity=nl)))
+    m = 15 if arg_dim == 1 else 81
+    u, v = np.random.default_rng(3).standard_normal((2, system.space.dim))
+    grad = system.eval_Nu if name == "f1" else system.eval_Nv
+    message = (f"must return the broadcast shape of its points: {name} "
+               f"returned shape .* not \\({m}, {arg_dim}\\)")
+    with pytest.raises(ValueError, match=message):
+        grad(u, v)
+    with pytest.raises(ValueError, match=message):
+        grad(system.sample(u), system.sample(v))
+    with pytest.raises(ValueError, match=message):
+        pc.run_scheme(system, pc.SchemeConfig(random_init=True))
+
+
 def test_zero_density_returns_the_broadcast_shape():
     pw = pc.make_pointwise(pc.NonlinearitySpec.zero(), arg_dim=2)
     block, vector = np.ones((3, 5, 2)), np.ones((5, 2))
@@ -360,6 +395,35 @@ def test_manufactured_stokes_recovers_exact_pair(stokes_spec):
     err_u = pc.norm_a(pair.u_star - u_star, system.space)
     err_v = pc.norm_a(pair.v_star - v_star, system.space)
     assert max(err_u, err_v) <= 1e-6
+
+
+def test_manufactured_gradients_are_solved_once_at_build(stokes_spec,
+                                                        monkeypatch):
+    # the gradients of the linear coupling are the same at every pair: two
+    # solves at build, none in the scheme or the oracle, and every call
+    # returns the same read-only arrays, with the bits of a fresh solve
+    calls = []
+    solve = problems.solve_a
+
+    def counting(h, space):
+        calls.append(1)
+        return solve(h, space)
+
+    monkeypatch.setattr(problems, "solve_a", counting)
+    system, (u_star, v_star) = pc.build_stokes_manufactured(stokes_spec)
+    assert len(calls) == 2
+    pair, _ = pc.run_scheme(system)
+    assert pair.converged and pc.newton_full(system).converged
+    assert len(calls) == 2
+    space = system.space
+    grad_u = system.eval_Nu(pair.u_star.coeffs, pair.v_star.coeffs)
+    grad_v = system.eval_Nv(u_star.coeffs, v_star.coeffs)
+    assert grad_u is system.eval_Nu(u_star.coeffs, v_star.coeffs)
+    assert not (grad_u.flags.writeable or grad_v.flags.writeable)
+    assert grad_u.tobytes() == solve(
+        space.operator.apply(u_star.coeffs), space).tobytes()
+    assert grad_v.tobytes() == solve(
+        -space.operator.apply(v_star.coeffs), space).tobytes()
 
 
 def test_curl_adjoint_on_a_batch_equals_the_row_calls(stokes_spec):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import partialcrit as pc
-from partialcrit import scheme
+from partialcrit import problems, scheme
 from partialcrit.cli import build_problem, scheme_config_from
 from partialcrit.errors import HypothesisError, SchemeStageError
 
@@ -176,6 +176,58 @@ def test_inner_solvers_move_energy_monotonically(bundled, name, rng):
     e2_before = pc.energies(system, u_fixed, v0)[1]
     e2_after = pc.energies(system, u_fixed, v1)[1]
     assert e2_after >= e2_before - 1e-10
+
+
+@pytest.mark.parametrize("side", ["u", "v"])
+def test_an_inner_solve_samples_each_state_once(stokes_17, side,
+                                                monkeypatch):
+    # the fixed side is sampled once a solve and each tried state once: a
+    # state's objective and, once it is accepted, its gradient share one
+    # curl. The start is sampled once, and every try evaluates N once
+    curls = []
+    curl = problems._StokesGrid.curl
+
+    def counting(self, psi):
+        curls.append(psi)
+        return curl(self, psi)
+
+    monkeypatch.setattr(problems._StokesGrid, "curl", counting)
+    evals = []
+    system = dataclasses.replace(
+        stokes_17, eval_N=lambda a, b: evals.append(1) or stokes_17.eval_N(
+            a, b))
+    rng = np.random.default_rng(4)
+    fixed, moving = rng.standard_normal((2, system.space.dim))
+    x, _, iters, _ = scheme._inner_solve(system, fixed, moving, 1e-8, side)
+    assert iters >= 3
+    assert len(curls) == 1 + len(evals)
+    assert [np.array_equal(psi, fixed) for psi in curls].count(True) == 1
+    assert [np.array_equal(psi, moving) for psi in curls].count(True) == 1
+    # the exit state is the last one sampled; its gradient took no curl
+    assert curls[-1] is x
+
+
+def test_a_run_samples_each_state_once(stokes_17, monkeypatch):
+    # the start pair, then each tried state of the inner solves: the
+    # energies, the pair residual and the next stage take the exit states
+    curls = [0]
+    curl = problems._StokesGrid.curl
+
+    def counting(self, psi):
+        curls[0] += 1
+        return curl(self, psi)
+
+    monkeypatch.setattr(problems._StokesGrid, "curl", counting)
+    evals = [0]
+
+    def eval_n(a, b):
+        evals[0] += 1
+        return stokes_17.eval_N(a, b)
+
+    system = dataclasses.replace(stokes_17, eval_N=eval_n)
+    pair, _ = pc.run_scheme(system, pc.SchemeConfig(random_init=True))
+    # N runs once at each solve's start and once a stage at the pair
+    assert curls[0] == 2 + evals[0] - 3 * pair.stages
 
 
 def test_zero_nonlinearity_converges_immediately():
