@@ -268,7 +268,8 @@ def estimate_monotony(f1, f2, sampler: SamplerSpec, arg_dim: int = 1,
     exact two-variable linear program (`_fit_pair`). The returned matrix
     is scaled by ``embedding_sq``, converting pointwise coefficients into
     A-norm ones. A sampled row that leaves the float range is bad input:
-    `ValueError`, and so is a box with no pair to fit on one side.
+    `ValueError`, and so are a box with no pair to fit on one side and a
+    gradient not of its points' ``(n_points, arg_dim)`` shape.
     """
     if not (embedding_sq > 0.0):
         raise ValueError("embedding_sq must be positive")
@@ -285,8 +286,14 @@ def estimate_monotony(f1, f2, sampler: SamplerSpec, arg_dim: int = 1,
     dx = np.linalg.norm(x - xb, axis=1)
     dy = np.linalg.norm(y - yb, axis=1)
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
-        s1 = _row_sums((np.asarray(f1(x, y)) - np.asarray(f1(xb, yb))) * (x - xb))
-        s2 = _row_sums((np.asarray(f2(x, y)) - np.asarray(f2(xb, yb))) * (y - yb))
+        g = [np.asarray(f(*p)) for f in (f1, f2) for p in ((x, y), (xb, yb))]
+        for name, gi in zip(("f1", "f1", "f2", "f2"), g):
+            if gi.shape != x.shape:  # it would broadcast in the products
+                raise ValueError(
+                    f"a pointwise gradient must return the shape {x.shape} "
+                    f"of its points: {name} returned shape {gi.shape}")
+        s1 = _row_sums((g[0] - g[1]) * (x - xb))
+        s2 = _row_sums((g[2] - g[3]) * (y - yb))
         rows = np.stack([dx ** 2, dy ** 2, dx * dy, s1, s2])
     if not np.all(np.isfinite(rows)):
         raise ValueError("sampled difference quotients leave the float range")

@@ -16,8 +16,8 @@ from scipy.sparse.linalg import LinearOperator, gmres
 
 from .errors import ConvergenceError
 from .scheme import (CoupledSystem, SolutionPair, _e1, _e2, _probe_rows,
-                     _unsampled, energies, residual_u, residual_v)
-from .spaces import HVector, norm_a, random_unit_rows
+                     energies, residual_u, residual_v)
+from .spaces import HVector, _coeffs, norm_a, random_unit_rows
 
 __all__ = [
     "OracleResult",
@@ -98,12 +98,11 @@ def newton_full(sys: CoupledSystem, tol: float = 1e-8,
     space = sys.space
     n = space.dim
     x = np.zeros(2 * n)
-    sample = sys.sample or _unsampled
 
     def resid(vec: np.ndarray) -> np.ndarray:
         u, v = space.check(vec.reshape(2, n))
         # `residual_u` and `residual_v` bit for bit, on one sampling a side
-        su, sv = sample(u), sample(v)
+        su, sv = sys.sample(u), sys.sample(v)
         return np.concatenate([u - sys.eval_Nu(su, sv),
                                -1.0 * v - sys.eval_Nv(su, sv)])
 
@@ -202,7 +201,8 @@ def brute_nash(sys: CoupledSystem, pair: SolutionPair,
     2 * radius * max residual, plus roundoff. The grid is evaluated in
     blocks of `scheme._probe_rows` offsets, and the extreme deltas are
     numpy's min and max over all of them, so a NaN energy at any grid
-    point makes the report not ``ok``.
+    point makes the report not ``ok``. A pair of another space raises
+    ``ValueError``.
     """
     space = sys.space
     if space.dim > 2:
@@ -220,7 +220,7 @@ def brute_nash(sys: CoupledSystem, pair: SolutionPair,
         ax, ay = np.meshgrid(line, line)
         offsets = np.column_stack([ax.reshape(-1), ay.reshape(-1)])
 
-    u, v = pair.u_star.coeffs, pair.v_star.coeffs
+    u, v = _coeffs(pair.u_star, space), _coeffs(pair.v_star, space)
     e1_star, e2_star = _e1(sys, u, v), _e2(sys, u, v)
     e1_deltas = []
     e2_deltas = []

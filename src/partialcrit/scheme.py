@@ -34,7 +34,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConvergenceError, HypothesisError, SchemeStageError
-from .spaces import DiscreteSpace, HVector, norm_a, random_unit_rows
+from .spaces import DiscreteSpace, HVector, _coeffs, norm_a, random_unit_rows
 from .zeromatrix import MonotonyMatrix, is_convergent_to_zero, verify_dominance
 
 __all__ = [
@@ -119,6 +119,11 @@ class SchemeConfig:
             raise ValueError("seed must be nonnegative")
 
 
+def _unsampled(x: np.ndarray) -> np.ndarray:
+    """The default sampler, the identity: the closures take `x` itself."""
+    return x
+
+
 @dataclass(frozen=True)
 class CoupledSystem:
     """A complete problem datum.
@@ -133,13 +138,13 @@ class CoupledSystem:
     once a row). It returns a float for two vectors and ``(k,)`` values
     otherwise, equal to the single calls row by row.
 
-    ``sample``, when set, maps a ``(dim,)`` vector to its sampled state
-    (on the built systems, the vector with its pointwise arguments), which
-    the three closures take wherever they take that vector. A caller that
-    evaluates at one state more than once samples it once and passes the
-    state: the scheme, the Newton residual and the Nash probe do. A system
-    without one (``None``, as a hand-built system has) is passed the
-    vectors themselves.
+    ``sample`` maps a ``(dim,)`` vector to its sampled state (on the built
+    systems, the vector with its pointwise arguments), which the three
+    closures take wherever they take that vector. A caller that evaluates
+    at one state more than once samples it once and passes the state: the
+    scheme, the Newton residual and the Nash probe do. Its default is the
+    identity, `_unsampled`, so a system built without one (a hand-built
+    or the manufactured one) is passed the vectors themselves.
 
     ``monotony`` bounds the couplings of the gradient differences and is
     consumed by the convergence gate and the contraction certificate;
@@ -158,16 +163,11 @@ class CoupledSystem:
     pointwise: object | None = None
     embedding_sq: float | None = None
     label: str = ""
-    sample: Callable[[np.ndarray], object] | None = None
+    sample: Callable[[np.ndarray], object] = _unsampled
 
     def __post_init__(self):
         if self.monotony.n != 2:
             raise ValueError("the coupling matrix must be 2 by 2")
-
-
-def _unsampled(x: np.ndarray) -> np.ndarray:
-    """The sampler of a system without one: its closures take `x` itself."""
-    return x
 
 
 @dataclass(frozen=True)
@@ -265,15 +265,15 @@ def _energies(sys: CoupledSystem, u, v, norm_u, norm_v) -> tuple:
     return half_u - n_val, half_v - n_val, half_u + half_v - n_val
 
 
-def _inner_solve(sys: CoupledSystem, fixed: np.ndarray, moving: np.ndarray,
-                 tol: float, side: str,
-                 start: tuple[np.ndarray, float] | None = None,
-                 states: tuple[object, object] | None = None
+def _inner_solve(sys: CoupledSystem, fixed, x: np.ndarray, state, tol: float,
+                 side: str, start: tuple[np.ndarray, float] | None = None
                  ) -> tuple[np.ndarray, object, int, float]:
     """Damped descent with monotone acceptance on one partial functional.
 
     side "u" minimizes E1(., fixed) along g = u - Nu(u, fixed);
     side "v" minimizes -E2(fixed, .) along g = v + Nv(fixed, v).
+    `fixed` is the fixed side's sampled state, `x` the start of the moving
+    side and `state` its sampled state, as ``sys.sample`` gives them.
     A step x <- x - s g is accepted once it does not raise the objective
     (s halves on rejection, at most 40 times), so the exit point also
     satisfies the energy admission condition. Returns the iterate, its
@@ -281,16 +281,11 @@ def _inner_solve(sys: CoupledSystem, fixed: np.ndarray, moving: np.ndarray,
     exit; more than `INNER_MAX_ITERS` steps raise `ConvergenceError`. The
     start is finite, so only overflow can arise here: a non-finite
     objective or norm of g raises, and a NaN or +inf candidate objective
-    is a rejected step. ``start`` holds the gradient at `moving` and its
-    A-norm, and ``states`` the sampled states of `fixed` and `moving`,
-    when the caller has them already; otherwise both sides are sampled
-    here. Each tried state is sampled once: its objective and, once it is
-    accepted, its gradient share that sampling.
+    is a rejected step. ``start``, when the caller has it, holds the
+    gradient at `x` and its A-norm. Each tried state is sampled once: its
+    objective and, once it is accepted, its gradient share that sampling.
     """
     space = sys.space
-    sample = sys.sample or _unsampled
-    fixed, state = (states if states is not None
-                    else (sample(fixed), sample(moving)))
     # `_e1`, `_e2` and `residual_u` bit for bit, at x and its state xs
     half = lambda sign, x: _half_square(sign, norm_a(x, space))
     if side == "u":
@@ -301,7 +296,6 @@ def _inner_solve(sys: CoupledSystem, fixed: np.ndarray, moving: np.ndarray,
         # -residual_v bit for bit, since rounding is sign-symmetric
         gradient = lambda x, xs: x + sys.eval_Nv(fixed, xs)
     base_step = 0.9 / (1.0 + float(sys.monotony.entries[0, 0]))
-    x = moving
     obj = objective(x, state)
     for it in range(INNER_MAX_ITERS + 1):
         if it == 0 and start is not None:
@@ -321,7 +315,7 @@ def _inner_solve(sys: CoupledSystem, fixed: np.ndarray, moving: np.ndarray,
         step = base_step
         for _ in range(40):
             candidate = x - step * g
-            cand_state = sample(candidate)
+            cand_state = sys.sample(candidate)
             cand_obj = objective(candidate, cand_state)
             if cand_obj <= obj + 1e-12 * (1.0 + abs(obj)):
                 break
@@ -379,8 +373,7 @@ def run_scheme(sys: CoupledSystem, cfg: SchemeConfig | None = None
     # each pair is sampled once: the start here, then the inner solves'
     # exit states, which the energies, the pair residual and the next
     # stage's solves take
-    sample = sys.sample or _unsampled
-    su, sv = sample(u), sample(v)
+    su, sv = sys.sample(u), sys.sample(v)
     # the u-residual at the pair is the first gradient of the next u-solve;
     # `residual_u` bit for bit
     g = u - sys.eval_Nu(su, sv)
@@ -393,11 +386,10 @@ def run_scheme(sys: CoupledSystem, cfg: SchemeConfig | None = None
                                  if forcing else 0.0))
         side = "u"
         try:
-            u, su, iters_u, r1 = _inner_solve(sys, v, u, tol_k, side,
-                                              (g, ru_pair), (sv, su))
+            u, su, iters_u, r1 = _inner_solve(sys, sv, u, su, tol_k, side,
+                                              (g, ru_pair))
             side = "v"
-            v, sv, iters_v, r2 = _inner_solve(sys, u, v, tol_k, side,
-                                              states=(su, sv))
+            v, sv, iters_v, r2 = _inner_solve(sys, su, v, sv, tol_k, side)
         except ConvergenceError as exc:
             raise SchemeStageError(f"stage {k}: {exc}", stage=k, side=side,
                                    iterations=exc.iterations) from exc
@@ -545,15 +537,14 @@ def nash_check(sys: CoupledSystem, pair: SolutionPair, seed: int = 0
     and its states passed to every block, whose density evaluates the
     fixed side's points once a block. The margins are numpy's min and max
     over all blocks, so a NaN energy on any probed row makes them NaN and
-    the report not ``ok``.
+    the report not ``ok``. A pair of another space raises ``ValueError``.
     """
     if not pair.converged:
         raise ValueError("nash_check expects a converged pair")
-    u, v = pair.u_star.coeffs, pair.v_star.coeffs
+    u, v = _coeffs(pair.u_star, sys.space), _coeffs(pair.v_star, sys.space)
     r_u, r_v = pair.residuals
     au, av = sys.space.operator.apply(u), sys.space.operator.apply(v)
-    sample = sys.sample or _unsampled
-    su, sv = sample(u), sample(v)
+    su, sv = sys.sample(u), sys.sample(v)
     n_base = sys.eval_N(su, sv)
     # `_e1` and `_e2` at the pair, bit for bit, from one evaluation of N
     e1_base = _half_square(1.0, norm_a(u, sys.space)) - n_base

@@ -85,6 +85,25 @@ def test_estimate_monotony_rejects_a_box_too_small_for_a_slope():
         pc.estimate_monotony(pw.f1, pw.f2, pc.SamplerSpec(box_radius=1e-13))
 
 
+@pytest.mark.parametrize("name", ["f1", "f2"])
+def test_estimate_monotony_refuses_a_gradient_of_the_wrong_shape(name):
+    # an (m,) gradient against (m, 1) points used to broadcast to (m, m),
+    # fitting its coefficient near 2e3 where the table's is below 0.1, so
+    # that `full_report` judged a matrix that `run_scheme` never reached
+    pw = pc.make_pointwise(pc.NonlinearitySpec.sincos(0.1), arg_dim=1)
+    grad = getattr(pw, name)
+    flat = dataclasses.replace(pw, **{name: lambda x, y: grad(x, y)[..., 0]})
+    message = (f"must return the shape \\(400, 1\\) of its points: {name} "
+               f"returned shape \\(400,\\)$")
+    with pytest.raises(ValueError, match=message):
+        pc.estimate_monotony(flat.f1, flat.f2, pc.SamplerSpec())
+    system = pc.build_dirichlet(pc.DirichletSpec(
+        dims=1, n_per_dim=15, lengths=(1.0,),
+        nonlinearity=pc.NonlinearitySpec.custom(flat)))
+    with pytest.raises(ValueError, match=message):
+        pc.full_report(system, (0.0, 0.0, 0.1), pc.SamplerSpec())
+
+
 def test_fit_pair_rejects_row_with_no_coefficient():
     a = np.array([1.0, 0.0])
     b = np.array([0.5, 0.0])

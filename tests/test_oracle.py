@@ -159,6 +159,24 @@ def test_brute_nash_input_checks(sincos_1d, scalar_linear, solved):
         pc.brute_nash(scalar_linear, pair, grid_n=2)
 
 
+def test_the_nash_probes_refuse_a_pair_from_another_space():
+    # each probe read the pair's coefficients unchecked: a pair of the
+    # L=1 interval failed the probe of the L=2 one, and a pair of a=2
+    # failed the scan of a=3, equal in dimension
+    nl = pc.NonlinearitySpec.sincos(0.1)
+    one, two = (pc.build_dirichlet(pc.DirichletSpec(
+        dims=1, n_per_dim=15, lengths=(length,), nonlinearity=nl))
+        for length in (1.0, 2.0))
+    pair, _ = pc.run_scheme(one)
+    with pytest.raises(ValueError, match="vector belongs to 'dirichlet-1d-"
+                                         "n15-L1-c0', not 'dirichlet-1d-n15-L2"):
+        pc.nash_check(two, pair)
+    pair, _ = pc.run_scheme(pc.build_scalar(2.0, nl))
+    with pytest.raises(ValueError, match="vector belongs to 'scalar-a2', "
+                                         "not 'scalar-a3'"):
+        pc.brute_nash(pc.build_scalar(3.0, nl), pair)
+
+
 def test_brute_nash_detects_wrong_candidate(scalar_linear):
     # a shifted point is not a saddle: the scan must flag it
     space = scalar_linear.space

@@ -525,11 +525,12 @@ PLANE_DIGEST = ("8fc0c4053b8f8dd12dc29e59d05e5477"
 
 
 def test_a_hand_built_system_is_passed_its_arrays():
-    # a system without a sampler sees coefficient arrays only, and the
-    # scheme, both Newton paths and the Nash probe give what they gave
-    # before any system had a sampler
+    # a system built without a sampler samples by the identity, so it sees
+    # coefficient arrays only, and the scheme, both Newton paths and the
+    # Nash probe give what they gave before any system had a sampler
     plane = _plane()
-    assert plane.sample is None
+    x = np.ones(2)
+    assert plane.sample(x) is x
     seen = []
 
     def recording(fn):

@@ -165,14 +165,16 @@ def test_inner_solvers_move_energy_monotonically(bundled, name, rng):
     space = system.space
     v_fixed = rng.standard_normal(space.dim)
     u0 = rng.standard_normal(space.dim) + 2.0
-    u1 = scheme._inner_solve(system, v_fixed, u0, 1e-8, "u")[0]
+    u1 = scheme._inner_solve(system, system.sample(v_fixed), u0,
+                             system.sample(u0), 1e-8, "u")[0]
     e1_before = pc.energies(system, u0, v_fixed)[0]
     e1_after = pc.energies(system, u1, v_fixed)[0]
     assert e1_after <= e1_before + 1e-10
 
     u_fixed = rng.standard_normal(space.dim)
     v0 = rng.standard_normal(space.dim) + 2.0
-    v1 = scheme._inner_solve(system, u_fixed, v0, 1e-8, "v")[0]
+    v1 = scheme._inner_solve(system, system.sample(u_fixed), v0,
+                             system.sample(v0), 1e-8, "v")[0]
     e2_before = pc.energies(system, u_fixed, v0)[1]
     e2_after = pc.energies(system, u_fixed, v1)[1]
     assert e2_after >= e2_before - 1e-10
@@ -198,13 +200,27 @@ def test_an_inner_solve_samples_each_state_once(stokes_17, side,
             a, b))
     rng = np.random.default_rng(4)
     fixed, moving = rng.standard_normal((2, system.space.dim))
-    x, _, iters, _ = scheme._inner_solve(system, fixed, moving, 1e-8, side)
+    x, _, iters, _ = scheme._inner_solve(system, system.sample(fixed), moving,
+                                         system.sample(moving), 1e-8, side)
     assert iters >= 3
     assert len(curls) == 1 + len(evals)
     assert [np.array_equal(psi, fixed) for psi in curls].count(True) == 1
     assert [np.array_equal(psi, moving) for psi in curls].count(True) == 1
     # the exit state is the last one sampled; its gradient took no curl
     assert curls[-1] is x
+
+
+def test_a_system_built_without_a_sampler_samples_by_the_identity(
+        manufactured_9):
+    # the identity is the default sampler: a hand-built system and the
+    # manufactured one are passed the vectors themselves
+    m = manufactured_9
+    hand_built = pc.CoupledSystem(space=m.space, eval_N=m.eval_N,
+                                  eval_Nu=m.eval_Nu, eval_Nv=m.eval_Nv,
+                                  monotony=m.monotony)
+    x = np.ones(m.space.dim)
+    assert hand_built.sample(x) is x
+    assert m.sample(x) is x
 
 
 def test_a_run_samples_each_state_once(stokes_17, monkeypatch):
