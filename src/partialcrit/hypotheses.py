@@ -381,8 +381,11 @@ def full_report(sys: CoupledSystem, declared: tuple[float, float, float],
     `declared` is the pointwise (alpha_upper, alpha_lower, c) triple to
     test, as `check_growth` takes it. The fitted coupling matrix is scaled
     by the system's recorded squared embedding constant, then certified.
-    ``ready`` means: growth holds on the sample, the fitted matrix is
-    convergent to zero, and the contraction factor is defined and below one.
+    mu takes the table's own growth constants, or the fitted ones where it
+    declares none, scaled the same way; a scaled pair past the bound of
+    `GrowthParams` leaves it ``None``. ``ready`` means: growth holds on the
+    sample, the fitted matrix is convergent to zero, and the contraction
+    factor is defined and below one.
     """
     pw = sys.pointwise
     emb_sq = sys.embedding_sq
@@ -395,17 +398,20 @@ def full_report(sys: CoupledSystem, declared: tuple[float, float, float],
     cert = is_convergent_to_zero(est)
 
     notes = [SAMPLING_NOTE, ORIENTATION_NOTE]
-    if sys.growth is not None:
-        mu = mu_of(sys.growth.alpha_upper, sys.growth.alpha_lower)
+    if pw.growth is not None:
+        source = "declared"
+        au, al = pw.growth[0] * emb_sq, pw.growth[1] * emb_sq
     else:
+        source = "fitted"
         au = growth_rep.alpha_upper_hat * emb_sq
         al = growth_rep.alpha_lower_hat * emb_sq
-        if au < 0.5 and al < 0.5 and au + al < 0.5:
-            mu = mu_of(au, al)
+    if au < 0.5 and al < 0.5 and au + al < 0.5:
+        mu = mu_of(au, al)
+        if source == "fitted":
             notes.append("mu derived from fitted growth constants")
-        else:
-            mu = None
-            notes.append("fitted growth constants leave mu undefined")
+    else:
+        mu = None
+        notes.append(f"{source} growth constants leave mu undefined")
 
     ready = bool(growth_rep.ok and cert.rho_ok and mu is not None and mu < 1.0)
     return HypothesisReport(

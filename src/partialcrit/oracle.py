@@ -15,8 +15,8 @@ import numpy as np
 from scipy.sparse.linalg import LinearOperator, gmres
 
 from .errors import ConvergenceError
-from .scheme import (CoupledSystem, SolutionPair, _e1, _e2, _probe_rows,
-                     energies, residual_u, residual_v)
+from .scheme import (CoupledSystem, SolutionPair, energies, residual_u,
+                     residual_v)
 from .spaces import HVector, _coeffs, norm_a, random_unit_rows
 
 __all__ = [
@@ -154,23 +154,27 @@ def fd_gradient_check(sys: CoupledSystem, u: np.ndarray, v: np.ndarray,
     uses max(1, |analytic|) as denominator so near-critical points do not
     inflate it. Checks the first energy against the u-residual, the second
     against the v-residual, and the total against their sum. The `n_dirs`
-    direction pairs are drawn as one block, each of the six stepped energy
-    families is one block evaluation, and a NaN mismatch is returned, not
-    passed over.
+    direction pairs are drawn as one block; each stepped energy is one
+    `energies` call, six a direction, and a NaN mismatch is returned, not
+    passed over. ``n_dirs < 1`` raises ``ValueError``.
     """
+    if n_dirs < 1:
+        raise ValueError(f"n_dirs must be at least 1, not {n_dirs}")
     space = sys.space
     step = 1e-4
     du, dv = random_unit_rows(space, np.random.default_rng(0),
                               2 * n_dirs).reshape(2, n_dirs, space.dim)
     an1 = du @ space.operator.apply(residual_u(sys, u, v))
     an2 = dv @ space.operator.apply(residual_v(sys, u, v))
-    fd = np.array([_e1(sys, u + step * du, v) - _e1(sys, u - step * du, v),
-                   _e2(sys, u, v + step * dv) - _e2(sys, u, v - step * dv),
-                   energies(sys, u + step * du, v + step * dv)[2]
-                   - energies(sys, u - step * du, v - step * dv)[2]])
+    e = lambda j, x, y: energies(sys, x, y)[j]
+    fd = np.array([
+        [e(0, u + step * d, v) - e(0, u - step * d, v) for d in du],
+        [e(1, u, v + step * d) - e(1, u, v - step * d) for d in dv],
+        [e(2, u + step * a, v + step * b) - e(2, u - step * a, v - step * b)
+         for a, b in zip(du, dv)]])
     an = np.array([an1, an2, an1 + an2])
     mismatch = np.abs(fd / (2.0 * step) - an) / np.maximum(1.0, np.abs(an))
-    return float(np.max(mismatch, initial=0.0))
+    return float(np.max(mismatch))
 
 
 @dataclass(frozen=True)
@@ -198,11 +202,13 @@ def brute_nash(sys: CoupledSystem, pair: SolutionPair,
     """Scan a coefficient box exhaustively; spaces of dimension 1 or 2 only.
 
     The slack is a first-order allowance for the pair's residual,
-    2 * radius * max residual, plus roundoff. The grid is evaluated in
-    blocks of `scheme._probe_rows` offsets, and the extreme deltas are
-    numpy's min and max over all of them, so a NaN energy at any grid
-    point makes the report not ``ok``. A pair of another space raises
-    ``ValueError``.
+    2 * radius * max residual, plus roundoff. Each grid point costs one
+    `energies` call a side: on one Xeon core the default 401-point line
+    takes about 10 ms on a scalar system, a 31 by 31 plane about 20 ms and
+    the default 401 by 401 plane about 4 s. The extreme deltas are numpy's
+    min and max over all points, so a NaN energy at any grid point makes
+    the report not ``ok``. A `grid_radius` that is not positive and
+    finite, or a pair of another space, raises ``ValueError``.
     """
     space = sys.space
     if space.dim > 2:
@@ -211,26 +217,19 @@ def brute_nash(sys: CoupledSystem, pair: SolutionPair,
         raise ValueError("the candidate pair did not converge")
     if grid_n < 3:
         raise ValueError("grid_n must be at least 3")
+    if not (0.0 < grid_radius < np.inf):
+        raise ValueError(
+            f"grid_radius must be positive and finite, not {grid_radius}")
     slack = 2.0 * grid_radius * max(pair.residuals) + 1e-12
 
     line = np.linspace(-grid_radius, grid_radius, grid_n)
-    if space.dim == 1:
-        offsets = line.reshape(-1, 1)
-    else:
-        ax, ay = np.meshgrid(line, line)
-        offsets = np.column_stack([ax.reshape(-1), ay.reshape(-1)])
+    offsets = (line[:, None] if space.dim == 1
+               else np.stack(np.meshgrid(line, line), axis=-1).reshape(-1, 2))
 
     u, v = _coeffs(pair.u_star, space), _coeffs(pair.v_star, space)
-    e1_star, e2_star = _e1(sys, u, v), _e2(sys, u, v)
-    e1_deltas = []
-    e2_deltas = []
-    rows = _probe_rows(space)
-    for start in range(0, len(offsets), rows):
-        block = offsets[start:start + rows]
-        e1_deltas.append(_e1(sys, u + block, v) - e1_star)
-        e2_deltas.append(_e2(sys, u, v + block) - e2_star)
-
-    return BruteScanReport(
-        slack=float(slack),
-        min_e1_delta=float(np.min(np.concatenate(e1_deltas))),
-        max_e2_delta=float(np.max(np.concatenate(e2_deltas))))
+    e1_star, e2_star, _ = energies(sys, u, v)
+    e1_deltas = [energies(sys, u + d, v)[0] - e1_star for d in offsets]
+    e2_deltas = [energies(sys, u, v + d)[1] - e2_star for d in offsets]
+    return BruteScanReport(slack=float(slack),
+                           min_e1_delta=float(np.min(e1_deltas)),
+                           max_e2_delta=float(np.max(e2_deltas)))

@@ -328,13 +328,16 @@ def _system_from_parts(space: DiscreteSpace, pw: PointwiseNonlinearity,
 
     eval_nu, eval_nv = lifted("f1", pw.f1), lifted("f2", pw.f2)
 
+    # growth is sufficient for the scheme, not necessary: declared constants
+    # whose scaled sum reaches the bound of `GrowthParams` leave it out, and
+    # negative or NaN ones still raise there
+    growth = None
     if pw.growth is not None:
         au, al, c_pt = pw.growth
-        growth = GrowthParams(alpha_upper=au * embedding_sq,
-                              alpha_lower=al * embedding_sq,
-                              c_growth=c_pt * float(weights.sum()))
-    else:
-        growth = None
+        au, al = au * embedding_sq, al * embedding_sq
+        if not (au + al >= 0.5):
+            growth = GrowthParams(alpha_upper=au, alpha_lower=al,
+                                  c_growth=c_pt * float(weights.sum()))
     monotony = MonotonyMatrix(embedding_sq * np.asarray(pw.monotony, float))
     return CoupledSystem(
         space=space, eval_N=eval_n, eval_Nu=eval_nu, eval_Nv=eval_nv,

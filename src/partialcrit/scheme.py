@@ -213,10 +213,8 @@ class SolutionPair:
     stages: int
 
 
-# The residuals take one pair of ``(dim,)`` vectors, as the gradients do.
-# The energies take blocks as `CoupledSystem.eval_N` does: each side is a
-# ``(dim,)`` vector or a ``(k, dim)`` block, and a block equals the vector
-# calls row by row.
+# The residuals and the energies take one pair of ``(dim,)`` vectors, as
+# the gradients do.
 
 def residual_u(sys: CoupledSystem, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """First partial derivative of the energy: ``u - Nu(u, v)``."""
@@ -228,31 +226,22 @@ def residual_v(sys: CoupledSystem, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return -1.0 * v - sys.eval_Nv(u, v)
 
 
-def _half_square(sign: float, norm):
-    # ``sign / 2`` times the square of a norm, or of each of a block's
-    # norms. Python's float power and np.float_power both call libm pow;
-    # ``x * x``, np.square and np.power round differently
-    if isinstance(norm, float):
-        return sign * 0.5 * norm ** 2
-    return sign * 0.5 * np.float_power(norm, 2.0)
-
-
-def _e1(sys: CoupledSystem, u: np.ndarray, v: np.ndarray):
-    """First partial functional ``E1(u, v) = 1/2 |u|_A^2 - N(u, v)``."""
-    return _half_square(1.0, norm_a(u, sys.space)) - sys.eval_N(u, v)
-
-
-def _e2(sys: CoupledSystem, u: np.ndarray, v: np.ndarray):
-    """Second partial functional ``E2(u, v) = -1/2 |v|_A^2 - N(u, v)``."""
-    return _half_square(-1.0, norm_a(v, sys.space)) - sys.eval_N(u, v)
+def _half_square(sign: float, norm: float) -> float:
+    # ``sign / 2`` times the square of a norm. Python's float power calls
+    # libm pow; ``x * x`` rounds differently
+    return sign * 0.5 * norm ** 2
 
 
 def energies(sys: CoupledSystem, u: np.ndarray, v: np.ndarray) -> tuple:
-    """Return (E1, E2, E) from one evaluation of N.
+    """Return (E1, E2, E) at one pair of ``(dim,)`` vectors, from one
+    evaluation of N; any other shape raises ``ValueError``.
 
     E differs from E1 by the v-quadratic and from E2 by the u-quadratic,
     so the three share the two squared norms and ``N(u, v)``.
     """
+    shape = (sys.space.dim,)
+    if np.shape(u) != shape or np.shape(v) != shape:
+        raise ValueError(f"energies take two vectors of shape {shape}")
     return _energies(sys, u, v, norm_a(u, sys.space), norm_a(v, sys.space))
 
 
@@ -286,7 +275,7 @@ def _inner_solve(sys: CoupledSystem, fixed, x: np.ndarray, state, tol: float,
     objective and, once it is accepted, its gradient share that sampling.
     """
     space = sys.space
-    # `_e1`, `_e2` and `residual_u` bit for bit, at x and its state xs
+    # E1, E2 of `energies` and `residual_u` bit for bit, at x and state xs
     half = lambda sign, x: _half_square(sign, norm_a(x, space))
     if side == "u":
         objective = lambda x, xs: half(1.0, x) - sys.eval_N(xs, fixed)
@@ -546,7 +535,7 @@ def nash_check(sys: CoupledSystem, pair: SolutionPair, seed: int = 0
     au, av = sys.space.operator.apply(u), sys.space.operator.apply(v)
     su, sv = sys.sample(u), sys.sample(v)
     n_base = sys.eval_N(su, sv)
-    # `_e1` and `_e2` at the pair, bit for bit, from one evaluation of N
+    # E1 and E2 of `energies` at the pair, bit for bit, from one N call
     e1_base = _half_square(1.0, norm_a(u, sys.space)) - n_base
     e2_base = _half_square(-1.0, norm_a(v, sys.space)) - n_base
 

@@ -281,6 +281,26 @@ def test_full_report_fitted_growth_can_leave_mu_undefined(scalar_linear):
     assert not rep.ready
 
 
+def test_declared_growth_past_the_bound_solves_and_reads_not_ready():
+    # growth (6, 0, 1) scaled by c^2 ~ 0.10 on Dirichlet 1D n=15 is an
+    # alpha_upper of about 0.61. Growth is sufficient for the scheme, not
+    # necessary: the system builds without `GrowthParams`, solves, and its
+    # check reads not ready
+    sincos = pc.make_pointwise(pc.NonlinearitySpec.sincos(0.1), arg_dim=1)
+    table = dataclasses.replace(sincos, growth=(6.0, 0.0, 1.0))
+    system = pc.build_dirichlet(pc.DirichletSpec(
+        dims=1, n_per_dim=15, lengths=(1.0,),
+        nonlinearity=pc.NonlinearitySpec.custom(table)))
+    assert system.growth is None
+    assert 6.0 * system.embedding_sq > 0.5
+    pair, _ = pc.run_scheme(system)
+    assert pair.converged
+    rep = pc.full_report(system, table.growth, pc.SamplerSpec())
+    assert rep.notes[-1] == "declared growth constants leave mu undefined"
+    assert rep.mu is None
+    assert not rep.ready
+
+
 def test_full_report_needs_pointwise_data(scalar_linear):
     spec = pc.StokesSpec(n_per_dim=5, lengths=(1.0, 1.0), mu_coeff=1.0)
     system, _ = pc.build_stokes_manufactured(spec)

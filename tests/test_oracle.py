@@ -136,6 +136,14 @@ def test_fd_gradient_check_small_on_random_states(bundled, rng):
         assert err <= 1e-5, f"{name}: {err}"
 
 
+def test_fd_gradient_check_refuses_no_directions(sincos_1d):
+    # no direction would score a perfect 0.0 from no check at all
+    u = v = np.zeros(sincos_1d.space.dim)
+    for n_dirs in (0, -1):
+        with pytest.raises(ValueError, match="^n_dirs must be at least 1"):
+            pc.fd_gradient_check(sincos_1d, u, v, n_dirs=n_dirs)
+
+
 def test_brute_nash_confirms_scalar_solutions(bundled, solved):
     for name in ("scalar_linear", "scalar_sincos", "scalar_stiff"):
         pair, _ = solved[name]
@@ -157,6 +165,18 @@ def test_brute_nash_input_checks(sincos_1d, scalar_linear, solved):
         pc.brute_nash(scalar_linear, fake)
     with pytest.raises(ValueError):
         pc.brute_nash(scalar_linear, pair, grid_n=2)
+
+
+@pytest.mark.parametrize("radius", [-0.5, 0.0, np.nan, np.inf])
+def test_brute_nash_refuses_a_radius_not_positive_and_finite(radius):
+    # a negative radius scanned the same box with a negative slack, and
+    # nan returned an all-NaN report
+    system = pc.build_scalar(2.0, pc.NonlinearitySpec.sincos(0.1))
+    pair, _ = pc.run_scheme(system)
+    assert pc.brute_nash(system, pair, grid_radius=0.5).ok
+    with pytest.raises(ValueError, match="^grid_radius must be positive "
+                                         "and finite"):
+        pc.brute_nash(system, pair, grid_radius=radius)
 
 
 def test_the_nash_probes_refuse_a_pair_from_another_space():

@@ -1,10 +1,11 @@
 """Block evaluation of the probes, bit for bit against per-sample loops.
 
-The A-norm, the partial energies and ``eval_N`` take a ``(dim,)`` vector
-or a ``(k, dim)`` row block; a block equals the vector calls row by row.
-`nash_check`, `check_mountain_pass_ring`, `contraction_certificate` and
-`brute_nash` draw and evaluate their samples as row blocks. The
-references below are the per-sample loops they replace: one A-norm and
+The A-norm and ``eval_N`` take a ``(dim,)`` vector or a ``(k, dim)`` row
+block; a block equals the vector calls row by row. `nash_check`,
+`check_mountain_pass_ring` and `contraction_certificate` draw and
+evaluate their samples as row blocks; the partial energies take one pair
+of vectors, and `brute_nash` calls them one grid point at a time. The
+references below are the per-sample loops: one A-norm and
 one ``eval_N`` per sample, stage or grid point, except that the Nash
 reference takes each quadratic step in closed form, ``s (d . A u) + s^2
 / 2``, as `nash_check` does. They draw the n uniforms first and then, one
@@ -13,8 +14,9 @@ probes' samples depend on the seed and the count only, not on the
 block size, which the tests set through ``scheme.PROBE_BYTES``. Every comparison is ``==`` on floats, but one: the
 difference of two partial energies that the closed form replaced is kept
 as a second Nash reference, within the probe's roundoff slack. The
-probes reduce their blocks with numpy's min and max, so a NaN energy on
-any probed row fails them; the references fold finite values only.
+probes and the scan reduce with numpy's min and max, so a NaN energy at
+any sample or grid point fails them; the references fold finite values
+only.
 """
 
 import dataclasses
@@ -162,10 +164,10 @@ def test_block_norms_equal_norm_a(spaces):
             assert np.array_equal(_bits(got), _bits(ref)), space.space_id
 
 
-# the two numpy identities that make a block equal the vector calls:
-# np.vecdot reduces each row with the BLAS ddot that np.dot calls on one
-# pair, and np.float_power squares with the libm pow of Python's float
-# power. A numpy or BLAS upgrade that breaks either fails here.
+# the numpy identity that makes a block's A-norms and ``eval_N`` values
+# equal the vector calls: np.vecdot reduces each row with the BLAS ddot
+# that np.dot calls on one pair. A numpy or BLAS upgrade that breaks it
+# fails here.
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 12),
        width=st.integers(1, 2600), scale=st.sampled_from([1e-5, 1.0, 1e5]))
@@ -180,37 +182,14 @@ def test_vecdot_rows_equal_np_dot(seed, k, width, scale):
         assert np.array_equal(_bits(np.vecdot(x, y)), _bits(ref))
 
 
-# ``t ** 2`` of a Python float raises OverflowError above this
-_SQUARE_MAX = 1.3e154
-
-
-@settings(max_examples=60, derandomize=True, deadline=None)
-@given(st.lists(st.floats(-_SQUARE_MAX, _SQUARE_MAX)
-                | st.sampled_from([0.0, -0.0, 5e-324, -1e-310, _SQUARE_MAX]),
-                min_size=1, max_size=40))
-def test_float_power_squares_as_python_float_power(values):
-    x = np.array(values)
-    ref = [t ** 2 for t in x.tolist()]
-    assert np.array_equal(_bits(np.float_power(x, 2.0)), _bits(ref))
-
-
-@pytest.mark.parametrize("name", ["_e1", "_e2"])
-def test_block_energies_and_residuals_equal_the_vector_calls(bundled, name):
-    # block/block, block/vector and vector/block, on a 6-row block, a block
-    # with a zero row and a 1-row block, against one call a row
-    fn = getattr(scheme, name)
-    rng = np.random.default_rng(6)
-    for label, system in bundled.items():
-        dim = system.space.dim
-        us, vs = rng.standard_normal((2, 6, dim))
-        us[2] = vs[4] = 0.0
-        for rows in (slice(None), slice(1, 4), slice(4, 5)):
-            a, b = us[rows], vs[rows]
-            for x, y in ((a, b), (a, b[0]), (a[0], b)):
-                ref = [fn(system, p, q)
-                       for p, q in zip(*np.broadcast_arrays(x, y))]
-                got = fn(system, x, y)
-                assert np.array_equal(_bits(got), _bits(ref)), label
+def test_energies_on_a_block_raise(bundled):
+    # the energies take one pair of ``(dim,)`` vectors: a block on either
+    # side, one row included, raises instead of giving row values
+    for name, system in bundled.items():
+        x, block = np.zeros(system.space.dim), np.zeros((3, system.space.dim))
+        for u, v in ((block, x), (x, block), (block, block), (block[:1], x)):
+            with pytest.raises(ValueError, match="^energies take two vectors"):
+                pc.energies(system, u, v)
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)
@@ -356,18 +335,6 @@ def test_density_sees_the_fixed_side_once_a_block(stokes_spec, solved):
         rows = min(k, scheme.NASH_SAMPLES - start)
         expected += [((rows, m, 2), (1, m, 2)), ((1, m, 2), (rows, m, 2))]
     assert shapes == expected
-
-
-def test_row_energies_equal_e1_and_e2(bundled):
-    # Python squares a float with pow(), which rounds differently from a
-    # product on about one value in a thousand: many rows catch it
-    system = bundled["scalar_sincos"]
-    rows = np.random.default_rng(8).standard_normal((4000, 1))
-    u, v = np.array([0.3]), np.array([-0.2])
-    assert scheme._e1(system, rows, v).tolist() == [
-        _ref_e1(system, x, v) for x in rows]
-    assert scheme._e2(system, u, rows).tolist() == [
-        _ref_e2(system, u, x) for x in rows]
 
 
 def test_nash_check_equals_per_sample_reference(bundled, solved):
@@ -570,9 +537,9 @@ def _shifted(pair, shift):
         v_star=pc.HVector(pair.v_star.coeffs + shift[1], space_id))
 
 
-def test_brute_nash_equals_per_point_reference(bundled, solved, monkeypatch):
-    # blocks of 7 rows split either grid unevenly; the plane scans a 2-D
-    # grid
+def test_brute_nash_equals_per_point_reference(bundled, solved):
+    # shifted candidates move the extremes off the centre; the plane scans
+    # a 2-D grid
     cases = [(name, bundled[name], solved[name][0])
              for name in ("scalar_linear", "scalar_sincos", "scalar_stiff")]
     plane = _plane()
@@ -582,13 +549,9 @@ def test_brute_nash_equals_per_point_reference(bundled, solved, monkeypatch):
         grid_n = 201 if system.space.dim == 1 else 31
         shifts = rng.uniform(-0.4, 0.4, (3, 2, system.space.dim))
         for candidate in [pair] + [_shifted(pair, s) for s in shifts]:
-            for rows in (scheme._probe_rows(system.space), 7):
-                _set_rows(monkeypatch, system, rows)
-                for radius in (0.5, 2.0):
-                    assert (pc.brute_nash(system, candidate, radius, grid_n)
-                            == _ref_brute(system, candidate, radius,
-                                          grid_n)), name
-                monkeypatch.undo()
+            for radius in (0.5, 2.0):
+                assert (pc.brute_nash(system, candidate, radius, grid_n)
+                        == _ref_brute(system, candidate, radius, grid_n)), name
 
 
 def _nan_after_first_row(system, calls=None):
@@ -623,13 +586,27 @@ def test_nan_energies_fail_the_nash_probe(bundled, solved, rows,
         assert np.isnan(report.max_e2_margin)
 
 
-def test_nan_energies_fail_the_grid_scan(bundled, solved, monkeypatch):
+def _nan_at(system, u_point, v_point):
+    # `system` whose ``eval_N`` is NaN where u is `u_point` or v `v_point`
+    def eval_N(u, v):
+        if np.array_equal(u, u_point) or np.array_equal(v, v_point):
+            return np.nan
+        return system.eval_N(u, v)
+
+    return dataclasses.replace(system, eval_N=eval_N)
+
+
+def test_nan_energies_fail_the_grid_scan(bundled, solved):
+    # one NaN grid point a side, the first, an inner or the last: a fold
+    # that passes over NaN would judge the scan by the other points
     system, pair = bundled["scalar_linear"], solved["scalar_linear"][0]
-    for rows in (scheme._probe_rows(system.space), 7):
-        _set_rows(monkeypatch, system, rows)
-        assert pc.brute_nash(system, pair).ok
-        report = pc.brute_nash(_nan_after_first_row(system), pair)
-        assert not report.ok, rows
+    u, v = pair.u_star.coeffs, pair.v_star.coeffs
+    line = np.linspace(-0.5, 0.5, 401)  # the scan's default grid
+    assert pc.brute_nash(system, pair).ok
+    for j in (0, 137, 400):
+        report = pc.brute_nash(_nan_at(system, u + line[j], v + line[j]),
+                               pair)
+        assert not report.ok, j
         assert np.isnan(report.min_e1_delta)
         assert np.isnan(report.max_e2_delta)
 

@@ -66,6 +66,17 @@ def test_custom_table_must_declare_monotony():
         pc.NonlinearitySpec.custom(table)
 
 
+@pytest.mark.parametrize("growth", [(-0.1, 0.0, 1.0), (np.nan, 0.0, 1.0),
+                                    (0.0, 0.0, -1.0)])
+def test_a_table_with_negative_or_nan_growth_does_not_build(growth):
+    # growth past the bound is left out of a built system; a constant that
+    # is negative or NaN is no bound at all and still raises
+    pw = pc.make_pointwise(pc.NonlinearitySpec.sincos(0.1), arg_dim=1)
+    table = dataclasses.replace(pw, growth=growth)
+    with pytest.raises(ValueError, match="must (lie in|be nonnegative)"):
+        pc.build_scalar(2.0, pc.NonlinearitySpec.custom(table))
+
+
 def _summing_table(axis, arg_dim):
     # tanh(x) y summed over `axis`: over the last axis it is a density
     return pc.PointwiseNonlinearity(
