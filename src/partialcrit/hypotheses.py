@@ -9,6 +9,7 @@ scalar diagnostics used by the boundedness and compactness arguments.
 
 from __future__ import annotations
 
+import struct
 import sys
 import warnings
 from dataclasses import dataclass
@@ -173,6 +174,13 @@ def check_growth(F, declared: tuple[float, float, float],
 # 6e-10 relative on the quadratic samplers
 _VERTEX_TOL = 1e-9
 _INF_BITS = 0x7FF0000000000000  # the bit pattern of +inf as an int64
+# a row within this factor of the least ray value may be tight
+_NEAR = 1.0 + 2.0 * _VERTEX_TOL
+
+
+def _as_float(bits: int) -> float:
+    """The float whose bit pattern, read as an int64, is `bits`."""
+    return struct.unpack("d", struct.pack("q", bits))[0]
 
 
 def _fit_pair(a_coeff: np.ndarray, b_coeff: np.ndarray, rhs: np.ndarray
@@ -201,6 +209,12 @@ def _fit_pair(a_coeff: np.ndarray, b_coeff: np.ndarray, rhs: np.ndarray
     comes out with an exact zero. Should the finished vertex miss a row by
     more than the rounding slack, the located point is returned instead.
 
+    The bisection stops as soon as every ``t`` left in its bracket
+    finishes to the same vertex, which `finish` decides from the bracket's
+    two ends; the result is the one that bisecting down to adjacent floats
+    gives, bit for bit. A vertex on an axis is settled after a few steps,
+    one inside the quadrant after about 40 of the 63.
+
     A row with ``a_i = b_i = 0 < rhs_i`` cannot hold: `IntegrityError`.
     """
     # a row whose right-hand side is below the float range relative to its
@@ -215,42 +229,92 @@ def _fit_pair(a_coeff: np.ndarray, b_coeff: np.ndarray, rhs: np.ndarray
                              "right-hand side has no positive coefficient")
     slope = a - b
 
-    def ray(t):
+    def finish(t1, g1, t2, g2):
+        """The finished vertex of every ``t`` in ``[t1, t2]``, given the
+        rays ``g1``, ``g2`` at its ends, or None where two of them differ.
+
+        The ends lie on one side of ``t = 1``, where each row's computed
+        ray is monotone in ``t`` (rounding is monotone), and so is its
+        least value; so the ends bound the tight set, the located point
+        and both axis tests at every ``t`` between them. With
+        ``t1 = t2`` this is the finish at one ``t``.
+        """
+        if t2 > 1.0:  # beyond 1 the rays fall as t grows
+            g1, g2 = g2, g1
+        top = (1.0 / g2.min(), 1.0 / g1.min())  # its least and greatest
+        # the located point (p0, q0) is (t top, top) or (top, top / t)
+        p0 = (min(t1, 1.0) * top[0], min(t2, 1.0) * top[1])
+        q0 = (top[0] / max(t2, 1.0), top[1] / max(t1, 1.0))
+        tight = g1 * top[0] <= 1.0 + _VERTEX_TOL
+        if np.count_nonzero(tight) != np.count_nonzero(
+                g2 * top[1] <= 1.0 + _VERTEX_TOL):
+            return None
+        at, bt, st = a[tight], b[tight], slope[tight]
+        # along rows through one point, A - B orders them as A / B does
+        i, j = st.argmax(), st.argmin()
+
+        def small(x, scale):
+            # whether x * scale <= _VERTEX_TOL for every x in the pair x
+            lo, hi = (v * scale <= _VERTEX_TOL for v in x)
+            return lo if lo == hi else None
+
+        # products of scaled rows overflow only far from the vertex, where
+        # the rows hold anyway, or when p q is below the float range
+        with np.errstate(over="ignore", invalid="ignore"):
+            det = at[i] * bt[j] - at[j] * bt[i]
+            p_zero, q_zero = small(p0, at.max()), small(q0, bt.max())
+            if p_zero is None or q_zero is None:
+                return None
+            if p_zero:
+                p, q = 0.0, 1.0 / bt[j]
+            elif q_zero:
+                p, q = 1.0 / at[i], 0.0
+            elif 0.0 < det < np.inf:
+                p, q = (bt[j] - bt[i]) / det, (at[i] - at[j]) / det
+            else:
+                p = q = None
+            if p is None or not (min(p, q) >= 0.0 and np.min(
+                    a * p + b * q) >= 1.0 - _VERTEX_TOL):
+                if p0[0] != p0[1] or q0[0] != q0[1]:
+                    return None
+                p, q = p0[0], q0[0]
+        return float(p), float(q)
+
+    def end(t):
         # the rows on the ray p = t q, divided by the larger of p and q
-        return a * t + b if t <= 1.0 else a + b / t
+        g = a * t + b if t <= 1.0 else a + b / t
+        k = g.argmin()
+        return t, g, k, _NEAR * g[k]
 
     # bisect t over its bit patterns, which order as the floats do: 63
-    # halvings reach adjacent floats at every magnitude
+    # halvings reach adjacent floats at every magnitude. Each end of the
+    # bracket keeps its t, its rays, their least row and the bound of a
+    # near-least ray. The bracket goes to `finish` once it lies on one side
+    # of t = 1 and the least row of each end is near least at the other,
+    # which a settled tight set needs. A floating-point exception at an end
+    # leaves the bracket open, so that the finish at the end of the loop
+    # warns as it would have.
     lo, hi = 0, _INF_BITS
+    ends = [end(0.0), end(np.inf)]
     while hi - lo > 1:
+        (t1, g1, k1, near1), (t2, g2, k2, near2) = ends
+        if (t2 <= 1.0 or t1 >= 1.0) and g1[k2] <= near1 and g2[k1] <= near2:
+            try:
+                with np.errstate(divide="raise", over="raise",
+                                 invalid="raise"):
+                    vertex = finish(t1, g1, t2, g2)
+            except FloatingPointError:
+                vertex = None
+            if vertex is not None:
+                return vertex
         mid = (lo + hi) // 2
-        if slope[np.argmin(ray(np.int64(mid).view(np.float64)))] > 0.0:
-            lo = mid
+        e = end(_as_float(mid))
+        if slope[e[2]] > 0.0:
+            lo, ends[0] = mid, e
         else:
-            hi = mid
-    t = np.int64(lo).view(np.float64)
-    g = ray(t)
-    top = 1.0 / g.min()
-    p0, q0 = (t * top, top) if t <= 1.0 else (top, top / t)
-    tight = g * top <= 1.0 + _VERTEX_TOL
-    at, bt = a[tight], b[tight]
-    # along rows through one point, A - B orders them as A / B does
-    i, j = np.argmax(slope[tight]), np.argmin(slope[tight])
-    # products of scaled rows overflow only far from the vertex, where the
-    # rows hold anyway, or when p q is below the float range
-    with np.errstate(over="ignore", invalid="ignore"):
-        det = at[i] * bt[j] - at[j] * bt[i]
-        if p0 * at.max() <= _VERTEX_TOL:
-            p, q = 0.0, 1.0 / bt[j]
-        elif q0 * bt.max() <= _VERTEX_TOL:
-            p, q = 1.0 / at[i], 0.0
-        elif 0.0 < det < np.inf:
-            p, q = (bt[j] - bt[i]) / det, (at[i] - at[j]) / det
-        else:
-            p, q = p0, q0
-        if not (min(p, q) >= 0.0 and np.min(a * p + b * q) >= 1.0 - _VERTEX_TOL):
-            p, q = p0, q0
-    return float(p), float(q)
+            hi, ends[1] = mid, e
+    t, g = ends[0][:2]
+    return finish(t, g, t, g)
 
 
 def estimate_monotony(f1, f2, sampler: SamplerSpec, arg_dim: int = 1,
@@ -339,10 +403,11 @@ def check_mountain_pass_ring(sys: CoupledSystem, tau: float,
     at every ring point; the report counts how often the sampled points
     violate it. A nonzero violated fraction rules the geometry out. The
     points come from `scheme._probe_blocks`, so they are a function of the
-    sampler's seed and point count alone.
+    sampler's seed and point count alone. A tau that is not positive and
+    finite raises ``ValueError``.
     """
-    if not (tau > 0.0):
-        raise ValueError("tau must be positive")
+    if not (0.0 < tau < np.inf):
+        raise ValueError("tau must be positive and finite")
     zero = np.zeros(sys.space.dim)
     n_zero = sys.eval_N(zero, zero)
 

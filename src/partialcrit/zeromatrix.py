@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -35,12 +35,17 @@ _MAX_SIZE = 8
 
 @dataclass(frozen=True)
 class MonotonyMatrix:
-    """Small nonnegative matrix of coupling coefficients."""
+    """Small nonnegative matrix of coupling coefficients.
+
+    It holds a read-only copy of the entries it is given, so it cannot
+    change after it is checked; its `ConvergenceCertificate` is computed on
+    first use and kept with it, as `SpdOperator.row_scale` is.
+    """
 
     entries: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.entries, dtype=float)
+        a = np.array(self.entries, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("entries must form a square matrix")
         if a.shape[0] < 1 or a.shape[0] > _MAX_SIZE:
@@ -49,11 +54,20 @@ class MonotonyMatrix:
             raise ValueError("entries must be finite")
         if np.any(a < 0.0):
             raise ValueError("entries must be nonnegative")
+        a.flags.writeable = False
         object.__setattr__(self, "entries", a)
 
     @property
     def n(self) -> int:
         return self.entries.shape[0]
+
+    @cached_property
+    def _certificate(self) -> ConvergenceCertificate:
+        """The exact verdict of `is_convergent_to_zero`, computed once; a
+        radius that raises is not kept, and raises again on the next use."""
+        return ConvergenceCertificate(
+            spectral_radius=spectral_radius(self),
+            rho_ok=_leading_minors_positive(self.entries))
 
 
 @dataclass(frozen=True)
@@ -184,10 +198,11 @@ def is_convergent_to_zero(m) -> ConvergenceCertificate:
     decided in exact integer arithmetic; the radius is `spectral_radius`'s.
     Raises ``ValueError`` when that radius leaves the float range, and
     ``IntegrityError`` when it falls outside its Collatz–Wielandt bracket.
+    A `MonotonyMatrix` is certified on the first call and returns the same
+    certificate on every later one; an array is certified afresh on each
+    call.
     """
-    a = _coerce(m)
-    return ConvergenceCertificate(spectral_radius=spectral_radius(a),
-                                  rho_ok=_leading_minors_positive(a))
+    return (m if isinstance(m, MonotonyMatrix) else MonotonyMatrix(m))._certificate
 
 
 def neumann_inverse(m) -> np.ndarray:

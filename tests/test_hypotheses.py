@@ -10,8 +10,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import partialcrit as pc
+from partialcrit import hypotheses
 from partialcrit.errors import IntegrityError
-from partialcrit.hypotheses import _fit_pair
+from partialcrit.hypotheses import _INF_BITS, _VERTEX_TOL, _fit_pair
 
 TINY = np.finfo(float).tiny
 
@@ -170,6 +171,129 @@ def test_fit_pair_on_rows_through_one_vertex(p_star, q_star, coeffs):
     _assert_fit_optimal(a, b, a * p_star + b * q_star)
 
 
+
+def _reference_fit(a_coeff, b_coeff, rhs):
+    """`_fit_pair` as it bisected before it stopped early: all 63 steps
+    down to adjacent floats, then the finish at the located ray."""
+    active = rhs > TINY * np.maximum(a_coeff, b_coeff)
+    if not np.any(active):
+        return 0.0, 0.0
+    r = rhs[active]
+    a, b = a_coeff[active] / r, b_coeff[active] / r
+    if not np.all((a > 0.0) | (b > 0.0)):
+        raise IntegrityError("coefficient fit failed: a row with a positive "
+                             "right-hand side has no positive coefficient")
+    slope = a - b
+
+    def ray(t):
+        return a * t + b if t <= 1.0 else a + b / t
+
+    lo, hi = 0, _INF_BITS
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if slope[np.argmin(ray(np.int64(mid).view(np.float64)))] > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    t = np.int64(lo).view(np.float64)
+    g = ray(t)
+    top = 1.0 / g.min()
+    p0, q0 = (t * top, top) if t <= 1.0 else (top, top / t)
+    tight = g * top <= 1.0 + _VERTEX_TOL
+    at, bt = a[tight], b[tight]
+    i, j = np.argmax(slope[tight]), np.argmin(slope[tight])
+    with np.errstate(over="ignore", invalid="ignore"):
+        det = at[i] * bt[j] - at[j] * bt[i]
+        if p0 * at.max() <= _VERTEX_TOL:
+            p, q = 0.0, 1.0 / bt[j]
+        elif q0 * bt.max() <= _VERTEX_TOL:
+            p, q = 1.0 / at[i], 0.0
+        elif 0.0 < det < np.inf:
+            p, q = (bt[j] - bt[i]) / det, (at[i] - at[j]) / det
+        else:
+            p, q = p0, q0
+        if not (min(p, q) >= 0.0 and np.min(a * p + b * q) >= 1.0 - _VERTEX_TOL):
+            p, q = p0, q0
+    return float(p), float(q)
+
+
+def _fit_outcome(fit, a, b, r):
+    # the bits of the result, or the error; a warning is an error here, so
+    # the warnings of the two fits are compared too
+    try:
+        p, q = fit(a, b, r)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return p.hex(), q.hex()
+
+
+_scale = st.integers(-150, 150).map(lambda k: 10.0 ** k)
+# a vertex inside the quadrant, or on either axis (p* = 0 is the cross
+# coupling's)
+_vertex = st.one_of(
+    st.tuples(st.floats(1e-3, 1e3), st.floats(1e-3, 1e3)),
+    st.tuples(st.just(0.0), st.floats(1e-3, 1e3)),
+    st.tuples(st.floats(1e-3, 1e3), st.just(0.0)))
+# sampled rows miss their vertex by up to about 6e-10 relative
+_jitter = st.one_of(st.just(0.0), st.floats(-1e-9, 1e-9))
+
+
+@st.composite
+def _fit_instances(draw):
+    """Rows of either sign and with zero coefficients, or rows through one
+    vertex, then the coefficients and the right-hand sides each scaled by
+    a power of ten from 1e-150 to 1e150."""
+    if draw(st.booleans()):
+        rows = draw(st.lists(_row, min_size=2, max_size=12))
+        a, b, r = (np.array(col) for col in zip(*rows))
+    else:
+        p_star, q_star = draw(_vertex)
+        rows = draw(st.lists(st.tuples(_coef, _coef, _jitter),
+                             min_size=2, max_size=12))
+        a, b, e = (np.array(col) for col in zip(*rows))
+        r = (a * p_star + b * q_star) * (1.0 + e)
+    c, s = draw(_scale), draw(_scale)
+    return a * c, b * c, r * s
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(_fit_instances())
+@example((np.array([0.0, 1.0]), np.array([1.0, 0.0]),
+          np.array([1.0, 1e-14])))
+def test_fit_pair_equals_the_full_bisection(case):
+    assert _fit_outcome(_fit_pair, *case) == _fit_outcome(_reference_fit, *case)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("build, on_axis", [
+    (lambda: pc.build_dirichlet(pc.DirichletSpec(
+        dims=1, n_per_dim=63, lengths=(1.0,),
+        nonlinearity=pc.NonlinearitySpec.quadratic(0.0, 8.0, 0.0, 1.0))),
+     True),
+    (lambda: pc.build_stokes(pc.StokesSpec(
+        n_per_dim=17, lengths=(1.0, 1.0), mu_coeff=1.0,
+        nonlinearity=pc.NonlinearitySpec.sincos(0.1))), False),
+], ids=["quadratic_b8", "stokes_sincos"])
+def test_fit_pair_equals_the_full_bisection_on_sampled_rows(
+        monkeypatch, build, on_axis, seed):
+    # the cross coupling's vertices lie on an axis, and the bisection stops
+    # after a few steps; the Stokes ones lie inside the quadrant
+    fits = []
+
+    def recording(a, b, r):
+        fits.append((a, b, r))
+        return _fit_pair(a, b, r)
+
+    monkeypatch.setattr(hypotheses, "_fit_pair", recording)
+    pw = build().pointwise
+    pc.estimate_monotony(pw.f1, pw.f2, pc.SamplerSpec(seed=seed),
+                         arg_dim=pw.arg_dim)
+    assert len(fits) == 2
+    for case in fits:
+        p, q = fit = _fit_outcome(_fit_pair, *case)
+        assert fit == _fit_outcome(_reference_fit, *case)
+        assert (0.0 in (float.fromhex(p), float.fromhex(q))) == on_axis
+
 def test_mu_frozen_value_and_boundary():
     assert pc.mu_of(0.2, 0.2) == pytest.approx(0.04 / 0.09, rel=1e-12)
     assert pc.mu_of(0.25, 0.25) == pytest.approx(1.0, rel=1e-12)
@@ -249,6 +373,14 @@ def test_ring_scan_at_a_huge_tau_counts_without_warning():
               for tau in (1e150, 1e308)]
     assert counts == [183, 183]
 
+
+
+@pytest.mark.parametrize("tau", [0.0, -1.0, np.inf, np.nan])
+def test_ring_scan_refuses_a_tau_not_positive_and_finite(sincos_1d, tau):
+    # at tau = inf every bound is infinite or NaN, and all 400 samples
+    # used to read violated
+    with pytest.raises(ValueError, match="^tau must be positive and finite$"):
+        pc.check_mountain_pass_ring(sincos_1d, tau, pc.SamplerSpec())
 
 def test_full_report_ready_for_bundled_sincos(sincos_1d):
     rep = pc.full_report(sincos_1d, sincos_1d.pointwise.growth,

@@ -119,6 +119,59 @@ def test_monotony_matrix_validation():
         pc.MonotonyMatrix(np.array([[np.inf, 0.0], [0.0, 0.1]]))
 
 
+
+def test_monotony_matrix_holds_a_read_only_copy():
+    a = np.array([[0.2, 0.1], [0.1, 0.2]])
+    m = pc.MonotonyMatrix(a)
+    a[0, 0] = -5.0
+    assert m.entries[0, 0] == 0.2
+    assert pc.is_convergent_to_zero(m).convergent
+    with pytest.raises(ValueError, match="read-only"):
+        m.entries[0, 0] = 5.0
+
+
+def _count_radii(monkeypatch):
+    # the certificate reaches the module's spectral_radius, as the
+    # benchmark's tracer binds it
+    calls = []
+    radius = pc.zeromatrix.spectral_radius
+
+    def counted(m):
+        calls.append(m)
+        return radius(m)
+
+    monkeypatch.setattr(pc.zeromatrix, "spectral_radius", counted)
+    return calls
+
+
+def test_a_matrix_is_certified_once(monkeypatch):
+    calls = _count_radii(monkeypatch)
+    m = pc.MonotonyMatrix([[0.3, 0.2], [0.1, 0.4]])
+    first = pc.is_convergent_to_zero(m)
+    assert pc.is_convergent_to_zero(m) is first
+    assert len(calls) == 1
+    # an array is certified afresh on each call
+    pc.is_convergent_to_zero([[0.3, 0.2], [0.1, 0.4]])
+    assert len(calls) == 2
+
+
+def test_the_check_certifies_its_estimate_once(monkeypatch, sincos_1d):
+    calls = _count_radii(monkeypatch)
+    rep = pc.full_report(sincos_1d, sincos_1d.pointwise.growth,
+                         pc.SamplerSpec())
+    pc.ps_beta(rep.monotony_estimate)
+    assert len(calls) == 1
+
+
+def test_a_radius_past_the_float_range_raises_on_every_call(monkeypatch):
+    calls = _count_radii(monkeypatch)
+    m = pc.MonotonyMatrix([[1e308, 1e308], [1e308, 1e308]])
+    for _ in range(2):
+        with pytest.raises(ValueError, match="spectral radius leaves the "
+                                             "float range"):
+            pc.is_convergent_to_zero(m)
+    assert len(calls) == 2
+
 def test_verify_dominance_exact_recursion(rng):
     m = np.array([[0.3, 0.2], [0.1, 0.4]])
     steps = 30
