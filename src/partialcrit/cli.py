@@ -156,6 +156,7 @@ def _write_manifest(out: Path, command: str, config_raw: bytes,
 # Each section is read by `_fields` against a table of rows
 # ``key -> (coercion, required)``. Only the keys present are passed on, so
 # an absent key keeps the default of the library call that receives them.
+# A coercion checks JSON types and structure; that call checks the ranges.
 
 def _number(v, where: str) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
@@ -179,17 +180,15 @@ def _bool(v, where: str) -> bool:
 
 
 def _as_given(v, where: str):
-    """A kind, a section, or a key its reader checks against other keys."""
+    """A kind or a section, which its own reader checks."""
     return v
 
 
-def _sides(v, count: int, where: str):
-    """One number for every side, or a list of `count` numbers."""
-    if isinstance(v, (int, float)) and not isinstance(v, bool):
-        return _number(v, where)
-    if isinstance(v, list) and len(v) == count:
+def _sides(v, where: str):
+    """One number for every side or a list; the spec checks count and range."""
+    if isinstance(v, list):
         return tuple(_number(e, where) for e in v)
-    raise ConfigError(f"{where} must be a number or a list of {count} numbers")
+    return _number(v, where)
 
 
 def _growth(v, where: str) -> tuple[float, float, float] | None:
@@ -197,21 +196,16 @@ def _growth(v, where: str) -> tuple[float, float, float] | None:
         return None
     if not isinstance(v, list) or len(v) != 3:
         raise ConfigError(f"{where} must be three numbers")
-    constants = tuple(_number(e, where) for e in v)
-    if any(not (c >= 0.0) for c in constants):
-        raise ConfigError(f"{where} must be nonnegative")
-    return constants
+    return tuple(_number(e, where) for e in v)
 
 
 def _taus(v, where: str) -> list[float]:
+    """A nonempty list of ring levels; the ring scan checks their range."""
     if v is None:
         return []
     if not isinstance(v, list) or not v:
         raise ConfigError(f"{where} must be a nonempty list")
-    taus = [_number(t, where) for t in v]
-    if any(not (t > 0.0) for t in taus):
-        raise ConfigError(f"{where} must be positive")
-    return taus
+    return [_number(t, where) for t in v]
 
 
 def _entries(v, where: str) -> list[list[float]]:
@@ -279,7 +273,7 @@ def _nonlinearity(v, where: str) -> NonlinearitySpec:
 
 
 _NONLINEARITY = (_nonlinearity, True)
-_LENGTHS = (_as_given, True)  # checked against the number of dimensions
+_LENGTHS = (_sides, True)
 
 # kind -> (table, builder); the builders look their names up at call time,
 # so a wrapper bound over a module name sees every build
@@ -308,8 +302,7 @@ _SAMPLER = {"n_points": (_int, False), "box_radius": (_number, False),
 
 _CHECK = {"sampler": (lambda v, where: _fields(v, where, _SAMPLER), False),
           "declared_growth": (_growth, False),
-          # read once the growth constants, which may be built in, are known
-          "ring_taus": (_as_given, False)}
+          "ring_taus": (_taus, False)}
 
 _ORACLE = {"tol": (_number, False),
            "jacobian_free": (lambda v, where: None if v is None
@@ -348,9 +341,6 @@ def build_problem(cfg: dict) -> CoupledSystem:
     table, build = entry
     kw = _fields(p, "problem", table)
     del kw["kind"]
-    if "lengths" in kw:  # a stokes grid is two-dimensional
-        kw["lengths"] = _sides(kw["lengths"], kw.get("dims", 2),
-                               "problem.lengths")
     return _call("problem", build, **kw)
 
 
@@ -409,7 +399,6 @@ def cmd_check(args, cfg: dict, raw: bytes) -> int:
         if system.pointwise is None or system.pointwise.growth is None:
             raise ConfigError("no growth constants declared and none built in")
         declared = system.pointwise.growth
-    taus = _taus(chk.get("ring_taus"), "check.ring_taus")
 
     report = _call("check", _cli.full_report, system, declared, sampler)
 
@@ -429,7 +418,7 @@ def cmd_check(args, cfg: dict, raw: bytes) -> int:
         "ps_beta": margins,
         "ring": [_payload(_call("check", _cli.check_mountain_pass_ring, system,
                                 tau, sampler), "fraction_violated")
-                 for tau in taus],
+                 for tau in chk.get("ring_taus", [])],
         "notes": list(report.notes),
     }
     _emit(args, raw, sampler.seed, {"report.json": payload})

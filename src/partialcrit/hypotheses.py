@@ -102,7 +102,7 @@ class PsBeta:
     full: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HypothesisReport:
     growth: GrowthReport
     monotony_estimate: MonotonyMatrix

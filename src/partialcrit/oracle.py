@@ -31,7 +31,7 @@ __all__ = [
 NEWTON_MAX_ITERS = 50
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OracleResult:
     u_star: HVector
     v_star: HVector

@@ -45,7 +45,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointwiseNonlinearity:
     """Vectorized pointwise density with its gradients and declared bounds.
 
@@ -172,11 +172,16 @@ def make_pointwise(spec: NonlinearitySpec, arg_dim: int) -> PointwiseNonlinearit
     )
 
 
-def _check_grid_steps(lengths: tuple[float, ...], n: int, power: int
-                      ) -> None:
-    """Refuse sides whose grid step h = L / (n + 1) leaves ``h**power`` or
-    its reciprocal, which the stencils scale by, outside the float range."""
-    for length in lengths:
+def _grid_sides(lengths, count: int, n: int, power: int) -> tuple[float, ...]:
+    """`count` positive sides, one number for all or a list, whose grid step
+    h = L / (n + 1) keeps ``h**power`` and its reciprocal, which the
+    stencils scale by, inside the float range; else ``ValueError``."""
+    sides = tuple(float(v) for v in (
+        (lengths,) * count if np.isscalar(lengths) else lengths))
+    if len(sides) != count or any(not (v > 0.0) for v in sides):
+        raise ValueError(
+            f"lengths must be one positive number or a list of {count}")
+    for length in sides:
         h = length / (n + 1)
         scale = h * h  # ``h ** 2`` raises on overflow; products go to inf
         if power == 4:
@@ -184,12 +189,13 @@ def _check_grid_steps(lengths: tuple[float, ...], n: int, power: int
         if not (0.0 < scale < math.inf and 1.0 / scale < math.inf):
             raise ValueError(f"lengths give a grid step h with h**{power} "
                              f"or 1/h**{power} outside the float range")
+    return sides
 
 
 @dataclass(frozen=True)
 class DirichletSpec:
     """Reaction system on (0, L) or (0, Lx) x (0, Ly) with zero boundary;
-    a single number for ``lengths`` is the side in every dimension."""
+    one number for ``lengths`` is every side, as `_grid_sides` reads it."""
 
     dims: int
     n_per_dim: int
@@ -202,22 +208,16 @@ class DirichletSpec:
             raise ValueError("dims must be 1 or 2")
         if self.n_per_dim < 3:
             raise ValueError("need at least 3 interior nodes per dimension")
-        lengths = tuple(float(v) for v in (
-            (self.lengths,) * self.dims if np.isscalar(self.lengths)
-            else self.lengths))
-        if len(lengths) != self.dims:
-            raise ValueError("lengths must list one side per dimension")
-        if any(not (v > 0.0) for v in lengths):
-            raise ValueError("lengths must be positive")
-        _check_grid_steps(lengths, self.n_per_dim, 2)
+        object.__setattr__(self, "lengths", _grid_sides(
+            self.lengths, self.dims, self.n_per_dim, 2))
         if self.potential_c < 0.0:
             raise ValueError("potential_c must be nonnegative")
-        object.__setattr__(self, "lengths", lengths)
 
 
 @dataclass(frozen=True)
 class StokesSpec:
-    """Stream-function space on a rectangle; two dimensions only."""
+    """Stream-function space on a rectangle, two dimensions only; one
+    number for ``lengths`` is both sides, as `_grid_sides` reads it."""
 
     n_per_dim: int
     lengths: tuple[float, float]
@@ -227,15 +227,10 @@ class StokesSpec:
     def __post_init__(self):
         if self.n_per_dim < 5:
             raise ValueError("need at least 5 interior nodes per dimension")
-        lengths = tuple(float(v) for v in (
-            (self.lengths, self.lengths) if np.isscalar(self.lengths)
-            else self.lengths))
-        if len(lengths) != 2 or any(not (v > 0.0) for v in lengths):
-            raise ValueError("lengths must be two positive sides")
-        _check_grid_steps(lengths, self.n_per_dim, 4)
+        object.__setattr__(self, "lengths", _grid_sides(
+            self.lengths, 2, self.n_per_dim, 4))
         if not (self.mu_coeff > 0.0):
             raise ValueError("mu_coeff must be positive")
-        object.__setattr__(self, "lengths", lengths)
 
 
 def _laplacian_1d(n: int, h: float) -> sp.csr_matrix:

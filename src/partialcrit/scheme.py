@@ -124,7 +124,7 @@ def _unsampled(x: np.ndarray) -> np.ndarray:
     return x
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoupledSystem:
     """A complete problem datum.
 
@@ -188,7 +188,7 @@ CSV_HEADER = ("k", "norm_u", "norm_v", "r1", "r2", "E1", "E2", "E",
               "inner_iters_u", "inner_iters_v")
 
 
-@dataclass
+@dataclass(eq=False)
 class SchemeTrace:
     """Per-stage diagnostics and the full iterate history, as coefficient
     arrays."""
@@ -202,7 +202,7 @@ class SchemeTrace:
         return [CSV_HEADER] + [astuple(r) for r in self.rows]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SolutionPair:
     """Converged (or final) iterate pair with its residual norms."""
 

@@ -16,7 +16,7 @@ norms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
@@ -59,7 +59,6 @@ class SpdOperator:
     """
 
     matrix: sp.csr_matrix
-    _band: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Return ``A @ x`` for a ``(dim,)`` vector or a ``(dim, k)`` block.
@@ -83,9 +82,10 @@ class SpdOperator:
                                      m.data, x.ravel(), out.ravel())
         return out
 
+    @cached_property
     def factor(self) -> np.ndarray:
         """Upper Cholesky factor of the matrix in LAPACK band storage,
-        computed once by ``dpbtrf``.
+        computed by ``dpbtrf`` on first use and kept unless it raises.
 
         The half-bandwidth kd is the largest ``|i - j|`` of a stored entry,
         read from the canonical CSR, and the factor holds ``(kd + 1) * dim``
@@ -100,27 +100,25 @@ class SpdOperator:
             If the matrix is not symmetric, or not positive definite
             (singular included).
         """
-        if self._band is None:
-            m = self.matrix
-            rows = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
-            offsets = m.indices - rows
-            kd = int(np.max(np.abs(offsets), initial=0))
-            # A[i, j] with i <= j sits at band[kd + i - j, j]; `mirror` puts
-            # each lower entry where its transpose sits in `band`
-            up = offsets >= 0
-            band = np.zeros((kd + 1, m.shape[0]), order="F")
-            band[kd - offsets[up], m.indices[up]] = m.data[up]
-            mirror = np.zeros_like(band[:kd])
-            mirror[kd + offsets[~up], rows[~up]] = m.data[~up]
-            if not np.array_equal(band[:kd], mirror):
-                raise IntegrityError("operator matrix is not symmetric")
-            band, info = dpbtrf(band, overwrite_ab=1)
-            if info != 0:
-                raise IntegrityError(
-                    "Cholesky factorization met a non-positive pivot; "
-                    "operator is not positive definite")
-            object.__setattr__(self, "_band", band)
-        return self._band
+        m = self.matrix
+        rows = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
+        offsets = m.indices - rows
+        kd = int(np.max(np.abs(offsets), initial=0))
+        # A[i, j] with i <= j sits at band[kd + i - j, j]; `mirror` puts
+        # each lower entry where its transpose sits in `band`
+        up = offsets >= 0
+        band = np.zeros((kd + 1, m.shape[0]), order="F")
+        band[kd - offsets[up], m.indices[up]] = m.data[up]
+        mirror = np.zeros_like(band[:kd])
+        mirror[kd + offsets[~up], rows[~up]] = m.data[~up]
+        if not np.array_equal(band[:kd], mirror):
+            raise IntegrityError("operator matrix is not symmetric")
+        band, info = dpbtrf(band, overwrite_ab=1)
+        if info != 0:
+            raise IntegrityError(
+                "Cholesky factorization met a non-positive pivot; "
+                "operator is not positive definite")
+        return band
 
     @cached_property
     def row_scale(self) -> float:
@@ -168,7 +166,7 @@ class DiscreteSpace:
         return HVector(c, self.space_id)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HVector:
     """A result's coefficient vector, tied to its space by the identifier.
 
@@ -295,7 +293,7 @@ def solve_a(h, space: DiscreteSpace) -> np.ndarray:
     b = np.asarray(h, dtype=float)
     if b.shape != (space.dim,):
         raise ValueError("right-hand side length does not match space dimension")
-    x = dpbtrs(space.operator.factor(), b)[0] if b.any() else np.zeros(b.shape)
+    x = dpbtrs(space.operator.factor, b)[0] if b.any() else np.zeros(b.shape)
     return space.check(x)
 
 

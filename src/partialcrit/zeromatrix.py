@@ -33,7 +33,7 @@ __all__ = [
 _MAX_SIZE = 8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MonotonyMatrix:
     """Small nonnegative matrix of coupling coefficients.
 

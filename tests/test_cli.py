@@ -127,6 +127,20 @@ def test_check_fitted_growth_leaves_mu_null(tmp_path):
     assert report["notes"][-1] == "fitted growth constants leave mu undefined"
 
 
+@pytest.mark.parametrize("tau", [-1, 0])
+def test_check_refuses_a_ring_level_before_writing(tmp_path, capsys, tau):
+    # the ring scan refuses the level after full_report has run, and the
+    # ring entries are built before any file is written
+    config = json.loads((CONFIGS / "sincos_1d.json").read_text())
+    config["check"]["ring_taus"] = [tau]
+    cfg = _write(tmp_path, "cfg.json", config)
+    out = tmp_path / "chk"
+    assert main(["check", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: check: tau must be positive and finite\n")
+    assert not (out / "report.json").exists()
+
+
 def _section_keys(cls, verdict=None):
     return [f.name for f in dataclasses.fields(cls)] + (
         [verdict] if verdict else [])
@@ -338,7 +352,7 @@ DEFECTS = [
     ("solve", SINCOS_CONFIG, ("problem", "dims"), True, (), 2,
      "problem.dims must be an integer"),
     ("solve", SINCOS_CONFIG, ("problem", "lengths"), [1.0, 1.0], (), 2,
-     "problem.lengths must be a number or a list of 1 numbers"),
+     "problem: lengths must be one positive number or a list of 1"),
     ("solve", SINCOS_CONFIG, ("problem", "lengths"), ["1"], (), 2,
      "problem.lengths must be a number"),
     ("solve", SINCOS_CONFIG, ("problem", "n_per_dim"), 2, (), 2,
@@ -348,7 +362,7 @@ DEFECTS = [
     ("solve", STOKES_CONFIG, ("problem", "mu_coeff"), DELETE, (), 2,
      "problem: missing keys ['mu_coeff']"),
     ("solve", STOKES_CONFIG, ("problem", "lengths"), [1.0], (), 2,
-     "problem.lengths must be a number or a list of 2 numbers"),
+     "problem: lengths must be one positive number or a list of 2"),
     ("solve", STOKES_CONFIG, ("problem", "n_per_dim"), 4, (), 2,
      "problem: need at least 5 interior nodes per dimension"),
     # problem.nonlinearity
@@ -426,12 +440,12 @@ DEFECTS = [
     ("check", SINCOS_CONFIG, ("check", "ring_taus"), [0.5, "1"], (), 2,
      "check.ring_taus must be a number"),
     ("check", SINCOS_CONFIG, ("check", "ring_taus"), [-1], (), 2,
-     "check.ring_taus must be positive"),
+     "check: tau must be positive and finite"),
     ("check", SINCOS_CONFIG, ("check", "declared_growth"), [0, 0], (), 2,
      "check.declared_growth must be three numbers"),
     ("check", SINCOS_CONFIG, ("check", "declared_growth"), [-1, 0, 0], (), 2,
-     "check.declared_growth must be nonnegative"),
-    # growth constants are resolved before the ring levels are read
+     "check: growth constants must be nonnegative"),
+    # growth constants are resolved before any ring level is evaluated
     ("check", SCALAR_CONFIG, ("check",), {"ring_taus": [-1]}, (), 2,
      "no growth constants declared and none built in"),
     # oracle

@@ -1,6 +1,7 @@
 """Problem builders: assembly correctness, refinement, Stokes structure."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -226,6 +227,48 @@ def test_spec_invariants():
     # one number is the side in every dimension
     assert pc.DirichletSpec(dims=2, n_per_dim=5, lengths=2).lengths == (2.0, 2.0)
     assert pc.StokesSpec(n_per_dim=5, lengths=2, mu_coeff=1.0).lengths == (2.0, 2.0)
+
+
+# name -> (number of sides, stencil power, the spec of some lengths)
+_GRIDS = {
+    "dirichlet_1d": (1, 2, lambda lengths: pc.DirichletSpec(
+        dims=1, n_per_dim=5, lengths=lengths)),
+    "dirichlet_2d": (2, 2, lambda lengths: pc.DirichletSpec(
+        dims=2, n_per_dim=5, lengths=lengths)),
+    "stokes": (2, 4, lambda lengths: pc.StokesSpec(
+        n_per_dim=5, lengths=lengths, mu_coeff=1.0)),
+}
+
+
+@pytest.mark.parametrize("grid", sorted(_GRIDS))
+@pytest.mark.parametrize("case", ["scalar", "list", "count", "zero",
+                                  "negative", "nan", "inf", "step"])
+def test_each_spec_reads_its_sides_by_one_rule(grid, case):
+    count, power, spec = _GRIDS[grid]
+    if case == "scalar":
+        assert spec(2).lengths == (2.0,) * count
+        return
+    if case == "list":
+        lengths = spec([3, 0.5][:count]).lengths
+        assert lengths == (3.0, 0.5)[:count]
+        assert all(type(side) is float for side in lengths)
+        return
+    if case == "count":
+        lengths = [1.0] * (count + 1)
+    else:
+        # a refused side goes last in the list, so each side is checked; at
+        # 1e100 / 6 the step's square is finite and its fourth power is not
+        bad = {"zero": 0.0, "negative": -1.0, "nan": math.nan,
+               "inf": math.inf, "step": 1e200 if power == 2 else 1e100}[case]
+        lengths = [1.0] * (count - 1) + [bad]
+    if case in ("inf", "step"):
+        message = (f"lengths give a grid step h with h**{power} or "
+                   f"1/h**{power} outside the float range")
+    else:
+        message = f"lengths must be one positive number or a list of {count}"
+    with pytest.raises(ValueError) as refused:
+        spec(lengths)
+    assert str(refused.value) == message
 
 
 def test_dirichlet_1d_stiffness_entries():

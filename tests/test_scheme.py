@@ -477,3 +477,26 @@ def test_stage_count_is_mesh_independent(name):
     # at least halved at each refinement: the radii form a Cauchy sequence
     assert np.all(steps[1:] <= 0.5 * steps[:-1]), rhos
     assert all(abs(k - stages[0]) <= 3 for k in stages), stages
+
+
+def _records():
+    """One of each record that holds arrays, from a Dirichlet n=7 build,
+    its solve, its check and its Newton oracle."""
+    system = pc.build_dirichlet(pc.DirichletSpec(
+        dims=1, n_per_dim=7, lengths=1.0,
+        nonlinearity=pc.NonlinearitySpec.sincos(0.1)))
+    pair, trace = pc.run_scheme(system)
+    report = pc.full_report(system, system.pointwise.growth,
+                            pc.SamplerSpec(n_points=100))
+    return [system.monotony, pair.u_star, pair, pc.newton_full(system),
+            system, system.pointwise, trace, report]
+
+
+def test_records_holding_arrays_compare_by_identity():
+    # two runs give records with equal but distinct arrays, on which a
+    # generated __eq__ raises (an array's truth value) and so does a
+    # generated __hash__ (an array is unhashable)
+    for a, b in zip(_records(), _records()):
+        assert type(a) is type(b)
+        assert a != b and not a == b, type(a).__name__
+        assert len({a, b, a}) == 2, type(a).__name__

@@ -91,7 +91,7 @@ def test_each_builder_has_its_band(n):
     }
     for kd, system in bands.items():
         space = system.space
-        assert space.operator.factor().shape == (kd + 1, space.dim), kd
+        assert space.operator.factor.shape == (kd + 1, space.dim), kd
 
 
 def test_make_space_factors_once(monkeypatch):
@@ -495,7 +495,7 @@ def test_band_solve_matches_a_dense_solve(case, k, seed):
     dense, kd = case
     n = dense.shape[0]
     space = pc.make_space(sp.csr_matrix(dense), np.ones(n), "band")
-    assert space.operator.factor().shape == (kd + 1, n)
+    assert space.operator.factor.shape == (kd + 1, n)
     for b in np.random.default_rng(seed).standard_normal((k, n)):
         ref = np.linalg.solve(dense, b)
         assert np.allclose(pc.solve_a(b, space), ref, rtol=1e-8,
