@@ -40,10 +40,10 @@ _EXPORTS = {
                "TraceRow", "SolutionPair", "ContractionReport", "NashReport",
                "run_scheme", "residual_u", "residual_v", "energies",
                "contraction_certificate", "nash_check"),
-    "hypotheses": ("SamplerSpec", "GrowthReport", "RingReport", "PsBeta",
-                   "HypothesisReport", "check_growth", "estimate_monotony",
-                   "mu_of", "check_mountain_pass_ring", "ps_beta",
-                   "full_report"),
+    "hypotheses": ("SamplerSpec", "GrowthReport", "RingReport",
+                   "CouplingReport", "PsBeta", "HypothesisReport",
+                   "check_growth", "estimate_monotony", "mu_of",
+                   "check_mountain_pass_ring", "ps_beta", "full_report"),
     "problems": ("NonlinearitySpec", "PointwiseNonlinearity",
                  "make_pointwise", "DirichletSpec", "StokesSpec",
                  "build_dirichlet", "build_stokes", "build_scalar",

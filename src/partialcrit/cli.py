@@ -402,16 +402,14 @@ def cmd_check(args, cfg: dict, raw: bytes) -> int:
 
     report = _call("check", _cli.full_report, system, declared, sampler)
 
-    margins = None
-    if report.certificate.rho_ok:
-        margins = _payload(_call("check", _cli.ps_beta,
-                                 report.monotony_estimate))
+    margins = (_payload(_call("check", _cli.ps_beta, report.monotony_estimate))
+               if report.certificate.rho_ok else None)
 
     payload = {
         "label": system.label,
         "ready": report.ready,
         "growth": _payload(report.growth),
-        "monotony_estimate": report.monotony_estimate.entries,
+        "coupling": _payload(report.coupling),
         "monotony_declared": system.monotony.entries,
         "certificate": _payload(report.certificate, "convergent"),
         "mu": report.mu,

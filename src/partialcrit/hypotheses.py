@@ -2,14 +2,13 @@
 
 Everything here is falsification-only evidence: a passing check means no
 violation was found on the sampled box, not a proof. The checks cover the
-pointwise growth bounds, the coupling (monotony) coefficients fitted from
-difference quotients, convergence of the fitted matrix, and the derived
-scalar diagnostics used by the boundedness and compactness arguments.
+pointwise growth bounds, the declared coupling (monotony) matrix tested
+on sampled pairs of points and certified, and the derived scalar
+diagnostics used by the boundedness and compactness arguments.
 """
 
 from __future__ import annotations
 
-import struct
 import sys
 import warnings
 from dataclasses import dataclass
@@ -26,6 +25,7 @@ __all__ = [
     "SamplerSpec",
     "GrowthReport",
     "RingReport",
+    "CouplingReport",
     "PsBeta",
     "HypothesisReport",
     "check_growth",
@@ -91,12 +91,26 @@ class RingReport:
 
 
 @dataclass(frozen=True)
+class CouplingReport:
+    """Violated samples of the u-row and the v-row of a coupling matrix.
+
+    A row's witness is its worst sample, ``(*x, *y, *x', *y', excess)``,
+    the excess being by how much the left side passes the row's pointwise
+    bound; None where no sample violates the row.
+    """
+
+    ok: bool
+    n_violated: tuple[int, int]
+    witness: tuple[tuple[float, ...] | None, tuple[float, ...] | None]
+    n_points: int
+
+
+@dataclass(frozen=True)
 class PsBeta:
     """The compactness margin ``1 - m11 - m12 m21 / (1 - m22)``.
 
-    ``full`` takes each entry where the two-sequence estimate produces it;
-    it is provably positive for a convergent matrix, and computed exactly,
-    then rounded once.
+    ``full`` is provably positive for a convergent matrix, and computed
+    exactly, then rounded once.
     """
 
     full: float
@@ -104,8 +118,14 @@ class PsBeta:
 
 @dataclass(frozen=True, eq=False)
 class HypothesisReport:
+    """The verdict of `full_report`. ``monotony_estimate`` is the system's
+    declared coupling matrix, the one `run_scheme` certifies; the benchmark
+    under ``perfbench/`` reads the field by that name.
+    """
+
     growth: GrowthReport
     monotony_estimate: MonotonyMatrix
+    coupling: CouplingReport
     certificate: ConvergenceCertificate
     mu: float | None
     ready: bool
@@ -168,175 +188,33 @@ def check_growth(F, declared: tuple[float, float, float],
     )
 
 
-# relative slack within which a sampled row counts as passing through the
-# optimal vertex, and by which the finished vertex may miss a row: the
-# difference quotients of close pairs carry cancellation error up to about
-# 6e-10 relative on the quadratic samplers
-_VERTEX_TOL = 1e-9
-_INF_BITS = 0x7FF0000000000000  # the bit pattern of +inf as an int64
-# a row within this factor of the least ray value may be tight
-_NEAR = 1.0 + 2.0 * _VERTEX_TOL
+def estimate_monotony(f1, f2, monotony: MonotonyMatrix, sampler: SamplerSpec,
+                      arg_dim: int = 1, embedding_sq: float = 1.0
+                      ) -> CouplingReport:
+    """Test a declared coupling matrix on sampled pairs of points.
 
-
-def _as_float(bits: int) -> float:
-    """The float whose bit pattern, read as an int64, is `bits`."""
-    return struct.unpack("d", struct.pack("q", bits))[0]
-
-
-def _fit_pair(a_coeff: np.ndarray, b_coeff: np.ndarray, rhs: np.ndarray
-              ) -> tuple[float, float]:
-    """Minimize ``p + q`` over ``p, q >= 0`` with ``p a_i + q b_i >= rhs_i``.
-
-    An exact solve of this two-variable linear program in numpy; linear
-    programs in fixed dimension take linear time (Megiddo, SIAM J. Comput.
-    12(4), 1983), and the few passes below over all rows do as well. The
-    coefficients are nonnegative. Rows with ``rhs_i <= 0`` hold for every
-    ``p, q >= 0``; the others are scaled to ``A_i p + B_i q >= 1``, since
-    close-pair rows are many decades smaller than far-pair ones.
-
-    The optimum is a vertex: an axis intercept or the crossing of two
-    rows. On the ray ``p = t q``, ``0 <= t <= inf``, the least feasible
-    point has ``1 / (p + q) = min_i (A_i t + B_i) / (1 + t)``; that rises
-    while its minimal row has ``A_i > B_i`` and falls after, so bisection
-    on the sign of ``A_i - B_i`` at the minimal row locates the optimal
-    ray without a loop over rows. The vertex is then finished in closed form from the
-    two best-conditioned constraints tight there: the tight rows with the
-    largest and the smallest ``A_i / B_i``, an axis standing in for a row
-    when the vertex lies on it. Sampled rows are degenerate (on a
-    quadratic coupling every row passes through one vertex, up to
-    rounding), so crossing two adjacent rows of the envelope would magnify
-    their rounding; the extreme pair does not, and a vertex on an axis
-    comes out with an exact zero. Should the finished vertex miss a row by
-    more than the rounding slack, the located point is returned instead.
-
-    The bisection stops as soon as every ``t`` left in its bracket
-    finishes to the same vertex, which `finish` decides from the bracket's
-    two ends; the result is the one that bisecting down to adjacent floats
-    gives, bit for bit. A vertex on an axis is settled after a few steps,
-    one inside the quadrant after about 40 of the 63.
-
-    A row with ``a_i = b_i = 0 < rhs_i`` cannot hold: `IntegrityError`.
-    """
-    # a row whose right-hand side is below the float range relative to its
-    # coefficients holds up to underflow, and scaling it would overflow
-    active = rhs > np.finfo(float).tiny * np.maximum(a_coeff, b_coeff)
-    if not np.any(active):
-        return 0.0, 0.0
-    r = rhs[active]
-    a, b = a_coeff[active] / r, b_coeff[active] / r
-    if not np.all((a > 0.0) | (b > 0.0)):
-        raise IntegrityError("coefficient fit failed: a row with a positive "
-                             "right-hand side has no positive coefficient")
-    slope = a - b
-
-    def finish(t1, g1, t2, g2):
-        """The finished vertex of every ``t`` in ``[t1, t2]``, given the
-        rays ``g1``, ``g2`` at its ends, or None where two of them differ.
-
-        The ends lie on one side of ``t = 1``, where each row's computed
-        ray is monotone in ``t`` (rounding is monotone), and so is its
-        least value; so the ends bound the tight set, the located point
-        and both axis tests at every ``t`` between them. With
-        ``t1 = t2`` this is the finish at one ``t``.
-        """
-        if t2 > 1.0:  # beyond 1 the rays fall as t grows
-            g1, g2 = g2, g1
-        top = (1.0 / g2.min(), 1.0 / g1.min())  # its least and greatest
-        # the located point (p0, q0) is (t top, top) or (top, top / t)
-        p0 = (min(t1, 1.0) * top[0], min(t2, 1.0) * top[1])
-        q0 = (top[0] / max(t2, 1.0), top[1] / max(t1, 1.0))
-        tight = g1 * top[0] <= 1.0 + _VERTEX_TOL
-        if np.count_nonzero(tight) != np.count_nonzero(
-                g2 * top[1] <= 1.0 + _VERTEX_TOL):
-            return None
-        at, bt, st = a[tight], b[tight], slope[tight]
-        # along rows through one point, A - B orders them as A / B does
-        i, j = st.argmax(), st.argmin()
-
-        def small(x, scale):
-            # whether x * scale <= _VERTEX_TOL for every x in the pair x
-            lo, hi = (v * scale <= _VERTEX_TOL for v in x)
-            return lo if lo == hi else None
-
-        # products of scaled rows overflow only far from the vertex, where
-        # the rows hold anyway, or when p q is below the float range
-        with np.errstate(over="ignore", invalid="ignore"):
-            det = at[i] * bt[j] - at[j] * bt[i]
-            p_zero, q_zero = small(p0, at.max()), small(q0, bt.max())
-            if p_zero is None or q_zero is None:
-                return None
-            if p_zero:
-                p, q = 0.0, 1.0 / bt[j]
-            elif q_zero:
-                p, q = 1.0 / at[i], 0.0
-            elif 0.0 < det < np.inf:
-                p, q = (bt[j] - bt[i]) / det, (at[i] - at[j]) / det
-            else:
-                p = q = None
-            if p is None or not (min(p, q) >= 0.0 and np.min(
-                    a * p + b * q) >= 1.0 - _VERTEX_TOL):
-                if p0[0] != p0[1] or q0[0] != q0[1]:
-                    return None
-                p, q = p0[0], q0[0]
-        return float(p), float(q)
-
-    def end(t):
-        # the rows on the ray p = t q, divided by the larger of p and q
-        g = a * t + b if t <= 1.0 else a + b / t
-        k = g.argmin()
-        return t, g, k, _NEAR * g[k]
-
-    # bisect t over its bit patterns, which order as the floats do: 63
-    # halvings reach adjacent floats at every magnitude. Each end of the
-    # bracket keeps its t, its rays, their least row and the bound of a
-    # near-least ray. The bracket goes to `finish` once it lies on one side
-    # of t = 1 and the least row of each end is near least at the other,
-    # which a settled tight set needs. A floating-point exception at an end
-    # leaves the bracket open, so that the finish at the end of the loop
-    # warns as it would have.
-    lo, hi = 0, _INF_BITS
-    ends = [end(0.0), end(np.inf)]
-    while hi - lo > 1:
-        (t1, g1, k1, near1), (t2, g2, k2, near2) = ends
-        if (t2 <= 1.0 or t1 >= 1.0) and g1[k2] <= near1 and g2[k1] <= near2:
-            try:
-                with np.errstate(divide="raise", over="raise",
-                                 invalid="raise"):
-                    vertex = finish(t1, g1, t2, g2)
-            except FloatingPointError:
-                vertex = None
-            if vertex is not None:
-                return vertex
-        mid = (lo + hi) // 2
-        e = end(_as_float(mid))
-        if slope[e[2]] > 0.0:
-            lo, ends[0] = mid, e
-        else:
-            hi, ends[1] = mid, e
-    t, g = ends[0][:2]
-    return finish(t, g, t, g)
-
-
-def estimate_monotony(f1, f2, sampler: SamplerSpec, arg_dim: int = 1,
-                      embedding_sq: float = 1.0) -> MonotonyMatrix:
-    """Fit the smallest coupling coefficients consistent with the sample.
-
-    Difference quotients of the gradients over random point pairs (half
-    drawn independently, half drawn close together to probe local slopes)
-    are enclosed by
+    `monotony` is in A-norm units, as a system holds it; divided by
+    ``embedding_sq`` its rows must bound the gradient differences:
 
         (f1(x,y) - f1(x',y')) . (x - x') <= m11 |dx|^2 + m12 |dx| |dy|
         (f2(x,y) - f2(x',y')) . (y - y') >= -m22 |dy|^2 - m21 |dx| |dy|
 
-    and each pair of coefficients is minimized (in the sum sense) by an
-    exact two-variable linear program (`_fit_pair`). The returned matrix
-    is scaled by ``embedding_sq``, converting pointwise coefficients into
-    A-norm ones. A sampled row that leaves the float range is bad input:
-    `ValueError`, and so are a box with no pair to fit on one side and a
+    Half of the pairs are drawn independently, half close together (with
+    offsets over four decades) to probe local slopes. A sample violates a
+    row when its left side passes the bound by more than rounding: 1e-9 of
+    the larger side, plus ``4 eps sum(|g(x,y)| + |g(x',y')|) |x - x'|`` for
+    the cancellation in a close pair's gradient difference (each gradient
+    ``g`` taken to within ``tiny`` more, for underflow), plus ``tiny``. The
+    benchmark under ``perfbench/`` binds the function by this name.
+
+    A sampled row that leaves the float range is bad input: `ValueError`,
+    and so are a box with no pair more than 1e-12 apart on one side and a
     gradient not of its points' ``(n_points, arg_dim)`` shape.
     """
     if not (embedding_sq > 0.0):
         raise ValueError("embedding_sq must be positive")
+    if monotony.n != 2:
+        raise ValueError("the coupling matrix must be 2 by 2")
     rng = np.random.default_rng(sampler.seed)
     x, y = _draw_box(sampler, arg_dim, rng)
     xb, yb = _draw_box(sampler, arg_dim, rng)
@@ -347,8 +225,8 @@ def estimate_monotony(f1, f2, sampler: SamplerSpec, arg_dim: int = 1,
     xb[half:] = x[half:] + scale * rng.standard_normal((count, arg_dim))
     yb[half:] = y[half:] + scale * rng.standard_normal((count, arg_dim))
 
-    dx = np.linalg.norm(x - xb, axis=1)
-    dy = np.linalg.norm(y - yb, axis=1)
+    ex, ey = x - xb, y - yb
+    dx, dy = np.linalg.norm(ex, axis=1), np.linalg.norm(ey, axis=1)
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         g = [np.asarray(f(*p)) for f in (f1, f2) for p in ((x, y), (xb, yb))]
         for name, gi in zip(("f1", "f1", "f2", "f2"), g):
@@ -356,19 +234,33 @@ def estimate_monotony(f1, f2, sampler: SamplerSpec, arg_dim: int = 1,
                 raise ValueError(
                     f"a pointwise gradient must return the shape {x.shape} "
                     f"of its points: {name} returned shape {gi.shape}")
-        s1 = _row_sums((g[0] - g[1]) * (x - xb))
-        s2 = _row_sums((g[2] - g[3]) * (y - yb))
-        rows = np.stack([dx ** 2, dy ** 2, dx * dy, s1, s2])
-    if not np.all(np.isfinite(rows)):
+        lhs = np.stack([_row_sums((g[0] - g[1]) * ex),
+                        -_row_sums((g[2] - g[3]) * ey)])
+    if not np.all(np.isfinite([dx ** 2, dy ** 2, dx * dy, *lhs])):
         raise ValueError("sampled difference quotients leave the float range")
+    if not (np.any(dx > 1e-12) and np.any(dy > 1e-12)):
+        raise ValueError("box_radius is too small to test a slope")
 
-    keep1, keep2 = dx > 1e-12, dy > 1e-12
-    if not (np.any(keep1) and np.any(keep2)):
-        raise ValueError("box_radius is too small to fit a slope")
-    m11, m12 = _fit_pair(dx[keep1] ** 2, (dx * dy)[keep1], s1[keep1])
-    m22, m21 = _fit_pair(dy[keep2] ** 2, (dx * dy)[keep2], -s2[keep2])
-    raw = np.array([[m11, m12], [m21, m22]])
-    return MonotonyMatrix(embedding_sq * raw)
+    m = monotony.entries / embedding_sq
+    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+    # a bound that overflows holds, and so does its infinite slack
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = np.stack([m[0, 0] * dx ** 2 + m[0, 1] * dx * dy,
+                          m[1, 1] * dy ** 2 + m[1, 0] * dx * dy])
+        # each gradient is within eps relative, or tiny where it underflows
+        cancel = np.stack([
+            _row_sums((eps * (np.abs(g[0]) + np.abs(g[1])) + tiny) * abs(ex)),
+            _row_sums((eps * (np.abs(g[2]) + np.abs(g[3])) + tiny) * abs(ey))])
+        excess = lhs - bound
+        violated = excess > (1e-9 * np.maximum(np.abs(lhs), bound)
+                             + 4.0 * cancel + tiny)
+    counts = tuple(int(c) for c in np.count_nonzero(violated, axis=1))
+    worst = np.argmax(np.where(violated, excess, -np.inf), axis=1)
+    witness = tuple(
+        tuple(map(float, (*x[i], *y[i], *xb[i], *yb[i], excess[k, i])))
+        if counts[k] else None for k, i in enumerate(worst))
+    return CouplingReport(ok=not any(counts), n_violated=counts,
+                          witness=witness, n_points=sampler.n_points)
 
 
 def mu_of(alpha_upper: float, alpha_lower: float) -> float:
@@ -444,13 +336,15 @@ def full_report(sys: CoupledSystem, declared: tuple[float, float, float],
     """Aggregate growth, coupling, convergence, and mu into one verdict.
 
     `declared` is the pointwise (alpha_upper, alpha_lower, c) triple to
-    test, as `check_growth` takes it. The fitted coupling matrix is scaled
-    by the system's recorded squared embedding constant, then certified.
+    test, as `check_growth` takes it. The system's coupling matrix, the
+    one `run_scheme` certifies, is tested on the samples and certified.
     mu takes the table's own growth constants, or the fitted ones where it
-    declares none, scaled the same way; a scaled pair past the bound of
-    `GrowthParams` leaves it ``None``. ``ready`` means: growth holds on the
-    sample, the fitted matrix is convergent to zero, and the contraction
-    factor is defined and below one.
+    declares none, scaled by the system's recorded squared embedding
+    constant; a scaled pair past the bound of `GrowthParams` leaves it
+    ``None``. ``ready`` means: growth holds on the sample, no sample
+    violates the coupling matrix, which is convergent to zero, and the
+    contraction factor is defined and below one; a violated row and a
+    matrix not convergent to zero each add a note.
     """
     pw = sys.pointwise
     emb_sq = sys.embedding_sq
@@ -458,11 +352,17 @@ def full_report(sys: CoupledSystem, declared: tuple[float, float, float],
         raise ValueError("system carries no pointwise nonlinearity to check")
 
     growth_rep = check_growth(pw.F, declared, sampler, arg_dim=pw.arg_dim)
-    est = estimate_monotony(pw.f1, pw.f2, sampler, arg_dim=pw.arg_dim,
-                            embedding_sq=emb_sq)
-    cert = is_convergent_to_zero(est)
+    coupling = estimate_monotony(pw.f1, pw.f2, sys.monotony, sampler,
+                                 arg_dim=pw.arg_dim, embedding_sq=emb_sq)
+    cert = is_convergent_to_zero(sys.monotony)
 
-    notes = [SAMPLING_NOTE, ORIENTATION_NOTE]
+    notes = [SAMPLING_NOTE, ORIENTATION_NOTE] + [
+        f"coupling matrix {row}-row violated on {count} of "
+        f"{coupling.n_points} samples"
+        for row, count in zip("uv", coupling.n_violated) if count]
+    if not cert.rho_ok:
+        notes.append(f"coupling matrix is not convergent to zero (spectral "
+                     f"radius {cert.spectral_radius:.6g})")
     if pw.growth is not None:
         source = "declared"
         au, al = pw.growth[0] * emb_sq, pw.growth[1] * emb_sq
@@ -478,8 +378,9 @@ def full_report(sys: CoupledSystem, declared: tuple[float, float, float],
         mu = None
         notes.append(f"{source} growth constants leave mu undefined")
 
-    ready = bool(growth_rep.ok and cert.rho_ok and mu is not None and mu < 1.0)
+    ready = bool(growth_rep.ok and coupling.ok and cert.rho_ok
+                 and mu is not None and mu < 1.0)
     return HypothesisReport(
-        growth=growth_rep, monotony_estimate=est, certificate=cert,
-        mu=mu, ready=ready, notes=tuple(notes),
+        growth=growth_rep, monotony_estimate=sys.monotony, coupling=coupling,
+        certificate=cert, mu=mu, ready=ready, notes=tuple(notes),
     )

@@ -127,6 +127,55 @@ def test_check_fitted_growth_leaves_mu_null(tmp_path):
     assert report["notes"][-1] == "fitted growth constants leave mu undefined"
 
 
+@pytest.mark.parametrize("name, radius", [("sincos_1d", "1.21683"),
+                                          ("stokes_17", "1.47008")])
+def test_check_and_solve_refuse_one_declared_matrix(tmp_path, capsys, name,
+                                                    radius):
+    # a bundled config with only epsilon raised: the declared matrix is
+    # not convergent to zero, and both subcommands say so with its radius
+    config = json.loads((CONFIGS / f"{name}.json").read_text())
+    config["problem"]["nonlinearity"]["epsilon"] = {"sincos_1d": 6.0,
+                                                    "stokes_17": 40.0}[name]
+    cfg = _write(tmp_path, "cfg.json", config)
+    capsys.readouterr()
+    assert main(["check", "--config", cfg, "--out", str(tmp_path / "c")]) == 1
+    assert capsys.readouterr().out == (
+        f"check: not ready (mu=0.0, radius={radius})\n")
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "s")]) == 1
+    assert capsys.readouterr().err == (
+        f"refused: coupling matrix has spectral radius {radius} "
+        f"(needs < 1)\n")
+    report = json.loads((tmp_path / "c" / "report.json").read_text())
+    assert report["coupling"]["ok"] is True
+    assert report["notes"][2:] == [
+        f"coupling matrix is not convergent to zero (spectral radius "
+        f"{radius})"]
+
+
+def test_check_refuses_a_table_declaring_half_its_slope(tmp_path,
+                                                        monkeypatch):
+    # a custom table, which no config can name, built in place of the
+    # config's: its v-row declared at half the sincos coefficients
+    sincos = pc.make_pointwise(pc.NonlinearitySpec.sincos(0.1), arg_dim=1)
+    halved = np.array(sincos.monotony, dtype=float)
+    halved[1] *= 0.5
+    table = dataclasses.replace(sincos, monotony=halved)
+    monkeypatch.setattr(cli, "build_problem", lambda cfg: pc.build_dirichlet(
+        pc.DirichletSpec(dims=1, n_per_dim=31, lengths=(1.0,),
+                         nonlinearity=pc.NonlinearitySpec.custom(table))))
+    cfg = _write(tmp_path, "cfg.json", SINCOS_CONFIG)
+    out = tmp_path / "chk"
+    assert main(["check", "--config", cfg, "--out", str(out)]) == 1
+    report = json.loads((out / "report.json").read_text())
+    coupling = report["coupling"]
+    count = coupling["n_violated"][1]
+    assert coupling["ok"] is False and coupling["n_violated"][0] == 0 < count
+    assert coupling["witness"][0] is None and len(coupling["witness"][1]) == 5
+    assert report["certificate"]["convergent"] is True
+    assert report["notes"][2:] == [
+        f"coupling matrix v-row violated on {count} of 400 samples"]
+
+
 @pytest.mark.parametrize("tau", [-1, 0])
 def test_check_refuses_a_ring_level_before_writing(tmp_path, capsys, tau):
     # the ring scan refuses the level after full_report has run, and the
@@ -164,6 +213,7 @@ def test_report_sections_are_their_dataclasses(tmp_path):
         (solve["contraction"], pc.ContractionReport, None),
         (solve["nash"], pc.NashReport, "ok"),
         (check["growth"], pc.GrowthReport, None),
+        (check["coupling"], pc.CouplingReport, None),
         (check["certificate"], pc.ConvergenceCertificate, "convergent"),
         (check["ps_beta"], pc.PsBeta, None),
         *[(ring, pc.RingReport, "fraction_violated") for ring in check["ring"]],
@@ -489,7 +539,7 @@ DEFECTS = [
           (STOKES_CONFIG, ("problem",), STOKES_HUGE))
       for command in ("solve", "check", "compare")
       if (command, value) != ("check", STOKES_HUGE)],
-    # gradients whose differences overflow cannot be fitted
+    # gradients whose differences overflow cannot be tested
     ("check", SCALAR_CONFIG, ("problem",),
      {"kind": "scalar", "a_value": 1e308,
       "nonlinearity": {"kind": "sincos", "epsilon": 1e308}},
@@ -501,10 +551,10 @@ DEFECTS = [
     # squares of the sampled points overflow: one line, no warning before it
     ("check", SINCOS_CONFIG, ("check", "sampler", "box_radius"), 1e300, (), 2,
      "check: sampled squares leave the float range"),
-    # no pair far enough apart to fit a slope: the fit used to read zero and
-    # report ready, also on a coupling whose declared matrix does not converge
+    # no pair far enough apart to test a slope: no sample could violate
+    # the declared matrix, and the check would pass on no evidence
     *[("check", base, ("check", "sampler", "box_radius"), 1e-13, (), 2,
-       "check: box_radius is too small to fit a slope")
+       "check: box_radius is too small to test a slope")
       for base in (SINCOS_CONFIG, STOKES_17_STRONG)],
 ]
 

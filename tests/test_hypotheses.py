@@ -1,7 +1,6 @@
 """Sampling-based hypothesis checks and scalar diagnostics."""
 
 import dataclasses
-import itertools
 import sys
 from fractions import Fraction
 
@@ -10,11 +9,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import partialcrit as pc
-from partialcrit import hypotheses
-from partialcrit.errors import IntegrityError
-from partialcrit.hypotheses import _INF_BITS, _VERTEX_TOL, _fit_pair
-
-TINY = np.finfo(float).tiny
 
 
 def test_growth_holds_for_bounded_nonlinearity():
@@ -44,60 +38,73 @@ def test_growth_violation_produces_witness():
     assert rep.alpha_upper_hat > 0.4
 
 
+def _test_declared(pw, sampler=None, scale=1.0, **kw):
+    """`estimate_monotony` on the table's own matrix times `scale`."""
+    mm = pc.MonotonyMatrix(scale * np.asarray(pw.monotony))
+    return pc.estimate_monotony(pw.f1, pw.f2, mm, sampler or pc.SamplerSpec(),
+                                arg_dim=pw.arg_dim, **kw)
+
+
 def test_estimate_monotony_recovers_decoupled_quadratic():
+    # the declared diagonal (1.6, 1.2) passes, and 2% less fails on every
+    # sample of both rows: the test pins each coefficient from below
     pw = pc.make_pointwise(
         pc.NonlinearitySpec.quadratic(0.8, 0.0, -0.6, 0.0), arg_dim=1)
-    est = pc.estimate_monotony(pw.f1, pw.f2, pc.SamplerSpec(n_points=600))
-    e = est.entries
-    assert e[0, 0] == pytest.approx(1.6, rel=0.02)
-    assert e[1, 1] == pytest.approx(1.2, rel=0.02)
-    assert e[0, 1] <= 0.05
-    assert e[1, 0] <= 0.05
+    assert np.array_equal(pw.monotony, [[1.6, 0.0], [0.0, 1.2]])
+    sampler = pc.SamplerSpec(n_points=600)
+    rep = _test_declared(pw, sampler)
+    assert rep.ok
+    assert rep.n_violated == (0, 0) and rep.witness == (None, None)
+    assert _test_declared(pw, sampler, scale=0.98).n_violated == (600, 600)
 
 
 def test_estimate_monotony_scales_with_embedding():
+    # the matrix is given in A-norm units: divided by embedding_sq it is
+    # the pointwise one, so only the scaled pair passes alike
     pw = pc.make_pointwise(
         pc.NonlinearitySpec.quadratic(0.5, 0.0, -0.5, 0.0), arg_dim=1)
-    est1 = pc.estimate_monotony(pw.f1, pw.f2, pc.SamplerSpec())
-    est2 = pc.estimate_monotony(pw.f1, pw.f2, pc.SamplerSpec(),
-                                embedding_sq=0.25)
-    assert np.allclose(0.25 * est1.entries, est2.entries, rtol=1e-12)
+    rep1 = _test_declared(pw)
+    assert rep1.ok
+    assert _test_declared(pw, scale=0.25, embedding_sq=0.25) == rep1
+    assert not _test_declared(pw, scale=0.25).ok
+    with pytest.raises(ValueError, match="embedding_sq must be positive"):
+        _test_declared(pw, embedding_sq=0.0)
 
 
 def test_pure_cross_coupling_fits_zero_diagonal():
-    # every sampled row passes through (0, |b|): the vertex is on an axis
+    # every sampled row passes through (0, |b|): the declared zero
+    # diagonal holds, and any less cross weight fails on both rows
     pw = pc.make_pointwise(
         pc.NonlinearitySpec.quadratic(0.0, 1.0, 0.0, 1.0), arg_dim=1)
-    e = pc.estimate_monotony(pw.f1, pw.f2, pc.SamplerSpec()).entries
-    assert e[0, 0] == 0.0
-    assert e[1, 1] == 0.0
-    assert e[0, 1] == pytest.approx(1.0, rel=1e-12)
-    assert e[1, 0] == pytest.approx(1.0, rel=1e-12)
+    assert np.array_equal(pw.monotony, [[0.0, 1.0], [1.0, 0.0]])
+    assert _test_declared(pw).ok
+    counts = _test_declared(pw, scale=0.99).n_violated
+    assert min(counts) > 100
 
 
 def test_estimate_monotony_rejects_a_box_too_small_for_a_slope():
-    # every pair of a 1e-13 box is within 1e-12 on both sides; the fit of
-    # no pair used to read zero, a coupling matrix that certifies anything
+    # every pair of a 1e-13 box is within 1e-12 on both sides, so no
+    # sample could violate a row: a vacuous pass is refused
     pw = pc.make_pointwise(
         pc.NonlinearitySpec.quadratic(0.3, 0.5, -0.2, 1.0), arg_dim=1)
-    e = pc.estimate_monotony(pw.f1, pw.f2, pc.SamplerSpec()).entries
-    assert np.allclose(e, [[0.6, 0.5], [0.5, 0.4]], rtol=1e-9)
-    with pytest.raises(ValueError, match="too small to fit a slope"):
-        pc.estimate_monotony(pw.f1, pw.f2, pc.SamplerSpec(box_radius=1e-13))
+    assert np.allclose(pw.monotony, [[0.6, 0.5], [0.5, 0.4]], rtol=1e-15)
+    assert _test_declared(pw).ok
+    with pytest.raises(ValueError, match="too small to test a slope"):
+        _test_declared(pw, pc.SamplerSpec(box_radius=1e-13))
 
 
 @pytest.mark.parametrize("name", ["f1", "f2"])
 def test_estimate_monotony_refuses_a_gradient_of_the_wrong_shape(name):
     # an (m,) gradient against (m, 1) points used to broadcast to (m, m),
-    # fitting its coefficient near 2e3 where the table's is below 0.1, so
-    # that `full_report` judged a matrix that `run_scheme` never reached
+    # reading coefficients near 2e3 where the table's are below 0.1, so
+    # that `full_report` judged a coupling that `run_scheme` never reached
     pw = pc.make_pointwise(pc.NonlinearitySpec.sincos(0.1), arg_dim=1)
     grad = getattr(pw, name)
     flat = dataclasses.replace(pw, **{name: lambda x, y: grad(x, y)[..., 0]})
     message = (f"must return the shape \\(400, 1\\) of its points: {name} "
                f"returned shape \\(400,\\)$")
     with pytest.raises(ValueError, match=message):
-        pc.estimate_monotony(flat.f1, flat.f2, pc.SamplerSpec())
+        _test_declared(flat)
     system = pc.build_dirichlet(pc.DirichletSpec(
         dims=1, n_per_dim=15, lengths=(1.0,),
         nonlinearity=pc.NonlinearitySpec.custom(flat)))
@@ -105,194 +112,87 @@ def test_estimate_monotony_refuses_a_gradient_of_the_wrong_shape(name):
         pc.full_report(system, (0.0, 0.0, 0.1), pc.SamplerSpec())
 
 
-def test_fit_pair_rejects_row_with_no_coefficient():
-    a = np.array([1.0, 0.0])
-    b = np.array([0.5, 0.0])
-    with pytest.raises(IntegrityError, match="coefficient fit failed"):
-        _fit_pair(a, b, np.array([1.0, 2.0]))
-    # the same row with a nonpositive right-hand side always holds
-    assert _fit_pair(a, b, np.array([1.0, 0.0])) == _fit_pair(
-        a[:1], b[:1], np.array([1.0]))
+def _half_u_row(pw):
+    """The table with its u-row declared at half its coefficients."""
+    m = np.array(pw.monotony, dtype=float)
+    m[0] *= 0.5
+    return dataclasses.replace(pw, monotony=m)
 
 
-def _vertex_optimum(a, b, r):
-    """Least p + q over every vertex of {p, q >= 0, p a_i + q b_i >= r_i}."""
-    lines = [*zip(a, b, r), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)]
-    best = np.inf
-    for (a1, b1, r1), (a2, b2, r2) in itertools.combinations(lines, 2):
-        det = a1 * b2 - a2 * b1
-        if det == 0.0:
-            continue
-        p = (r1 * b2 - r2 * b1) / det
-        q = (a1 * r2 - a2 * r1) / det
-        if p < -1e-12 or q < -1e-12:
-            continue
-        p, q = max(p, 0.0), max(q, 0.0)
-        slack = 1e-9 * (a * p + b * q + np.abs(r)) + TINY * np.maximum(a, b)
-        if np.all(a * p + b * q >= r - slack):
-            best = min(best, p + q)
-    return best
+def _u_row_excess(table, x, y, xb, yb):
+    """By how much each pair's u-row passes the table's declared bound."""
+    (m11, m12), _ = table.monotony
+    dx = np.linalg.norm(x - xb, axis=-1)
+    dy = np.linalg.norm(y - yb, axis=-1)
+    lhs = np.sum((table.f1(x, y) - table.f1(xb, yb)) * (x - xb), axis=-1)
+    return lhs - (m11 * dx**2 + m12 * dx * dy)
 
 
-def _assert_fit_optimal(a, b, r):
-    p, q = _fit_pair(a, b, r)
-    assert p >= 0.0 and q >= 0.0
-    # rows may be missed by the rounding slack, and by underflow
-    slack = 2e-9 * np.abs(r) + TINY * np.maximum(a, b)
-    assert np.all(a * p + b * q >= r - slack)
-    assert p + q == pytest.approx(_vertex_optimum(a, b, r), rel=1e-8, abs=1e-300)
+@pytest.mark.parametrize("arg_dim", [1, 2])
+def test_the_witness_reproduces_its_excess(arg_dim):
+    # the witness of a violated row, evaluated alone, passes the row's
+    # bound by the excess it records, the largest of all the samples
+    table = _half_u_row(pc.make_pointwise(pc.NonlinearitySpec.sincos(0.1),
+                                          arg_dim=arg_dim))
+    seen = []
+
+    def f1(x, y):
+        seen.append((x, y))
+        return table.f1(x, y)
+
+    rep = pc.estimate_monotony(f1, table.f2, pc.MonotonyMatrix(table.monotony),
+                               pc.SamplerSpec(), arg_dim=arg_dim)
+    assert rep.n_violated[0] > 0 and rep.n_violated[1] == 0
+    assert rep.witness[1] is None
+    *coords, excess = rep.witness[0]
+    points = (np.array([c]) for c in np.split(np.array(coords), 4))
+    assert excess > 0.0
+    assert _u_row_excess(table, *points)[0] == pytest.approx(excess,
+                                                             rel=1e-12)
+    (x, y), (xb, yb) = seen
+    assert np.max(_u_row_excess(table, x, y, xb, yb)) == pytest.approx(
+        excess, rel=1e-12)
 
 
-# a coefficient is zero or positive; a right-hand side of either sign
-_coef = st.one_of(st.just(0.0), st.floats(0.01, 100.0))
-_rhs = st.one_of(st.floats(-10.0, 0.0), st.floats(0.01, 10.0))
-# a row with a = b = 0 only ever holds with r <= 0
-_row = st.tuples(_coef, _coef, _rhs).map(
-    lambda t: (t[0], t[1], -abs(t[2])) if t[0] == t[1] == 0.0 else t)
-_fit_property = settings(max_examples=60, derandomize=True, deadline=None)
+def test_a_table_declaring_half_its_slope_reads_not_ready():
+    table = _half_u_row(pc.make_pointwise(pc.NonlinearitySpec.sincos(0.1),
+                                          arg_dim=1))
+    system = pc.build_dirichlet(pc.DirichletSpec(
+        dims=1, n_per_dim=15, lengths=(1.0,),
+        nonlinearity=pc.NonlinearitySpec.custom(table)))
+    rep = pc.full_report(system, (0.0, 0.0, 0.1), pc.SamplerSpec())
+    assert rep.monotony_estimate is system.monotony
+    assert rep.certificate.rho_ok and rep.growth.ok and rep.mu == 0.0
+    assert not rep.coupling.ok and not rep.ready
+    count = rep.coupling.n_violated[0]
+    assert rep.notes[2:] == (
+        f"coupling matrix u-row violated on {count} of 400 samples",)
 
 
-@_fit_property
-@given(st.lists(_row, min_size=2, max_size=8))
-def test_fit_pair_matches_vertex_enumeration(rows):
-    a, b, r = (np.array(col) for col in zip(*rows))
-    _assert_fit_optimal(a, b, r)
+_BUILT_IN = st.one_of(
+    st.just(pc.NonlinearitySpec.zero()),
+    st.builds(pc.NonlinearitySpec.quadratic,
+              *[st.floats(-10.0, 10.0) | st.just(0.0)] * 4),
+    st.builds(pc.NonlinearitySpec.sincos, st.floats(0.0, 100.0)))
 
 
-@_fit_property
-@given(st.floats(0.0, 10.0), st.floats(0.0, 10.0),
-       st.lists(st.tuples(_coef, _coef).filter(lambda t: t != (0.0, 0.0)),
-                min_size=2, max_size=8))
-# a vertex far off the diagonal, and one below the float range
-@example(1.5, 1e-14, [(0.0, 1.0), (1.0, 0.0)])
-@example(5e-324, 1.0, [(1.0, 0.0), (0.0, 1.0)])
-def test_fit_pair_on_rows_through_one_vertex(p_star, q_star, coeffs):
-    a, b = (np.array(col) for col in zip(*coeffs))
-    _assert_fit_optimal(a, b, a * p_star + b * q_star)
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(_BUILT_IN, st.integers(1, 3), st.integers(0, 2**32 - 1))
+# each slack term is needed: the cancellation term alone flags a v-row
+# sample of the first example, the relative term alone a u-row sample of
+# the second
+@example(pc.NonlinearitySpec.quadratic(1.0, 0.3, -0.2, 0.0), 1, 0)
+@example(pc.NonlinearitySpec.quadratic(0.0, 0.5, 0.0, 1.0), 1, 30)
+# gradients below the float range, whose rounding is absolute: without the
+# slack's tiny terms, 6 v-row samples read violated
+@example(pc.NonlinearitySpec.quadratic(0.0, 2.225073858507e-311,
+                                       -2.225073858507e-311, 0.0), 1, 0)
+def test_every_built_in_declared_matrix_passes_its_samples(spec, arg_dim,
+                                                           seed):
+    rep = _test_declared(pc.make_pointwise(spec, arg_dim),
+                         pc.SamplerSpec(seed=seed))
+    assert rep.n_violated == (0, 0)
 
-
-
-def _reference_fit(a_coeff, b_coeff, rhs):
-    """`_fit_pair` as it bisected before it stopped early: all 63 steps
-    down to adjacent floats, then the finish at the located ray."""
-    active = rhs > TINY * np.maximum(a_coeff, b_coeff)
-    if not np.any(active):
-        return 0.0, 0.0
-    r = rhs[active]
-    a, b = a_coeff[active] / r, b_coeff[active] / r
-    if not np.all((a > 0.0) | (b > 0.0)):
-        raise IntegrityError("coefficient fit failed: a row with a positive "
-                             "right-hand side has no positive coefficient")
-    slope = a - b
-
-    def ray(t):
-        return a * t + b if t <= 1.0 else a + b / t
-
-    lo, hi = 0, _INF_BITS
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if slope[np.argmin(ray(np.int64(mid).view(np.float64)))] > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    t = np.int64(lo).view(np.float64)
-    g = ray(t)
-    top = 1.0 / g.min()
-    p0, q0 = (t * top, top) if t <= 1.0 else (top, top / t)
-    tight = g * top <= 1.0 + _VERTEX_TOL
-    at, bt = a[tight], b[tight]
-    i, j = np.argmax(slope[tight]), np.argmin(slope[tight])
-    with np.errstate(over="ignore", invalid="ignore"):
-        det = at[i] * bt[j] - at[j] * bt[i]
-        if p0 * at.max() <= _VERTEX_TOL:
-            p, q = 0.0, 1.0 / bt[j]
-        elif q0 * bt.max() <= _VERTEX_TOL:
-            p, q = 1.0 / at[i], 0.0
-        elif 0.0 < det < np.inf:
-            p, q = (bt[j] - bt[i]) / det, (at[i] - at[j]) / det
-        else:
-            p, q = p0, q0
-        if not (min(p, q) >= 0.0 and np.min(a * p + b * q) >= 1.0 - _VERTEX_TOL):
-            p, q = p0, q0
-    return float(p), float(q)
-
-
-def _fit_outcome(fit, a, b, r):
-    # the bits of the result, or the error; a warning is an error here, so
-    # the warnings of the two fits are compared too
-    try:
-        p, q = fit(a, b, r)
-    except Exception as exc:
-        return type(exc), str(exc)
-    return p.hex(), q.hex()
-
-
-_scale = st.integers(-150, 150).map(lambda k: 10.0 ** k)
-# a vertex inside the quadrant, or on either axis (p* = 0 is the cross
-# coupling's)
-_vertex = st.one_of(
-    st.tuples(st.floats(1e-3, 1e3), st.floats(1e-3, 1e3)),
-    st.tuples(st.just(0.0), st.floats(1e-3, 1e3)),
-    st.tuples(st.floats(1e-3, 1e3), st.just(0.0)))
-# sampled rows miss their vertex by up to about 6e-10 relative
-_jitter = st.one_of(st.just(0.0), st.floats(-1e-9, 1e-9))
-
-
-@st.composite
-def _fit_instances(draw):
-    """Rows of either sign and with zero coefficients, or rows through one
-    vertex, then the coefficients and the right-hand sides each scaled by
-    a power of ten from 1e-150 to 1e150."""
-    if draw(st.booleans()):
-        rows = draw(st.lists(_row, min_size=2, max_size=12))
-        a, b, r = (np.array(col) for col in zip(*rows))
-    else:
-        p_star, q_star = draw(_vertex)
-        rows = draw(st.lists(st.tuples(_coef, _coef, _jitter),
-                             min_size=2, max_size=12))
-        a, b, e = (np.array(col) for col in zip(*rows))
-        r = (a * p_star + b * q_star) * (1.0 + e)
-    c, s = draw(_scale), draw(_scale)
-    return a * c, b * c, r * s
-
-
-@settings(max_examples=400, derandomize=True, deadline=None)
-@given(_fit_instances())
-@example((np.array([0.0, 1.0]), np.array([1.0, 0.0]),
-          np.array([1.0, 1e-14])))
-def test_fit_pair_equals_the_full_bisection(case):
-    assert _fit_outcome(_fit_pair, *case) == _fit_outcome(_reference_fit, *case)
-
-
-@pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("build, on_axis", [
-    (lambda: pc.build_dirichlet(pc.DirichletSpec(
-        dims=1, n_per_dim=63, lengths=(1.0,),
-        nonlinearity=pc.NonlinearitySpec.quadratic(0.0, 8.0, 0.0, 1.0))),
-     True),
-    (lambda: pc.build_stokes(pc.StokesSpec(
-        n_per_dim=17, lengths=(1.0, 1.0), mu_coeff=1.0,
-        nonlinearity=pc.NonlinearitySpec.sincos(0.1))), False),
-], ids=["quadratic_b8", "stokes_sincos"])
-def test_fit_pair_equals_the_full_bisection_on_sampled_rows(
-        monkeypatch, build, on_axis, seed):
-    # the cross coupling's vertices lie on an axis, and the bisection stops
-    # after a few steps; the Stokes ones lie inside the quadrant
-    fits = []
-
-    def recording(a, b, r):
-        fits.append((a, b, r))
-        return _fit_pair(a, b, r)
-
-    monkeypatch.setattr(hypotheses, "_fit_pair", recording)
-    pw = build().pointwise
-    pc.estimate_monotony(pw.f1, pw.f2, pc.SamplerSpec(seed=seed),
-                         arg_dim=pw.arg_dim)
-    assert len(fits) == 2
-    for case in fits:
-        p, q = fit = _fit_outcome(_fit_pair, *case)
-        assert fit == _fit_outcome(_reference_fit, *case)
-        assert (0.0 in (float.fromhex(p), float.fromhex(q))) == on_axis
 
 def test_mu_frozen_value_and_boundary():
     assert pc.mu_of(0.2, 0.2) == pytest.approx(0.04 / 0.09, rel=1e-12)

@@ -258,9 +258,11 @@ def _readme_python_blocks():
                                  re.M | re.S)]
 
 
+# each case is named by its ordinal, which an edit of the prose above it
+# leaves alone; a failure's traceback names its README line
 @pytest.mark.parametrize("line, code", [
-    pytest.param(line, code, id=f"line{line}")
-    for line, code in _readme_python_blocks()])
+    pytest.param(line, code, id=f"example{i}")
+    for i, (line, code) in enumerate(_readme_python_blocks(), start=1)])
 def test_readme_python_examples_run(line, code, capsys):
     # warnings are errors here, as everywhere in the suite
     exec(compile(code, f"README.md:{line}", "exec"), {"__name__": "readme"})

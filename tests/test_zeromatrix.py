@@ -155,11 +155,18 @@ def test_a_matrix_is_certified_once(monkeypatch):
     assert len(calls) == 2
 
 
-def test_the_check_certifies_its_estimate_once(monkeypatch, sincos_1d):
+def test_the_check_certifies_its_estimate_once(monkeypatch):
+    # the check's matrix is the system's own, which the scheme certifies
+    # too: one radius for the check, its margin and the solve, on a fresh
+    # build whose matrix no other test has certified
+    system = pc.build_dirichlet(pc.DirichletSpec(
+        dims=1, n_per_dim=15, lengths=(1.0,),
+        nonlinearity=pc.NonlinearitySpec.sincos(0.1)))
     calls = _count_radii(monkeypatch)
-    rep = pc.full_report(sincos_1d, sincos_1d.pointwise.growth,
-                         pc.SamplerSpec())
+    rep = pc.full_report(system, system.pointwise.growth, pc.SamplerSpec())
+    assert rep.monotony_estimate is system.monotony
     pc.ps_beta(rep.monotony_estimate)
+    pc.run_scheme(system)
     assert len(calls) == 1
 
 
