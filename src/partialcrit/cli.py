@@ -458,8 +458,7 @@ def _solve_payloads(system: CoupledSystem, pair, trace, scfg: SchemeConfig):
         report["contraction"] = _payload(
             _cli.contraction_certificate(trace, system.monotony, p=1))
     if pair.converged:
-        report["nash"] = _payload(
-            _cli.nash_check(system, pair, seed=scfg.seed), "ok")
+        report["nash"] = _payload(_cli.nash_check(system, pair), "ok")
     return solution, report
 
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import IntegrityError
-from .scheme import CoupledSystem, _probe_blocks
+from .scheme import CoupledSystem, _check_integers, _probe_blocks
 from .spaces import _row_sums
 from .zeromatrix import ConvergenceCertificate, MonotonyMatrix, is_convergent_to_zero
 
@@ -51,6 +51,7 @@ class SamplerSpec:
     seed: int = 0
 
     def __post_init__(self):
+        _check_integers(self, "n_points", "seed")
         if self.n_points < 1:
             raise ValueError("n_points must be positive")
         if not (self.box_radius > 0.0):
@@ -144,14 +145,16 @@ def check_growth(F, declared: tuple[float, float, float],
     """Test ``-al |y|^2 - c <= F(x, y) <= au |x|^2 + c`` on random points.
 
     `declared` is the pointwise (alpha_upper, alpha_lower, c) triple; a
-    negative or NaN constant, or a sampled square that overflows, raises
-    `ValueError`. The report also carries the tightest constants fitting
-    the sample: each alpha with the declared c held fixed, and c with the
-    declared alphas held fixed.
+    negative, infinite or NaN constant, or a sampled square that overflows,
+    raises `ValueError`. The report also carries the tightest constants
+    fitting the sample: each alpha with the declared c held fixed, and c
+    with the declared alphas held fixed.
     """
     au, al, c = (float(x) for x in declared)
     if not (au >= 0.0) or not (al >= 0.0) or not (c >= 0.0):
         raise ValueError("growth constants must be nonnegative")
+    if np.inf in (au, al, c):
+        raise ValueError("growth constants must be finite")
     rng = np.random.default_rng(sampler.seed)
     x, y = _draw_box(sampler, arg_dim, rng)
     with np.errstate(over="ignore"):  # reported below

@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 
-from .scheme import CoupledSystem, GrowthParams
+from .scheme import CoupledSystem, GrowthParams, _check_integers
 from .spaces import (DiscreteSpace, HVector, _row_sums, dominant_inverse_eig,
                      embedding_constant, make_space, riesz_lift, solve_a)
 from .zeromatrix import MonotonyMatrix
@@ -206,6 +206,7 @@ class DirichletSpec:
     def __post_init__(self):
         if self.dims not in (1, 2):
             raise ValueError("dims must be 1 or 2")
+        _check_integers(self, "n_per_dim")
         if self.n_per_dim < 3:
             raise ValueError("need at least 3 interior nodes per dimension")
         object.__setattr__(self, "lengths", _grid_sides(
@@ -225,6 +226,7 @@ class StokesSpec:
     nonlinearity: NonlinearitySpec = NonlinearitySpec.zero()
 
     def __post_init__(self):
+        _check_integers(self, "n_per_dim")
         if self.n_per_dim < 5:
             raise ValueError("need at least 5 interior nodes per dimension")
         object.__setattr__(self, "lengths", _grid_sides(
@@ -325,7 +327,7 @@ def _system_from_parts(space: DiscreteSpace, pw: PointwiseNonlinearity,
 
     # growth is sufficient for the scheme, not necessary: declared constants
     # whose scaled sum reaches the bound of `GrowthParams` leave it out, and
-    # negative or NaN ones still raise there
+    # negative, infinite or NaN ones still raise there
     growth = None
     if pw.growth is not None:
         au, al, c_pt = pw.growth

@@ -709,16 +709,19 @@ def test_overflowing_power_iteration_is_a_verdict(tmp_path, capsys):
 
 
 def test_nash_probe_at_a_huge_operator_tests_something(tmp_path, capsys):
-    # at a = 1e308 a raw direction's form overflows; the probe scales its
-    # rows first, so its margins are more than the 1e-12 slack alone
+    # at a = 1e308 the u-residual is 1e-155 and the declared m11 1e-309:
+    # the gap bound r_u^2 / (2 (1 - m11)) is subnormal, and kept, not 0
     huge = {"problem": {"kind": "scalar", "a_value": 1e308,
                         "nonlinearity": {"kind": "sincos", "epsilon": 0.1}}}
     cfg = _write(tmp_path, "cfg.json", huge)
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
     assert capsys.readouterr().err == ""
-    nash = json.loads((tmp_path / "o" / "report.json").read_text())["nash"]
-    assert nash["ok"]
-    assert nash["min_e1_margin"] > 1e-9 and nash["max_e2_margin"] < -1e-9
+    report = json.loads((tmp_path / "o" / "report.json").read_text())
+    r_u, r_v = report["residuals"]
+    assert 0.0 < r_u < 1e-150 and r_v == 0.0
+    assert report["nash"] == {
+        "gap_e1": pytest.approx(0.5 * r_u * r_u, rel=1e-9, abs=0.0),
+        "gap_e2": 0.0, "ok": True}
 
 
 def _rho_warning(rho: str) -> str:
@@ -740,7 +743,7 @@ def test_override_key_demotes_refusal(tmp_path, capsys):
 
 def test_solve_reports_a_concave_pair_as_no_equilibrium(tmp_path, capsys):
     # E1 = -0.1 u^2: the zero pair is converged but maximizes E1 in u, so
-    # the run exits 0 and its Nash probe fails
+    # the run exits 0 and its Nash report, from m11 = 1.2, fails
     concave = {"problem": {"kind": "scalar", "a_value": 1.0,
                            "nonlinearity": {"kind": "quadratic", "a": 0.6}},
                "scheme": {"override_hypotheses": True}}
@@ -750,8 +753,7 @@ def test_solve_reports_a_concave_pair_as_no_equilibrium(tmp_path, capsys):
     assert capsys.readouterr().err.splitlines() == [_rho_warning("1.2")]
     report = json.loads((out / "report.json").read_text())
     assert report["converged"] is True
-    assert report["nash"]["ok"] is False
-    assert report["nash"]["min_e1_margin"] < 0.0
+    assert report["nash"] == {"gap_e1": "inf", "gap_e2": 0, "ok": False}
 
 
 def test_exhausted_exit_three(tmp_path):

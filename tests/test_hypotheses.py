@@ -374,6 +374,30 @@ def test_growth_constant_rejects_nan_declared(declared):
         pc.check_growth(F, declared, pc.SamplerSpec())
 
 
+def test_an_infinite_growth_constant_is_refused():
+    # an infinite constant bounds nothing: with c = inf the growth test
+    # read ok and the report ready where c = 0 reads violated, and a table
+    # declaring it built
+    sincos = pc.make_pointwise(pc.NonlinearitySpec.sincos(0.1), arg_dim=1)
+
+    def build(table):
+        return pc.build_dirichlet(pc.DirichletSpec(
+            dims=1, n_per_dim=15, lengths=(1.0,),
+            nonlinearity=pc.NonlinearitySpec.custom(table)))
+
+    system = build(sincos)
+    rep = pc.full_report(system, (0.05, 0.05, 0.0), pc.SamplerSpec())
+    assert not rep.growth.ok and not rep.ready
+    for declared in ((0.05, 0.05, np.inf), (np.inf, 0.05, 0.0),
+                     (0.05, np.inf, 0.0)):
+        with pytest.raises(ValueError,
+                           match="^growth constants must be finite$"):
+            pc.full_report(system, declared, pc.SamplerSpec())
+    with pytest.raises(ValueError,
+                       match="^c_growth must be nonnegative and finite$"):
+        build(dataclasses.replace(sincos, growth=(0.0, 0.0, np.inf)))
+
+
 def test_growth_counts_a_nan_value_as_violated():
     # a NaN comparison is false either way round, so a NaN sample used to
     # pass as within the bounds and read ok

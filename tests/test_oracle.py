@@ -1,9 +1,11 @@
 """Newton oracle, gradient validation, exhaustive scans."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import partialcrit as pc
 from partialcrit import oracle, problems
@@ -216,26 +218,77 @@ def _zero_pair(system):
                            converged=True, stages=1)
 
 
-@pytest.mark.parametrize("a, margin", [(0.6, -9.9e-4), (1.0, -5.0e-3),
-                                       (3.0, -2.5e-2)])
-def test_nash_check_rejects_a_concave_partial_functional(a, margin):
+@pytest.mark.parametrize("a, drop", [(0.6, -9.9e-4), (1.0, -5.0e-3),
+                                     (3.0, -2.5e-2)])
+def test_nash_check_rejects_a_concave_partial_functional(a, drop):
     # E1 = (1/2 - a) u^2 has the zero pair as its maximum in u, not its
-    # minimum; the probe and the exhaustive scan both say so
+    # minimum: the declared m11 = 2a is above 1, so no gap bound holds for
+    # E1, and the exhaustive scan finds E1 falling by `drop`, to 2%, within
+    # 0.1 of the pair
     system = pc.build_scalar(1.0, pc.NonlinearitySpec.quadratic(a, 0.0, 0.0,
                                                                 0.0))
     pair = _zero_pair(system)
+    assert system.monotony.entries[0, 0] == 2.0 * a
     rep = pc.nash_check(system, pair)
     assert not rep.ok
-    assert rep.min_e1_margin == pytest.approx(margin, rel=0.02)
-    assert rep.max_e2_margin < 0.0
+    assert (rep.gap_e1, rep.gap_e2) == (math.inf, 0.0)
     scan = pc.brute_nash(system, pair)
     assert not scan.ok
     assert scan.min_e1_delta == pytest.approx((0.5 - a) * 0.5**2, rel=1e-12)
+    near = pc.brute_nash(system, pair, grid_radius=0.1)
+    assert near.min_e1_delta == pytest.approx(drop, rel=0.02)
 
 
 def test_nash_check_rejects_a_concave_dirichlet_pair():
-    # a = 1000 bends E1 down along the low modes of the 31-node interval
-    system = pc.build_dirichlet(pc.DirichletSpec(
-        dims=1, n_per_dim=31, lengths=(1.0,),
-        nonlinearity=pc.NonlinearitySpec.quadratic(1000.0, 0.0, 0.0, 0.0)))
-    assert not pc.nash_check(system, _zero_pair(system)).ok
+    # a >= 5 bends E1 down along the lowest mode of the 31-node interval:
+    # the declared m11 is above 1 (1.01 at a = 5), so no gap bound holds
+    for a in (5.0, 20.0, 100.0, 1000.0):
+        system = pc.build_dirichlet(pc.DirichletSpec(
+            dims=1, n_per_dim=31, lengths=(1.0,),
+            nonlinearity=pc.NonlinearitySpec.quadratic(a, 0.0, 0.0, 0.0)))
+        assert system.monotony.entries[0, 0] > 1.0, a
+        rep = pc.nash_check(system, _zero_pair(system))
+        assert not rep.ok, a
+        assert rep.gap_e1 == math.inf, a
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(a_value=st.floats(0.5, 4.0), quadratic=st.booleans(),
+       diagonal=st.tuples(st.floats(0.0, 0.95), st.floats(0.0, 0.95)),
+       b=st.floats(-1.0, 1.0), g=st.floats(-1.0, 1.0),
+       uv=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)))
+def test_nash_gaps_bound_the_scanned_gaps(a_value, quadratic, diagonal, b, g,
+                                          uv):
+    # at any pair: the gaps an exhaustive scan finds lie within the bounds,
+    # up to the roundoff of an energy, and on a quadratic, whose curvature
+    # is exactly 1 - m, they attain them. The diagonal (m11, m22) is
+    # declared as 2 a_N / a and -2 c_N / a by the quadratic, and both
+    # entries as eps / a by sincos(eps)
+    m11, m22 = diagonal
+    system = pc.build_scalar(a_value, (
+        pc.NonlinearitySpec.quadratic(0.5 * m11 * a_value, b,
+                                      -0.5 * m22 * a_value, g)
+        if quadratic else pc.NonlinearitySpec.sincos(m11 * a_value)))
+    u, v = (np.array([x]) for x in uv)
+    # residuals that the report must not read
+    pair = pc.SolutionPair(u_star=system.space.wrap(u),
+                           v_star=system.space.wrap(v), residuals=(0.0, 0.0),
+                           converged=True, stages=1)
+    rep = pc.nash_check(system, pair)
+    assert rep.ok
+    e1, e2, _ = pc.energies(system, u, v)
+    m = system.monotony.entries
+    for gap, m_ii, energy, scanned in (
+            (rep.gap_e1, m[0, 0], e1, lambda scan: -scan.min_e1_delta),
+            (rep.gap_e2, m[1, 1], e2, lambda scan: scan.max_e2_delta)):
+        # the partial optimum lies within r / (1 - m) of the pair in the
+        # A-norm; the grid reaches twice as far and has it as its 451st
+        # point
+        r = math.sqrt(2.0 * (1.0 - m_ii) * gap)
+        radius = max(2.0 * r / ((1.0 - m_ii) * math.sqrt(a_value)), 1e-9)
+        found = scanned(pc.brute_nash(system, pair, grid_radius=radius,
+                                      grid_n=601))
+        slack = 1e-12 * (1.0 + abs(energy))
+        assert found <= gap + slack
+        if quadratic:
+            assert found == pytest.approx(gap, rel=1e-6, abs=slack)

@@ -186,12 +186,9 @@ def test_benchmark_tracer_fits_the_package():
     assert metrics["scheme.backtracks"] >= 0
     assert 0.0 <= metrics["scheme.accept_ratio"] <= 1.0
     # an A-norm of a row block is one traced call: one a side in the
-    # certificate; in the Nash probe two at the pair and one for each
-    # sample block's draw, as its energy steps take no A-norm
+    # certificate; in the Nash report the two residual norms at the pair
     spans = tracer.spans
-    owners = {"scheme.contraction_certificate": 2,
-              "scheme.nash_check": 2 + -(-pc.scheme.NASH_SAMPLES // (
-                  pc.scheme._probe_rows(system.space)))}
+    owners = {"scheme.contraction_certificate": 2, "scheme.nash_check": 2}
     for owner, expected in owners.items():
         got = sum(1 for i, s in enumerate(spans)
                   if s[tracing.NAME] == "spaces.norm_a"

@@ -1,28 +1,23 @@
 """Block evaluation of the probes, bit for bit against per-sample loops.
 
 The A-norm and ``eval_N`` take a ``(dim,)`` vector or a ``(k, dim)`` row
-block; a block equals the vector calls row by row. `nash_check`,
+block; a block equals the vector calls row by row.
 `check_mountain_pass_ring` and `contraction_certificate` draw and
 evaluate their samples as row blocks; the partial energies take one pair
 of vectors, and `brute_nash` calls them one grid point at a time. The
-references below are the per-sample loops: one A-norm and
-one ``eval_N`` per sample, stage or grid point, except that the Nash
-reference takes each quadratic step in closed form, ``s (d . A u) + s^2
-/ 2``, as `nash_check` does. They draw the n uniforms first and then, one
-sample at a time, its u and its v direction from `random_unit_rows`: the
-probes' samples depend on the seed and the count only, not on the
-block size, which the tests set through ``scheme.PROBE_BYTES``. Every comparison is ``==`` on floats, but one: the
-difference of two partial energies that the closed form replaced is kept
-as a second Nash reference, within the probe's roundoff slack. The
-probes and the scan reduce with numpy's min and max, so a NaN energy at
-any sample or grid point fails them; the references fold finite values
-only.
+references below are the per-sample loops: one A-norm and one ``eval_N``
+per sample, stage or grid point. They draw the n uniforms first and then,
+one sample at a time, its u and its v direction from `random_unit_rows`:
+the ring scan's samples depend on the seed and the count only, not on the
+block size, which the tests set through ``scheme.PROBE_BYTES``. Every
+comparison is ``==`` on floats. The grid scan reduces with numpy's min
+and max, so a NaN energy at any grid point fails it; the references fold
+finite values only. `nash_check` evaluates no block: it samples the pair
+once and takes the two gradients there.
 """
 
 import dataclasses
-import functools
 import hashlib
-import itertools
 import tracemalloc
 from pathlib import Path
 
@@ -46,63 +41,6 @@ def _ref_samples(sys, rng, n):
     for x in rng.random(n).tolist():
         d_u, d_v = random_unit_rows(sys.space, rng, 2)
         yield x, d_u, d_v
-
-
-def _ref_e1(sys, u, v):
-    return 0.5 * pc.norm_a(u, sys.space) ** 2 - float(sys.eval_N(u, v))
-
-
-def _ref_e2(sys, u, v):
-    return -0.5 * pc.norm_a(v, sys.space) ** 2 - float(sys.eval_N(u, v))
-
-
-def _nash_report(margins, e1_base, e2_base):
-    # fold a probe's per-sample margins as `nash_check` reports them
-    min_e1_margin = min(m[0] for m in margins)
-    max_e2_margin = max(m[1] for m in margins)
-    return pc.NashReport(
-        min_e1_margin=float(min_e1_margin + 1e-12 * (1.0 + abs(e1_base))),
-        max_e2_margin=float(max_e2_margin - 1e-12 * (1.0 + abs(e2_base))))
-
-
-def _ref_nash(sys, pair, seed=0):
-    # the one-sided first-order bound, one sample at a time, with the
-    # A-quadratic step in closed form: the directions are unit in the
-    # A-norm, so 1/2 |u + s d|_A^2 - 1/2 |u|_A^2 = s (d . A u) + s^2 / 2
-    rng = np.random.default_rng(seed)
-    u, v = pair.u_star.coeffs, pair.v_star.coeffs
-    r_u, r_v = pair.residuals
-    au, av = (sys.space.operator.apply(x) for x in (u, v))
-    n_base = float(sys.eval_N(u, v))
-    e1_base = 0.5 * pc.norm_a(u, sys.space) ** 2 - n_base
-    e2_base = -0.5 * pc.norm_a(v, sys.space) ** 2 - n_base
-    margins = []
-    for x, d_u, d_v in _ref_samples(sys, rng, scheme.NASH_SAMPLES):
-        s = scheme.NASH_RADIUS * (1.0 - x)
-        de1 = (s * np.dot(d_u, au) + 0.5 * s * s
-               - (float(sys.eval_N(u + s * d_u, v)) - n_base))
-        de2 = (-(s * np.dot(d_v, av) + 0.5 * s * s)
-               - (float(sys.eval_N(u, v + s * d_v)) - n_base))
-        margins.append((de1 + r_u * s, de2 - r_v * s))
-    return _nash_report(margins, e1_base, e2_base)
-
-
-def _difference_nash(sys, pair, seed=0):
-    # the same probe with each energy step a difference of two partial
-    # energies, as the bound is written: the quadratic step then cancels
-    # two numbers of size |u|_A^2
-    rng = np.random.default_rng(seed)
-    u, v = pair.u_star.coeffs, pair.v_star.coeffs
-    r_u, r_v = pair.residuals
-    e1_base = _ref_e1(sys, u, v)
-    e2_base = _ref_e2(sys, u, v)
-    margins = []
-    for x, d_u, d_v in _ref_samples(sys, rng, scheme.NASH_SAMPLES):
-        s = scheme.NASH_RADIUS * (1.0 - x)
-        de1 = _ref_e1(sys, u + s * d_u, v) - e1_base
-        de2 = _ref_e2(sys, u, v + s * d_v) - e2_base
-        margins.append((de1 + r_u * s, de2 - r_v * s))
-    return _nash_report(margins, e1_base, e2_base)
 
 
 def _ref_ring(sys, tau, sampler):
@@ -290,9 +228,8 @@ def test_blocks_equal_the_single_calls(bundled, custom_1d, manufactured_9,
 
 
 def test_fixed_side_is_sampled_once_a_probe(stokes_17, solved, monkeypatch):
-    # the curl runs on each block's rows, and on the pair once a probe: the
-    # side held fixed is passed to every block as the pair's sampled state,
-    # not sampled again a block or repeated for every row
+    # `nash_check` samples the pair once, u and then v, and both gradients
+    # take those two states: the curl runs on two vectors and on no block
     rows = []
     curl = problems._StokesGrid.curl
 
@@ -302,16 +239,10 @@ def test_fixed_side_is_sampled_once_a_probe(stokes_17, solved, monkeypatch):
 
     monkeypatch.setattr(problems._StokesGrid, "curl", counting)
     pc.nash_check(stokes_17, solved["stokes_17"][0])
-    # the pair's two vectors are sampled once; then each block of the
-    # samples evaluates N twice, each sampling the block it moves
-    k = scheme._probe_rows(stokes_17.space)
-    expected = [1] * 2
-    for start in range(0, scheme.NASH_SAMPLES, k):
-        expected += [min(k, scheme.NASH_SAMPLES - start)] * 2
-    assert rows == expected
+    assert rows == [1, 1]
 
 
-def test_density_sees_the_fixed_side_once_a_block(stokes_spec, solved):
+def test_density_sees_the_fixed_side_once_a_block(stokes_spec):
     # the sincos density of stokes_17 as a custom table that records the
     # shapes of the points it is given: a block's as (k, m, 2), the fixed
     # vector's as (1, m, 2), so its sines and cosines run once a block
@@ -325,80 +256,23 @@ def test_density_sees_the_fixed_side_once_a_block(stokes_spec, solved):
     table = dataclasses.replace(sincos, F=recording)
     system = pc.build_stokes(dataclasses.replace(
         stokes_spec, nonlinearity=pc.NonlinearitySpec.custom(table)))
-    pair = solved["stokes_17"][0]
-    assert pc.nash_check(system, pair) == pc.nash_check(
-        pc.build_stokes(stokes_spec), pair)
+    built = pc.build_stokes(stokes_spec)
+    x = np.random.default_rng(3).standard_normal((6, system.space.dim))
+    for u, v in ((x[:5], x[5]), (x[5], x[:5])):
+        assert system.eval_N(u, v).tolist() == built.eval_N(u, v).tolist()
     m = (stokes_spec.n_per_dim + 2) ** 2
-    k = scheme._probe_rows(system.space)
-    expected = [((m, 2), (m, 2))]
-    for start in range(0, scheme.NASH_SAMPLES, k):
-        rows = min(k, scheme.NASH_SAMPLES - start)
-        expected += [((rows, m, 2), (1, m, 2)), ((1, m, 2), (rows, m, 2))]
-    assert shapes == expected
+    assert shapes == [((5, m, 2), (1, m, 2)), ((1, m, 2), (5, m, 2))]
 
 
-def test_nash_check_equals_per_sample_reference(bundled, solved):
-    for name, system in bundled.items():
-        pair, _ = solved[name]
-        for seed in (0, 3):
-            assert (pc.nash_check(system, pair, seed=seed)
-                    == _ref_nash(system, pair, seed=seed)), name
-
-
-@functools.lru_cache(maxsize=None)
-def _drawn_system(kind, size, coupling):
-    nonlinearity = (pc.NonlinearitySpec.sincos(0.2) if coupling == "sincos"
-                    else pc.NonlinearitySpec.quadratic(0.1, 0.4, -0.1, 0.5))
-    if kind == "scalar":
-        return pc.build_scalar(float(size), nonlinearity)
-    if kind == "dirichlet":
-        return pc.build_dirichlet(pc.DirichletSpec(
-            dims=1, n_per_dim=size, lengths=(1.0,),
-            nonlinearity=nonlinearity))
-    return pc.build_stokes(pc.StokesSpec(
-        n_per_dim=size, lengths=(1.0, 1.0), mu_coeff=1.0,
-        nonlinearity=nonlinearity))
-
-
-@settings(max_examples=30, derandomize=True, deadline=None)
-@given(system=st.sampled_from([("scalar", 2), ("scalar", 5),
-                               ("dirichlet", 7), ("dirichlet", 31),
-                               ("stokes", 5), ("stokes", 9)]),
-       coupling=st.sampled_from(["sincos", "quadratic"]),
-       seed=st.integers(0, 2**32 - 1),
-       scales=st.tuples(st.floats(0.0, 3.0), st.floats(0.0, 3.0)),
-       residuals=st.tuples(st.floats(0.0, 1e-3), st.floats(0.0, 1e-3)))
-def test_closed_form_margins_match_the_energy_differences(
-        system, coupling, seed, scales, residuals):
-    # at pairs of A-norms up to 3, whether or not they solve the system:
-    # the closed-form quadratic step moves a margin by less than the probe's
-    # roundoff slack
-    sys = _drawn_system(*system, coupling)
-    u, v = random_unit_rows(sys.space, np.random.default_rng(seed), 2) * (
-        np.array(scales)[:, None])
-    pair = pc.SolutionPair(u_star=sys.space.wrap(u), v_star=sys.space.wrap(v),
-                           residuals=residuals, converged=True, stages=1)
-    got = pc.nash_check(sys, pair, seed=seed)
-    ref = _difference_nash(sys, pair, seed=seed)
-    e1, e2, _ = pc.energies(sys, u, v)
-    assert (abs(got.min_e1_margin - ref.min_e1_margin)
-            <= 1e-12 * (1.0 + abs(e1)))
-    assert (abs(got.max_e2_margin - ref.max_e2_margin)
-            <= 1e-12 * (1.0 + abs(e2)))
-
-
-def test_probe_samples_do_not_depend_on_the_block_size(bundled, solved,
-                                                      monkeypatch):
+def test_probe_samples_do_not_depend_on_the_block_size(bundled, monkeypatch):
     # one row a block, an uneven split, the budget's and one block for all
     sampler = pc.SamplerSpec(n_points=150, seed=4)
     for name, system in bundled.items():
-        pair, _ = solved[name]
         reports = []
         for rows in (1, 7, scheme._probe_rows(system.space),
-                     scheme.NASH_SAMPLES):
+                     sampler.n_points):
             _set_rows(monkeypatch, system, rows)
-            reports.append((pc.nash_check(system, pair),
-                            pc.check_mountain_pass_ring(system, 2.0, sampler)))
+            reports.append(pc.check_mountain_pass_ring(system, 2.0, sampler))
             monkeypatch.undo()
         assert all(r == reports[0] for r in reports), name
 
@@ -487,14 +361,14 @@ def _plane():
 
 # sha256 of the `_plane` results below, taken with numpy 2.4.6 and scipy
 # 1.17.1 before systems exposed a sampler
-PLANE_DIGEST = ("8fc0c4053b8f8dd12dc29e59d05e5477"
-                "6a9d2789fcc00d609420f24cbfeeab09")
+PLANE_DIGEST = ("1aca6dc72b98b87c9d0611f37adbd984"
+                "c29b2ed9a4a010778dd942ec6a960441")
 
 
 def test_a_hand_built_system_is_passed_its_arrays():
     # a system built without a sampler samples by the identity, so it sees
-    # coefficient arrays only, and the scheme, both Newton paths and the
-    # Nash probe give what they gave before any system had a sampler
+    # coefficient arrays only, and the scheme and both Newton paths give
+    # what they gave before any system had a sampler
     plane = _plane()
     x = np.ones(2)
     assert plane.sample(x) is x
@@ -513,8 +387,12 @@ def test_a_hand_built_system_is_passed_its_arrays():
                                                        seed=3))
     orc = pc.newton_full(plane)
     dense = pc.newton_full(plane, jacobian_free=False)
-    nash = pc.nash_check(plane, pair, seed=1)
+    nash = pc.nash_check(plane, pair)
     assert seen and set(seen) == {(np.ndarray, np.ndarray)}
+    # the gaps from the residuals at the pair, which are the recorded ones,
+    # and the diagonal entries 0.15
+    assert nash == pc.NashReport(*(r * r / (2.0 * (1.0 - 0.15))
+                                   for r in pair.residuals))
     versions = (DIGESTS.read_text(encoding="utf-8").splitlines()[1]
                 .split())
     if versions != ["#", "numpy", np.__version__, "scipy", scipy.__version__]:
@@ -524,7 +402,7 @@ def test_a_hand_built_system_is_passed_its_arrays():
                 orc.u_star.coeffs.tolist(), orc.v_star.coeffs.tolist(),
                 orc.residual_norm, orc.iterations,
                 dense.u_star.coeffs.tolist(), dense.v_star.coeffs.tolist(),
-                dense.iterations, nash))
+                dense.iterations))
     assert hashlib.sha256(out.encode()).hexdigest() == PLANE_DIGEST
 
 
@@ -554,38 +432,6 @@ def test_brute_nash_equals_per_point_reference(bundled, solved):
                         == _ref_brute(system, candidate, radius, grid_n)), name
 
 
-def _nan_after_first_row(system, calls=None):
-    # `system` whose ``eval_N`` returns NaN on every row of a block but the
-    # first, on the block calls numbered in `calls` (on all when None)
-    numbers = itertools.count()
-
-    def eval_N(u, v):
-        out = system.eval_N(u, v)
-        if np.ndim(out) and (calls is None or next(numbers) in calls):
-            out = np.where(np.arange(len(out)) == 0, out, np.nan)
-        return out
-
-    return dataclasses.replace(system, eval_N=eval_N)
-
-
-@pytest.mark.parametrize("rows", [None, 7])
-def test_nan_energies_fail_the_nash_probe(bundled, solved, rows,
-                                         monkeypatch):
-    # a fold that passes over NaN would judge each block by its first row
-    system, pair = bundled["sincos_1d"], solved["sincos_1d"][0]
-    if rows:
-        _set_rows(monkeypatch, system, rows)
-    assert pc.nash_check(system, pair).ok
-    # two energies a block of the samples: NaN rows in every block, and in
-    # the last block alone
-    n_calls = 2 * -(-scheme.NASH_SAMPLES // scheme._probe_rows(system.space))
-    for calls in (None, range(n_calls - 2, n_calls)):
-        report = pc.nash_check(_nan_after_first_row(system, calls), pair)
-        assert not report.ok, calls
-        assert np.isnan(report.min_e1_margin)
-        assert np.isnan(report.max_e2_margin)
-
-
 def _nan_at(system, u_point, v_point):
     # `system` whose ``eval_N`` is NaN where u is `u_point` or v `v_point`
     def eval_N(u, v):
@@ -612,41 +458,38 @@ def test_nan_energies_fail_the_grid_scan(bundled, solved):
 
 
 def test_probe_rows_follow_the_byte_budget(bundled):
-    # 128 KB for a row's two drawn directions: 130 rows on Dirichlet 1D
+    # 128 KB for a sample's two drawn directions: 130 rows on Dirichlet 1D
     # n=63, a few on Stokes, whose unknowns are the n^2 interior nodes
     rows = [scheme._probe_rows(system.space) for system in (
         bundled["cross_coupled_1d"], bundled["scalar_linear"],
         bundled["stokes_17"], _stokes(33), _stokes(49))]
     assert rows[0] == 130
-    assert rows[1] >= scheme.NASH_SAMPLES
+    assert rows[1] >= pc.SamplerSpec().n_points
     assert rows[2:] == [28, 7, 3]
 
 
 def test_probe_blocks_fit_the_byte_budget(bundled):
     # every block's directions fit the budget, unless a single row does not
+    n = pc.SamplerSpec().n_points
     for system in [*bundled.values(), _stokes(33), _stokes(49)]:
         dim = system.space.dim
-        sizes = [len(x) for x, _, _ in scheme._probe_blocks(
-            system.space, 0, scheme.NASH_SAMPLES)]
-        assert sum(sizes) == scheme.NASH_SAMPLES, system.label
+        sizes = [len(x) for x, _, _ in scheme._probe_blocks(system.space, 0,
+                                                             n)]
+        assert sum(sizes) == n, system.label
         assert all(16 * k * dim <= scheme.PROBE_BYTES or k == 1
                    for k in sizes), system.label
 
 
 @pytest.fixture(scope="module")
 def stokes_49():
-    system = _stokes(49)
-    pair, _ = pc.run_scheme(system)
-    return system, pair
+    return _stokes(49)
 
 
 def test_blocks_on_stokes_49_equal_the_reference(stokes_49):
-    # 3 rows a block: the samples end in a block of 2
-    system, pair = stokes_49
-    assert pc.nash_check(system, pair) == _ref_nash(system, pair)
+    # 3 rows a block: the samples end in a block of 1
     sampler = pc.SamplerSpec(n_points=100)
-    assert (pc.check_mountain_pass_ring(system, 1.0, sampler)
-            == _ref_ring(system, 1.0, sampler))
+    assert (pc.check_mountain_pass_ring(stokes_49, 1.0, sampler)
+            == _ref_ring(stokes_49, 1.0, sampler))
 
 
 def _peak_bytes(fn, *args):
@@ -659,8 +502,6 @@ def _peak_bytes(fn, *args):
 
 
 def test_probe_blocks_stay_within_four_megabytes(stokes_49):
-    # holding all 200 rows at once peaks near 57 MB here
-    system, pair = stokes_49
-    assert _peak_bytes(pc.nash_check, system, pair) <= 4e6
-    assert _peak_bytes(pc.check_mountain_pass_ring, system, 1.0,
+    # the 800 directions of 400 samples alone take 15 MB here
+    assert _peak_bytes(pc.check_mountain_pass_ring, stokes_49, 1.0,
                        pc.SamplerSpec(n_points=400)) <= 4e6

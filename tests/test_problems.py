@@ -110,11 +110,8 @@ def test_a_table_summing_axis_1_breaks_the_density_contract():
                     "must act on the last axis of point arrays that "
                     "broadcast")):
                 old.eval_N(a, b)
-        pair = pc.SolutionPair(u_star=old.space.wrap(us[0]),
-                               v_star=old.space.wrap(vs[0]),
-                               residuals=(0.0, 0.0), converged=True, stages=1)
         with pytest.raises(ValueError, match="last axis"):
-            pc.nash_check(old, pair)
+            pc.check_mountain_pass_ring(old, 1.0, pc.SamplerSpec())
 
 
 def test_a_table_indexing_one_point_a_row_breaks_the_density_contract():
@@ -143,12 +140,9 @@ def test_a_table_indexing_one_point_a_row_breaks_the_density_contract():
                 "must act on the last axis of point arrays that "
                 "broadcast")):
             old.eval_N(a, b)
-    pair = pc.SolutionPair(u_star=old.space.wrap(us[0]),
-                           v_star=old.space.wrap(vs[0]),
-                           residuals=(0.0, 0.0), converged=True, stages=1)
     with pytest.raises(ValueError, match="last axis"):
-        pc.nash_check(old, pair)
-    pc.nash_check(new, pair)
+        pc.check_mountain_pass_ring(old, 1.0, pc.SamplerSpec())
+    pc.check_mountain_pass_ring(new, 1.0, pc.SamplerSpec())
 
 
 @pytest.mark.parametrize("arg_dim, name, f1, f2", [

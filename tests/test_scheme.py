@@ -342,6 +342,24 @@ def test_scheme_config_validation():
         pc.SchemeConfig(seed=-1)
 
 
+@pytest.mark.parametrize("record, name, value, kwargs", [
+    (pc.SchemeConfig, "max_outer", 2.5, {}),
+    (pc.SchemeConfig, "seed", 1.5, {"random_init": True}),
+    (pc.SamplerSpec, "n_points", 400.5, {}),
+    (pc.SamplerSpec, "seed", 1.5, {}),
+    (pc.DirichletSpec, "n_per_dim", 15.5, {"dims": 1, "lengths": (1.0,)}),
+    (pc.StokesSpec, "n_per_dim", 7.5, {"lengths": 1.0, "mu_coeff": 1.0})],
+    ids=["max_outer", "scheme_seed", "n_points", "sampler_seed",
+         "dirichlet_n_per_dim", "stokes_n_per_dim"])
+def test_counts_and_seeds_must_be_integers(record, name, value, kwargs):
+    # they used to build, and numpy raised TypeError at their first use, in
+    # run_scheme, full_report or the system's build; a numpy integer is an
+    # integer
+    with pytest.raises(ValueError, match=f"^{name} must be an integer$"):
+        record(**{name: value}, **kwargs)
+    assert getattr(record(**{name: np.int64(400)}, **kwargs), name) == 400
+
+
 def test_contraction_certificate_passes_on_runs(solved, bundled):
     for name in ("scalar_linear", "scalar_stiff", "dirichlet_stiff"):
         pair, trace = solved[name]
@@ -371,9 +389,8 @@ def test_nash_check_accepts_converged_pair(solved, bundled):
     pair, _ = solved["scalar_stiff"]
     rep = pc.nash_check(bundled["scalar_stiff"], pair)
     assert rep.ok
-    # the sample count and radius are module constants, not report fields
-    assert [f.name for f in dataclasses.fields(rep)] == [
-        "min_e1_margin", "max_e2_margin"]
+    # the verdict is a property of the two gap bounds, not a field
+    assert [f.name for f in dataclasses.fields(rep)] == ["gap_e1", "gap_e2"]
 
 
 def test_nash_check_rejects_unconverged_pair(scalar_linear):
@@ -382,6 +399,19 @@ def test_nash_check_rejects_unconverged_pair(scalar_linear):
                            residuals=(1.0, 1.0), converged=False, stages=0)
     with pytest.raises(ValueError):
         pc.nash_check(scalar_linear, fake)
+
+
+@pytest.mark.parametrize("side, value", [("eval_Nu", np.nan),
+                                         ("eval_Nv", np.inf)])
+def test_a_non_finite_gradient_fails_the_nash_report(solved, bundled, side,
+                                                     value):
+    # the gaps come from the gradients at the pair, so a NaN or infinite
+    # one leaves its gap NaN or inf and the report not ok
+    system, (pair, _) = bundled["scalar_sincos"], solved["scalar_sincos"]
+    assert pc.nash_check(system, pair).ok
+    broken = dataclasses.replace(
+        system, **{side: lambda u, v: np.full(1, value)})
+    assert not pc.nash_check(broken, pair).ok
 
 
 # a quadratic system from the entries of its declared matrix: m11 from a,
@@ -406,13 +436,17 @@ def _quadratic_system(space, m11, m22, cross, g):
     st.floats(0.01, 5.0).map(
         lambda eps: _dirichlet_31(pc.NonlinearitySpec.sincos(eps)))))
 def test_nash_check_passes_converged_runs(system):
-    # with rho < 1 the declared m11 and m22 are below 1, so E1 is convex in
-    # u and E2 concave in v, and the first-order bound holds at the limit
+    # with rho < 1 the declared m11 and m22 are below 1, so E1 is strongly
+    # convex in u and E2 strongly concave in v, and both gaps are bounded
     assume(pc.is_convergent_to_zero(system.monotony).rho_ok)
     pair, _ = pc.run_scheme(system, pc.SchemeConfig(max_outer=1000))
     assert pair.converged
     rep = pc.nash_check(system, pair)
     assert rep.ok, rep
+    # the residuals it takes at the pair are the recorded ones, bit for bit
+    m = system.monotony.entries
+    assert rep == pc.NashReport(*(r * r / (2.0 * (1.0 - m[i, i]))
+                                  for i, r in enumerate(pair.residuals)))
 
 
 def test_certified_run_leaves_no_reference_cycle():
@@ -441,6 +475,9 @@ def test_growth_params_validation():
         pc.GrowthParams(alpha_upper=0.3, alpha_lower=0.3, c_growth=1.0)
     with pytest.raises(ValueError):
         pc.GrowthParams(alpha_upper=0.1, alpha_lower=0.1, c_growth=-1.0)
+    with pytest.raises(ValueError,
+                       match="^c_growth must be nonnegative and finite$"):
+        pc.GrowthParams(alpha_upper=0.1, alpha_lower=0.1, c_growth=np.inf)
     params = pc.GrowthParams(alpha_upper=0.2, alpha_lower=0.2, c_growth=0.5)
     assert params.alpha_upper == 0.2
 
