@@ -57,11 +57,12 @@ def test_trace_respects_schedule(solved, bundled):
     # the exact path, the forcing tolerance after a slow first stage
     forced = {name: pair.stages for name, (pair, trace) in solved.items()
               if _check_schedule(bundled[name], trace, 1e-8, name)}
-    # solving every stage to final_tol takes 17, 10, 38 and 29 stages; near
+    # solving every stage to final_tol takes 18, 10, 41 and 34 stages; near
     # the stop tolerance a forcing decision can flip with the last bits of
-    # the A-solves
-    assert forced == {"scalar_stiff": 11, "dirichlet_stiff": 8,
-                      "cross_coupled_1d": 18, "stokes_cross_17": 15}
+    # the A-solves. The forcing stages keep the damped step, and the
+    # cross_coupled_1d count is what pins it there
+    assert forced == {"scalar_stiff": 10, "dirichlet_stiff": 8,
+                      "cross_coupled_1d": 19, "stokes_cross_17": 15}
 
 
 def test_stage_tolerance_never_exceeds_one_over_k():
@@ -74,7 +75,7 @@ def test_stage_tolerance_never_exceeds_one_over_k():
     cfg = pc.SchemeConfig(max_outer=1000, final_tol=0.5, seed=3,
                           random_init=True)
     pair, trace = pc.run_scheme(system, cfg)
-    assert pair.converged and pair.stages == 36
+    assert pair.converged and pair.stages == 40
     assert _check_schedule(system, trace, cfg.final_tol)
 
 
@@ -97,10 +98,29 @@ def test_pair_residual_starts_the_next_u_solve(stokes_17):
     pair, trace = pc.run_scheme(system, pc.SchemeConfig(random_init=True))
     iters_u = sum(row.inner_iters_u for row in trace.rows)
     iters_v = sum(row.inner_iters_v for row in trace.rows)
-    assert (pair.stages, iters_u, iters_v) == (2, 7, 9)
-    assert counts == {"eval_N": 22, "eval_Nu": 10, "eval_Nv": 11}
+    # every stage is on the exact path and takes the fixed-point step 1
+    assert (pair.stages, iters_u, iters_v) == (2, 2, 1)
+    assert counts == {"eval_N": 9, "eval_Nu": 5, "eval_Nv": 3}
     assert counts["eval_Nu"] == 1 + pair.stages + iters_u
     assert counts["eval_N"] == 3 * pair.stages + iters_u + iters_v
+
+
+def test_exact_path_solves_a_side_linear_coupling_in_one_step(scalar_linear,
+                                                              rng):
+    # a = c = 0: Nu does not depend on u nor Nv on v, so the fixed-point
+    # step 1 lands each side on its partial critical point at once; the
+    # damped step 0.9 / (1 + m11) takes 8 steps a side to 1e-8
+    system = scalar_linear
+    for side in ("u", "v"):
+        fixed, moving = rng.standard_normal((2, system.space.dim))
+        _, _, iters, r = scheme._inner_solve(
+            system, system.sample(fixed), moving, system.sample(moving),
+            1e-8, side, exact=True)
+        assert iters == 1 and r <= 1e-8, side
+    _, trace = pc.run_scheme(system)
+    assert (trace.rows[0].inner_iters_u, trace.rows[0].inner_iters_v) == (1, 1)
+    assert all(row.inner_iters_u <= 1 and row.inner_iters_v <= 1
+               for row in trace.rows)
 
 
 def test_trace_energy_identities(solved):
@@ -284,8 +304,8 @@ def test_divergent_matrix_refused():
 
 
 def test_inner_budget_failure_carries_stage_and_side():
-    # a = 0.49 leaves E1 a curvature of 0.02 against a step of 0.9 / 1.98:
-    # the u-residual shrinks by under 1% a step and misses 1e-8 in 500
+    # a = 0.49 leaves E1 a curvature of 0.02: stage 1 takes the step 1, so
+    # the u-residual shrinks by 2% a step and misses 1e-8 in 500
     system = pc.build_scalar(
         1.0, pc.NonlinearitySpec.quadratic(0.49, 0.0, 0.0, 1.0))
     with pytest.raises(SchemeStageError) as err:
