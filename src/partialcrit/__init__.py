@@ -11,8 +11,7 @@ The public surface:
 * `hypotheses`: sample-based verification of the structural assumptions.
 * `problems`: ready-made Dirichlet, Stokes stream-function, and scalar
   demo systems.
-* `oracle`: independent Newton, finite-difference, and exhaustive-scan
-  cross-checks.
+* `oracle`: the independent Newton cross-check.
 * `cli`: the `partialcrit` command line front end.
 
 The surface is lazy (PEP 562): ``import partialcrit`` loads neither numpy
@@ -47,10 +46,8 @@ _EXPORTS = {
     "problems": ("NonlinearitySpec", "PointwiseNonlinearity",
                  "make_pointwise", "DirichletSpec", "StokesSpec",
                  "build_dirichlet", "build_stokes", "build_scalar",
-                 "build_stokes_manufactured", "reconstruct_velocity",
-                 "discrete_divergence"),
-    "oracle": ("OracleResult", "BruteScanReport", "newton_full",
-               "fd_gradient_check", "brute_nash"),
+                 "reconstruct_velocity", "discrete_divergence"),
+    "oracle": ("OracleResult", "newton_full"),
 }
 _SUBMODULES = frozenset(_EXPORTS) | {"cli"}
 _HOMES = {name: module for module, names in _EXPORTS.items()

@@ -9,6 +9,7 @@ diagnostics used by the boundedness and compactness arguments.
 
 from __future__ import annotations
 
+import numbers
 import sys
 import warnings
 from dataclasses import dataclass
@@ -135,6 +136,10 @@ class HypothesisReport:
 
 def _draw_box(sampler: SamplerSpec, arg_dim: int, rng: np.random.Generator
               ) -> tuple[np.ndarray, np.ndarray]:
+    # numpy would refuse a fractional width, and a width of 0 would fail
+    # only at the first sum over a point's arguments
+    if not isinstance(arg_dim, numbers.Integral) or arg_dim < 1:
+        raise ValueError("arg_dim must be a positive integer")
     shape = (sampler.n_points, arg_dim)
     r = sampler.box_radius
     return rng.uniform(-r, r, shape), rng.uniform(-r, r, shape)
@@ -145,8 +150,9 @@ def check_growth(F, declared: tuple[float, float, float],
     """Test ``-al |y|^2 - c <= F(x, y) <= au |x|^2 + c`` on random points.
 
     `declared` is the pointwise (alpha_upper, alpha_lower, c) triple; a
-    negative, infinite or NaN constant, or a sampled square that overflows,
-    raises `ValueError`. The report also carries the tightest constants
+    negative, infinite or NaN constant, an `arg_dim` that is not a
+    positive integer, or a sampled square that overflows, raises
+    `ValueError`. The report also carries the tightest constants
     fitting the sample: each alpha with the declared c held fixed, and c
     with the declared alphas held fixed.
     """
@@ -211,8 +217,9 @@ def estimate_monotony(f1, f2, monotony: MonotonyMatrix, sampler: SamplerSpec,
     benchmark under ``perfbench/`` binds the function by this name.
 
     A sampled row that leaves the float range is bad input: `ValueError`,
-    and so are a box with no pair more than 1e-12 apart on one side and a
-    gradient not of its points' ``(n_points, arg_dim)`` shape.
+    and so are an `arg_dim` that is not a positive integer, a box with no
+    pair more than 1e-12 apart on one side and a gradient not of its
+    points' ``(n_points, arg_dim)`` shape.
     """
     if not (embedding_sq > 0.0):
         raise ValueError("embedding_sq must be positive")

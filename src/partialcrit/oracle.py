@@ -1,30 +1,25 @@
-"""Independent cross-checks for the alternating scheme.
+"""An independent cross-check for the alternating scheme.
 
 `newton_full` solves the stacked critical-point equations directly, with
 no knowledge of the partial-energy splitting, so agreement with the
-scheme is a genuine two-sided test. `fd_gradient_check` validates the
-residual maps against finite differences of the energies, and
-`brute_nash` scans a coefficient box exhaustively on tiny spaces.
+scheme is a genuine two-sided test.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, gmres
 
 from .errors import ConvergenceError
-from .scheme import (CoupledSystem, SolutionPair, energies, residual_u,
-                     residual_v)
-from .spaces import HVector, _coeffs, norm_a, random_unit_rows
+from .scheme import CoupledSystem
+from .spaces import HVector, norm_a
 
 __all__ = [
     "OracleResult",
-    "BruteScanReport",
     "newton_full",
-    "fd_gradient_check",
-    "brute_nash",
 ]
 
 # Newton iterations before `newton_full` gives up
@@ -91,10 +86,11 @@ def newton_full(sys: CoupledSystem, tol: float = 1e-8,
     euclidean residual decreases; running out of halvings or of the
     `NEWTON_MAX_ITERS` iterations, a singular Jacobian or a GMRES solve
     that does not converge raises `ConvergenceError` with the Newton
-    iteration. A nonpositive ``tol`` raises `ValueError`.
+    iteration. A ``tol`` that is not positive and finite raises
+    `ValueError`: an infinite one would accept the zero pair.
     """
-    if not (tol > 0.0):
-        raise ValueError("tol must be positive")
+    if not (0.0 < tol < math.inf):
+        raise ValueError("tol must be positive and finite")
     space = sys.space
     n = space.dim
     x = np.zeros(2 * n)
@@ -141,95 +137,3 @@ def newton_full(sys: CoupledSystem, tol: float = 1e-8,
         x, r = x_new, r_new
     raise ConvergenceError(f"no convergence in {NEWTON_MAX_ITERS} iterations",
                            iterations=NEWTON_MAX_ITERS)
-
-
-def fd_gradient_check(sys: CoupledSystem, u: np.ndarray, v: np.ndarray,
-                      n_dirs: int = 10) -> float:
-    """Largest relative mismatch between analytic and central-difference
-    directional derivatives of the three energies at the coefficient
-    vectors (u, v).
-
-    Directions are seeded (seed 0) unit vectors in the operator norm, and
-    the central differences take a step of 1e-4; the relative error
-    uses max(1, |analytic|) as denominator so near-critical points do not
-    inflate it. Checks the first energy against the u-residual, the second
-    against the v-residual, and the total against their sum. The `n_dirs`
-    direction pairs are drawn as one block; each stepped energy is one
-    `energies` call, six a direction, and a NaN mismatch is returned, not
-    passed over. ``n_dirs < 1`` raises ``ValueError``.
-    """
-    if n_dirs < 1:
-        raise ValueError(f"n_dirs must be at least 1, not {n_dirs}")
-    space = sys.space
-    step = 1e-4
-    du, dv = random_unit_rows(space, np.random.default_rng(0),
-                              2 * n_dirs).reshape(2, n_dirs, space.dim)
-    an1 = du @ space.operator.apply(residual_u(sys, u, v))
-    an2 = dv @ space.operator.apply(residual_v(sys, u, v))
-    e = lambda j, x, y: energies(sys, x, y)[j]
-    fd = np.array([
-        [e(0, u + step * d, v) - e(0, u - step * d, v) for d in du],
-        [e(1, u, v + step * d) - e(1, u, v - step * d) for d in dv],
-        [e(2, u + step * a, v + step * b) - e(2, u - step * a, v - step * b)
-         for a, b in zip(du, dv)]])
-    an = np.array([an1, an2, an1 + an2])
-    mismatch = np.abs(fd / (2.0 * step) - an) / np.maximum(1.0, np.abs(an))
-    return float(np.max(mismatch))
-
-
-@dataclass(frozen=True)
-class BruteScanReport:
-    """Exhaustive box scan around a candidate pair.
-
-    ``min_e1_delta`` is the smallest E1(u* + d, v*) - E1(u*, v*) over the
-    grid; ``max_e2_delta`` the largest E2(u*, v* + d) - E2(u*, v*). For a
-    genuine min-max point the first stays above -slack and the second
-    below +slack.
-    """
-
-    slack: float
-    min_e1_delta: float
-    max_e2_delta: float
-
-    @property
-    def ok(self) -> bool:
-        return (self.min_e1_delta >= -self.slack
-                and self.max_e2_delta <= self.slack)
-
-
-def brute_nash(sys: CoupledSystem, pair: SolutionPair,
-               grid_radius: float = 0.5, grid_n: int = 401) -> BruteScanReport:
-    """Scan a coefficient box exhaustively; spaces of dimension 1 or 2 only.
-
-    The slack is a first-order allowance for the pair's residual,
-    2 * radius * max residual, plus roundoff. Each grid point costs one
-    `energies` call a side: on one Xeon core the default 401-point line
-    takes about 10 ms on a scalar system, a 31 by 31 plane about 20 ms and
-    the default 401 by 401 plane about 4 s. The extreme deltas are numpy's
-    min and max over all points, so a NaN energy at any grid point makes
-    the report not ``ok``. A `grid_radius` that is not positive and
-    finite, or a pair of another space, raises ``ValueError``.
-    """
-    space = sys.space
-    if space.dim > 2:
-        raise ValueError("exhaustive scan is limited to dimension <= 2")
-    if not pair.converged:
-        raise ValueError("the candidate pair did not converge")
-    if grid_n < 3:
-        raise ValueError("grid_n must be at least 3")
-    if not (0.0 < grid_radius < np.inf):
-        raise ValueError(
-            f"grid_radius must be positive and finite, not {grid_radius}")
-    slack = 2.0 * grid_radius * max(pair.residuals) + 1e-12
-
-    line = np.linspace(-grid_radius, grid_radius, grid_n)
-    offsets = (line[:, None] if space.dim == 1
-               else np.stack(np.meshgrid(line, line), axis=-1).reshape(-1, 2))
-
-    u, v = _coeffs(pair.u_star, space), _coeffs(pair.v_star, space)
-    e1_star, e2_star, _ = energies(sys, u, v)
-    e1_deltas = [energies(sys, u + d, v)[0] - e1_star for d in offsets]
-    e2_deltas = [energies(sys, u, v + d)[1] - e2_star for d in offsets]
-    return BruteScanReport(slack=float(slack),
-                           min_e1_delta=float(np.min(e1_deltas)),
-                           max_e2_delta=float(np.max(e2_deltas)))

@@ -39,7 +39,6 @@ __all__ = [
     "build_dirichlet",
     "build_stokes",
     "build_scalar",
-    "build_stokes_manufactured",
     "reconstruct_velocity",
     "discrete_divergence",
 ]
@@ -507,53 +506,6 @@ def build_stokes(spec: StokesSpec) -> CoupledSystem:
         wf_flat, lift, dominant_inverse_eig(space, apply_m),
         label=f"{space.space_id}-{spec.nonlinearity.describe()}",
     )
-
-
-def build_stokes_manufactured(spec: StokesSpec
-                              ) -> tuple[CoupledSystem, tuple[HVector, HVector]]:
-    """Stokes-form system with a linear coupling term and a known solution.
-
-    The coupling functional is chosen so the exact pair is a smooth
-    bump-shaped stream function in each component; the scheme and the
-    oracle should both land on it.
-    """
-    space, grid = _stokes_space(spec)
-    n = grid.n
-    xs = np.arange(1, n + 1) * grid.hx
-    ys = np.arange(1, n + 1) * grid.hy
-    gx, gy = np.meshgrid(xs, ys)  # [iy, ix]
-    bump1 = (np.sin(np.pi * gx / grid.lx) ** 2
-             * np.sin(np.pi * gy / grid.ly) ** 2).reshape(-1)
-    bump2 = (np.sin(np.pi * gx / grid.lx)
-             * np.sin(2.0 * np.pi * gy / grid.ly)).reshape(-1)
-    u_star = space.wrap(bump1)
-    v_star = space.wrap(bump2)
-    ell1 = space.operator.apply(bump1)
-    ell2 = -space.operator.apply(bump2)
-
-    def eval_n(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
-        if a.ndim == b.ndim == 1:
-            return float(np.dot(ell1, a) + np.dot(ell2, b))
-        return np.vecdot(a, ell1) + np.vecdot(b, ell2)
-
-    # the gradients of a linear coupling are the same at every pair: solved
-    # once, and read-only, as every call returns the same arrays
-    grad_u, grad_v = solve_a(ell1, space), solve_a(ell2, space)
-    grad_u.flags.writeable = grad_v.flags.writeable = False
-
-    def eval_nu(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return grad_u
-
-    def eval_nv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return grad_v
-
-    system = CoupledSystem(
-        space=space, eval_N=eval_n, eval_Nu=eval_nu, eval_Nv=eval_nv,
-        monotony=MonotonyMatrix(np.zeros((2, 2))), growth=None,
-        pointwise=None, embedding_sq=None,
-        label=f"{space.space_id}-manufactured",
-    )
-    return system, (u_star, v_star)
 
 
 def reconstruct_velocity(psi: HVector, spec: StokesSpec

@@ -121,8 +121,9 @@ class SchemeConfig:
         _check_integers(self, "max_outer", "seed")
         if self.max_outer < 1:
             raise ValueError("max_outer must be at least 1")
-        if not (self.final_tol > 0.0):
-            raise ValueError("final_tol must be positive")
+        # an infinite tolerance would accept any pair at its first test
+        if not (0.0 < self.final_tol < math.inf):
+            raise ValueError("final_tol must be positive and finite")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
 
@@ -152,7 +153,7 @@ class CoupledSystem:
     at one state more than once samples it once and passes the state: the
     scheme, the Newton residual and `nash_check` do. Its default is the
     identity, `_unsampled`, so a system built without one (a hand-built
-    or the manufactured one) is passed the vectors themselves.
+    one) is passed the vectors themselves.
 
     ``monotony`` bounds the couplings of the gradient differences and is
     consumed by the convergence gate and the contraction certificate;
@@ -462,10 +463,13 @@ def contraction_certificate(trace: SchemeTrace, m: MonotonyMatrix, p: int = 1
     """Check the difference-vector recursion on the trace's iterate history.
 
     The slack term is ``2 / k`` in both components, covering the two
-    admission residuals that enter the estimate. `m` must be 2 by 2.
+    admission residuals that enter the estimate. `m` must be 2 by 2, and
+    `p` an integer of at least 1.
     """
     if m.n != 2:
         raise ValueError("the coupling matrix must be 2 by 2")
+    if not isinstance(p, numbers.Integral):
+        raise ValueError("gap p must be an integer")
     if p < 1:
         raise ValueError("gap p must be at least 1")
     n_stages = len(trace.iterates_u) - 1

@@ -91,13 +91,15 @@ class ConvergenceCertificate:
 
 @dataclass(frozen=True)
 class DominanceReport:
-    """Outcome of a componentwise dominance check over a trajectory."""
+    """Outcome of a componentwise dominance check over a trajectory.
+
+    ``tail_sup`` is ``max ||x_k||_inf`` over the final quarter of the
+    trajectory."""
 
     dominance_ok: bool
     first_violation: int | None
     max_violation: float
     tail_sup: float
-    tail_ok: bool | None
 
 
 def _coerce(m) -> np.ndarray:
@@ -233,8 +235,7 @@ def neumann_inverse(m) -> np.ndarray:
     return inv
 
 
-def verify_dominance(x_seq, y_seq, m, slack: float = 0.0,
-                     tail_threshold: float | None = None) -> DominanceReport:
+def verify_dominance(x_seq, y_seq, m, slack: float = 0.0) -> DominanceReport:
     """Check ``x_k <= M x_{k-1} + y_k + slack`` componentwise for k >= 1, in
     a few passes over the steps x n array: each step's margin is the exact
     maximum of its row, a running ``np.maximum`` over the n columns.
@@ -245,9 +246,6 @@ def verify_dominance(x_seq, y_seq, m, slack: float = 0.0,
         length >= 2. ``y_seq[0]`` is never used.
     slack : float
         Uniform finite additive tolerance applied to every component.
-    tail_threshold : float, optional
-        When given, also report whether ``max ||x_k||_inf`` over the final
-        quarter of the trajectory dropped below it.
     """
     xs = np.asarray(x_seq, dtype=float)
     ys = np.asarray(y_seq, dtype=float)
@@ -270,11 +268,9 @@ def verify_dominance(x_seq, y_seq, m, slack: float = 0.0,
         gaps = xs[1:] - (xs[:-1] @ a.T + ys[1:] + slack)
     margins = reduce(np.maximum, gaps.T)
     violating = np.flatnonzero(margins > 0.0)
-    tail_sup = float(np.max(np.abs(xs[-math.ceil(len(xs) / 4):])))
     return DominanceReport(
         dominance_ok=violating.size == 0,
         first_violation=int(violating[0]) + 1 if violating.size else None,
         max_violation=float(np.max(margins)),
-        tail_sup=tail_sup,
-        tail_ok=None if tail_threshold is None else bool(tail_sup <= tail_threshold),
+        tail_sup=float(np.max(np.abs(xs[-math.ceil(len(xs) / 4):]))),
     )

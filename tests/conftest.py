@@ -14,6 +14,8 @@ import pytest
 import partialcrit as pc
 from partialcrit.cli import build_problem, scheme_config_from
 
+from reference import build_stokes_manufactured
+
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
@@ -103,7 +105,7 @@ def custom_1d():
 @pytest.fixture(scope="session")
 def manufactured_9():
     # the manufactured Stokes system on n=9 (its exact pair is dropped)
-    return pc.build_stokes_manufactured(
+    return build_stokes_manufactured(
         pc.StokesSpec(n_per_dim=9, lengths=(1.0, 1.0), mu_coeff=1.0))[0]
 
 

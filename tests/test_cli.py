@@ -461,7 +461,7 @@ DEFECTS = [
     ("solve", SCALAR_CONFIG, ("scheme", "random_init"), 1, (), 2,
      "scheme.random_init must be a boolean"),
     ("solve", SCALAR_CONFIG, ("scheme", "final_tol"), 0, (), 2,
-     "scheme: final_tol must be positive"),
+     "scheme: final_tol must be positive and finite"),
     ("solve", SCALAR_CONFIG, ("scheme", "seed"), -1, (), 2,
      "scheme: seed must be nonnegative"),
     ("solve", SCALAR_CONFIG, ("scheme", "seed"), 0, ("--seed", "-1"), 2,
@@ -511,7 +511,7 @@ DEFECTS = [
     ("compare", SCALAR_CONFIG, ("oracle", "max_iters"), 50, (), 2,
      "oracle: unknown keys ['max_iters']"),
     ("compare", SCALAR_CONFIG, ("oracle", "tol"), 0, (), 2,
-     "oracle: tol must be positive"),
+     "oracle: tol must be positive and finite"),
     ("compare", SCALAR_CONFIG, ("oracle", "jacobian_free"), None, (), 0, None),
     # grid steps whose stencil scale leaves the float range
     ("solve", SINCOS_CONFIG, ("problem", "lengths"), [1e-200], (), 2,

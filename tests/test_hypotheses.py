@@ -10,6 +10,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import partialcrit as pc
 
+from reference import build_stokes_manufactured
+
 
 def test_growth_holds_for_bounded_nonlinearity():
     pw = pc.make_pointwise(pc.NonlinearitySpec.sincos(0.1), arg_dim=1)
@@ -335,7 +337,7 @@ def test_declared_growth_past_the_bound_solves_and_reads_not_ready():
 
 def test_full_report_needs_pointwise_data(scalar_linear):
     spec = pc.StokesSpec(n_per_dim=5, lengths=(1.0, 1.0), mu_coeff=1.0)
-    system, _ = pc.build_stokes_manufactured(spec)
+    system, _ = build_stokes_manufactured(spec)
     with pytest.raises(ValueError):
         pc.full_report(system, (0.0, 0.0, 0.0), pc.SamplerSpec())
 

@@ -11,6 +11,8 @@ import partialcrit as pc
 from partialcrit import oracle, problems
 from partialcrit.errors import ConvergenceError
 
+from reference import brute_nash, fd_gradient_check
+
 
 def test_newton_exact_on_affine_residual(scalar_linear):
     # quadratic coupling means an affine residual: one Newton step suffices,
@@ -116,8 +118,10 @@ def test_newton_budget_error(monkeypatch):
         pc.newton_full(system)
     assert str(err.value) == "no convergence in 1 iterations"
     assert err.value.iterations == 1
-    for bad in (0.0, -1e-8):
-        with pytest.raises(ValueError):
+    # an infinite tol used to accept the zero pair at iteration 0
+    for bad in (0.0, -1e-8, np.inf, np.nan):
+        with pytest.raises(ValueError,
+                           match="^tol must be positive and finite$"):
             pc.newton_full(system, tol=bad)
 
 
@@ -134,7 +138,7 @@ def test_fd_gradient_check_small_on_random_states(bundled, rng):
         space = system.space
         u = 0.5 * rng.standard_normal(space.dim)
         v = 0.5 * rng.standard_normal(space.dim)
-        err = pc.fd_gradient_check(system, u, v, n_dirs=5)
+        err = fd_gradient_check(system, u, v, n_dirs=5)
         assert err <= 1e-5, f"{name}: {err}"
 
 
@@ -143,13 +147,13 @@ def test_fd_gradient_check_refuses_no_directions(sincos_1d):
     u = v = np.zeros(sincos_1d.space.dim)
     for n_dirs in (0, -1):
         with pytest.raises(ValueError, match="^n_dirs must be at least 1"):
-            pc.fd_gradient_check(sincos_1d, u, v, n_dirs=n_dirs)
+            fd_gradient_check(sincos_1d, u, v, n_dirs=n_dirs)
 
 
 def test_brute_nash_confirms_scalar_solutions(bundled, solved):
     for name in ("scalar_linear", "scalar_sincos", "scalar_stiff"):
         pair, _ = solved[name]
-        rep = pc.brute_nash(bundled[name], pair, grid_radius=0.5, grid_n=401)
+        rep = brute_nash(bundled[name], pair, grid_radius=0.5, grid_n=401)
         assert rep.ok, f"{name}: {rep}"
         assert rep.min_e1_delta >= -rep.slack
         assert rep.max_e2_delta <= rep.slack
@@ -158,15 +162,15 @@ def test_brute_nash_confirms_scalar_solutions(bundled, solved):
 def test_brute_nash_input_checks(sincos_1d, scalar_linear, solved):
     pair, _ = solved["scalar_linear"]
     with pytest.raises(ValueError):
-        pc.brute_nash(sincos_1d, pair)  # dimension too large
+        brute_nash(sincos_1d, pair)  # dimension too large
     space = scalar_linear.space
     zero = space.wrap(np.zeros(space.dim))
     fake = pc.SolutionPair(u_star=zero, v_star=zero,
                            residuals=(1.0, 1.0), converged=False, stages=0)
     with pytest.raises(ValueError):
-        pc.brute_nash(scalar_linear, fake)
+        brute_nash(scalar_linear, fake)
     with pytest.raises(ValueError):
-        pc.brute_nash(scalar_linear, pair, grid_n=2)
+        brute_nash(scalar_linear, pair, grid_n=2)
 
 
 @pytest.mark.parametrize("radius", [-0.5, 0.0, np.nan, np.inf])
@@ -175,10 +179,10 @@ def test_brute_nash_refuses_a_radius_not_positive_and_finite(radius):
     # nan returned an all-NaN report
     system = pc.build_scalar(2.0, pc.NonlinearitySpec.sincos(0.1))
     pair, _ = pc.run_scheme(system)
-    assert pc.brute_nash(system, pair, grid_radius=0.5).ok
+    assert brute_nash(system, pair, grid_radius=0.5).ok
     with pytest.raises(ValueError, match="^grid_radius must be positive "
                                          "and finite"):
-        pc.brute_nash(system, pair, grid_radius=radius)
+        brute_nash(system, pair, grid_radius=radius)
 
 
 def test_the_nash_probes_refuse_a_pair_from_another_space():
@@ -196,7 +200,7 @@ def test_the_nash_probes_refuse_a_pair_from_another_space():
     pair, _ = pc.run_scheme(pc.build_scalar(2.0, nl))
     with pytest.raises(ValueError, match="vector belongs to 'scalar-a2', "
                                          "not 'scalar-a3'"):
-        pc.brute_nash(pc.build_scalar(3.0, nl), pair)
+        brute_nash(pc.build_scalar(3.0, nl), pair)
 
 
 def test_brute_nash_detects_wrong_candidate(scalar_linear):
@@ -207,7 +211,7 @@ def test_brute_nash_detects_wrong_candidate(scalar_linear):
         v_star=space.wrap(np.array([0.4])),
         residuals=(1e-12, 1e-12),  # claimed converged, actually not
         converged=True, stages=1)
-    rep = pc.brute_nash(scalar_linear, wrong, grid_radius=1.0, grid_n=201)
+    rep = brute_nash(scalar_linear, wrong, grid_radius=1.0, grid_n=201)
     assert not rep.ok
 
 
@@ -232,10 +236,10 @@ def test_nash_check_rejects_a_concave_partial_functional(a, drop):
     rep = pc.nash_check(system, pair)
     assert not rep.ok
     assert (rep.gap_e1, rep.gap_e2) == (math.inf, 0.0)
-    scan = pc.brute_nash(system, pair)
+    scan = brute_nash(system, pair)
     assert not scan.ok
     assert scan.min_e1_delta == pytest.approx((0.5 - a) * 0.5**2, rel=1e-12)
-    near = pc.brute_nash(system, pair, grid_radius=0.1)
+    near = brute_nash(system, pair, grid_radius=0.1)
     assert near.min_e1_delta == pytest.approx(drop, rel=0.02)
 
 
@@ -286,7 +290,7 @@ def test_nash_gaps_bound_the_scanned_gaps(a_value, quadratic, diagonal, b, g,
         # point
         r = math.sqrt(2.0 * (1.0 - m_ii) * gap)
         radius = max(2.0 * r / ((1.0 - m_ii) * math.sqrt(a_value)), 1e-9)
-        found = scanned(pc.brute_nash(system, pair, grid_radius=radius,
+        found = scanned(brute_nash(system, pair, grid_radius=radius,
                                       grid_n=601))
         slack = 1e-12 * (1.0 + abs(energy))
         assert found <= gap + slack

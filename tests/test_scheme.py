@@ -360,6 +360,11 @@ def test_scheme_config_validation():
         pc.SchemeConfig(final_tol=0.0)
     with pytest.raises(ValueError):
         pc.SchemeConfig(seed=-1)
+    # an infinite tolerance used to accept the first stage's pair, however
+    # large its residuals
+    with pytest.raises(ValueError, match="^final_tol must be positive and "
+                                         "finite$"):
+        pc.SchemeConfig(final_tol=np.inf)
 
 
 @pytest.mark.parametrize("record, name, value, kwargs", [
@@ -378,6 +383,29 @@ def test_counts_and_seeds_must_be_integers(record, name, value, kwargs):
     with pytest.raises(ValueError, match=f"^{name} must be an integer$"):
         record(**{name: value}, **kwargs)
     assert getattr(record(**{name: np.int64(400)}, **kwargs), name) == 400
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda trace, m: pc.contraction_certificate(trace, m, p=1.5),
+     "gap p must be an integer"),
+    (lambda trace, m: pc.check_growth(lambda x, y: x[:, 0] * 0.0,
+                                      (0.0, 0.0, 0.0), pc.SamplerSpec(),
+                                      arg_dim=0),
+     "arg_dim must be a positive integer"),
+    (lambda trace, m: pc.estimate_monotony(lambda x, y: x, lambda x, y: y, m,
+                                           pc.SamplerSpec(), arg_dim=0),
+     "arg_dim must be a positive integer"),
+    (lambda trace, m: pc.estimate_monotony(lambda x, y: x, lambda x, y: y, m,
+                                           pc.SamplerSpec(), arg_dim=1.5),
+     "arg_dim must be a positive integer")],
+    ids=["contraction_p", "growth_arg_dim", "monotony_arg_dim",
+         "monotony_fractional_arg_dim"])
+def test_bad_sizes_raise_value_error(solved, scalar_linear, call, message):
+    # they used to raise numpy's TypeError from a slice, or IndexError from
+    # a sum over no arguments
+    _, trace = solved["scalar_linear"]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(trace, scalar_linear.monotony)
 
 
 def test_contraction_certificate_passes_on_runs(solved, bundled):
