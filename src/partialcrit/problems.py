@@ -210,8 +210,8 @@ class DirichletSpec:
             raise ValueError("need at least 3 interior nodes per dimension")
         object.__setattr__(self, "lengths", _grid_sides(
             self.lengths, self.dims, self.n_per_dim, 2))
-        if self.potential_c < 0.0:
-            raise ValueError("potential_c must be nonnegative")
+        if not (0.0 <= self.potential_c < math.inf):
+            raise ValueError("potential_c must be nonnegative and finite")
 
 
 @dataclass(frozen=True)
@@ -230,22 +230,32 @@ class StokesSpec:
             raise ValueError("need at least 5 interior nodes per dimension")
         object.__setattr__(self, "lengths", _grid_sides(
             self.lengths, 2, self.n_per_dim, 4))
-        if not (self.mu_coeff > 0.0):
-            raise ValueError("mu_coeff must be positive")
+        if not (0.0 < self.mu_coeff < math.inf):
+            raise ValueError("mu_coeff must be positive and finite")
 
 
-def _laplacian_1d(n: int, h: float) -> sp.csr_matrix:
-    # pointwise second difference with zero boundary values
-    main = np.full(n, -2.0 / h**2)
-    off = np.full(n - 1, 1.0 / h**2)
-    return sp.diags([off, main, off], [-1, 0, 1], format="csr")
-
-
-def _pointwise_laplacian_2d(n: int, hx: float, hy: float) -> sp.csr_matrix:
-    # ordering: index = iy * n + ix (x fastest)
-    eye = sp.identity(n, format="csr")
-    return (sp.kron(eye, _laplacian_1d(n, hx), format="csr")
-            + sp.kron(_laplacian_1d(n, hy), eye, format="csr"))
+def _grid_csr(shape: tuple[int, int], stencil: dict) -> sp.csr_matrix:
+    """Canonical CSR matrix of a stencil on an ``ny x nx`` grid of nodes
+    numbered ``iy * nx + ix`` (x fastest), written straight into its
+    arrays. ``stencil`` maps each offset ``(dy, dx)`` to its value: a
+    number, or an ``(ny, nx)`` array of one value a node. A neighbour off
+    the grid is left out, as zero boundary values drop it, and within a
+    row the offsets run in ascending column order, as CSR sorts them."""
+    ny, nx = shape
+    iy, ix = np.arange(ny)[:, None], np.arange(nx)
+    offsets = sorted(stencil, key=lambda o: o[0] * nx + o[1])
+    keep = np.empty((ny, nx, len(offsets)), dtype=bool)
+    values = np.empty((ny, nx, len(offsets)))
+    for j, (dy, dx) in enumerate(offsets):
+        keep[..., j] = ((0 <= iy + dy) & (iy + dy < ny)
+                        & (0 <= ix + dx) & (ix + dx < nx))
+        values[..., j] = stencil[dy, dx]
+    columns = ((iy * nx + ix)[..., None]
+               + np.array([dy * nx + dx for dy, dx in offsets]))
+    indptr = np.zeros(ny * nx + 1, dtype=np.int64)
+    np.cumsum(keep.sum(axis=-1).reshape(-1), out=indptr[1:])
+    return sp.csr_matrix((values[keep], columns[keep], indptr),
+                         shape=(ny * nx, ny * nx))
 
 
 class _Sampled(tuple):
@@ -354,24 +364,22 @@ def build_dirichlet(spec: DirichletSpec) -> CoupledSystem:
     term and its gradients act through the nodal values directly.
     """
     n = spec.n_per_dim
-    if spec.dims == 1:
-        (length,) = spec.lengths
-        h = length / (n + 1)
-        lap = _laplacian_1d(n, h)
-        volume_weight = h
-        dim = n
-        label_geo = f"dirichlet-1d-n{n}-L{length:g}"
-    else:
-        lx, ly = spec.lengths
-        hx, hy = lx / (n + 1), ly / (n + 1)
-        lap = _pointwise_laplacian_2d(n, hx, hy)
-        volume_weight = hx * hy
-        dim = n * n
-        label_geo = f"dirichlet-2d-n{n}-L{lx:g}x{ly:g}"
-
-    weights = np.full(dim, volume_weight)
-    matrix = (-volume_weight) * lap + spec.potential_c * sp.diags(weights)
-    space_id = f"{label_geo}-c{spec.potential_c:g}"
+    steps = [length / (n + 1) for length in spec.lengths]  # x first
+    volume_weight = math.prod(steps)
+    sides = "x".join(f"{length:g}" for length in spec.lengths)
+    space_id = f"dirichlet-{spec.dims}d-n{n}-L{sides}-c{spec.potential_c:g}"
+    # -volume_weight times the second differences (-2 / h**2 on the
+    # diagonal, 1 / h**2 to each neighbour along the axis of step h) plus
+    # potential_c times the lumped mass, each entry rounded as the sum of
+    # the one-dimensional stencils, x first, then scaled
+    stencil = {(0, 0): ((-volume_weight) * sum(-2.0 / h**2 for h in steps)
+                        + spec.potential_c * volume_weight)}
+    for axis, h in enumerate(steps):
+        for side in (-1, 1):
+            stencil[(side, 0) if axis else (0, side)] = (
+                (-volume_weight) * (1.0 / h**2))
+    weights = np.full(n ** spec.dims, volume_weight)
+    matrix = _grid_csr((n ** (spec.dims - 1), n), stencil)
     space = make_space(matrix, weights, space_id=space_id)
     embedding_sq = embedding_constant(space) ** 2
 
@@ -458,18 +466,31 @@ def _stokes_space(spec: StokesSpec) -> tuple[DiscreteSpace, _StokesGrid]:
     constant it reads."""
     grid = _StokesGrid(spec)
     n, hx, hy = grid.n, grid.hx, grid.hy
-    lap = _pointwise_laplacian_2d(n, hx, hy)
-    # clamped-plate closure: squaring the five-point stencil plus the
-    # reflected-ghost diagonal correction at near-boundary nodes
-    corr = np.zeros((n, n))  # corr[iy, ix]
-    corr[:, 0] += 2.0 / hx**4
-    corr[:, n - 1] += 2.0 / hx**4
-    corr[0, :] += 2.0 / hy**4
-    corr[n - 1, :] += 2.0 / hy**4
-    vol = hx * hy
-    biharm = vol * ((lap @ lap) + sp.diags(corr.reshape(-1)))
-    stiff = (-vol) * lap
-    matrix = (biharm + spec.mu_coeff * stiff).tocsr()
+    vol, mu = hx * hy, spec.mu_coeff
+    # vol * (L @ L + diag(corr)) - mu * vol * L, entry by entry, with L the
+    # five-point Laplacian (d on the diagonal, ax and ay to the x and y
+    # neighbours): an entry of L @ L sums L[p, j] * L[j, q] over the middle
+    # node j in ascending order, and the clamped-plate closure adds the
+    # reflected-ghost correction corr on the diagonal at near-boundary nodes
+    ax, ay = 1.0 / hx**2, 1.0 / hy**2
+    d = -2.0 / hx**2 + -2.0 / hy**2
+    iy, ix = np.arange(n)[:, None], np.arange(n)
+    # an overflow gives entries that `make_space` refuses as not finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        square = (np.where(iy > 0, ay * ay, 0.0)
+                  + np.where(ix > 0, ax * ax, 0.0) + d * d
+                  + np.where(ix < n - 1, ax * ax, 0.0)
+                  + np.where(iy < n - 1, ay * ay, 0.0))
+        corr = (np.where((ix == 0) | (ix == n - 1), 2.0 / hx**4, 0.0)
+                + np.where((iy == 0) | (iy == n - 1), 2.0 / hy**4, 0.0))
+        stencil = {(0, 0): (square + corr) * vol + (d * -vol) * mu}
+    for s in (-1, 1):
+        stencil[0, s] = (d * ax + ax * d) * vol + (ax * -vol) * mu
+        stencil[s, 0] = (d * ay + ay * d) * vol + (ay * -vol) * mu
+        stencil[0, 2 * s] = (ax * ax) * vol
+        stencil[2 * s, 0] = (ay * ay) * vol
+        stencil[s, s] = stencil[s, -s] = (ax * ay + ay * ax) * vol
+    matrix = _grid_csr((n, n), stencil)
     weights = np.full(n * n, vol)
     space_id = (f"stokes-n{n}-L{grid.lx:g}x{grid.ly:g}-mu{spec.mu_coeff:g}")
     return make_space(matrix, weights, space_id=space_id), grid

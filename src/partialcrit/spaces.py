@@ -92,7 +92,11 @@ class SpdOperator:
         floats: every builder's operator is banded in its natural ordering
         (kd = 1 on a 1D Dirichlet mesh, n on a 2D one, 2n for Stokes). The
         Cholesky reads the upper band only, so the stored lower triangle is
-        checked to mirror it exactly; else it would solve another matrix.
+        checked to mirror it exactly, by one gather of the band at the
+        mirror of each lower entry; else it would solve another matrix.
+        With no zero stored, as `make_space` leaves the matrix, the lower
+        entries then match distinct upper ones, and equal counts of the two
+        leave no upper entry without its mirror.
 
         Raises
         ------
@@ -104,14 +108,15 @@ class SpdOperator:
         rows = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
         offsets = m.indices - rows
         kd = int(np.max(np.abs(offsets), initial=0))
-        # A[i, j] with i <= j sits at band[kd + i - j, j]; `mirror` puts
-        # each lower entry where its transpose sits in `band`
+        # A[i, j] with i <= j sits at band[kd + i - j, j], so the mirror of
+        # a lower entry A[i, j], j < i, sits at band[kd + j - i, i]
         up = offsets >= 0
         band = np.zeros((kd + 1, m.shape[0]), order="F")
         band[kd - offsets[up], m.indices[up]] = m.data[up]
-        mirror = np.zeros_like(band[:kd])
-        mirror[kd + offsets[~up], rows[~up]] = m.data[~up]
-        if not np.array_equal(band[:kd], mirror):
+        low = ~up
+        if (np.count_nonzero(low) != np.count_nonzero(offsets > 0)
+                or not np.array_equal(band[kd + offsets[low], rows[low]],
+                                      m.data[low])):
             raise IntegrityError("operator matrix is not symmetric")
         band, info = dpbtrf(band, overwrite_ab=1)
         if info != 0:

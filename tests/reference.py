@@ -3,9 +3,13 @@
 `fd_gradient_check` validates the residual maps against finite
 differences of the energies, `brute_nash` scans a coefficient box
 exhaustively on tiny spaces, and `build_stokes_manufactured` builds a
-Stokes-form system whose exact pair is known. None of them is part of the
-`partialcrit` package: its scheme, certificates and Newton oracle are
-what these check.
+Stokes-form system whose exact pair is known. `dirichlet_space`,
+`stokes_space` and `band_factor` are the operators composed with
+scipy.sparse and the band read through a mirror copy, as the package
+built them before it wrote each stencil straight into CSR arrays; the
+builders must match them bit for bit. None of them is part of the
+`partialcrit` package: its scheme, certificates, builders and Newton
+oracle are what these check.
 """
 
 from __future__ import annotations
@@ -13,12 +17,102 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.linalg.lapack import dpbtrf
 
-from partialcrit.problems import StokesSpec, _stokes_space
+from partialcrit.errors import IntegrityError
+from partialcrit.problems import (DirichletSpec, StokesSpec, _StokesGrid,
+                                  _stokes_space)
 from partialcrit.scheme import (CoupledSystem, SolutionPair, energies,
                                 residual_u, residual_v)
-from partialcrit.spaces import HVector, _coeffs, random_unit_rows, solve_a
+from partialcrit.spaces import (DiscreteSpace, HVector, _coeffs, make_space,
+                                random_unit_rows, solve_a)
 from partialcrit.zeromatrix import MonotonyMatrix
+
+
+def _laplacian_1d(n: int, h: float) -> sp.csr_matrix:
+    # pointwise second difference with zero boundary values
+    main = np.full(n, -2.0 / h**2)
+    off = np.full(n - 1, 1.0 / h**2)
+    return sp.diags([off, main, off], [-1, 0, 1], format="csr")
+
+
+def _pointwise_laplacian_2d(n: int, hx: float, hy: float) -> sp.csr_matrix:
+    # ordering: index = iy * n + ix (x fastest)
+    eye = sp.identity(n, format="csr")
+    return (sp.kron(eye, _laplacian_1d(n, hx), format="csr")
+            + sp.kron(_laplacian_1d(n, hy), eye, format="csr"))
+
+
+def dirichlet_space(spec: DirichletSpec) -> DiscreteSpace:
+    """The space of `build_dirichlet`, its operator composed by
+    scipy.sparse: the scaled Laplacian plus the scaled lumped mass."""
+    n = spec.n_per_dim
+    if spec.dims == 1:
+        (length,) = spec.lengths
+        h = length / (n + 1)
+        lap = _laplacian_1d(n, h)
+        volume_weight = h
+        dim = n
+        label_geo = f"dirichlet-1d-n{n}-L{length:g}"
+    else:
+        lx, ly = spec.lengths
+        hx, hy = lx / (n + 1), ly / (n + 1)
+        lap = _pointwise_laplacian_2d(n, hx, hy)
+        volume_weight = hx * hy
+        dim = n * n
+        label_geo = f"dirichlet-2d-n{n}-L{lx:g}x{ly:g}"
+
+    weights = np.full(dim, volume_weight)
+    matrix = (-volume_weight) * lap + spec.potential_c * sp.diags(weights)
+    space_id = f"{label_geo}-c{spec.potential_c:g}"
+    return make_space(matrix, weights, space_id=space_id)
+
+
+def stokes_space(spec: StokesSpec) -> tuple[DiscreteSpace, _StokesGrid]:
+    """`problems._stokes_space` with its operator composed by scipy.sparse:
+    the squared five-point Laplacian, the clamped-plate correction and the
+    scaled stiffness."""
+    grid = _StokesGrid(spec)
+    n, hx, hy = grid.n, grid.hx, grid.hy
+    lap = _pointwise_laplacian_2d(n, hx, hy)
+    # clamped-plate closure: squaring the five-point stencil plus the
+    # reflected-ghost diagonal correction at near-boundary nodes
+    corr = np.zeros((n, n))  # corr[iy, ix]
+    corr[:, 0] += 2.0 / hx**4
+    corr[:, n - 1] += 2.0 / hx**4
+    corr[0, :] += 2.0 / hy**4
+    corr[n - 1, :] += 2.0 / hy**4
+    vol = hx * hy
+    biharm = vol * ((lap @ lap) + sp.diags(corr.reshape(-1)))
+    stiff = (-vol) * lap
+    matrix = (biharm + spec.mu_coeff * stiff).tocsr()
+    weights = np.full(n * n, vol)
+    space_id = (f"stokes-n{n}-L{grid.lx:g}x{grid.ly:g}-mu{spec.mu_coeff:g}")
+    return make_space(matrix, weights, space_id=space_id), grid
+
+
+def band_factor(m: sp.csr_matrix) -> np.ndarray:
+    """`SpdOperator.factor` with the band checked against a ``(kd, dim)``
+    mirror copy of the lower triangle."""
+    rows = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
+    offsets = m.indices - rows
+    kd = int(np.max(np.abs(offsets), initial=0))
+    # A[i, j] with i <= j sits at band[kd + i - j, j]; `mirror` puts
+    # each lower entry where its transpose sits in `band`
+    up = offsets >= 0
+    band = np.zeros((kd + 1, m.shape[0]), order="F")
+    band[kd - offsets[up], m.indices[up]] = m.data[up]
+    mirror = np.zeros_like(band[:kd])
+    mirror[kd + offsets[~up], rows[~up]] = m.data[~up]
+    if not np.array_equal(band[:kd], mirror):
+        raise IntegrityError("operator matrix is not symmetric")
+    band, info = dpbtrf(band, overwrite_ab=1)
+    if info != 0:
+        raise IntegrityError(
+            "Cholesky factorization met a non-positive pivot; "
+            "operator is not positive definite")
+    return band
 
 
 def build_stokes_manufactured(spec: StokesSpec

@@ -32,7 +32,7 @@ from partialcrit import problems, scheme
 from partialcrit.errors import IntegrityError
 from partialcrit.spaces import random_unit_rows
 
-from reference import brute_nash, BruteScanReport
+from reference import _laplacian_1d, brute_nash, BruteScanReport
 
 DIGESTS = Path(__file__).resolve().parent / "data" / "digests.txt"
 
@@ -181,7 +181,7 @@ def test_row_scale_keeps_the_bits_of_draws_in_range(spaces):
 
 @pytest.mark.parametrize("matrix", [
     sp.diags([1e308] * 3), sp.diags([1e-300] * 3), _TINY.operator.matrix,
-    -1e300 * problems._laplacian_1d(15, 1.0 / 16)],
+    -1e300 * _laplacian_1d(15, 1.0 / 16)],
     ids=["1e308", "1e-300", "subnormal", "laplacian_1e300"])
 def test_draws_are_unit_at_the_ends_of_the_float_range(matrix):
     # unscaled, the forms on diag(1e308) overflow (zero directions) and

@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -293,6 +295,97 @@ def test_dirichlet_2d_matches_kron_assembly():
     lap = np.kron(np.eye(3), d) + np.kron(dyy, np.eye(3))
     assert np.allclose(system.space.operator.matrix.toarray(), -hx * hy * lap,
                        atol=1e-13)
+
+
+def _assert_same_operator(space, ref):
+    # equal bits: the CSR arrays, then the band factor against the band
+    # read through a mirror copy
+    a, b = space.operator.matrix, ref.operator.matrix
+    assert space.space_id == ref.space_id
+    assert np.array_equal(a.indptr, b.indptr)
+    assert np.array_equal(a.indices, b.indices)
+    assert np.array_equal(a.data.view(np.int64), b.data.view(np.int64))
+    assert np.array_equal(space.operator.factor.view(np.int64),
+                          reference.band_factor(b).view(np.int64))
+
+
+@pytest.mark.parametrize("dims", [1, 2])
+@pytest.mark.parametrize("n", [3, 4, 15, 63])
+def test_dirichlet_operator_is_the_scipy_composition_bit_for_bit(dims, n):
+    for lengths in ((1.0, 1.0), (1.3, 0.7)):
+        for c in (0.0, 2.5):
+            spec = pc.DirichletSpec(dims=dims, n_per_dim=n,
+                                    lengths=lengths[:dims], potential_c=c)
+            system = pc.build_dirichlet(spec)
+            ref = reference.dirichlet_space(spec)
+            _assert_same_operator(system.space, ref)
+            assert system.embedding_sq == pc.embedding_constant(ref) ** 2
+
+
+@pytest.mark.parametrize("n", [5, 6, 17, 33])
+def test_stokes_operator_is_the_scipy_composition_bit_for_bit(monkeypatch,
+                                                               n):
+    # at mu = 1e4 the stiffness term sets the last bits of an entry, so
+    # the order of its products shows
+    specs = [pc.StokesSpec(n_per_dim=n, lengths=lengths, mu_coeff=mu)
+             for lengths in ((1.0, 1.0), (1.3, 0.7))
+             for mu in (0.93, 1.0, 1.07, 1e4)]
+    systems = [pc.build_stokes(spec) for spec in specs]
+    # the builder on the composed space computes the reference constant
+    monkeypatch.setattr(problems, "_stokes_space", reference.stokes_space)
+    for spec, system in zip(specs, systems):
+        ref = pc.build_stokes(spec)
+        _assert_same_operator(system.space, ref.space)
+        assert system.embedding_sq == ref.embedding_sq
+
+
+@pytest.mark.parametrize("build, spec, kd", [
+    (pc.build_stokes, pc.StokesSpec(n_per_dim=49, lengths=(1.0, 1.0),
+                                    mu_coeff=1.0), 98),
+    (pc.build_dirichlet, pc.DirichletSpec(dims=2, n_per_dim=63,
+                                          lengths=(1.0, 1.0)), 63)],
+    ids=["stokes_49", "dirichlet_2d_63"])
+def test_a_build_peaks_at_a_few_bands(build, spec, kd):
+    # no O(dim^2) array: a dense Stokes n=49 operator alone would take
+    # 46 MB; the build holds the CSR, the band factor and vectors
+    build(dataclasses.replace(spec, n_per_dim=5))  # first-call allocations
+    tracemalloc.start()
+    try:
+        system = build(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    band = (kd + 1) * system.space.dim * 8
+    assert system.space.operator.factor.nbytes == band
+    assert peak <= 3 * band, peak / band
+
+
+def test_specs_refuse_non_finite_coefficients_by_name():
+    for c in (math.nan, math.inf):
+        with pytest.raises(ValueError,
+                           match="^potential_c must be nonnegative and "
+                                 "finite$"):
+            pc.DirichletSpec(dims=1, n_per_dim=5, lengths=1.0, potential_c=c)
+    for mu in (math.nan, math.inf):
+        with pytest.raises(ValueError,
+                           match="^mu_coeff must be positive and finite$"):
+            pc.StokesSpec(n_per_dim=5, lengths=1.0, mu_coeff=mu)
+
+
+@pytest.mark.parametrize("build, spec", [
+    (pc.build_dirichlet, pc.DirichletSpec(dims=1, n_per_dim=9, lengths=1e8,
+                                          potential_c=1e308)),
+    (pc.build_stokes, pc.StokesSpec(n_per_dim=7, lengths=1e-8,
+                                    mu_coeff=1e308)),
+    (pc.build_stokes, pc.StokesSpec(n_per_dim=7, lengths=(1e30, 3.0),
+                                    mu_coeff=1e308))],
+    ids=["potential", "stokes_small", "stokes_wide"])
+def test_an_overflowing_operator_raises_without_a_warning(build, spec):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError,
+                           match="^operator entries must be finite$"):
+            build(spec)
 
 
 def test_embedding_refinement_is_second_order():

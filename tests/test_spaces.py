@@ -63,14 +63,17 @@ def test_solve_a_rejects_non_spd_operator():
             pc.solve_a(np.ones(3), space)
     # the Cholesky reads the upper band only: a lower triangle that does not
     # mirror it, an entry off by one rounding or missing on either side, is
-    # refused, not solved as the symmetric matrix of the upper band
+    # refused, not solved as the symmetric matrix of the upper band; so is
+    # a mirror displaced to another place, with equal counts on both sides
     for entries in ([[2.0, 1.0], [0.5, 2.0]], [[2.0, 1.0], [0.0, 2.0]],
                     [[2.0, 0.0], [1.0, 2.0]],
-                    [[2.0, 0.1], [np.nextafter(0.1, 1.0), 2.0]]):
-        space = pc.make_space(sp.csr_matrix(np.array(entries)), np.ones(2),
+                    [[2.0, 0.1], [np.nextafter(0.1, 1.0), 2.0]],
+                    [[2.0, 1.0, 0.0], [0.0, 2.0, 0.0], [1.0, 0.0, 2.0]]):
+        dim = len(entries)
+        space = pc.make_space(sp.csr_matrix(np.array(entries)), np.ones(dim),
                               space_id="asymmetric")
         with pytest.raises(IntegrityError, match="not symmetric"):
-            pc.solve_a(np.ones(2), space)
+            pc.solve_a(np.ones(dim), space)
 
 
 @pytest.mark.parametrize("n", [5, 9])
